@@ -19,6 +19,7 @@ import numpy as np
 
 from .quadrature import (
     adaptive_box_integral,
+    converge_by_doubling,
     gauss_hermite_gaussian,
     sphere_rule,
 )
@@ -271,21 +272,17 @@ def sigma_mass(
     rtol: float = 1e-8,
 ) -> float:
     """Total sigma-mass of the window, by deterministic quadrature with node
-    doubling until the relative change is below ``rtol``."""
+    doubling until the relative change is below ``rtol`` (``RuntimeError``
+    if the doublings run out first)."""
     if isinstance(space, Sphere):
         if window.kind != "all":
             raise ValueError("sphere backend supports the full-sphere window only")
-        n = 24
-        pts, w = sphere_rule(n, 2 * n)
-        val = float(w @ intensity.rho(pts))
-        for _ in range(4):
-            n *= 2
+
+        def sphere_value(n: int) -> float:
             pts, w = sphere_rule(n, 2 * n)
-            new = float(w @ intensity.rho(pts))
-            if abs(new - val) <= rtol * max(abs(new), 1e-300):
-                return new
-            val = new
-        return val
+            return float(w @ intensity.rho(pts))
+
+        return converge_by_doubling(sphere_value, 24, 4, rtol)
 
     if window.kind == "box":
         return adaptive_box_integral(
@@ -296,14 +293,7 @@ def sigma_mass(
     if intensity.family != "gaussian":
         raise ValueError("full-space window needs the gaussian intensity")
     d = space.dim
-    n = 32
-    nodes, w = gauss_hermite_gaussian(d, n, intensity.scale)
-    val = float(np.sum(w))
-    for _ in range(3):
-        n *= 2
-        nodes, w = gauss_hermite_gaussian(d, n, intensity.scale)
-        new = float(np.sum(w))
-        if abs(new - val) <= rtol * max(abs(new), 1e-300):
-            return new
-        val = new
-    return val
+    return converge_by_doubling(
+        lambda n: float(np.sum(gauss_hermite_gaussian(d, n, intensity.scale)[1])),
+        32, 3, rtol,
+    )

@@ -303,7 +303,11 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
                 stderr=est.stderr,
                 tol=tol,
                 passed=bool(sr.certified and diff <= tol),
-                detail=f"tail_bound={sr.tail_bound:.3e} k_max=8",
+                detail={
+                    "tail_bound": sr.tail_bound,
+                    "k_max": len(sr.terms) - 1,
+                    "certified": sr.certified,
+                },
             )
         )
     return out

@@ -271,14 +271,20 @@ class ChebProfile:
     def _axis_matrix(self, axis: int, s: np.ndarray) -> np.ndarray:
         x = self.axes[axis]
         w = self.weights[axis]
-        diff = s[:, None] - x[None, :]
-        exact = np.isclose(diff, 0.0, atol=1e-14)
-        diff = np.where(exact, 1.0, diff)
-        A = w[None, :] / diff
-        A /= np.sum(A, axis=1, keepdims=True)
+        # refuse to extrapolate (or read NaN); the tolerance admits only the
+        # rounding with which a kernel step's shifted grid meets the endpoints
+        tol = 1e-8 * max(abs(x[0]), abs(x[-1]))
+        if s.size and not (s.min() >= x[0] - tol and s.max() <= x[-1] + tol):
+            raise ValueError(f"profile axis {axis} spans [{x[0]:.6g}, {x[-1]:.6g}], "
+                             f"asked for [{s.min():.6g}, {s.max():.6g}]")
+        # the matrices run to millions of entries: build A in place
+        A = s[:, None] - x[None, :]
+        exact = np.abs(A) <= 1e-14
         hit = exact.any(axis=1)
-        if np.any(hit):
-            A[hit] = exact[hit].astype(float)
+        A[exact] = 1.0
+        np.divide(w, A, out=A)
+        A /= np.sum(A, axis=1, keepdims=True)
+        A[hit] = exact[hit]
         return A
 
     def __call__(self, S: np.ndarray) -> np.ndarray:
@@ -298,6 +304,45 @@ class ChebProfile:
                 A1 = self._axis_matrix(1, chunk[:, 1])
                 out[a:a + step] = np.einsum("pi,pj,ij->p", A0, A1, self.values)
         return out
+
+
+def _axes(lo, hi, phi_lo, phi_hi, j: int, cheb_n: int) -> list[np.ndarray]:
+    """Axes of a profile with j statistic-additions still ahead of it: [lo, hi]
+    widened by j increments in [phi_lo, phi_hi], padded for safety."""
+    pad = 1e-9 + 1e-12 * (np.abs(phi_lo) + np.abs(phi_hi))
+    lo, hi = lo + j * phi_lo - pad, hi + j * phi_hi + pad
+    return [_cheb_nodes(a, b, cheb_n) for a, b in zip(lo, hi)]
+
+
+def _sample_profile(outer, axes: list[np.ndarray]) -> ChebProfile:
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return ChebProfile(axes, np.reshape(outer(grid), [len(axes[0])] * len(axes)))
+
+
+def _kernel_step(
+    profile: ChebProfile, axes: list, inner_values: np.ndarray, w: np.ndarray
+) -> ChebProfile:
+    """One sigma-integration, s -> sum_q w_q profile(s + phi(x_q)), on ``axes``."""
+    Q, N = inner_values.shape
+    cheb_n = len(axes[0])
+    if N == 1:
+        # evaluate previous profile at s + phi(x_q), integrate over q
+        shifted = axes[0][:, None] + inner_values[None, :, 0]
+        prev = profile(shifted.reshape(-1, 1)).reshape(cheb_n, Q)
+        vals = prev @ w
+    else:
+        # the grid is a tensor product, so the shifted interpolation
+        # factorizes into per-axis barycentric matrices (one per node)
+        A0 = profile._axis_matrix(
+            0, (axes[0][None, :] + inner_values[:, :1]).ravel()
+        ).reshape(Q, cheb_n, cheb_n)
+        A1 = profile._axis_matrix(
+            1, (axes[1][None, :] + inner_values[:, 1:2]).ravel()
+        ).reshape(Q, cheb_n, cheb_n)
+        vals = np.einsum(
+            "q,qik,kl,qjl->ij", w, A0, profile.values, A1, optimize=True
+        )
+    return ChebProfile(axes, vals.reshape([cheb_n] * N))
 
 
 def iterated_kernel(
@@ -320,53 +365,13 @@ def iterated_kernel(
     h(s) = int ... int outer(s + sum phi(x_i)) prod w_i(x_i) sigma(dx_m)...
     """
     m = len(step_weights)
-    N = inner_values.shape[1]
-    lo = np.asarray(base_range[0], dtype=float).copy()
-    hi = np.asarray(base_range[1], dtype=float).copy()
-    phi_lo = inner_values.min(axis=0)
-    phi_hi = inner_values.max(axis=0)
-
-    # domain of a profile that still has j statistic-additions ahead of it:
-    # the base range widened by j reachable increments, padded for safety
-    def domain(j: int) -> tuple[np.ndarray, np.ndarray]:
-        pad = 1e-9 + 1e-12 * (np.abs(phi_lo) + np.abs(phi_hi))
-        return lo + j * phi_lo - pad, hi + j * phi_hi + pad
-
+    lo, hi = (np.asarray(b, dtype=float) for b in base_range)
+    bounds = (lo, hi, inner_values.min(axis=0), inner_values.max(axis=0))
     # innermost: evaluate outer itself on the widest domain
-    dlo, dhi = domain(m)
-    axes = [_cheb_nodes(dlo[k], dhi[k], cheb_n) for k in range(N)]
-    if N == 1:
-        grid = axes[0][:, None]
-    else:
-        g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        grid = np.stack([g0.ravel(), g1.ravel()], axis=-1)
-    vals = np.asarray(outer(grid), dtype=float)
-    profile = ChebProfile(axes, vals.reshape([cheb_n] * N))
-
-    for step in range(m):
-        j = m - step - 1  # remaining steps after this integration
-        dlo, dhi = domain(j)
-        axes = [_cheb_nodes(dlo[k], dhi[k], cheb_n) for k in range(N)]
-        w = quad_weights * step_weights[step]
-        Q = inner_values.shape[0]
-        if N == 1:
-            # evaluate previous profile at s + phi(x_q), integrate over q
-            shifted = axes[0][:, None] + inner_values[None, :, 0]
-            prev = profile(shifted.reshape(-1, 1)).reshape(cheb_n, Q)
-            vals = prev @ w
-        else:
-            # the grid is a tensor product, so the shifted interpolation
-            # factorizes into per-axis barycentric matrices (one per node)
-            A0 = profile._axis_matrix(
-                0, (axes[0][None, :] + inner_values[:, :1]).ravel()
-            ).reshape(Q, cheb_n, cheb_n)
-            A1 = profile._axis_matrix(
-                1, (axes[1][None, :] + inner_values[:, 1:2]).ravel()
-            ).reshape(Q, cheb_n, cheb_n)
-            vals = np.einsum(
-                "q,qik,kl,qjl->ij", w, A0, profile.values, A1, optimize=True
-            )
-        profile = ChebProfile(axes, vals.reshape([cheb_n] * N))
+    profile = _sample_profile(outer, _axes(*bounds, m, cheb_n))
+    for step, sw in enumerate(step_weights):
+        axes = _axes(*bounds, m - step - 1, cheb_n)
+        profile = _kernel_step(profile, axes, inner_values, quad_weights * sw)
     return profile
 
 
@@ -399,8 +404,12 @@ def expect_series(
         E F = e^{-sigma(L)} sum_{k >= 0} sigma(L)^k / k! * E[F | k points],
 
     truncated at ``k_max`` with an explicit tail bound. Each conditional
-    expectation is an iterated 1-point integral (profile method), so the cost
-    is O(k_max^2) quadrature passes rather than a 2k-dimensional rule.
+    expectation is an iterated 1-point integral (profile method): the chain
+    h_0 = outer, h_k(s) = int h_{k-1}(s + phi(x)) sigma(dx) has h_k(0) = the
+    k-fold integral, so all terms cost k_max quadrature passes rather than a
+    2k-dimensional rule. Each h_k is read at 0, so its domain is the hull of
+    {0} and (k_max - k)[phi_lo, phi_hi]; for positive phi the latter alone
+    misses 0.
 
     ``envelope(k)`` must bound sup |F| over k-point configurations in the
     window; when omitted, a probe bound is used and the result is flagged
@@ -415,25 +424,19 @@ def expect_series(
         [np.asarray(f.value_batch(nodes), dtype=float) for f in inners], axis=-1
     )
     zero = np.zeros((1, N))
+    phi_lo, phi_hi = inner_vals.min(axis=0), inner_vals.max(axis=0)
+    bounds = (zero[0], zero[0], np.minimum(phi_lo, 0.0), np.maximum(phi_hi, 0.0))
+    profile = _sample_profile(outer, _axes(*bounds, k_max, cheb_n))
     terms = [float(np.asarray(outer(zero))[0])]  # k = 0: empty configuration
     for k in range(1, k_max + 1):
-        prof = iterated_kernel(
-            outer,
-            inner_vals,
-            w,
-            [np.ones(nodes.shape[0])] * k,
-            (np.zeros(N), np.zeros(N)),
-            cheb_n=cheb_n,
-        )
-        # prof(0) is the k-fold sigma-integral of F over Lambda^k; the
+        profile = _kernel_step(profile, _axes(*bounds, k_max - k, cheb_n), inner_vals, w)
+        # profile(0) is the k-fold sigma-integral of F over Lambda^k; the
         # expansion wants it with the 1/k! in front
-        terms.append(float(prof(zero)[0]) / math.factorial(k))
+        terms.append(float(profile(zero)[0]) / math.factorial(k))
     value = math.exp(-mass) * sum(terms[k] for k in range(k_max + 1))
 
     certified = envelope is not None
     if envelope is None:
-        phi_lo = inner_vals.min(axis=0)
-        phi_hi = inner_vals.max(axis=0)
 
         def envelope(k: int) -> float:  # probe bound, not certified
             corners = np.array(

@@ -17,6 +17,7 @@ __all__ = [
     "tensor_rule",
     "gauss_hermite_gaussian",
     "sphere_rule",
+    "converge_by_doubling",
     "adaptive_box_integral",
 ]
 
@@ -79,6 +80,28 @@ def sphere_rule(n_cos: int = 48, n_phi: int = 96) -> tuple[np.ndarray, np.ndarra
     return pts, w
 
 
+def converge_by_doubling(
+    value_at: Callable[[int], float], n_start: int, max_doublings: int, rtol: float
+) -> float:
+    """Evaluate a rule at orders n_start, 2 n_start, ... until two successive
+    values agree to ``rtol`` relative; raise ``RuntimeError`` when
+    ``max_doublings`` doublings do not get there, rather than return an
+    unconverged value.
+    """
+    n = n_start
+    val = value_at(n)
+    for _ in range(max_doublings):
+        n *= 2
+        new = value_at(n)
+        if abs(new - val) <= rtol * max(abs(new), 1e-300):
+            return new
+        val = new
+    raise RuntimeError(
+        f"quadrature not converged to rtol={rtol:g} within {max_doublings} "
+        f"doublings of order {n_start} (last value {val!r} at order {n})"
+    )
+
+
 def adaptive_box_integral(
     f: Callable[[np.ndarray], np.ndarray],
     bounds: Sequence[tuple[float, float]],
@@ -87,17 +110,12 @@ def adaptive_box_integral(
     max_doublings: int = 5,
 ) -> float:
     """Integrate a vectorized integrand over a box, doubling the per-axis
-    Gauss-Legendre order until the relative change drops below ``rtol``.
+    Gauss-Legendre order until the relative change drops below ``rtol``
+    (``RuntimeError`` if ``max_doublings`` doublings do not get there).
     """
-    n = n_start
-    nodes, w = tensor_rule(bounds, n)
-    val = float(w @ np.asarray(f(nodes), dtype=float))
-    for _ in range(max_doublings):
-        n *= 2
+
+    def value_at(n: int) -> float:
         nodes, w = tensor_rule(bounds, n)
-        new = float(w @ np.asarray(f(nodes), dtype=float))
-        denom = max(abs(new), 1e-300)
-        if abs(new - val) / denom < rtol:
-            return new
-        val = new
-    return val
+        return float(w @ np.asarray(f(nodes), dtype=float))
+
+    return converge_by_doubling(value_at, n_start, max_doublings, rtol)

@@ -14,6 +14,7 @@ from poissonforms.geometry import (
     grad_beta,
     sigma_mass,
 )
+from poissonforms.quadrature import adaptive_box_integral
 
 
 def unit(v):
@@ -130,6 +131,23 @@ class TestSigmaMass:
     def test_sphere_uniform_area(self):
         m = sigma_mass(Sphere(), IntensitySpec("uniform"), Window("all"))
         assert abs(m - 4.0 * math.pi) < 1e-8
+
+    def test_unconverged_sphere_mass_raises(self):
+        # a kink along a latitude: Gauss-Legendre in cos(theta) converges
+        # only algebraically, so four doublings cannot reach rtol
+        kinked = IntensitySpec("custom", density=lambda X: np.abs(X[:, 2] - 0.3))
+        with pytest.raises(RuntimeError):
+            sigma_mass(Sphere(), kinked, Window("all"))
+
+    def test_unconverged_box_integral_raises(self):
+        box = ((-1.0, 1.0),)
+        kinked = lambda X: np.abs(X[:, 0] - 0.3)
+        with pytest.raises(RuntimeError):
+            adaptive_box_integral(kinked, box, max_doublings=0)
+        with pytest.raises(RuntimeError):
+            adaptive_box_integral(kinked, box, max_doublings=2)
+        smooth = adaptive_box_integral(lambda X: np.exp(X[:, 0]), box)
+        assert abs(smooth - (math.e - 1.0 / math.e)) < 1e-12
 
     def test_sphere_box_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from poissonforms.pointprocess import (
     RngStream,
     _cheb_nodes,
     expect_series,
+    iterated_kernel,
     laplace_check,
     m_subsets,
     mecke_check,
@@ -35,6 +36,7 @@ PHI2 = gauss_bump(2, 1.0, (0.0, 0.2), 0.7)
 ORACLE_EXP_ONE = 0.5764555689042391  # E exp(-0.5 <PHI, gamma>)
 ORACLE_LINEAR = 1.5801870307026753  # E [<PHI, gamma> + 0.2]
 ORACLE_EXP_TWO = 0.6142207996658571  # E exp(-0.3 <PHI,.> - 0.2 <PHI2,.>)
+NEG = gauss_bump(2, 0.8, (0.2, -0.1), -0.6)  # a statistic that is never positive
 
 
 class TestRngStream:
@@ -141,6 +143,17 @@ class TestQuadrature:
         prof = ChebProfile([nodes], nodes**3)
         assert np.allclose(prof(nodes[:, None]), nodes**3, atol=1e-14)
 
+    def test_cheb_profile_rejects_extrapolation(self):
+        nodes = _cheb_nodes(-2.0, 1.0, 12)
+        prof = ChebProfile([nodes], np.sin(nodes))
+        prof(np.array([[-2.0], [1.0]]))  # the endpoints themselves are fine
+        for s in (1.0 + 1e-6, -2.0 - 1e-6, np.nan):
+            with pytest.raises(ValueError):
+                prof(np.array([[0.0], [s]]))
+        prof2 = ChebProfile([nodes, nodes], np.add.outer(nodes, nodes))
+        with pytest.raises(ValueError):
+            prof2(np.array([[0.0, 1.01]]))
+
 
 class TestExpectSeries:
     def test_exp_one_stat(self):
@@ -178,6 +191,34 @@ class TestExpectSeries:
             SP, GAUSS, BOX, Exp([-0.5]), (PHI,), k_max=4, cheb_n=16, quad_n=16
         )
         assert not res.certified
+
+    @pytest.mark.parametrize(
+        "outer, inners",
+        [
+            (Exp([-0.5]), (PHI,)),
+            (Linear([1.0], 0.2), (NEG,)),
+            (Exp([-0.3, 0.4]), (PHI2, NEG)),
+        ],
+        ids=["one-stat", "one-negative-stat", "two-stats-mixed-sign"],
+    )
+    def test_chain_matches_per_k_kernels(self, outer, inners):
+        # oracle: one iterated kernel of k steps per term, each built on its
+        # own reachable range, against the single chain's h_k(0)
+        k_max, cheb_n, quad_n = 6, 20, 12
+        res = expect_series(
+            SP, GAUSS, BOX, outer, inners, envelope=lambda k: 1.0,
+            k_max=k_max, cheb_n=cheb_n, quad_n=quad_n,
+        )
+        nodes, w = sigma_nodes(SP, GAUSS, BOX, quad_n)
+        inner_vals = np.stack([f.value_batch(nodes) for f in inners], axis=-1)
+        zero = np.zeros((1, len(inners)))
+        assert len(res.terms) == k_max + 1
+        for k, term in enumerate(res.terms):
+            prof = iterated_kernel(
+                outer, inner_vals, w, [np.ones(len(w))] * k,
+                (zero[0], zero[0]), cheb_n=cheb_n,
+            )
+            assert abs(term - prof(zero)[0] / math.factorial(k)) <= 1e-12
 
     def test_three_stats_rejected(self):
         with pytest.raises(ValueError):
