@@ -15,10 +15,16 @@ sqrt(m!) and shifts the configuration argument:
 
 defined for xbar disjoint from gamma; it is the unitary map the factorization
 checks are built on.
+
+``BatchEval`` evaluates flat-backend forms at every configuration of a
+``SampleBatch`` at once; ``eval_form`` with ``EvalCache`` is the
+single-configuration path and the reference the batched one is tested
+against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exterior import Multivector, relabel_slots, wedge
+from .exterior import Multivector, relabel_slots, t_basis, wedge
 from .pointprocess import Configuration, SampleBatch
 
 __all__ = [
@@ -50,13 +56,17 @@ __all__ = [
     "EvalCache",
     "eval_function",
     "grad_gamma",
-    "directional",
-    "div_gamma",
     "eval_form",
     "inner_forms",
     "i_n_apply",
     "i_n_inverse",
     "symmetrize",
+    "field_values",
+    "field_grads",
+    "field_laps",
+    "RowLayout",
+    "BatchValue",
+    "BatchEval",
 ]
 
 
@@ -627,41 +637,6 @@ class LiftedVector:
         self.terms = tuple(terms)
         self.name = name
 
-    def value_at(self, config: Configuration, i: int) -> np.ndarray:
-        rest = config.without([i]).points
-        x = config.points[i]
-        out = None
-        for coef, G, v in self.terms:
-            c = coef * (1.0 if G is None else G.value(rest))
-            vec = c * v.value_one(x)
-            out = vec if out is None else out + vec
-        return out
-
-    def div_at(self, config: Configuration, i: int) -> float:
-        rest = config.without([i]).points
-        x = config.points[i]
-        tot = 0.0
-        for coef, G, v in self.terms:
-            c = coef * (1.0 if G is None else G.value(rest))
-            tot += c * v.div_one(x)
-        return tot
-
-
-def directional(F: CylinderFunction, V: LiftedVector, config: Configuration) -> float:
-    """Directional derivative along a lifted vector field:
-    sum_x <grad_x F, V_x>."""
-    tot = 0.0
-    pts = config.points
-    for i in range(config.n):
-        tot += float(F.grad_at(pts, i) @ V.value_at(config, i))
-    return tot
-
-
-def div_gamma(V: LiftedVector, config: Configuration) -> float:
-    """Pointwise divergence summed over the configuration (no intensity
-    term; the beta part enters the integration-by-parts checks separately)."""
-    return sum(V.div_at(config, i) for i in range(config.n))
-
 
 def _masked_component(
     t: FormTerm, cache: EvalCache, idx: tuple[int, ...]
@@ -787,3 +762,284 @@ def i_n_inverse(
         return image(rest, xbar) * math.sqrt(math.factorial(m))
 
     return component
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation over a whole SampleBatch (flat backends)
+
+
+def field_values(f, X: np.ndarray) -> np.ndarray:
+    """Values of a scalar or vector field at the rows of X."""
+    if hasattr(f, "value_batch"):
+        return np.asarray(f.value_batch(X), dtype=float)
+    return np.array([f.value_one(x) for x in X], dtype=float)
+
+
+def field_grads(f, X: np.ndarray) -> np.ndarray:
+    if hasattr(f, "grad_batch"):
+        return np.asarray(f.grad_batch(X), dtype=float)
+    return np.array([f.grad_one(x) for x in X], dtype=float)
+
+
+def field_laps(f, X: np.ndarray) -> np.ndarray:
+    if hasattr(f, "laplacian_one"):
+        return np.array([f.laplacian_one(x) for x in X], dtype=float)
+    return field_values(f.laplacian(), X)
+
+
+@functools.lru_cache(maxsize=None)
+def _colex(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in colexicographic order, so that the
+    subset c_0 < ... < c_{k-1} sits at row sum_j C(c_j, j + 1)."""
+    out = np.array(
+        sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1]),
+        dtype=np.intp,
+    ).reshape(math.comb(n, k), k)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_index(n: int, k: int, d: int) -> dict:
+    return {key: col for col, key in enumerate(t_basis(n, k, d))}
+
+
+class RowLayout:
+    """The rows of a batched form value.
+
+    Each group looks at one configuration of the batch (several groups may
+    look at the same one); its k-rows are the k-subsets of that
+    configuration's points, as global point indices in colexicographic
+    order, so the row of a subset is found by the combinatorial number
+    system instead of a search."""
+
+    def __init__(self, batch: SampleBatch, cfg: np.ndarray):
+        self.cfg = np.asarray(cfg, dtype=np.intp)
+        self.start = batch.offsets[self.cfg]
+        self.size = np.diff(batch.offsets)[self.cfg]
+        nmax = int(self.size.max(initial=0))
+        self._binom = np.array(
+            [[math.comb(a, b) for b in range(nmax + 2)] for a in range(nmax + 1)],
+            dtype=np.intp,
+        )
+        self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.cfg)
+
+    def rows(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(first row of each group, (R, k) subsets, group of each row)."""
+        if k not in self._rows:
+            count = (
+                self._binom[self.size, k]
+                if k < self._binom.shape[1]
+                else np.zeros(self.n_groups, dtype=np.intp)
+            )
+            first = np.concatenate([[0], np.cumsum(count)])
+            idx = np.empty((int(first[-1]), k), dtype=np.intp)
+            for n in np.unique(self.size[count > 0]):
+                gs = np.flatnonzero(self.size == n)
+                combos = _colex(int(n), k)
+                rows = first[gs][:, None] + np.arange(len(combos))
+                idx[rows] = self.start[gs][:, None, None] + combos
+            group = np.repeat(np.arange(self.n_groups), count)
+            self._rows[k] = (first, idx, group)
+        return self._rows[k]
+
+    def find(self, group: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+        """Row numbers of sorted subsets (global point indices) of the given
+        groups."""
+        first = self.rows(subsets.shape[1])[0]
+        local = subsets - self.start[group][:, None]
+        rank = sum(self._binom[local[:, j], j + 1] for j in range(subsets.shape[1]))
+        return first[group] + rank
+
+
+class BatchValue:
+    """A form value at every group of a layout: for each k a dense
+    (k-rows, len(t_basis(degree, k, d))) array.
+
+    A key that leaves some slot of its subset empty (a scalar slot, or a
+    slot vacated by d*) is filed on the row of the smaller subset it
+    occupies -- the batched ``FormValue.point_coef`` -- so inner products
+    and norms are row-wise dots summed per group."""
+
+    def __init__(self, layout: RowLayout, degree: int, blocks: dict[int, np.ndarray]):
+        self.layout = layout
+        self.degree = degree
+        self.blocks = blocks
+
+    def inner(self, other: "BatchValue") -> np.ndarray:
+        out = np.zeros(self.layout.n_groups)
+        if other.degree != self.degree:
+            return out  # forms of different degrees are orthogonal
+        for k, A in self.blocks.items():
+            B = other.blocks.get(k)
+            if B is None:
+                continue
+            dots = np.einsum("rc,rc->r", A, B)
+            out += np.bincount(
+                self.layout.rows(k)[2], weights=dots, minlength=len(out)
+            )
+        return out
+
+    def norm(self) -> np.ndarray:
+        return np.sqrt(np.maximum(self.inner(self), 0.0))
+
+
+class _Scatter:
+    """Collects weighted form-field values on subset rows and files each
+    basis key on the row of the points it occupies."""
+
+    def __init__(self, ev: "BatchEval", layout: RowLayout, degree: int):
+        self.ev = ev
+        self.layout = layout
+        self.degree = degree
+        self.parts: dict[int, tuple[list, list]] = {}
+
+    def add(
+        self,
+        omega: SymmetricFormField,
+        idx: np.ndarray,
+        group: np.ndarray,
+        weight: np.ndarray,
+        nu: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        """Add weight * omega over the rows, slot s at subset position nu[s]."""
+        if not len(idx) or not omega.terms:
+            return
+        nu = nu or tuple(range(omega.m))
+        vals = self.ev.values
+        targets: dict = {}
+        for st, (pos, col, sign) in zip(omega.terms, self.ev._plan(omega, nu)):
+            c = weight * (st.coef * sign)
+            for s, sf in enumerate(st.slots):
+                c = c * (sf.sign * vals(sf.field)[idx[:, nu[s]]])
+            if pos not in targets:
+                targets[pos] = self.layout.find(group, idx[:, list(pos)])
+            width = len(_basis_index(self.degree, len(pos), self.ev.dim))
+            flat, w = self.parts.setdefault(len(pos), ([], []))
+            flat.append(targets[pos] * width + col)
+            w.append(c)
+
+    def value(self) -> BatchValue:
+        blocks = {}
+        for k, (flat, w) in self.parts.items():
+            R = len(self.layout.rows(k)[1])
+            width = len(_basis_index(self.degree, k, self.ev.dim))
+            blocks[k] = np.bincount(
+                np.concatenate(flat), weights=np.concatenate(w), minlength=R * width
+            ).reshape(R, width)
+        return BatchValue(self.layout, self.degree, blocks)
+
+
+class BatchEval:
+    """Cylinder forms of the flat backends evaluated over a whole
+    ``SampleBatch`` at once; the batched counterpart of ``EvalCache`` and
+    ``eval_form``.
+
+    Every field is evaluated once on all points of the batch; an m-subset
+    is a row of index arrays built from the batch offsets, a cylinder
+    factor F(gamma \\ xbar) is the outer function of the configuration's
+    statistics minus the subset points' rows, and a form value is a
+    ``BatchValue``."""
+
+    def __init__(self, batch: SampleBatch):
+        self.batch = batch
+        self.points = batch.points
+        self.sid = batch.sample_ids
+        self.dim = batch.points.shape[1]
+        self.configs = RowLayout(batch, np.arange(batch.n_samples))
+        self._cache: dict = {}
+
+    def _memo(self, kind, obj, make):
+        key = (kind, id(obj))
+        hit = self._cache.get(key)
+        if hit is None:
+            # the object is kept alive so that its id is not reused
+            hit = self._cache[key] = (obj, make())
+        return hit[1]
+
+    def values(self, f) -> np.ndarray:
+        return self._memo("val", f, lambda: field_values(f, self.points))
+
+    def grads(self, f) -> np.ndarray:
+        return self._memo("grad", f, lambda: field_grads(f, self.points))
+
+    def laps(self, f) -> np.ndarray:
+        return self._memo("lap", f, lambda: field_laps(f, self.points))
+
+    def stats(self, F: CylinderFunction) -> np.ndarray:
+        """(n_samples, nargs) statistics <phi_j, gamma> of every configuration."""
+        n = self.batch.n_samples
+        return self._memo("stats", F.inners, lambda: np.column_stack(
+            [np.bincount(self.sid, weights=self.values(phi), minlength=n)
+             for phi in F.inners]
+        ).reshape(n, F.nargs))
+
+    def inner_values(self, F: CylinderFunction) -> np.ndarray:
+        """(points, nargs) values of the statistics' integrands."""
+        return self._memo("inner", F.inners, lambda: np.column_stack(
+            [self.values(phi) for phi in F.inners]
+        ).reshape(len(self.points), F.nargs))
+
+    def stat_rows(self, F: CylinderFunction, cfg: np.ndarray, excl: np.ndarray) -> np.ndarray:
+        """Statistics of F at configuration cfg[r] without the points excl[r]."""
+        S = self.stats(F)[cfg]
+        U = self.inner_values(F)
+        for c in range(excl.shape[1]):
+            S = S - U[excl[:, c]]
+        return S
+
+    def f_rows(
+        self, F: Optional[CylinderFunction], cfg: np.ndarray, excl: np.ndarray
+    ) -> np.ndarray:
+        """F(gamma_cfg[r] minus the points excl[r]); 1 for F = None."""
+        if F is None:
+            return np.ones(len(cfg))
+        return np.asarray(F.outer.eval_batch(self.stat_rows(F, cfg, excl)), dtype=float)
+
+    def _plan(self, omega: SymmetricFormField, nu: tuple[int, ...]) -> list:
+        """Per separable term: the subset positions its key occupies, its
+        column among the keys over those positions, and the sign of sorting
+        the key after slot s moves to position nu[s]."""
+
+        def make():
+            if not omega._fast:
+                raise ValueError("batched evaluation needs flat SlotForm slots")
+            plan = []
+            for st in omega.terms:
+                key = tuple((s, a) for s, sf in enumerate(st.slots) for a in sf.axes)
+                ((skey, sign),) = relabel_slots(
+                    Multivector({key: 1.0}), dict(enumerate(nu))
+                ).coef.items()
+                pos = tuple(sorted({q for q, _ in skey}))
+                comp = tuple((pos.index(q), a) for q, a in skey)
+                plan.append((pos, _basis_index(omega.degree, len(pos), self.dim)[comp], sign))
+            return plan
+
+        return self._memo(("plan", nu), omega, make)
+
+    def scatter(self, layout: RowLayout, degree: int) -> _Scatter:
+        return _Scatter(self, layout, degree)
+
+    def form(self, W: CylinderForm) -> BatchValue:
+        """All components of W at every configuration of the batch."""
+        out = self.scatter(self.configs, W.degree)
+        for t in W.terms:
+            m = t.m
+            scale = math.sqrt(math.factorial(m)) * t.coef
+            if scale == 0.0:
+                continue
+            _, idx, cfg = self.configs.rows(m)
+            if t.mask is None:
+                out.add(t.omega, idx, cfg, scale * self.f_rows(t.F, cfg, idx))
+                continue
+            # average over the assignments of subset points to slots; the
+            # cylinder factor misses only the points in masked slots
+            for nu in itertools.permutations(range(m)):
+                excl = idx[:, [nu[i] for i in range(m) if t.mask[i]]]
+                w = (scale / math.factorial(m)) * self.f_rows(t.F, cfg, excl)
+                out.add(t.omega, idx, cfg, w, nu)
+        return out.value()

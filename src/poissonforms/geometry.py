@@ -109,7 +109,11 @@ class Sphere(Space):
             a = np.array([1.0, 0.0, 0.0])
         e1 = a - (a @ p) * p
         e1 /= np.linalg.norm(e1)
-        e2 = np.cross(p, e1)
+        # e2 = p x e1, written out: np.cross costs more than the rest of
+        # the frame on a single 3-vector
+        p0, p1, p2 = p.tolist()
+        u0, u1, u2 = e1.tolist()
+        e2 = np.array([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0])
         return np.stack([e1, e2])
 
     def exp(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -49,16 +49,19 @@ from .exterior import (
 )
 from .fields import Field, monomial
 from .forms import (
+    BatchEval,
+    BatchValue,
     CylinderForm,
     CylinderFunction,
     EvalCache,
     FormTerm,
     FormValue,
     LiftedVector,
+    RowLayout,
     SlotForm,
     SymmetricFormField,
     eval_form,
-    inner_forms,
+    field_values,
 )
 from .geometry import (
     IntensitySpec,
@@ -75,8 +78,6 @@ __all__ = [
     "FdScheme",
     "OperatorReport",
     "beta_fields",
-    "h_sigma",
-    "h_sigma_at",
     "h_pi_sigma",
     "slot_d",
     "slot_dstar",
@@ -89,6 +90,9 @@ __all__ = [
     "d_gamma",
     "dstar_gamma",
     "lift",
+    "lift_batch",
+    "dstar_batch",
+    "point_gradient_energy",
     "weitz_matrix",
     "r_pi_sigma",
     "apply_r_pi_sigma",
@@ -149,53 +153,6 @@ def beta_fields(space: Space, intensity: IntensitySpec) -> list[Field]:
     raise ValueError(
         "custom intensities have no exact field representation of beta"
     )
-
-
-def _lap_one(f, x) -> float:
-    if hasattr(f, "laplacian_one"):
-        return float(f.laplacian_one(x))
-    return float(f.laplacian().value_one(x))
-
-
-def h_sigma(space: Space, intensity: IntensitySpec, f: Field) -> Field:
-    """H f = -Delta f - <beta, grad f> as an exact field (flat backends)."""
-    out = -f.laplacian()
-    for a, b in enumerate(beta_fields(space, intensity)):
-        out = out - b * f.partial(a)
-    return out
-
-
-def h_sigma_at(space: Space, intensity: IntensitySpec, f, p) -> float:
-    """Value of H f at one point; works for any field exposing gradients and
-    a Laplacian (sphere fields included)."""
-    p = np.asarray(p, dtype=float)
-    b = beta(space, intensity, p)
-    return -_lap_one(f, p) - float(b @ f.grad_one(p))
-
-
-def _h_sigma_cyl_at(
-    space: Space,
-    intensity: IntensitySpec,
-    F: CylinderFunction,
-    arg_points: np.ndarray,
-    x: np.ndarray,
-) -> float:
-    """H acting through the point x on F(arg_points), with x one of the
-    argument points: chain rule through the statistic."""
-    s = F.stat(arg_points)
-    b = beta(space, intensity, x)
-    grads = [phi.grad_one(x) for phi in F.inners]
-    tot = 0.0
-    for j, phi in enumerate(F.inners):
-        gj = F.outer.partial(j)
-        for k in range(len(F.inners)):
-            dot = float(grads[j] @ grads[k])
-            if dot != 0.0:
-                tot -= gj.partial(k).eval_one(s) * dot
-        pj = gj.eval_one(s)
-        if pj != 0.0:
-            tot += pj * (-_lap_one(phi, x) - float(b @ grads[j]))
-    return tot
 
 
 def _cache_beta(space: Space, intensity: IntensitySpec, cache: EvalCache) -> np.ndarray:
@@ -781,32 +738,7 @@ def apply_r_pi_sigma(
 
 
 # ---------------------------------------------------------------------------
-# batched helpers for the vectorized Monte Carlo identities
-
-
-def _field_batch(f, X: np.ndarray) -> np.ndarray:
-    if hasattr(f, "value_batch"):
-        return np.asarray(f.value_batch(X), dtype=float)
-    return np.array([f.value_one(x) for x in X], dtype=float)
-
-
-def _grad_batch(f, X: np.ndarray) -> np.ndarray:
-    if hasattr(f, "grad_batch"):
-        return np.asarray(f.grad_batch(X), dtype=float)
-    return np.array([f.grad_one(x) for x in X], dtype=float)
-
-
-def _lap_batch(f, X: np.ndarray) -> np.ndarray:
-    if hasattr(f, "laplacian_one"):
-        return np.array([f.laplacian_one(x) for x in X], dtype=float)
-    lap = f.laplacian()
-    return _field_batch(lap, X)
-
-
-def _vecfield_batch(v, X: np.ndarray) -> np.ndarray:
-    if hasattr(v, "value_batch"):
-        return np.asarray(v.value_batch(X), dtype=float)
-    return np.array([v.value_one(x) for x in X], dtype=float)
+# batched operators over a whole SampleBatch (flat backends)
 
 
 def _divfield_batch(v, X: np.ndarray) -> np.ndarray:
@@ -823,41 +755,143 @@ def _beta_batch(space: Space, intensity: IntensitySpec, X: np.ndarray) -> np.nda
     return np.array([beta(space, intensity, x) for x in X], dtype=float)
 
 
-def _stats(F: CylinderFunction, batch: SampleBatch) -> np.ndarray:
-    S = np.zeros((batch.n_samples, F.nargs))
-    sid = batch.sample_ids
-    for j, phi in enumerate(F.inners):
-        S[:, j] = np.bincount(
-            sid, weights=_field_batch(phi, batch.points), minlength=batch.n_samples
-        )
-    return S
-
-
 def _outer_rows(fn, S: np.ndarray) -> np.ndarray:
     return np.asarray(fn.eval_batch(S), dtype=float)
 
 
-def _lifted_vector_batch(
-    V: LiftedVector, batch: SampleBatch, stats_cache: dict
-) -> tuple[np.ndarray, np.ndarray]:
+def _plain_terms(W: CylinderForm, what: str):
+    for t in W.terms:
+        if t.mask is not None:
+            raise ValueError(f"{what} expects plain product terms")
+        yield t, math.sqrt(math.factorial(t.m)) * t.coef
+
+
+def _h_rest_rows(
+    space: Space,
+    intensity: IntensitySpec,
+    F: CylinderFunction,
+    ev: BatchEval,
+    cfg: np.ndarray,
+    idx: np.ndarray,
+) -> np.ndarray:
+    """Per row: the sum of H acting through each point of configuration
+    cfg[r] outside the subset idx[r] on F(gamma \\ xbar) (the batched
+    ``_h_sigma_rest_sum``); point sums are configuration sums minus the
+    subset points."""
+
+    def rest(per_point: np.ndarray) -> np.ndarray:
+        tot = ev.batch.segment_sum(per_point)[cfg]
+        for c in range(idx.shape[1]):
+            tot = tot - per_point[idx[:, c]]
+        return tot
+
+    s = ev.stat_rows(F, cfg, idx)
+    bet = _beta_batch(space, intensity, ev.points)
+    grads = [ev.grads(phi) for phi in F.inners]
+    tot = np.zeros(len(cfg))
+    for j, phi in enumerate(F.inners):
+        gj = F.outer.partial(j)
+        for k in range(F.nargs):
+            dots = np.einsum("pa,pa->p", grads[j], grads[k])
+            tot -= _outer_rows(gj.partial(k), s) * rest(dots)
+        drift = np.einsum("pa,pa->p", bet, grads[j])
+        tot += _outer_rows(gj, s) * (-rest(ev.laps(phi)) - rest(drift))
+    return tot
+
+
+def lift_batch(
+    kind: str, space: Space, intensity: IntensitySpec, W: CylinderForm, ev: BatchEval
+) -> BatchValue:
+    """``lift`` at every configuration of the batch (flat backends)."""
+    if kind not in ("bochner", "deRham"):
+        raise ValueError("kind must be 'bochner' or 'deRham'")
+    betas = beta_fields(space, intensity)
+    out = ev.scatter(ev.configs, W.degree)
+    for t, scale in _plain_terms(W, "lift"):
+        _, idx, cfg = ev.configs.rows(t.m)
+        if t.F is not None:
+            hs = _h_rest_rows(space, intensity, t.F, ev, cfg, idx)
+            out.add(t.omega, idx, cfg, scale * hs)
+        w = scale * ev.f_rows(t.F, cfg, idx)
+        for i in range(t.m):
+            op = (
+                slot_bochner(t.omega, i, betas)
+                if kind == "bochner"
+                else slot_hr(t.omega, i, betas, space.dim)
+            )
+            out.add(op, idx, cfg, w)
+    return out.value()
+
+
+def dstar_batch(
+    space: Space, intensity: IntensitySpec, W: CylinderForm, ev: BatchEval
+) -> BatchValue:
+    """``dstar_gamma`` at every configuration of the batch. A key whose
+    contracted slot is left empty lands on the subset without that point
+    by the batched value's filing rule."""
+    betas = beta_fields(space, intensity)
+    out = ev.scatter(ev.configs, W.degree - 1)
+    for t, scale in _plain_terms(W, "dstar_batch"):
+        _, idx, cfg = ev.configs.rows(t.m)
+        w = scale * ev.f_rows(t.F, cfg, idx)
+        for i in range(t.m):
+            out.add(slot_dstar(t.omega, i, betas), idx, cfg, w)
+    return out.value()
+
+
+def _point_partials(W: CylinderForm, ev: BatchEval, layout: RowLayout) -> BatchValue:
+    """``point_partial_form`` for every (point, axis) group of the layout:
+    group g differentiates in coordinate g % d of batch point g // d."""
+    d = ev.dim
+    out = ev.scatter(layout, W.degree)
+    for t, scale in _plain_terms(W, "point_partial_form"):
+        _, idx, group = layout.rows(t.m)
+        pt, ax = group // d, group % d
+        cfg = layout.cfg[group]
+        hit = idx == pt[:, None]
+        # the point is in the subset: differentiate its slot
+        w = scale * ev.f_rows(t.F, cfg, idx)
+        for s in range(t.m):
+            for a in range(d):
+                sel = hit[:, s] & (ax == a)
+                out.add(t.omega.slot_partial(s, a), idx[sel], group[sel], w[sel])
+        if t.F is None:
+            continue
+        # the point is outside: differentiate the cylinder factor through it
+        sel = ~hit.any(axis=1)
+        idx, group, pt, ax = idx[sel], group[sel], pt[sel], ax[sel]
+        S = ev.stat_rows(t.F, cfg[sel], idx)
+        coeff = np.zeros(len(idx))
+        for j, phi in enumerate(t.F.inners):
+            coeff += _outer_rows(t.F.outer.partial(j), S) * ev.grads(phi)[pt, ax]
+        out.add(t.omega, idx, group, scale * coeff)
+    return out.value()
+
+
+def point_gradient_energy(
+    W1: CylinderForm, W2: CylinderForm, ev: BatchEval
+) -> np.ndarray:
+    """Per configuration: the Bochner-level energy, the sum over points and
+    coordinates of <partial W1, partial W2> (flat backends)."""
+    layout = RowLayout(ev.batch, np.repeat(ev.sid, ev.dim))
+    e = _point_partials(W1, ev, layout).inner(_point_partials(W2, ev, layout))
+    return np.bincount(layout.cfg, weights=e, minlength=ev.batch.n_samples)
+
+
+def _lifted_vector_batch(V: LiftedVector, ev: BatchEval) -> tuple[np.ndarray, np.ndarray]:
     """Per-point values V_x(gamma) (P, dim) and divergences (P,)."""
-    P = batch.points
-    sid = batch.sample_ids
+    P = ev.points
+    sid = ev.sid
     vals = np.zeros((P.shape[0], P.shape[1]))
     divs = np.zeros(P.shape[0])
     for coef, G, v in V.terms:
-        vv = _vecfield_batch(v, P)
+        vv = field_values(v, P)
         dv = _divfield_batch(v, P)
         if G is None:
             g_pt = np.full(P.shape[0], coef)
         else:
-            if id(G) not in stats_cache:
-                stats_cache[id(G)] = _stats(G, batch)
-            SG = stats_cache[id(G)][sid]
             # the cylinder factor sees the configuration without the point
-            SG = SG - np.column_stack(
-                [_field_batch(psi, P) for psi in G.inners]
-            )
+            SG = ev.stats(G)[sid] - ev.inner_values(G)
             g_pt = coef * _outer_rows(G.outer, SG)
         vals += g_pt[:, None] * vv
         divs += g_pt * dv
@@ -865,19 +899,15 @@ def _lifted_vector_batch(
 
 
 def _directional_batch(
-    F: CylinderFunction,
-    SF: np.ndarray,
-    batch: SampleBatch,
-    vvals: np.ndarray,
+    F: CylinderFunction, ev: BatchEval, vvals: np.ndarray
 ) -> np.ndarray:
-    """Per-sample directional derivative sum_x <grad_x F, V_x>; SF holds the
-    per-sample statistics of F."""
-    sid = batch.sample_ids
+    """Per-sample directional derivative sum_x <grad_x F, V_x>."""
+    batch = ev.batch
     out = np.zeros(batch.n_samples)
     for j, phi in enumerate(F.inners):
-        pj = _outer_rows(F.outer.partial(j), SF)
-        dots = np.einsum("pa,pa->p", _grad_batch(phi, batch.points), vvals)
-        out += pj * np.bincount(sid, weights=dots, minlength=batch.n_samples)
+        pj = _outer_rows(F.outer.partial(j), ev.stats(F))
+        dots = np.einsum("pa,pa->p", ev.grads(phi), vvals)
+        out += pj * np.bincount(ev.sid, weights=dots, minlength=batch.n_samples)
     return out
 
 
@@ -903,14 +933,12 @@ def ibp_check(
     checked as a paired-sample mean against zero at three standard errors.
     """
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    S1 = _stats(F1, batch)
-    S2 = _stats(F2, batch)
-    f1 = _outer_rows(F1.outer, S1)
-    f2 = _outer_rows(F2.outer, S2)
-    cache: dict = {}
-    vvals, divs = _lifted_vector_batch(V, batch, cache)
-    d1 = _directional_batch(F1, S1, batch, vvals)
-    d2 = _directional_batch(F2, S2, batch, vvals)
+    ev = BatchEval(batch)
+    f1 = _outer_rows(F1.outer, ev.stats(F1))
+    f2 = _outer_rows(F2.outer, ev.stats(F2))
+    vvals, divs = _lifted_vector_batch(V, ev)
+    d1 = _directional_batch(F1, ev, vvals)
+    d2 = _directional_batch(F2, ev, vvals)
     bdot = np.einsum(
         "pa,pa->p", _beta_batch(space, intensity, batch.points), vvals
     )
@@ -924,7 +952,7 @@ def ibp_check(
         label,
         lhs,
         McEstimate.exact(0.0),
-        detail=f"n={n_samples}",
+        detail={"n": n_samples},
     )
 
 
@@ -946,18 +974,20 @@ def dirichlet_check(
     name: Optional[str] = None,
 ) -> CheckResult:
     """Dirichlet-form identity E[energy(W1, W2)] = E[<H W1, W2>] at the
-    requested level: 'functions' (carre du champ of the lifted operator,
-    vectorized), 'bochner' (gradient pairing vs the Bochner lift), or
-    'deRham' (d/d* pairing vs the de Rham lift).
+    requested level: 'functions' (carre du champ of the lifted operator),
+    'bochner' (gradient pairing vs the Bochner lift), or 'deRham' (d/d*
+    pairing vs the de Rham lift); all vectorized over the sample batch,
+    the form levels on flat backends.
     """
     if level == "functions":
         batch = sample_batch(space, intensity, window, rng, n_samples)
-        S1 = _stats(W1, batch)
-        S2 = _stats(W2, batch)
+        ev = BatchEval(batch)
+        S1 = ev.stats(W1)
+        S2 = ev.stats(W2)
         sid = batch.sample_ids
         P = batch.points
-        grads1 = [_grad_batch(phi, P) for phi in W1.inners]
-        grads2 = [_grad_batch(chi, P) for chi in W2.inners]
+        grads1 = [ev.grads(phi) for phi in W1.inners]
+        grads2 = [ev.grads(chi) for chi in W2.inners]
         pd1 = [_outer_rows(W1.outer.partial(j), S1)[sid] for j in range(W1.nargs)]
         pd2 = [_outer_rows(W2.outer.partial(k), S2)[sid] for k in range(W2.nargs)]
         lhs_pt = np.zeros(P.shape[0])
@@ -978,7 +1008,7 @@ def dirichlet_check(
                     * np.einsum("pa,pa->p", grads1[j], grads1[k])
                 )
             h_pt += pd1[j] * (
-                -_lap_batch(phi, P) - np.einsum("pa,pa->p", bet, grads1[j])
+                -ev.laps(phi) - np.einsum("pa,pa->p", bet, grads1[j])
             )
         rhs = (
             np.bincount(sid, weights=h_pt, minlength=batch.n_samples)
@@ -987,43 +1017,26 @@ def dirichlet_check(
         diff = McEstimate.from_samples(lhs - rhs)
         label = name or f"dirichlet-functions-{W1.name}-{W2.name}"
         return CheckResult.from_estimates(
-            label, diff, McEstimate.exact(0.0), detail=f"n={n_samples}"
+            label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
         )
 
     if level not in ("bochner", "deRham"):
         raise ValueError("level must be 'functions', 'bochner' or 'deRham'")
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    diffs = np.zeros(batch.n_samples)
-    memo1: dict = {}
-    memo2: dict = {}
-    if level == "deRham":
+    ev = BatchEval(batch)
+    if level == "bochner":
+        energy = point_gradient_energy(W1, W2, ev)
+    else:
         dW1 = d_gamma(space, intensity, W1)
         dW2 = d_gamma(space, intensity, W2)
-    for i, cfg in enumerate(_config_iter(batch)):
-        cache = EvalCache(cfg)
-        if level == "bochner":
-            energy = 0.0
-            for pt in range(cfg.n):
-                for a in range(space.dim):
-                    g1 = point_partial_form(
-                        space, intensity, W1, cfg, pt, a, cache, memo1
-                    )
-                    g2 = point_partial_form(
-                        space, intensity, W2, cfg, pt, a, cache, memo2
-                    )
-                    energy += g1.inner(g2)
-            op = lift("bochner", space, intensity, W1, cfg, fd, cache)
-        else:
-            energy = inner_forms(dW1, dW2, cfg, cache)
-            energy += dstar_gamma(space, intensity, W1, cfg, cache).inner(
-                dstar_gamma(space, intensity, W2, cfg, cache)
-            )
-            op = lift("deRham", space, intensity, W1, cfg, fd, cache)
-        diffs[i] = energy - op.inner(eval_form(W2, cfg, cache))
-    diff = McEstimate.from_samples(diffs)
+        energy = ev.form(dW1).inner(ev.form(dW2)) + dstar_batch(
+            space, intensity, W1, ev
+        ).inner(dstar_batch(space, intensity, W2, ev))
+    op = lift_batch(level, space, intensity, W1, ev)
+    diff = McEstimate.from_samples(energy - op.inner(ev.form(W2)))
     label = name or f"dirichlet-{level}-{W1.name}-{W2.name}"
     return CheckResult.from_estimates(
-        label, diff, McEstimate.exact(0.0), detail=f"n={n_samples}"
+        label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
     )
 
 
@@ -1040,18 +1053,13 @@ def adjointness_check(
     """E[<dW, V>] = E[<W, d*V>] as a paired Monte Carlo mean."""
     dW = d_gamma(space, intensity, W)
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    diffs = np.zeros(batch.n_samples)
-    for i, cfg in enumerate(_config_iter(batch)):
-        cache = EvalCache(cfg)
-        lhs = inner_forms(dW, V, cfg, cache)
-        rhs = eval_form(W, cfg, cache).inner(
-            dstar_gamma(space, intensity, V, cfg, cache)
-        )
-        diffs[i] = lhs - rhs
-    diff = McEstimate.from_samples(diffs)
+    ev = BatchEval(batch)
+    lhs = ev.form(dW).inner(ev.form(V))
+    rhs = ev.form(W).inner(dstar_batch(space, intensity, V, ev))
+    diff = McEstimate.from_samples(lhs - rhs)
     label = name or f"adjoint-{W.name}-{V.name}"
     return CheckResult.from_estimates(
-        label, diff, McEstimate.exact(0.0), detail=f"n={n_samples}"
+        label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
     )
 
 
@@ -1068,12 +1076,10 @@ def dd_zero_check(
     """d(dW) = 0, evaluated on sampled configurations: deterministic residual."""
     ddW = d_gamma(space, intensity, d_gamma(space, intensity, W))
     batch = sample_batch(space, intensity, window, rng, n_configs)
-    worst = 0.0
-    for cfg in _config_iter(batch):
-        worst = max(worst, eval_form(ddW, cfg).norm())
+    worst = float(BatchEval(batch).form(ddW).norm().max(initial=0.0))
     label = name or f"dd-zero-{W.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, tol, detail=f"configs={n_configs}"
+        label, worst, 0.0, tol, detail={"configs": n_configs}
     )
 
 
@@ -1102,7 +1108,7 @@ def weitzenbock_check(
         worst = max(worst, resid.norm())
     label = name or f"weitzenbock-{W.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, tol, detail=f"configs={n_configs}"
+        label, worst, 0.0, tol, detail={"configs": n_configs}
     )
 
 
@@ -1173,5 +1179,5 @@ def factorization_check(
             worst = max(worst, (left + right * -1.0).norm())
     label = name or f"factorization-{kind}-{W.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, tol, detail=f"trials={n_trials}"
+        label, worst, 0.0, tol, detail={"trials": n_trials}
     )

@@ -319,6 +319,12 @@ def _sample_profile(outer, axes: list[np.ndarray]) -> ChebProfile:
     return ChebProfile(axes, np.reshape(outer(grid), [len(axes[0])] * len(axes)))
 
 
+# Quadrature nodes per barycentric contraction in the 2-statistic kernel
+# step: two (chunk, cheb_n, cheb_n) tensors, 2 x 8.4 MB at cheb_n = 64. A
+# 16 x 16 tensor rule is a single chunk.
+_STEP_CHUNK = 256
+
+
 def _kernel_step(
     profile: ChebProfile, axes: list, inner_values: np.ndarray, w: np.ndarray
 ) -> ChebProfile:
@@ -332,16 +338,20 @@ def _kernel_step(
         vals = prev @ w
     else:
         # the grid is a tensor product, so the shifted interpolation
-        # factorizes into per-axis barycentric matrices (one per node)
-        A0 = profile._axis_matrix(
-            0, (axes[0][None, :] + inner_values[:, :1]).ravel()
-        ).reshape(Q, cheb_n, cheb_n)
-        A1 = profile._axis_matrix(
-            1, (axes[1][None, :] + inner_values[:, 1:2]).ravel()
-        ).reshape(Q, cheb_n, cheb_n)
-        vals = np.einsum(
-            "q,qik,kl,qjl->ij", w, A0, profile.values, A1, optimize=True
-        )
+        # factorizes into per-axis barycentric matrices (one per node),
+        # contracted a chunk of nodes at a time to bound the memory
+        for lo in range(0, Q, _STEP_CHUNK):
+            q = slice(lo, lo + _STEP_CHUNK)
+            A0 = profile._axis_matrix(
+                0, (axes[0][None, :] + inner_values[q, :1]).ravel()
+            ).reshape(-1, cheb_n, cheb_n)
+            A1 = profile._axis_matrix(
+                1, (axes[1][None, :] + inner_values[q, 1:2]).ravel()
+            ).reshape(-1, cheb_n, cheb_n)
+            part = np.einsum(
+                "q,qik,kl,qjl->ij", w[q], A0, profile.values, A1, optimize=True
+            )
+            vals = part if lo == 0 else vals + part
     return ChebProfile(axes, vals.reshape([cheb_n] * N))
 
 

@@ -47,6 +47,19 @@ class TestSpaces:
         assert np.allclose(E @ E.T, np.eye(2), atol=1e-12)
         assert np.allclose(E @ p, 0.0, atol=1e-12)
 
+    def test_sphere_frame_second_vector_is_exact_cross_product(self):
+        # the written-out p x e1 must equal np.cross bit for bit, on both
+        # sides of the near-pole switch |p_z| > 0.9
+        sp = Sphere()
+        gen = np.random.default_rng(7)
+        P = gen.normal(size=(2000, 3))
+        P[:500, 2] = np.sign(P[:500, 2]) * 10.0  # |p_z| > 0.9 after scaling
+        P /= np.linalg.norm(P, axis=1, keepdims=True)
+        assert np.sum(np.abs(P[:, 2]) > 0.9) >= 500
+        for p in P:
+            e1, e2 = sp.frame(p)
+            assert np.array_equal(e2, np.cross(p, e1))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_sphere_transport_isometry(self, seed):

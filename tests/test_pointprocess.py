@@ -220,6 +220,25 @@ class TestExpectSeries:
             )
             assert abs(term - prof(zero)[0] / math.factorial(k)) <= 1e-12
 
+    def test_chunked_two_stat_step_matches_unchunked(self, monkeypatch):
+        # quad_n = 40 is 1600 nodes, several chunks of the 2-statistic step
+        from poissonforms import batteries as bat
+        from poissonforms import pointprocess
+
+        case = next(c for c in bat.series_battery() if c.name == "exp-two-stats")
+
+        def terms():
+            return expect_series(
+                SP, GAUSS, bat.series_window(), case.outer, case.inners,
+                case.envelope, k_max=3, quad_n=40,
+            ).terms
+
+        chunked = terms()
+        monkeypatch.setattr(pointprocess, "_STEP_CHUNK", 40 * 40)
+        whole = terms()
+        assert len(sigma_nodes(SP, GAUSS, bat.series_window(), 40)[1]) == 1600
+        assert np.max(np.abs(np.subtract(chunked, whole))) <= 1e-12
+
     def test_three_stats_rejected(self):
         with pytest.raises(ValueError):
             expect_series(SP, GAUSS, BOX, Exp([-1, -1, -1]), (PHI, PHI, PHI2))
