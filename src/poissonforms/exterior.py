@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "create",
     "annihilate",
     "curvature_operator",
-    "iso_embed",
     "block_potential",
     "leibniz_power",
     "t_basis",
@@ -99,10 +98,6 @@ class Multivector:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def vacuum(cls) -> "Multivector":
-        return cls({(): 1.0})
-
-    @classmethod
     def from_vector(cls, v: np.ndarray, slot: int = 0) -> "Multivector":
         return cls({((slot, a),): float(c) for a, c in enumerate(v) if c != 0.0})
 
@@ -153,11 +148,6 @@ class Multivector:
 
     def component(self, n: int) -> "Multivector":
         return Multivector({k: c for k, c in self.coef.items() if len(k) == n})
-
-    def block_index(self, key: Key) -> tuple[int, ...]:
-        """Per-slot degrees of a basis key, over the slots present."""
-        slots = sorted({s for s, _ in key})
-        return tuple(sum(1 for s, _ in key if s == sl) for sl in slots)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coef.values())
@@ -341,29 +331,6 @@ def leibniz_power(A: np.ndarray, k: int) -> np.ndarray:
     return mat
 
 
-def iso_embed(factors: Sequence[Multivector], block: Sequence[int]) -> Multivector:
-    """Embed a tensor product of per-slot multivectors into the exterior
-    fibre: factors u_i of degree k_i (slot i) map to
-
-        sqrt(n! / (k_1! ... k_m!)) * u_1 ^ ... ^ u_m.
-
-    The constant is exactly the ratio between the Gram wedge norm and the
-    tensor norm, so dividing the output by it gives a unitary map.
-    """
-    block = tuple(block)
-    n = sum(block)
-    scale = math.sqrt(math.factorial(n) / math.prod(math.factorial(k) for k in block))
-    out = Multivector.vacuum()
-    for i, (u, k) in enumerate(zip(factors, block)):
-        tagged = Multivector()
-        for key, c in u.coef.items():
-            if len(key) != k:
-                raise ValueError(f"factor {i} does not have degree {k}")
-            tagged.coef[tuple((i, a) for _, a in key)] = c
-        out = wedge(out, tagged)
-    return scale * out
-
-
 def t_basis(n: int, m: int, d: int) -> list[Key]:
     """Basis keys of the exterior sector over m slots with every slot
     occupied: per-slot degrees k_i >= 1, sum k_i = n, k_i <= d."""
@@ -388,13 +355,9 @@ def vec_to_mv(vec: np.ndarray, basis: Sequence[Key]) -> Multivector:
     return Multivector({k: float(c) for k, c in zip(basis, vec) if c != 0.0})
 
 
-def apply_slot_linear(u: Multivector, slot: int, M: np.ndarray, derivation: bool = False) -> Multivector:
-    """Apply a frame matrix M to the factors of one slot.
-
-    With ``derivation=False`` the action is multiplicative (Lambda^k M, the
-    transport/pullback extension); with ``derivation=True`` it is the Leibniz
-    action (one factor at a time, the potential/curvature extension).
-    """
+def apply_slot_linear(u: Multivector, slot: int, M: np.ndarray) -> Multivector:
+    """Apply a frame matrix M to the factors of one slot multiplicatively
+    (Lambda^k M, the transport/pullback extension)."""
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
     out: dict = {}
@@ -405,34 +368,18 @@ def apply_slot_linear(u: Multivector, slot: int, M: np.ndarray, derivation: bool
             continue
         axes = tuple(key[pos][1] for pos in positions)
         k = len(axes)
-        if derivation:
-            images: list[tuple[tuple[int, ...], float]] = []
-            for pos in range(k):
-                for b in range(d):
-                    a = M[b, axes[pos]]
-                    if a == 0.0:
-                        continue
-                    cand = list(axes)
-                    cand[pos] = b
-                    skey, sign = _sort_sign(cand)
-                    if sign == 0:
-                        continue
-                    images.append((skey, sign * a))
-        else:
-            images = []
-            for J in itertools.combinations(range(d), k):
-                minor = M[np.ix_(J, axes)]
-                det = float(np.linalg.det(minor)) if k > 1 else float(minor[0, 0])
-                if det != 0.0:
-                    images.append((J, det))
         # keys are slot-major sorted, so the slot's indices form a contiguous
         # segment; a same-degree replacement is an in-place substitution with
         # no crossing sign.
         lo, hi = positions[0], positions[-1] + 1
         prefix, suffix = key[:lo], key[hi:]
-        for J, a in images:
+        for J in itertools.combinations(range(d), k):
+            minor = M[np.ix_(J, axes)]
+            det = float(np.linalg.det(minor)) if k > 1 else float(minor[0, 0])
+            if det == 0.0:
+                continue
             skey = prefix + tuple((slot, b) for b in J) + suffix
-            out[skey] = out.get(skey, 0.0) + a * c
+            out[skey] = out.get(skey, 0.0) + det * c
             if out[skey] == 0.0:
                 del out[skey]
     return Multivector(out)
@@ -475,7 +422,7 @@ def transport_slot(
         tv = space.transport(q, p, frame_q[a])
         for b in range(d):
             M[b, a] = float(frame_p[b] @ tv)
-    return apply_slot_linear(u, slot, M, derivation=False)
+    return apply_slot_linear(u, slot, M)
 
 
 def block_potential(

@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exterior import Multivector
-
 __all__ = [
     "Field",
     "polygauss",
@@ -35,7 +33,6 @@ __all__ = [
     "VectorField",
     "SphereKilling",
     "SphereGradientField",
-    "PointForm",
 ]
 
 
@@ -230,11 +227,6 @@ class Field:
     def __sub__(self, other: "Field") -> "Field":
         return self + (other * -1.0)
 
-    def sup_bound(self, probe: np.ndarray) -> float:
-        """Crude sup-norm estimate from a probe grid (used by series tail
-        envelopes; callers pad the result)."""
-        return float(np.max(np.abs(self.value_batch(probe))))
-
 
 def polygauss(
     dim: int,
@@ -392,25 +384,3 @@ class SphereGradientField:
     def div_one(self, p) -> float:
         return self.scalar.laplacian_one(p)
 
-
-class PointForm:
-    """Single-slot n-form field on Euclidean space: a sum of terms
-    coefficient-Field times a fixed frame wedge pattern."""
-
-    def __init__(self, dim: int, terms: Sequence[tuple[Field, tuple[int, ...]]]):
-        self.dim = dim
-        self.terms = tuple(terms)
-
-    def value_one(self, x, slot: int = 0) -> Multivector:
-        out = Multivector()
-        for f, axes in self.terms:
-            c = f.value_one(x)
-            if c != 0.0:
-                out = out + c * Multivector.basis(axes, slot)
-        return out
-
-    def degree(self) -> int:
-        degs = {len(axes) for _, axes in self.terms}
-        if len(degs) != 1:
-            raise ValueError("mixed-degree point form")
-        return degs.pop()

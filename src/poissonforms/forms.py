@@ -41,9 +41,6 @@ __all__ = [
     "Linear",
     "Exp",
     "Monomial",
-    "Scaled",
-    "Sum",
-    "Product",
     "CylinderFunction",
     "SlotForm",
     "SphereSlotOne",
@@ -155,47 +152,6 @@ class Monomial(OuterFn):
         down = list(self.powers)
         down[j] = p - 1
         return Monomial(down, self.c * p)
-
-
-class Scaled(OuterFn):
-    def __init__(self, base: OuterFn, c: float):
-        self.base = base
-        self.c = float(c)
-        self.nargs = base.nargs
-
-    def eval_batch(self, S):
-        return self.c * self.base.eval_batch(S)
-
-    def partial(self, j):
-        return Scaled(self.base.partial(j), self.c)
-
-
-class Sum(OuterFn):
-    def __init__(self, parts: Sequence[OuterFn]):
-        self.parts = tuple(parts)
-        self.nargs = parts[0].nargs
-
-    def eval_batch(self, S):
-        out = self.parts[0].eval_batch(S)
-        for p in self.parts[1:]:
-            out = out + p.eval_batch(S)
-        return out
-
-    def partial(self, j):
-        return Sum([p.partial(j) for p in self.parts])
-
-
-class Product(OuterFn):
-    def __init__(self, a: OuterFn, b: OuterFn):
-        self.a = a
-        self.b = b
-        self.nargs = a.nargs
-
-    def eval_batch(self, S):
-        return self.a.eval_batch(S) * self.b.eval_batch(S)
-
-    def partial(self, j):
-        return Sum([Product(self.a.partial(j), self.b), Product(self.a, self.b.partial(j))])
 
 
 # ---------------------------------------------------------------------------
@@ -549,44 +505,23 @@ class EvalCache:
         self._stats: dict[int, np.ndarray] = {}
         self._keep: dict[int, object] = {}
 
-    def values(self, f) -> np.ndarray:
+    def _memo(self, table: dict, f, evaluate, empty_shape: tuple) -> np.ndarray:
         k = id(f)
-        if k not in self._vals:
+        if k not in table:
             self._keep[k] = f
             pts = self.points
-            if pts.shape[0] == 0:
-                self._vals[k] = np.zeros(0)
-            elif hasattr(f, "value_batch"):
-                self._vals[k] = np.asarray(f.value_batch(pts), dtype=float)
-            else:
-                self._vals[k] = np.array([f.value_one(x) for x in pts])
-        return self._vals[k]
+            table[k] = evaluate(f, pts) if pts.shape[0] else np.zeros(empty_shape)
+        return table[k]
+
+    def values(self, f) -> np.ndarray:
+        return self._memo(self._vals, f, field_values, (0,))
 
     def grads(self, f) -> np.ndarray:
-        k = id(f)
-        if k not in self._grads:
-            self._keep[k] = f
-            pts = self.points
-            if pts.shape[0] == 0:
-                self._grads[k] = np.zeros((0, pts.shape[1]))
-            elif hasattr(f, "grad_batch"):
-                self._grads[k] = np.asarray(f.grad_batch(pts), dtype=float)
-            else:
-                self._grads[k] = np.array([f.grad_one(x) for x in pts])
-        return self._grads[k]
+        # value-only fields give shape (0,) on no points, not (0, dim)
+        return self._memo(self._grads, f, field_grads, (0, self.points.shape[1]))
 
     def laps(self, f) -> np.ndarray:
-        k = id(f)
-        if k not in self._laps:
-            self._keep[k] = f
-            pts = self.points
-            if pts.shape[0] == 0:
-                self._laps[k] = np.zeros(0)
-            elif hasattr(f, "laplacian_one"):
-                self._laps[k] = np.array([f.laplacian_one(x) for x in pts])
-            else:
-                self._laps[k] = self.values(f.laplacian())
-        return self._laps[k]
+        return self._memo(self._laps, f, field_laps, (0,))
 
     def stat_full(self, F: CylinderFunction) -> np.ndarray:
         k = id(F)

@@ -12,8 +12,8 @@ drift that appears in every integration-by-parts identity and SDE downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,12 +30,10 @@ __all__ = [
     "Sphere",
     "IntensitySpec",
     "Window",
-    "metric",
     "curvature",
     "beta",
     "grad_beta",
-    "geodesic_step",
-    "transport_step",
+    "beta_rows",
     "sigma_mass",
 ]
 
@@ -200,12 +198,6 @@ class Window:
 # geometry operations
 
 
-def metric(space: Space, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Riemannian inner product of two tangent vectors at p (the induced
-    ambient dot product on both backends)."""
-    return float(np.asarray(u, dtype=float) @ np.asarray(v, dtype=float))
-
-
 def curvature(space: Space, p: np.ndarray, i: int, j: int, k: int, l: int) -> float:
     """Component R_{ijkl} of the curvature 4-tensor in the orthonormal frame
     at p, with the sign fixed so that R_{1212} = +1 on the unit sphere:
@@ -238,6 +230,16 @@ def beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown intensity family {intensity.family!r}")
 
 
+def beta_rows(space: Space, intensity: IntensitySpec, X: np.ndarray) -> np.ndarray:
+    """``beta`` at each row of X, vectorized for the gaussian and uniform
+    families."""
+    if intensity.family == "gaussian":
+        return -X / intensity.scale**2
+    if intensity.family == "uniform":
+        return np.zeros_like(X)
+    return np.array([beta(space, intensity, x) for x in X], dtype=float)
+
+
 def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
     """Covariant derivative of beta at p, as a (dim x dim) matrix in the
     orthonormal frame: entry (a, b) = <nabla_{E_b} beta, E_a>."""
@@ -257,16 +259,6 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
         diff = (bp - bm) / (2 * h)
         out[:, b] = fr @ diff
     return out
-
-
-def geodesic_step(space: Space, p: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """One geodesic step: exp_p(h v)."""
-    return space.exp(p, h * np.asarray(v, dtype=float))
-
-
-def transport_step(space: Space, p: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Parallel transport of v from p to q along the connecting geodesic."""
-    return space.transport(p, q, v)
 
 
 def sigma_mass(

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import batteries as bat
 from .forms import eval_form
-from .geometry import sigma_mass
 from .operators import (
     _config_iter,
     adjointness_check,
@@ -80,9 +79,6 @@ class ConfigError(ValueError):
 # every key, its type, and its default; this *is* the schema
 _SCHEMA: dict[str, tuple[type, object]] = {
     "experiment": (str, None),
-    "space": (str, "euclidean2"),
-    "window": (str, "all"),
-    "batteries": (str, "default"),
     "n_samples": (int, 100_000),
     "seed": (int, 42),
     "n_configs": (int, 50),
@@ -97,9 +93,6 @@ _SCHEMA: dict[str, tuple[type, object]] = {
 }
 
 _CHOICES = {
-    "space": ("euclidean2",),
-    "window": ("all",),
-    "batteries": ("default",),
     "format": ("json", "csv"),
 }
 
@@ -257,10 +250,7 @@ def _versions() -> dict:
 def _row(result: CheckResult) -> dict:
     row = result.as_row()
     if result.detail:
-        row["detail"] = (
-            result.detail if isinstance(result.detail, str) else
-            json.dumps(result.detail, sort_keys=True)
-        )
+        row["detail"] = json.dumps(result.detail, sort_keys=True)
     return row
 
 
@@ -371,7 +361,7 @@ def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:
         out.append(
             CheckResult.deterministic(
                 f"eigenform-{kind}-x1dx1-times-{mult:g}", worst[kind], 0.0, cfg["det_tol"],
-                detail="configs=20",
+                detail={"configs": 20},
             )
         )
     # structure of the complex: d d = 0 and adjointness

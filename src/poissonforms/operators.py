@@ -40,11 +40,8 @@ from .exterior import (
     curvature_operator,
     interior,
     leibniz_power,
-    mv_to_vec,
     relabel_slots,
-    t_basis,
     transport_slot,
-    vec_to_mv,
     wedge,
 )
 from .fields import Field, monomial
@@ -69,13 +66,13 @@ from .geometry import (
     Sphere,
     Window,
     beta,
+    beta_rows,
     grad_beta,
 )
 from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
 from .report import CheckResult, McEstimate
 
 __all__ = [
-    "FdScheme",
     "OperatorReport",
     "beta_fields",
     "h_pi_sigma",
@@ -105,17 +102,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FdScheme:
-    """Step sizes for the covariant finite differences on curved backends.
-
-    ``h`` is the outer step; nested compositions (the de Rham operator needs
-    d* of a finite-differenced d) use the smaller ``inner_h`` so that the
-    outer difference does not amplify inner truncation error past ~1e-5.
-    """
-
-    h: float = 1e-3
-    inner_h: float = 1e-4
+# Steps of the covariant finite differences on curved backends. Nested
+# compositions (the de Rham operator needs d* of a finite-differenced d) use
+# the smaller inner step so that the outer difference does not amplify inner
+# truncation error past ~1e-5.
+_FD_H = 1e-3
+_FD_INNER_H = 1e-4
 
 
 @dataclass
@@ -158,7 +150,7 @@ def beta_fields(space: Space, intensity: IntensitySpec) -> list[Field]:
 def _cache_beta(space: Space, intensity: IntensitySpec, cache: EvalCache) -> np.ndarray:
     key = ("beta", id(intensity))
     if key not in cache.misc:
-        cache.misc[key] = _beta_batch(space, intensity, cache.points)
+        cache.misc[key] = beta_rows(space, intensity, cache.points)
     return cache.misc[key]
 
 
@@ -323,14 +315,14 @@ def d_x_at(
     intensity: IntensitySpec,
     om_fn,
     p: np.ndarray,
-    fd: Optional[FdScheme] = None,
+    h: float = _FD_H,
 ) -> Multivector:
     """d omega at p for a single-point form given as p -> Multivector (slot 0,
-    frame coordinates at the evaluation point)."""
-    fd = fd or FdScheme()
+    frame coordinates at the evaluation point), by covariant differences of
+    step h."""
     out = Multivector()
     for a in range(space.dim):
-        cov = _cov_diff(space, om_fn, p, a, fd.h)
+        cov = _cov_diff(space, om_fn, p, a, h)
         out = out + wedge(Multivector({((0, a),): 1.0}), cov)
     return out
 
@@ -340,16 +332,15 @@ def dstar_x_at(
     intensity: IntensitySpec,
     om_fn,
     p: np.ndarray,
-    fd: Optional[FdScheme] = None,
+    h: float = _FD_H,
 ) -> Multivector:
     """d* omega at p: -sum_a (nabla_a + beta_a) iota_a."""
-    fd = fd or FdScheme()
     bv = _beta_frame(space, intensity, p)
     eye = np.eye(space.dim)
     out = Multivector()
     v0 = None
     for a in range(space.dim):
-        cov = _cov_diff(space, om_fn, p, a, fd.h)
+        cov = _cov_diff(space, om_fn, p, a, h)
         out = out + interior(eye[a], cov) * -1.0
         if bv[a] != 0.0:
             if v0 is None:
@@ -359,51 +350,39 @@ def dstar_x_at(
 
 
 def bochner_x_at(
-    space: Space,
-    intensity: IntensitySpec,
-    om_fn,
-    p: np.ndarray,
-    fd: Optional[FdScheme] = None,
+    space: Space, intensity: IntensitySpec, om_fn, p: np.ndarray
 ) -> Multivector:
     """Bochner operator at p: minus the covariant trace Laplacian minus the
     beta-drift, via transported second differences."""
-    fd = fd or FdScheme()
+    h = _FD_H
     fr = space.frame(p)
     bv = _beta_frame(space, intensity, p)
     v0 = om_fn(p)
     out = Multivector()
     for a in range(space.dim):
-        qp = space.exp(p, fd.h * fr[a])
-        qm = space.exp(p, -fd.h * fr[a])
+        qp = space.exp(p, h * fr[a])
+        qm = space.exp(p, -h * fr[a])
         vp = _transported(space, om_fn, qp, p)
         vm = _transported(space, om_fn, qm, p)
-        second = (vp + vm + v0 * -2.0) * (1.0 / fd.h**2)
+        second = (vp + vm + v0 * -2.0) * (1.0 / h**2)
         out = out + second * -1.0
         if bv[a] != 0.0:
-            out = out + (vp + vm * -1.0) * (-bv[a] / (2.0 * fd.h))
+            out = out + (vp + vm * -1.0) * (-bv[a] / (2.0 * h))
     return out
 
 
 def h_r_at(
-    space: Space,
-    intensity: IntensitySpec,
-    om_fn,
-    p: np.ndarray,
-    fd: Optional[FdScheme] = None,
+    space: Space, intensity: IntensitySpec, om_fn, p: np.ndarray
 ) -> Multivector:
     """De Rham operator at p: d d* + d* d with nested differences."""
-    fd = fd or FdScheme()
-    inner_fd = FdScheme(fd.inner_h, fd.inner_h)
 
     def d_of(q):
-        return d_x_at(space, intensity, om_fn, q, inner_fd)
+        return d_x_at(space, intensity, om_fn, q, _FD_INNER_H)
 
     def ds_of(q):
-        return dstar_x_at(space, intensity, om_fn, q, inner_fd)
+        return dstar_x_at(space, intensity, om_fn, q, _FD_INNER_H)
 
-    return dstar_x_at(space, intensity, d_of, p, fd) + d_x_at(
-        space, intensity, ds_of, p, fd
-    )
+    return dstar_x_at(space, intensity, d_of, p) + d_x_at(space, intensity, ds_of, p)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +580,6 @@ def lift(
     intensity: IntensitySpec,
     W: CylinderForm,
     config: Configuration,
-    fd: Optional[FdScheme] = None,
     cache: Optional[EvalCache] = None,
 ) -> FormValue:
     """The lifted Bochner or de Rham operator applied to W at one
@@ -614,7 +592,6 @@ def lift(
     if kind not in ("bochner", "deRham"):
         raise ValueError("kind must be 'bochner' or 'deRham'")
     sphere = isinstance(space, Sphere)
-    fd = fd or FdScheme()
     if not sphere:
         betas = beta_fields(space, intensity)
     if cache is None:
@@ -661,7 +638,7 @@ def lift(
                     return _t.omega.value(q[None, :])
 
                 op = bochner_x_at if kind == "bochner" else h_r_at
-                add(idx, op(space, intensity, om_fn, xbar[0], fd) * (scale * fval))
+                add(idx, op(space, intensity, om_fn, xbar[0]) * (scale * fval))
     return FormValue(comps)
 
 
@@ -747,14 +724,6 @@ def _divfield_batch(v, X: np.ndarray) -> np.ndarray:
     return np.array([v.div_one(x) for x in X], dtype=float)
 
 
-def _beta_batch(space: Space, intensity: IntensitySpec, X: np.ndarray) -> np.ndarray:
-    if intensity.family == "gaussian":
-        return -X / intensity.scale**2
-    if intensity.family == "uniform":
-        return np.zeros_like(X)
-    return np.array([beta(space, intensity, x) for x in X], dtype=float)
-
-
 def _outer_rows(fn, S: np.ndarray) -> np.ndarray:
     return np.asarray(fn.eval_batch(S), dtype=float)
 
@@ -786,7 +755,7 @@ def _h_rest_rows(
         return tot
 
     s = ev.stat_rows(F, cfg, idx)
-    bet = _beta_batch(space, intensity, ev.points)
+    bet = beta_rows(space, intensity, ev.points)
     grads = [ev.grads(phi) for phi in F.inners]
     tot = np.zeros(len(cfg))
     for j, phi in enumerate(F.inners):
@@ -940,7 +909,7 @@ def ibp_check(
     d1 = _directional_batch(F1, ev, vvals)
     d2 = _directional_batch(F2, ev, vvals)
     bdot = np.einsum(
-        "pa,pa->p", _beta_batch(space, intensity, batch.points), vvals
+        "pa,pa->p", beta_rows(space, intensity, batch.points), vvals
     )
     per_pt = np.bincount(
         batch.sample_ids, weights=bdot + divs, minlength=batch.n_samples
@@ -970,7 +939,6 @@ def dirichlet_check(
     rng: RngStream,
     level: str = "functions",
     n_samples: int = 100_000,
-    fd: Optional[FdScheme] = None,
     name: Optional[str] = None,
 ) -> CheckResult:
     """Dirichlet-form identity E[energy(W1, W2)] = E[<H W1, W2>] at the
@@ -998,7 +966,7 @@ def dirichlet_check(
                 )
         lhs = np.bincount(sid, weights=lhs_pt, minlength=batch.n_samples)
         # H W1 per sample, chain rule through the statistic
-        bet = _beta_batch(space, intensity, P)
+        bet = beta_rows(space, intensity, P)
         h_pt = np.zeros(P.shape[0])
         for j, phi in enumerate(W1.inners):
             gj = W1.outer.partial(j)
@@ -1091,7 +1059,6 @@ def weitzenbock_check(
     rng: RngStream,
     n_configs: int = 50,
     tol: float = 1e-8,
-    fd: Optional[FdScheme] = None,
     name: Optional[str] = None,
 ) -> CheckResult:
     """De Rham lift minus Bochner lift equals the curvature potential,
@@ -1101,8 +1068,8 @@ def weitzenbock_check(
     worst = 0.0
     for cfg in _config_iter(batch):
         cache = EvalCache(cfg)
-        a = lift("deRham", space, intensity, W, cfg, fd, cache)
-        b = lift("bochner", space, intensity, W, cfg, fd, cache)
+        a = lift("deRham", space, intensity, W, cfg, cache)
+        b = lift("bochner", space, intensity, W, cfg, cache)
         r = apply_r_pi_sigma(space, intensity, eval_form(W, cfg, cache), cfg, n)
         resid = a + b.scale(-1.0) + r.scale(-1.0)
         worst = max(worst, resid.norm())
@@ -1121,7 +1088,6 @@ def factorization_check(
     rng: RngStream,
     n_trials: int = 50,
     tol: float = 1e-8,
-    fd: Optional[FdScheme] = None,
     name: Optional[str] = None,
 ) -> CheckResult:
     """The subset identification intertwines the lifted operator with
@@ -1143,7 +1109,7 @@ def factorization_check(
         for m in sizes:
             xbar = _draw_locations(space, intensity, window, sub_rng.gen, m)
             union = gamma.union(xbar)
-            got = lift(kind, space, intensity, W, union, fd)
+            got = lift(kind, space, intensity, W, union)
             idx = tuple(range(gamma.n, gamma.n + m))
             left = got.components.get(idx, Multivector()) * (
                 1.0 / math.sqrt(math.factorial(m))
@@ -1173,9 +1139,7 @@ def factorization_check(
                         return _t.omega.value(q[None, :])
 
                     op = bochner_x_at if kind == "bochner" else h_r_at
-                    right = right + op(
-                        space, intensity, om_fn, xbar[0], fd
-                    ) * (t.coef * fval)
+                    right = right + op(space, intensity, om_fn, xbar[0]) * (t.coef * fval)
             worst = max(worst, (left + right * -1.0).norm())
     label = name or f"factorization-{kind}-{W.name}"
     return CheckResult.deterministic(

@@ -54,17 +54,16 @@ class CheckResult:
         check: str,
         lhs: McEstimate,
         rhs: McEstimate,
-        n_sigma: float = 3.0,
         stderr_diff: float | None = None,
-        abs_floor: float = 1e-10,
         detail: dict | None = None,
     ) -> "CheckResult":
+        """Three standard errors of the difference, floored at 1e-10."""
         se = (
             stderr_diff
             if stderr_diff is not None
             else math.hypot(lhs.stderr, rhs.stderr)
         )
-        tol = max(n_sigma * se, abs_floor)
+        tol = max(3.0 * se, 1e-10)
         diff = abs(lhs.mean - rhs.mean)
         return cls(
             check=check,

@@ -32,16 +32,15 @@ both halves merge into the midpoint rule expm((dt/2)(J_k + J_{k+1})).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exterior import Multivector, mv_to_vec, t_basis, transport_slot, vec_to_mv
-from .forms import CylinderForm, CylinderFunction, EvalCache, FormValue, eval_form
-from .geometry import IntensitySpec, Space, Sphere, Window
-from .geometry import beta as beta_at
+from .exterior import Multivector, mv_to_vec, t_basis, transport_slot
+from .forms import CylinderForm, CylinderFunction, FormValue, eval_form
+from .geometry import IntensitySpec, Space, Sphere, Window, beta_rows
 from .operators import _outer_rows, h_pi_sigma, lift, r_pi_sigma, OperatorReport
 from .pointprocess import Configuration, RngStream, sample
 from .report import CheckResult, McEstimate
@@ -90,15 +89,12 @@ class SdeConfig:
 
     t: float
     dt: float = 1e-2
-    scheme: str = "euler-maruyama"  # or "geodesic-em"
 
     def __post_init__(self):
         if self.t <= 0.0 or self.dt <= 0.0:
             raise ValueError("t and dt must be positive")
         if self.dt > self.t * (1.0 + 1e-12):
             raise ValueError("dt must not exceed the horizon t")
-        if self.scheme not in ("euler-maruyama", "geodesic-em"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -110,16 +106,7 @@ class SdeConfig:
 
     def with_horizon(self, t: float) -> "SdeConfig":
         """Same granularity (steps scaled proportionally), new horizon."""
-        return SdeConfig(t=t, dt=min(self.dt, t), scheme=self.scheme)
-
-
-def _drift_rows(space: Space, intensity: IntensitySpec, X: np.ndarray) -> np.ndarray:
-    """beta at each row of X, vectorized for the standard families."""
-    if intensity.family == "gaussian":
-        return -X / intensity.scale**2
-    if intensity.family == "uniform":
-        return np.zeros_like(X)
-    return np.stack([beta_at(space, intensity, x) for x in X])
+        return SdeConfig(t=t, dt=min(self.dt, t))
 
 
 def _step_rows(
@@ -131,7 +118,7 @@ def _step_rows(
     step_index: int,
 ) -> np.ndarray:
     """One Euler--Maruyama step on every row; geodesic version on the sphere."""
-    w = _drift_rows(space, intensity, X) * dt + math.sqrt(2.0 * dt) * eps
+    w = beta_rows(space, intensity, X) * dt + math.sqrt(2.0 * dt) * eps
     if isinstance(space, Sphere):
         # project the ambient increment to the tangent plane, then follow
         # the geodesic; the projected 3d white noise is white in the frame
@@ -146,6 +133,27 @@ def _step_rows(
     if not np.all(np.isfinite(Xn)):
         raise BlowUpError(step_index, (step_index + 1) * dt)
     return Xn
+
+
+def _evolve(
+    space: Space,
+    intensity: IntensitySpec,
+    X: np.ndarray,
+    eps: np.ndarray,
+    dt: float,
+    keep_paths: bool = False,
+) -> np.ndarray:
+    """Step every row of X through the noise eps (rows, steps, dim): the
+    final rows, or with ``keep_paths`` every state (rows, steps + 1, dim)."""
+    K = eps.shape[1]
+    if keep_paths:
+        paths = np.empty((X.shape[0], K + 1, X.shape[1]))
+        paths[:, 0, :] = X
+    for k in range(K):
+        X = _step_rows(space, intensity, X, eps[:, k, :], dt, k)
+        if keep_paths:
+            paths[:, k + 1, :] = X
+    return paths if keep_paths else X
 
 
 @dataclass
@@ -187,14 +195,9 @@ def simulate_sde(
     K = cfg.n_steps
     dt = cfg.step
     eps = rng.gen.normal(size=(K, x.shape[0]))
-    out = np.empty((K + 1, x.shape[0]))
-    out[0] = x
-    X = x[None, :]
-    for k in range(K):
-        X = _step_rows(space, intensity, X, eps[k][None, :], dt, k)
-        out[k + 1] = X[0]
+    out = _evolve(space, intensity, x[None, :], eps[None], dt, keep_paths=True)
     ts = np.linspace(0.0, cfg.t, K + 1)
-    return ts, out
+    return ts, out[0]
 
 
 def simulate_particles(
@@ -215,18 +218,10 @@ def simulate_particles(
         frames = K + 1 if keep_paths else 2
         return ParticlePath(space, ts if keep_paths else ts[[0, -1]], np.empty((0, frames, da)))
     eps = np.stack([rng.child(i).gen.normal(size=(K, da)) for i in range(P)])
-    X = gamma.points.copy()
+    X = _evolve(space, intensity, gamma.points, eps, dt, keep_paths)
     if keep_paths:
-        paths = np.empty((P, K + 1, da))
-        paths[:, 0, :] = X
-        for k in range(K):
-            X = _step_rows(space, intensity, X, eps[:, k, :], dt, k)
-            paths[:, k + 1, :] = X
-        return ParticlePath(space, ts, paths)
-    start = X.copy()
-    for k in range(K):
-        X = _step_rows(space, intensity, X, eps[:, k, :], dt, k)
-    return ParticlePath(space, ts[[0, -1]], np.stack([start, X], axis=1))
+        return ParticlePath(space, ts, X)
+    return ParticlePath(space, ts[[0, -1]], np.stack([gamma.points, X], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -403,36 +398,20 @@ def _noise_block(rng: RngStream, R: int, P: int, K: int, da: int) -> np.ndarray:
     return eps
 
 
-def _evolve_endpoints(
+def _evolve_block(
     space: Space,
     intensity: IntensitySpec,
     X0: np.ndarray,
     eps: np.ndarray,
     dt: float,
+    keep_paths: bool = False,
 ) -> np.ndarray:
-    """Evolve (R, P) particles; returns endpoints (R, P, da)."""
+    """Evolve (R, P) particles from X0 (P, da) through eps (R, P, K, da):
+    endpoints (R, P, da), or with ``keep_paths`` paths (R, P, K + 1, da)."""
     R, P, K, da = eps.shape
-    X = np.broadcast_to(X0, (R, P, da)).reshape(R * P, da).copy()
-    for k in range(K):
-        X = _step_rows(space, intensity, X, eps[:, :, k, :].reshape(R * P, da), dt, k)
-    return X.reshape(R, P, da)
-
-
-def _evolve_paths(
-    space: Space,
-    intensity: IntensitySpec,
-    X0: np.ndarray,
-    eps: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    R, P, K, da = eps.shape
-    out = np.empty((R, P, K + 1, da))
-    X = np.broadcast_to(X0, (R, P, da)).reshape(R * P, da).copy()
-    out[:, :, 0, :] = X.reshape(R, P, da)
-    for k in range(K):
-        X = _step_rows(space, intensity, X, eps[:, :, k, :].reshape(R * P, da), dt, k)
-        out[:, :, k + 1, :] = X.reshape(R, P, da)
-    return out
+    X = np.broadcast_to(X0, (R, P, da)).reshape(R * P, da)
+    out = _evolve(space, intensity, X, eps.reshape(R * P, K, da), dt, keep_paths)
+    return out.reshape(R, P, *out.shape[1:])
 
 
 def _f_rows(F: CylinderFunction, pts: np.ndarray) -> np.ndarray:
@@ -465,9 +444,9 @@ def semigroup_T0(
     da = gamma.points.shape[1]
     R = n_samples // 2 if antithetic else n_samples
     eps = _noise_block(rng, R, gamma.n, K, da)
-    vals = _f_rows(F, _evolve_endpoints(space, intensity, gamma.points, eps, dt))
+    vals = _f_rows(F, _evolve_block(space, intensity, gamma.points, eps, dt))
     if antithetic:
-        vals_m = _f_rows(F, _evolve_endpoints(space, intensity, gamma.points, -eps, dt))
+        vals_m = _f_rows(F, _evolve_block(space, intensity, gamma.points, -eps, dt))
         vals = 0.5 * (vals + vals_m)
     return McEstimate.from_samples(vals)
 
@@ -484,20 +463,11 @@ class FormEstimate:
         self.entries = entries
         self.n_samples = n_samples
 
-    def mean_form(self) -> FormValue:
-        comps: dict = {}
-        for (idx, key), est in self.entries.items():
-            comps.setdefault(idx, {})[key] = est.mean
-        return FormValue({idx: Multivector(d) for idx, d in comps.items()})
-
     def against(self, target: FormValue) -> tuple[float, float]:
         """Euclidean distance of the mean to the target and its propagated
         standard error over the union of components."""
         keys = set(self.entries)
-        tgt = {}
-        for idx, mv in target.components.items():
-            for key, c in mv.coef.items():
-                tgt[(idx, key)] = c
+        tgt = _coef_table(target)
         keys |= set(tgt)
         diff2 = 0.0
         var = 0.0
@@ -511,39 +481,69 @@ class FormEstimate:
         return math.sqrt(diff2), math.sqrt(var)
 
 
+def _coef_table(v: FormValue) -> dict:
+    """The coefficients of a form value, keyed by (subset, covector key)."""
+    return {
+        (idx, key): c
+        for idx, mv in v.components.items()
+        for key, c in mv.coef.items()
+    }
+
+
 def _accumulate(sums: dict, sq: dict, idx, key, val: float):
     k = (idx, key)
     sums[k] = sums.get(k, 0.0) + val
     sq[k] = sq.get(k, 0.0) + val * val
 
 
-def _pullback_one(
+def _replicas(
     space: Space,
     intensity: IntensitySpec,
     W: CylinderForm,
-    gamma0: Configuration,
-    moved: Configuration,
+    gamma: Configuration,
     J: BlockPotential,
-    frames: Optional[dict],
+    run: SdeConfig,
+    eps: np.ndarray,
+):
+    """Per replica of the noise block eps: the moved configuration and the
+    frame (a FrameMatrix) over each subset W has components on, or None
+    where the frame is the scalar e^{tJ} (flat space, scalar J)."""
+    fast = not isinstance(space, Sphere) and J.scalar is not None
+    block = _evolve_block(space, intensity, gamma.points, eps, run.step, not fast)
+    if fast:
+        for ends in block:
+            yield Configuration(ends), None
+        return
+    ts = np.linspace(0.0, run.t, run.n_steps + 1)
+    subsets = [
+        idx
+        for m in sorted(W.subset_sizes())
+        if 0 < m <= gamma.n
+        for idx in combinations(range(gamma.n), m)
+    ]
+    for paths in block:
+        path = ParticlePath(space, ts, paths)
+        yield path.config(-1), {
+            idx: parallel_translate(space, path, J, W.degree, idx) for idx in subsets
+        }
+
+
+def _pullback_one(
+    space: Space, W: CylinderForm, moved: Configuration, frames: Optional[dict]
 ) -> dict:
     """Pulled-back components of W at the moved configuration: a dict
-    (idx, key) -> coefficient over the starting fibre."""
+    (idx, key) -> coefficient over the starting fibre (untransformed when
+    ``frames`` is None)."""
     v = eval_form(W, moved)
+    if frames is None:
+        return _coef_table(v)
     out: dict = {}
     for idx, mv in v.components.items():
-        m = len(idx)
-        basis = t_basis(W.degree, m, space.dim)
-        if frames is None:
-            fac = 1.0
-            for key, c in mv.coef.items():
-                out[(idx, key)] = out.get((idx, key), 0.0) + fac * c
-        else:
-            P = frames[idx]
-            back = P.T @ mv_to_vec(mv, basis)
-            for row, c in enumerate(back):
-                if c != 0.0:
-                    key = basis[row]
-                    out[(idx, key)] = out.get((idx, key), 0.0) + c
+        basis = t_basis(W.degree, len(idx), space.dim)
+        back = frames[idx].P.T @ mv_to_vec(mv, basis)
+        for row, c in enumerate(back):
+            if c != 0.0:
+                out[(idx, basis[row])] = c
     return out
 
 
@@ -563,40 +563,22 @@ def _tn_run(
     """Shared engine: accumulate componentwise sums, or scalar samples when
     ``contract`` (a (idx, key) -> coefficient dict) is given."""
     run = cfg.with_horizon(t)
-    K, dt = run.n_steps, run.step
-    da = gamma.points.shape[1]
-    fast = (not isinstance(space, Sphere)) and J.scalar is not None
     fac = math.exp(t * J.scalar) if J.scalar is not None else None
-    sizes = sorted(m for m in W.subset_sizes() if 0 < m <= gamma.n)
-    subsets = {m: list(combinations(range(gamma.n), m)) for m in sizes}
     R = n_samples // 2 if antithetic else n_samples
-    eps = _noise_block(rng, R, gamma.n, K, da)
+    eps = _noise_block(rng, R, gamma.n, run.n_steps, gamma.points.shape[1])
+    signs = (1.0, -1.0) if antithetic else (1.0,)
+    replicas = zip(
+        *(_replicas(space, intensity, W, gamma, J, run, s * eps) for s in signs)
+    )
     sums: dict = {}
     sqs: dict = {}
     scalars = np.empty(R) if contract is not None else None
-    signs = (1.0, -1.0) if antithetic else (1.0,)
-    if fast:
-        blocks = {s: _evolve_endpoints(space, intensity, gamma.points, s * eps, dt) for s in signs}
-    else:
-        blocks = {s: _evolve_paths(space, intensity, gamma.points, s * eps, dt) for s in signs}
-        ts = np.linspace(0.0, t, K + 1)
-    for r in range(R):
+    for r, per_sign in enumerate(replicas):
         acc: dict = {}
-        for s in signs:
-            if fast:
-                moved = Configuration(blocks[s][r])
-                frames = None
-                comp = _pullback_one(space, intensity, W, gamma, moved, J, frames)
-                if fac != 1.0:
-                    comp = {k: fac * c for k, c in comp.items()}
-            else:
-                path = ParticlePath(space, ts, blocks[s][r])
-                moved = path.config(-1)
-                frames = {}
-                for m in sizes:
-                    for idx in subsets[m]:
-                        frames[idx] = parallel_translate(space, path, J, W.degree, idx).P
-                comp = _pullback_one(space, intensity, W, gamma, moved, J, frames)
+        for moved, frames in per_sign:
+            comp = _pullback_one(space, W, moved, frames)
+            if frames is None and fac != 1.0:
+                comp = {k: fac * c for k, c in comp.items()}
             for k, c in comp.items():
                 acc[k] = acc.get(k, 0.0) + c / len(signs)
         if contract is not None:
@@ -629,24 +611,13 @@ def semigroup_Tn(
     """Monte Carlo estimate of the J-twisted form semigroup at gamma:
     componentwise mean of the pulled-back M^T W(xi_gamma(t))."""
     if gamma.n == 0 or t == 0.0:
-        v = eval_form(W, gamma)
         entries = {
-            (idx, key): McEstimate.exact(c)
-            for idx, mv in v.components.items()
-            for key, c in mv.coef.items()
+            k: McEstimate.exact(c) for k, c in _coef_table(eval_form(W, gamma)).items()
         }
         return FormEstimate(entries, n_samples)
     return _tn_run(
         space, intensity, W, gamma, t, J, cfg, n_samples, rng, antithetic, None
     )
-
-
-def _contract_dict(v: FormValue) -> dict:
-    return {
-        (idx, key): c
-        for idx, mv in v.components.items()
-        for key, c in mv.coef.items()
-    }
 
 
 def eigen_decay_check(
@@ -666,7 +637,7 @@ def eigen_decay_check(
     base = eval_form(W, gamma)
     z = _tn_run(
         space, intensity, W, gamma, t, J, cfg, n_samples, rng, False,
-        _contract_dict(base),
+        _coef_table(base),
     )
     target = math.exp(-rate * t) * base.inner(base)
     label = name or f"decay-{W.name}-t{t:g}"
@@ -674,7 +645,7 @@ def eigen_decay_check(
         label,
         McEstimate.from_samples(z),
         McEstimate.exact(target),
-        detail=f"rate={rate:g} n={len(z)}",
+        detail={"rate": rate, "n": len(z)},
     )
 
 
@@ -693,44 +664,26 @@ def domination_check(
     """Pathwise domination: e^{tC} |W(xi(t))| - |M^T W(xi(t))| >= 0 up to
     3 standard errors (C from the J-eigenvalues met on the paths)."""
     run = cfg.with_horizon(t)
-    K, dt = run.n_steps, run.step
-    da = gamma.points.shape[1]
-    sizes = sorted(m for m in W.subset_sizes() if 0 < m <= gamma.n)
-    subsets = {m: list(combinations(range(gamma.n), m)) for m in sizes}
-    R = n_samples
-    eps = _noise_block(rng, R, gamma.n, K, da)
-    fast = (not isinstance(space, Sphere)) and J.scalar is not None
-    if fast:
-        ends = _evolve_endpoints(space, intensity, gamma.points, eps, dt)
-    else:
-        paths = _evolve_paths(space, intensity, gamma.points, eps, dt)
-        ts = np.linspace(0.0, t, K + 1)
-    diffs = np.empty(R)
+    eps = _noise_block(rng, n_samples, gamma.n, run.n_steps, gamma.points.shape[1])
+    bases = {
+        m: t_basis(W.degree, m, space.dim)
+        for m in sorted(W.subset_sizes())
+        if 0 < m <= gamma.n
+    }
+    diffs = np.empty(n_samples)
     c_glob = -math.inf
-    basis_cache = {m: t_basis(W.degree, m, space.dim) for m in sizes}
-    for r in range(R):
-        if fast:
-            moved = Configuration(ends[r])
-            frames = None
-            c_here = J.scalar
-        else:
-            path = ParticlePath(space, ts, paths[r])
-            moved = path.config(-1)
-            frames = {}
-            c_here = -math.inf
-            for m in sizes:
-                for idx in subsets[m]:
-                    fm = parallel_translate(space, path, J, W.degree, idx)
-                    frames[idx] = fm.P
-                    c_here = max(c_here, fm.c_sup)
+    replicas = _replicas(space, intensity, W, gamma, J, run, eps)
+    for r, (moved, frames) in enumerate(replicas):
         v = eval_form(W, moved)
         raw = v.norm()
         if frames is None:
+            c_here = J.scalar
             pulled = math.exp(t * J.scalar) * raw
         else:
+            c_here = max((fm.c_sup for fm in frames.values()), default=-math.inf)
             tot = 0.0
             for idx, mv in v.components.items():
-                back = frames[idx].T @ mv_to_vec(mv, basis_cache[len(idx)])
+                back = frames[idx].P.T @ mv_to_vec(mv, bases[len(idx)])
                 tot += float(back @ back)
             pulled = math.sqrt(tot)
         c_glob = max(c_glob, c_here)
@@ -745,7 +698,7 @@ def domination_check(
         stderr=est.stderr,
         tol=3.0 * est.stderr,
         passed=bool(passed),
-        detail=f"C={c_glob:g} n={R}",
+        detail={"C": c_glob, "n": n_samples},
     )
 
 
@@ -772,12 +725,16 @@ def frame_bound_check(
             worst = max(worst, fm.bound_slack())
     label = name or f"frame-bound-{J.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, 5.0 * dt, detail=f"paths={n_paths}"
+        label, worst, 0.0, 5.0 * dt, detail={"paths": n_paths}
     )
 
 
 # ---------------------------------------------------------------------------
 # generator checks
+
+
+# step of the short-time runs, as a fraction of their horizon
+_GENERATOR_DT_RATIO = 0.1
 
 
 def _richardson(ts: Sequence[float], slopes: Sequence[float], ses: Sequence[float]):
@@ -797,7 +754,6 @@ def generator_check(
     W: CylinderForm,
     gammas: Sequence[Configuration],
     kind: str,
-    cfg_dt_ratio: float = 0.1,
     ts: Sequence[float] = (0.02, 0.01, 0.005),
     n_samples: int = 20_000,
     rng: Optional[RngStream] = None,
@@ -825,12 +781,12 @@ def generator_check(
         base_v = eval_form(W, gamma)
         scale = max(target_v.norm(), 1.0)
         unit = target_v.scale(1.0 / scale)
-        cdict = _contract_dict(unit)
+        cdict = _coef_table(unit)
         base = base_v.inner(unit)
         tgt = target_v.inner(unit)
         slopes, ses = [], []
         for ti, t in enumerate(ts):
-            cfg = SdeConfig(t=t, dt=t * cfg_dt_ratio)
+            cfg = SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO)
             z = _tn_run(
                 space, intensity, W, gamma, t, J, cfg, n_samples,
                 rng.child(gi, ti), True, cdict,
@@ -849,7 +805,7 @@ def generator_check(
                 stderr=se,
                 tol=tol * scale,
                 passed=bool(diff <= tol),
-                detail=f"ts={list(ts)} n={n_samples}",
+                detail={"ts": list(ts), "n": n_samples},
             )
         )
     return OperatorReport(name or f"generator-{kind}-{W.name}", checks)
@@ -875,7 +831,7 @@ def generator_check_function(
         scale = max(abs(target), 1.0)
         slopes, ses = [], []
         for ti, t in enumerate(ts):
-            cfg = SdeConfig(t=t, dt=t * 0.1)
+            cfg = SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO)
             est = semigroup_T0(
                 space, intensity, F, gamma, t, cfg, n_samples,
                 rng.child(gi, ti), antithetic=True,
@@ -893,7 +849,7 @@ def generator_check_function(
                 stderr=se,
                 tol=tol * scale,
                 passed=bool(diff <= tol),
-                detail=f"ts={list(ts)} n={n_samples}",
+                detail={"ts": list(ts), "n": n_samples},
             )
         )
     return OperatorReport(name or f"generator-scalar-{F.name}", checks)
@@ -918,7 +874,7 @@ def semigroup_property_check(
     )
     run = cfg.with_horizon(t)
     eps = _noise_block(rng.child(1), n_outer, gamma.n, run.n_steps, gamma.points.shape[1])
-    mids = _evolve_endpoints(space, intensity, gamma.points, eps, run.step)
+    mids = _evolve_block(space, intensity, gamma.points, eps, run.step)
     ys = np.empty(n_outer)
     for r in range(n_outer):
         ys[r] = semigroup_T0(
@@ -928,7 +884,7 @@ def semigroup_property_check(
     nested = McEstimate.from_samples(ys)
     label = name or f"semigroup-{F.name}"
     return CheckResult.from_estimates(
-        label, nested, direct, detail=f"outer={n_outer} inner={n_inner}"
+        label, nested, direct, detail={"outer": n_outer, "inner": n_inner}
     )
 
 
@@ -993,7 +949,7 @@ def poisson_invariance_check(
         stderr=1.0,
         tol=3.0,
         passed=bool(zmax <= 3.0),
-        detail=f"bands={len(expected)} n={n_samples}",
+        detail={"bands": len(expected), "n": n_samples},
     )
 
 
@@ -1016,8 +972,7 @@ def sphere_uniform_check(
     X = v / np.linalg.norm(v, axis=1, keepdims=True)
     run = cfg.with_horizon(t)
     eps = rng.child(0).gen.normal(size=(n_samples, run.n_steps, 3))
-    for k in range(run.n_steps):
-        X = _step_rows(space, intensity, X, eps[:, k, :], run.step, k)
+    X = _evolve(space, intensity, X, eps, run.step)
     # z uniform on [-1, 1] under the uniform law: equal-probability bands
     bins = np.linspace(-1.0, 1.0, n_bands + 1)
     obs, _ = np.histogram(X[:, 2], bins=bins)
@@ -1030,5 +985,5 @@ def sphere_uniform_check(
         stderr=0.0,
         tol=0.01,
         passed=bool(p > 0.01),
-        detail=f"chi2={chi2:.2f} bands={n_bands} n={n_samples}",
+        detail={"chi2": float(chi2), "bands": n_bands, "n": n_samples},
     )

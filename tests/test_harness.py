@@ -28,7 +28,7 @@ class TestResolveConfig:
         assert cfg["experiment"] == "laplace"
         assert cfg["n_samples"] == 100_000
         assert cfg["seed"] == 42
-        assert cfg["window"] == "all"
+        assert cfg["format"] == "json"
         assert set(cfg) == set(harness._SCHEMA)
 
     def test_file_then_cli_precedence(self):
@@ -60,7 +60,15 @@ class TestResolveConfig:
 
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="must be one of"):
-            resolve_config("laplace", {"space": "euclidean3"})
+            resolve_config("laplace", {"format": "yaml"})
+
+    def test_removed_keys_are_unknown(self):
+        # space, window and batteries had one value each and were dropped
+        for key, value in (
+            ("space", "euclidean2"), ("window", "all"), ("batteries", "default")
+        ):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                resolve_config("laplace", {key: value})
 
     def test_t_grid_positive(self):
         with pytest.raises(ConfigError, match="positive"):

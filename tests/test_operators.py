@@ -16,7 +16,6 @@ from poissonforms.forms import (
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
 from poissonforms.fields import monomial
 from poissonforms.operators import (
-    FdScheme,
     OperatorReport,
     adjointness_check,
     apply_r_pi_sigma,
@@ -105,9 +104,13 @@ class TestLiftedOperators:
         assert eval_form(ddW, CONFIG).norm() < 1e-12
 
     def test_dstar_adjoint_to_d_in_expectation(self):
-        # paired-sample version of <dW1, W2> = <W1, d*W2>
-        W1, W2 = bat.form_pairs()[0]
+        # paired-sample version of <dW1, W2> = <W1, d*W2>; W2 has degree one
+        # more than W1, or both sides vanish identically
+        forms = bat.flat_form_battery()
+        W1, W2 = forms[0], forms[2]
+        assert W2.degree == W1.degree + 1
         res = adjointness_check(SP, GAUSS, ALL, W1, W2, RngStream(12), n_samples=600)
+        assert res.stderr > 0
         assert res.passed
 
     def test_weitzenbock_pointwise_scalar_slot(self):
@@ -131,7 +134,6 @@ class TestSphereFiniteDifferences:
     def setup_method(self):
         self.sp = Sphere()
         self.inten = IntensitySpec("uniform")
-        self.fd = FdScheme()
         self.p = np.array([0.6, -0.3, 0.74161984870956629])  # unit length
         e3 = np.array([0.0, 0.0, 1.0])
         self.killing = SphereSlotOne(self.sp, SphereKilling(e3))
@@ -142,22 +144,22 @@ class TestSphereFiniteDifferences:
         return lambda q: slot.mv_at(q, 0)
 
     def test_killing_is_coclosed(self):
-        val = dstar_x_at(self.sp, self.inten, self.om(self.killing), self.p, self.fd)
+        val = dstar_x_at(self.sp, self.inten, self.om(self.killing), self.p)
         assert val.norm() < 1e-6
 
     def test_gradient_form_is_closed(self):
-        val = d_x_at(self.sp, self.inten, self.om(self.gradient), self.p, self.fd)
+        val = d_x_at(self.sp, self.inten, self.om(self.gradient), self.p)
         assert val.norm() < 1e-6
 
     def test_killing_bochner_eigenvalue_one(self):
         # rotation forms on the unit sphere: Delta_B = 1, Delta_R = 2
         base = self.killing.mv_at(self.p, 0)
-        got = bochner_x_at(self.sp, self.inten, self.om(self.killing), self.p, self.fd)
+        got = bochner_x_at(self.sp, self.inten, self.om(self.killing), self.p)
         assert (got - base).norm() < 5e-6
 
     def test_killing_derham_eigenvalue_two(self):
         base = self.killing.mv_at(self.p, 0)
-        got = h_r_at(self.sp, self.inten, self.om(self.killing), self.p, self.fd)
+        got = h_r_at(self.sp, self.inten, self.om(self.killing), self.p)
         assert (got - base * 2.0).norm() < 5e-5
 
 
@@ -205,8 +207,11 @@ class TestChecks:
             assert res.passed, level
 
     def test_adjointness_small(self):
-        W1, W2 = bat.form_pairs()[1]
+        forms = bat.flat_form_battery()
+        W1, W2 = forms[1], forms[3]
+        assert W2.degree == W1.degree + 1
         res = adjointness_check(SP, GAUSS, ALL, W1, W2, RngStream(9), n_samples=800)
+        assert res.stderr > 0
         assert res.passed
 
     def test_report_aggregation(self):

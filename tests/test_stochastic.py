@@ -53,8 +53,6 @@ class TestSdeConfig:
             SdeConfig(t=-1.0)
         with pytest.raises(ValueError):
             SdeConfig(t=0.1, dt=0.2)
-        with pytest.raises(ValueError):
-            SdeConfig(t=0.1, scheme="milstein")
 
     def test_with_horizon_keeps_granularity(self):
         cfg = SdeConfig(t=0.5, dt=0.01)
@@ -92,7 +90,7 @@ class TestSimulation:
         gamma = Configuration(
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         )
-        cfg = SdeConfig(t=0.3, dt=5e-3, scheme="geodesic-em")
+        cfg = SdeConfig(t=0.3, dt=5e-3)
         path = simulate_particles(sp, IntensitySpec("uniform"), gamma, cfg, RngStream(4))
         norms = np.linalg.norm(path.paths, axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
@@ -259,5 +257,5 @@ class TestLawPreservation:
             )
 
     def test_sphere_uniform_small(self):
-        res = sphere_uniform_check(0.4, SdeConfig(0.4, 0.01, "geodesic-em"), 4000, RngStream(61))
+        res = sphere_uniform_check(0.4, SdeConfig(0.4, 0.01), 4000, RngStream(61))
         assert res.passed
