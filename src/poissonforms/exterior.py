@@ -35,8 +35,6 @@ __all__ = [
     "block_potential",
     "leibniz_power",
     "t_basis",
-    "mv_to_vec",
-    "vec_to_mv",
     "apply_slot_linear",
     "relabel_slots",
     "transport_slot",
@@ -345,14 +343,6 @@ def t_basis(n: int, m: int, d: int) -> list[Key]:
         for combo in itertools.product(*per_slot):
             keys.append(tuple(itertools.chain.from_iterable(combo)))
     return keys
-
-
-def mv_to_vec(u: Multivector, basis: Sequence[Key]) -> np.ndarray:
-    return np.array([u.coef.get(k, 0.0) for k in basis])
-
-
-def vec_to_mv(vec: np.ndarray, basis: Sequence[Key]) -> Multivector:
-    return Multivector({k: float(c) for k, c in zip(basis, vec) if c != 0.0})
 
 
 def apply_slot_linear(u: Multivector, slot: int, M: np.ndarray) -> Multivector:

@@ -147,13 +147,12 @@ class Field:
     """Finite sum of polynomial-Gaussian atoms; exact under differentiation
     and multiplication."""
 
-    __slots__ = ("atoms", "dim", "_grad_cache", "_hess_cache")
+    __slots__ = ("atoms", "dim", "_grad_cache")
 
     def __init__(self, atoms: Iterable[_Atom], dim: int):
         self.atoms = tuple(atoms)
         self.dim = dim
         self._grad_cache = None
-        self._hess_cache = None
 
     # -- evaluation -----------------------------------------------------------
 
@@ -177,23 +176,8 @@ class Field:
             self._grad_cache = tuple(self.partial(a) for a in range(self.dim))
         return self._grad_cache
 
-    def _hessians(self) -> tuple[tuple["Field", ...], ...]:
-        if self._hess_cache is None:
-            g = self._grads()
-            self._hess_cache = tuple(
-                tuple(g[a].partial(b) for b in range(self.dim))
-                for a in range(self.dim)
-            )
-        return self._hess_cache
-
     def grad_one(self, x) -> np.ndarray:
         return np.array([g.value_one(x) for g in self._grads()])
-
-    def hess_one(self, x) -> np.ndarray:
-        H = self._hessians()
-        return np.array(
-            [[H[a][b].value_one(x) for b in range(self.dim)] for a in range(self.dim)]
-        )
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
         return np.stack([g.value_batch(X) for g in self._grads()], axis=-1)

@@ -16,10 +16,9 @@ sqrt(m!) and shifts the configuration argument:
 defined for xbar disjoint from gamma; it is the unitary map the factorization
 checks are built on.
 
-``BatchEval`` evaluates flat-backend forms at every configuration of a
-``SampleBatch`` at once; ``eval_form`` with ``EvalCache`` is the
-single-configuration path and the reference the batched one is tested
-against.
+``BatchEval`` evaluates forms at every configuration of a ``SampleBatch``
+at once; ``eval_form`` with ``EvalCache`` is the single-configuration path
+and the reference the batched one is tested against.
 """
 
 from __future__ import annotations
@@ -253,6 +252,15 @@ class SlotForm:
     def partial(self, axis: int) -> "SlotForm":
         return SlotForm(self.field.partial(axis), self.axes, self.sign)
 
+    @property
+    def patterns(self) -> tuple[tuple[int, ...], ...]:
+        """The frame wedge patterns the slot takes values on."""
+        return (self.axes,)
+
+    def coeffs(self, ev: "BatchEval") -> np.ndarray:
+        """(patterns, points) coefficients at every point of the batch."""
+        return (self.sign * ev.values(self.field))[None, :]
+
     def mv_at(self, p, slot: int) -> Multivector:
         c = self.coeff(p)
         if c == 0.0:
@@ -270,12 +278,24 @@ class SphereSlotOne:
         self.space = space
         self.vec = vec_field
 
-    def mv_at(self, p, slot: int) -> Multivector:
+    def _frame_coords(self, p) -> list[float]:
         fr = self.space.frame(p)
         v = self.space.project_tangent(p, self.vec.value_one(p))
+        return [float(fr[a] @ v) for a in range(self.space.dim)]
+
+    def mv_at(self, p, slot: int) -> Multivector:
         return Multivector(
-            {((slot, a),): float(fr[a] @ v) for a in range(self.space.dim) if fr[a] @ v != 0.0}
+            {((slot, a),): c for a, c in enumerate(self._frame_coords(p)) if c != 0.0}
         )
+
+    @property
+    def patterns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple((a,) for a in range(self.space.dim))
+
+    def coeffs(self, ev: "BatchEval") -> np.ndarray:
+        return np.array(
+            [self._frame_coords(p) for p in ev.points], dtype=float
+        ).reshape(len(ev.points), self.space.dim).T
 
 
 class SphereSlotTwo:
@@ -292,6 +312,11 @@ class SphereSlotTwo:
         if c == 0.0:
             return Multivector()
         return Multivector({((slot, 0), (slot, 1)): float(c)})
+
+    patterns = ((0, 1),)
+
+    def coeffs(self, ev: "BatchEval") -> np.ndarray:
+        return ev.values(self.scalar)[None, :]
 
 
 @dataclass(frozen=True)
@@ -793,17 +818,39 @@ class RowLayout:
 
 class BatchValue:
     """A form value at every group of a layout: for each k a dense
-    (k-rows, len(t_basis(degree, k, d))) array.
+    (k-rows, len(t_basis(degree, k, dim))) array, dim the tangent dimension.
 
     A key that leaves some slot of its subset empty (a scalar slot, or a
     slot vacated by d*) is filed on the row of the smaller subset it
     occupies -- the batched ``FormValue.point_coef`` -- so inner products
     and norms are row-wise dots summed per group."""
 
-    def __init__(self, layout: RowLayout, degree: int, blocks: dict[int, np.ndarray]):
+    def __init__(
+        self, layout: RowLayout, degree: int, dim: int, blocks: dict[int, np.ndarray]
+    ):
         self.layout = layout
         self.degree = degree
+        self.dim = dim
         self.blocks = blocks
+
+    @classmethod
+    def filed(
+        cls, v: FormValue, layout: RowLayout, degree: int, dim: int
+    ) -> "BatchValue":
+        """A value computed at one configuration (``eval_form``, ``lift``)
+        on a layout whose one group is that configuration, each key filed
+        on the row of the points it occupies."""
+        blocks: dict[int, np.ndarray] = {}
+        for pk, c in v.point_coef().items():
+            pts = sorted({p for p, _ in pk})
+            k = len(pts)
+            cols = _basis_index(degree, k, dim)
+            if k not in blocks:
+                blocks[k] = np.zeros((len(layout.rows(k)[1]), len(cols)))
+            subset = layout.start[0] + np.array([pts], dtype=np.intp)
+            row = layout.find(np.zeros(1, dtype=np.intp), subset)[0]
+            blocks[k][row, cols[tuple((pts.index(p), a) for p, a in pk)]] = c
+        return cls(layout, degree, dim, blocks)
 
     def inner(self, other: "BatchValue") -> np.ndarray:
         out = np.zeros(self.layout.n_groups)
@@ -845,12 +892,14 @@ class _Scatter:
         if not len(idx) or not omega.terms:
             return
         nu = nu or tuple(range(omega.m))
-        vals = self.ev.values
+        coeffs: dict = {}
         targets: dict = {}
-        for st, (pos, col, sign) in zip(omega.terms, self.ev._plan(omega, nu)):
+        for st, choice, pos, col, sign in self.ev._plan(omega, nu):
             c = weight * (st.coef * sign)
             for s, sf in enumerate(st.slots):
-                c = c * (sf.sign * vals(sf.field)[idx[:, nu[s]]])
+                if id(sf) not in coeffs:
+                    coeffs[id(sf)] = sf.coeffs(self.ev)
+                c = c * coeffs[id(sf)][choice[s]][idx[:, nu[s]]]
             if pos not in targets:
                 targets[pos] = self.layout.find(group, idx[:, list(pos)])
             width = len(_basis_index(self.degree, len(pos), self.ev.dim))
@@ -866,25 +915,27 @@ class _Scatter:
             blocks[k] = np.bincount(
                 np.concatenate(flat), weights=np.concatenate(w), minlength=R * width
             ).reshape(R, width)
-        return BatchValue(self.layout, self.degree, blocks)
+        return BatchValue(self.layout, self.degree, self.ev.dim, blocks)
 
 
 class BatchEval:
-    """Cylinder forms of the flat backends evaluated over a whole
-    ``SampleBatch`` at once; the batched counterpart of ``EvalCache`` and
-    ``eval_form``.
+    """Cylinder forms evaluated over a whole ``SampleBatch`` at once; the
+    batched counterpart of ``EvalCache`` and ``eval_form``. ``dim`` is the
+    tangent dimension of the space the batch lives on (2 on the sphere,
+    whose points have 3 coordinates).
 
     Every field is evaluated once on all points of the batch; an m-subset
     is a row of index arrays built from the batch offsets, a cylinder
     factor F(gamma \\ xbar) is the outer function of the configuration's
     statistics minus the subset points' rows, and a form value is a
-    ``BatchValue``."""
+    ``BatchValue``. Form values take flat and sphere slots; the batched
+    operators built on this class are for the flat backends."""
 
-    def __init__(self, batch: SampleBatch):
+    def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch
         self.points = batch.points
         self.sid = batch.sample_ids
-        self.dim = batch.points.shape[1]
+        self.dim = dim
         self.configs = RowLayout(batch, np.arange(batch.n_samples))
         self._cache: dict = {}
 
@@ -922,9 +973,8 @@ class BatchEval:
     def stat_rows(self, F: CylinderFunction, cfg: np.ndarray, excl: np.ndarray) -> np.ndarray:
         """Statistics of F at configuration cfg[r] without the points excl[r]."""
         S = self.stats(F)[cfg]
-        U = self.inner_values(F)
         for c in range(excl.shape[1]):
-            S = S - U[excl[:, c]]
+            S = S - self.inner_values(F)[excl[:, c]]
         return S
 
     def f_rows(
@@ -936,22 +986,29 @@ class BatchEval:
         return np.asarray(F.outer.eval_batch(self.stat_rows(F, cfg, excl)), dtype=float)
 
     def _plan(self, omega: SymmetricFormField, nu: tuple[int, ...]) -> list:
-        """Per separable term: the subset positions its key occupies, its
-        column among the keys over those positions, and the sign of sorting
-        the key after slot s moves to position nu[s]."""
+        """Per separable term and choice of one axis pattern per slot: the
+        subset positions the key occupies, its column among the keys over
+        those positions, and the sign of sorting the key after slot s moves
+        to position nu[s]."""
 
         def make():
-            if not omega._fast:
-                raise ValueError("batched evaluation needs flat SlotForm slots")
             plan = []
             for st in omega.terms:
-                key = tuple((s, a) for s, sf in enumerate(st.slots) for a in sf.axes)
-                ((skey, sign),) = relabel_slots(
-                    Multivector({key: 1.0}), dict(enumerate(nu))
-                ).coef.items()
-                pos = tuple(sorted({q for q, _ in skey}))
-                comp = tuple((pos.index(q), a) for q, a in skey)
-                plan.append((pos, _basis_index(omega.degree, len(pos), self.dim)[comp], sign))
+                for choice in itertools.product(
+                    *(range(len(sf.patterns)) for sf in st.slots)
+                ):
+                    key = tuple(
+                        (s, a)
+                        for s, sf in enumerate(st.slots)
+                        for a in sf.patterns[choice[s]]
+                    )
+                    ((skey, sign),) = relabel_slots(
+                        Multivector({key: 1.0}), dict(enumerate(nu))
+                    ).coef.items()
+                    pos = tuple(sorted({q for q, _ in skey}))
+                    comp = tuple((pos.index(q), a) for q, a in skey)
+                    col = _basis_index(omega.degree, len(pos), self.dim)[comp]
+                    plan.append((st, choice, pos, col, sign))
             return plan
 
         return self._memo(("plan", nu), omega, make)

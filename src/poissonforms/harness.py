@@ -30,7 +30,6 @@ import numpy as np
 from . import batteries as bat
 from .forms import eval_form
 from .operators import (
-    _config_iter,
     adjointness_check,
     dd_zero_check,
     dirichlet_check,
@@ -347,7 +346,7 @@ def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:
     W = bat.ou_eigenform()
     batch = sample_batch(sp, inten, win, rng.child("dir-eigen"), 20)
     worst = {"bochner": 0.0, "deRham": 0.0}
-    for conf in _config_iter(batch):
+    for conf in batch:
         v = eval_form(W, conf)
         worst["bochner"] = max(
             worst["bochner"],

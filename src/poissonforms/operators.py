@@ -68,8 +68,9 @@ from .geometry import (
     beta,
     beta_rows,
     grad_beta,
+    sigma_mass,
 )
-from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
+from .pointprocess import Configuration, RngStream, sample_batch
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -761,10 +762,10 @@ def _h_rest_rows(
     for j, phi in enumerate(F.inners):
         gj = F.outer.partial(j)
         for k in range(F.nargs):
-            dots = np.einsum("pa,pa->p", grads[j], grads[k])
-            tot -= _outer_rows(gj.partial(k), s) * rest(dots)
-        drift = np.einsum("pa,pa->p", bet, grads[j])
-        tot += _outer_rows(gj, s) * (-rest(ev.laps(phi)) - rest(drift))
+            dots = rest(np.einsum("pa,pa->p", grads[j], grads[k]))
+            tot -= _outer_rows(gj.partial(k), s) * dots
+        drift = rest(np.einsum("pa,pa->p", bet, grads[j]))
+        tot += _outer_rows(gj, s) * (-rest(ev.laps(phi)) - drift)
     return tot
 
 
@@ -902,7 +903,7 @@ def ibp_check(
     checked as a paired-sample mean against zero at three standard errors.
     """
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    ev = BatchEval(batch)
+    ev = BatchEval(batch, space.dim)
     f1 = _outer_rows(F1.outer, ev.stats(F1))
     f2 = _outer_rows(F2.outer, ev.stats(F2))
     vvals, divs = _lifted_vector_batch(V, ev)
@@ -925,11 +926,6 @@ def ibp_check(
     )
 
 
-def _config_iter(batch: SampleBatch):
-    for i in range(batch.n_samples):
-        yield batch.config(i)
-
-
 def dirichlet_check(
     space: Space,
     intensity: IntensitySpec,
@@ -949,39 +945,27 @@ def dirichlet_check(
     """
     if level == "functions":
         batch = sample_batch(space, intensity, window, rng, n_samples)
-        ev = BatchEval(batch)
+        ev = BatchEval(batch, space.dim)
+        n = batch.n_samples
         S1 = ev.stats(W1)
         S2 = ev.stats(W2)
         sid = batch.sample_ids
-        P = batch.points
         grads1 = [ev.grads(phi) for phi in W1.inners]
         grads2 = [ev.grads(chi) for chi in W2.inners]
         pd1 = [_outer_rows(W1.outer.partial(j), S1)[sid] for j in range(W1.nargs)]
         pd2 = [_outer_rows(W2.outer.partial(k), S2)[sid] for k in range(W2.nargs)]
-        lhs_pt = np.zeros(P.shape[0])
+        lhs_pt = np.zeros(batch.points.shape[0])
         for j in range(W1.nargs):
             for k in range(W2.nargs):
                 lhs_pt += (
                     pd1[j] * pd2[k] * np.einsum("pa,pa->p", grads1[j], grads2[k])
                 )
-        lhs = np.bincount(sid, weights=lhs_pt, minlength=batch.n_samples)
-        # H W1 per sample, chain rule through the statistic
-        bet = beta_rows(space, intensity, P)
-        h_pt = np.zeros(P.shape[0])
-        for j, phi in enumerate(W1.inners):
-            gj = W1.outer.partial(j)
-            for k in range(W1.nargs):
-                h_pt -= (
-                    _outer_rows(gj.partial(k), S1)[sid]
-                    * np.einsum("pa,pa->p", grads1[j], grads1[k])
-                )
-            h_pt += pd1[j] * (
-                -ev.laps(phi) - np.einsum("pa,pa->p", bet, grads1[j])
-            )
-        rhs = (
-            np.bincount(sid, weights=h_pt, minlength=batch.n_samples)
-            * _outer_rows(W2.outer, S2)
+        lhs = np.bincount(sid, weights=lhs_pt, minlength=n)
+        # H W1 per sample: H through every point, no subset held out
+        h = _h_rest_rows(
+            space, intensity, W1, ev, np.arange(n), np.empty((n, 0), dtype=np.intp)
         )
+        rhs = h * _outer_rows(W2.outer, S2)
         diff = McEstimate.from_samples(lhs - rhs)
         label = name or f"dirichlet-functions-{W1.name}-{W2.name}"
         return CheckResult.from_estimates(
@@ -991,7 +975,7 @@ def dirichlet_check(
     if level not in ("bochner", "deRham"):
         raise ValueError("level must be 'functions', 'bochner' or 'deRham'")
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    ev = BatchEval(batch)
+    ev = BatchEval(batch, space.dim)
     if level == "bochner":
         energy = point_gradient_energy(W1, W2, ev)
     else:
@@ -1021,7 +1005,7 @@ def adjointness_check(
     """E[<dW, V>] = E[<W, d*V>] as a paired Monte Carlo mean."""
     dW = d_gamma(space, intensity, W)
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    ev = BatchEval(batch)
+    ev = BatchEval(batch, space.dim)
     lhs = ev.form(dW).inner(ev.form(V))
     rhs = ev.form(W).inner(dstar_batch(space, intensity, V, ev))
     diff = McEstimate.from_samples(lhs - rhs)
@@ -1044,7 +1028,7 @@ def dd_zero_check(
     """d(dW) = 0, evaluated on sampled configurations: deterministic residual."""
     ddW = d_gamma(space, intensity, d_gamma(space, intensity, W))
     batch = sample_batch(space, intensity, window, rng, n_configs)
-    worst = float(BatchEval(batch).form(ddW).norm().max(initial=0.0))
+    worst = float(BatchEval(batch, space.dim).form(ddW).norm().max(initial=0.0))
     label = name or f"dd-zero-{W.name}"
     return CheckResult.deterministic(
         label, worst, 0.0, tol, detail={"configs": n_configs}
@@ -1066,7 +1050,7 @@ def weitzenbock_check(
     batch = sample_batch(space, intensity, window, rng, n_configs)
     n = W.degree
     worst = 0.0
-    for cfg in _config_iter(batch):
+    for cfg in batch:
         cache = EvalCache(cfg)
         a = lift("deRham", space, intensity, W, cfg, cache)
         b = lift("bochner", space, intensity, W, cfg, cache)
@@ -1101,11 +1085,12 @@ def factorization_check(
 
     if not isinstance(space, Sphere):
         betas = beta_fields(space, intensity)
+    mass = sigma_mass(space, intensity, window)
     worst = 0.0
     sizes = sorted(m for m in W.subset_sizes() if m > 0)
     for trial in range(n_trials):
         sub_rng = rng.child(trial)
-        gamma = sample(space, intensity, window, sub_rng)
+        gamma = sample(space, intensity, window, sub_rng, mass=mass)
         for m in sizes:
             xbar = _draw_locations(space, intensity, window, sub_rng.gen, m)
             union = gamma.union(xbar)

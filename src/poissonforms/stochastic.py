@@ -33,16 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exterior import Multivector, mv_to_vec, t_basis, transport_slot
-from .forms import CylinderForm, CylinderFunction, FormValue, eval_form
-from .geometry import IntensitySpec, Space, Sphere, Window, beta_rows
+from .exterior import Multivector, t_basis, transport_slot
+from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction, FormValue
+from .geometry import IntensitySpec, Space, Sphere, Window, beta_rows, sigma_mass
 from .operators import _outer_rows, h_pi_sigma, lift, r_pi_sigma, OperatorReport
-from .pointprocess import Configuration, RngStream, sample
+from .pointprocess import Configuration, RngStream, SampleBatch, sample
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -178,9 +177,6 @@ class ParticlePath:
 
     def final(self) -> np.ndarray:
         return self.paths[:, -1, :]
-
-    def config(self, k: int = -1) -> Configuration:
-        return Configuration(self.paths[:, k, :].copy())
 
 
 def simulate_sde(
@@ -457,46 +453,33 @@ def semigroup_T0(
 
 class FormEstimate:
     """Componentwise Monte Carlo estimate of a form value at the starting
-    configuration: one McEstimate per (subset, covector-key) pair."""
+    configuration: ``mean`` and ``stderr`` are ``BatchValue``s on its
+    one-group layout, one entry per (subset, covector key)."""
 
-    def __init__(self, entries: dict, n_samples: int):
-        self.entries = entries
+    def __init__(self, mean: BatchValue, stderr: BatchValue, n_samples: int):
+        self.mean = mean
+        self.stderr = stderr
         self.n_samples = n_samples
 
     def against(self, target: FormValue) -> tuple[float, float]:
         """Euclidean distance of the mean to the target and its propagated
         standard error over the union of components."""
-        keys = set(self.entries)
-        tgt = _coef_table(target)
-        keys |= set(tgt)
-        diff2 = 0.0
-        var = 0.0
-        for k in keys:
-            est = self.entries.get(k)
-            mean = est.mean if est else 0.0
-            se = est.stderr if est else 0.0
-            d = mean - tgt.get(k, 0.0)
-            diff2 += d * d
-            var += se * se
+        m = self.mean
+        tgt = BatchValue.filed(target, m.layout, m.degree, m.dim).blocks
+        diff2 = sum(
+            float(np.sum((m.blocks.get(k, 0.0) - tgt.get(k, 0.0)) ** 2))
+            for k in m.blocks.keys() | tgt.keys()
+        )
+        var = sum(float(np.sum(s * s)) for s in self.stderr.blocks.values())
         return math.sqrt(diff2), math.sqrt(var)
 
 
-def _coef_table(v: FormValue) -> dict:
-    """The coefficients of a form value, keyed by (subset, covector key)."""
-    return {
-        (idx, key): c
-        for idx, mv in v.components.items()
-        for key, c in mv.coef.items()
-    }
+def _start(gamma: Configuration, dim: int) -> BatchEval:
+    """The starting configuration as a batch of one."""
+    return BatchEval(SampleBatch(gamma.points, np.array([0, gamma.n])), dim)
 
 
-def _accumulate(sums: dict, sq: dict, idx, key, val: float):
-    k = (idx, key)
-    sums[k] = sums.get(k, 0.0) + val
-    sq[k] = sq.get(k, 0.0) + val * val
-
-
-def _replicas(
+def _moved_values(
     space: Space,
     intensity: IntensitySpec,
     W: CylinderForm,
@@ -505,49 +488,39 @@ def _replicas(
     run: SdeConfig,
     eps: np.ndarray,
 ):
-    """Per replica of the noise block eps: the moved configuration and the
-    frame (a FrameMatrix) over each subset W has components on, or None
-    where the frame is the scalar e^{tJ} (flat space, scalar J)."""
+    """W at the configurations the replicas of the noise block eps move
+    gamma to, one batch group per replica, from one ``BatchEval.form``
+    call; its pullback M^T W through the frame of each (replica, subset)
+    row, or None on flat space with scalar J, where M is e^{tJ}; and per
+    replica the largest J-eigenvalue its frames met."""
+    R, P = eps.shape[:2]
     fast = not isinstance(space, Sphere) and J.scalar is not None
     block = _evolve_block(space, intensity, gamma.points, eps, run.step, not fast)
+    ends = block if fast else block[:, :, -1, :]
+    batch = SampleBatch(ends.reshape(R * P, -1), np.arange(R + 1) * P)
+    val = BatchEval(batch, space.dim).form(W)
     if fast:
-        for ends in block:
-            yield Configuration(ends), None
-        return
+        return val, None, np.full(R, J.scalar)
     ts = np.linspace(0.0, run.t, run.n_steps + 1)
-    subsets = [
-        idx
-        for m in sorted(W.subset_sizes())
-        if 0 < m <= gamma.n
-        for idx in combinations(range(gamma.n), m)
-    ]
-    for paths in block:
-        path = ParticlePath(space, ts, paths)
-        yield path.config(-1), {
-            idx: parallel_translate(space, path, J, W.degree, idx) for idx in subsets
-        }
+    paths = [ParticlePath(space, ts, p) for p in block]
+    pulled, c_sup = {}, np.full(R, -math.inf)
+    for k, A in val.blocks.items():
+        first, idx, _ = val.layout.rows(k)
+        # every replica moves the same P points, so the subsets of group 0
+        # (global indices from 0) are the subsets of each replica
+        frames = [
+            parallel_translate(space, path, J, W.degree, sub)
+            for path in paths
+            for sub in idx[: first[1]]
+        ]
+        Mt = np.stack([fm.P for fm in frames]).transpose(0, 2, 1)
+        pulled[k] = np.matmul(Mt, A[:, :, None])[:, :, 0]
+        per_row = np.reshape([fm.c_sup for fm in frames], (R, -1))
+        c_sup = np.maximum(c_sup, per_row.max(axis=1))
+    return val, BatchValue(val.layout, W.degree, space.dim, pulled), c_sup
 
 
-def _pullback_one(
-    space: Space, W: CylinderForm, moved: Configuration, frames: Optional[dict]
-) -> dict:
-    """Pulled-back components of W at the moved configuration: a dict
-    (idx, key) -> coefficient over the starting fibre (untransformed when
-    ``frames`` is None)."""
-    v = eval_form(W, moved)
-    if frames is None:
-        return _coef_table(v)
-    out: dict = {}
-    for idx, mv in v.components.items():
-        basis = t_basis(W.degree, len(idx), space.dim)
-        back = frames[idx].P.T @ mv_to_vec(mv, basis)
-        for row, c in enumerate(back):
-            if c != 0.0:
-                out[(idx, basis[row])] = c
-    return out
-
-
-def _tn_run(
+def _pulled(
     space: Space,
     intensity: IntensitySpec,
     W: CylinderForm,
@@ -558,42 +531,35 @@ def _tn_run(
     n_samples: int,
     rng: RngStream,
     antithetic: bool,
-    contract: Optional[dict],
-):
-    """Shared engine: accumulate componentwise sums, or scalar samples when
-    ``contract`` (a (idx, key) -> coefficient dict) is given."""
+) -> tuple[dict, int]:
+    """Per replica the pulled-back value M^T W(xi_gamma(t)), averaged over
+    the antithetic pair (blocks of R groups of rows), and R."""
     run = cfg.with_horizon(t)
-    fac = math.exp(t * J.scalar) if J.scalar is not None else None
     R = n_samples // 2 if antithetic else n_samples
     eps = _noise_block(rng, R, gamma.n, run.n_steps, gamma.points.shape[1])
     signs = (1.0, -1.0) if antithetic else (1.0,)
-    replicas = zip(
-        *(_replicas(space, intensity, W, gamma, J, run, s * eps) for s in signs)
+    val, pulled, _ = _moved_values(
+        space, intensity, W, gamma, J, run, np.concatenate([s * eps for s in signs])
     )
-    sums: dict = {}
-    sqs: dict = {}
-    scalars = np.empty(R) if contract is not None else None
-    for r, per_sign in enumerate(replicas):
-        acc: dict = {}
-        for moved, frames in per_sign:
-            comp = _pullback_one(space, W, moved, frames)
-            if frames is None and fac != 1.0:
-                comp = {k: fac * c for k, c in comp.items()}
-            for k, c in comp.items():
-                acc[k] = acc.get(k, 0.0) + c / len(signs)
-        if contract is not None:
-            scalars[r] = sum(c * contract.get(k, 0.0) for k, c in acc.items())
-        else:
-            for k, c in acc.items():
-                _accumulate(sums, sqs, k[0], k[1], c)
-    if contract is not None:
-        return scalars
-    entries = {}
-    for k, ssum in sums.items():
-        mean = ssum / R
-        var = max(sqs[k] - ssum * ssum / R, 0.0) / max(R - 1, 1) / R
-        entries[k] = McEstimate(mean=mean, stderr=math.sqrt(var), n=R)
-    return FormEstimate(entries, R)
+    if pulled is None:
+        fac = math.exp(t * J.scalar)
+        blocks = {k: fac * A for k, A in val.blocks.items()}
+    else:
+        blocks = pulled.blocks
+    return {
+        k: A.reshape(len(signs), -1, A.shape[1]).mean(axis=0)
+        for k, A in blocks.items()
+    }, R
+
+
+def _contract(blocks: dict, target: BatchValue, R: int) -> np.ndarray:
+    """Per replica the inner product of its rows with a value at the
+    starting configuration."""
+    z = np.zeros(R)
+    for k, T in target.blocks.items():
+        if k in blocks:
+            z += np.einsum("rcw,cw->r", blocks[k].reshape(R, *T.shape), T)
+    return z
 
 
 def semigroup_Tn(
@@ -610,13 +576,21 @@ def semigroup_Tn(
 ) -> FormEstimate:
     """Monte Carlo estimate of the J-twisted form semigroup at gamma:
     componentwise mean of the pulled-back M^T W(xi_gamma(t))."""
+    start = _start(gamma, space.dim)
+    layout = start.configs
     if gamma.n == 0 or t == 0.0:
-        entries = {
-            k: McEstimate.exact(c) for k, c in _coef_table(eval_form(W, gamma)).items()
-        }
-        return FormEstimate(entries, n_samples)
-    return _tn_run(
-        space, intensity, W, gamma, t, J, cfg, n_samples, rng, antithetic, None
+        exact = BatchValue(layout, W.degree, space.dim, {})
+        return FormEstimate(start.form(W), exact, n_samples)
+    blocks, R = _pulled(
+        space, intensity, W, gamma, t, J, cfg, n_samples, rng, antithetic
+    )
+    samples = {k: A.reshape(R, -1, A.shape[1]) for k, A in blocks.items()}
+    mean = {k: A.mean(axis=0) for k, A in samples.items()}
+    se = {k: A.std(axis=0, ddof=1) / math.sqrt(R) for k, A in samples.items()}
+    return FormEstimate(
+        BatchValue(layout, W.degree, space.dim, mean),
+        BatchValue(layout, W.degree, space.dim, se),
+        R,
     )
 
 
@@ -634,12 +608,12 @@ def eigen_decay_check(
     name: Optional[str] = None,
 ) -> CheckResult:
     """For an eigenform, <T(t) W, W>(gamma) = e^{-rate t} |W(gamma)|^2."""
-    base = eval_form(W, gamma)
-    z = _tn_run(
-        space, intensity, W, gamma, t, J, cfg, n_samples, rng, False,
-        _coef_table(base),
+    base = _start(gamma, space.dim).form(W)
+    blocks, R = _pulled(
+        space, intensity, W, gamma, t, J, cfg, n_samples, rng, False
     )
-    target = math.exp(-rate * t) * base.inner(base)
+    z = _contract(blocks, base, R)
+    target = math.exp(-rate * t) * float(base.inner(base)[0])
     label = name or f"decay-{W.name}-t{t:g}"
     return CheckResult.from_estimates(
         label,
@@ -665,29 +639,11 @@ def domination_check(
     3 standard errors (C from the J-eigenvalues met on the paths)."""
     run = cfg.with_horizon(t)
     eps = _noise_block(rng, n_samples, gamma.n, run.n_steps, gamma.points.shape[1])
-    bases = {
-        m: t_basis(W.degree, m, space.dim)
-        for m in sorted(W.subset_sizes())
-        if 0 < m <= gamma.n
-    }
-    diffs = np.empty(n_samples)
-    c_glob = -math.inf
-    replicas = _replicas(space, intensity, W, gamma, J, run, eps)
-    for r, (moved, frames) in enumerate(replicas):
-        v = eval_form(W, moved)
-        raw = v.norm()
-        if frames is None:
-            c_here = J.scalar
-            pulled = math.exp(t * J.scalar) * raw
-        else:
-            c_here = max((fm.c_sup for fm in frames.values()), default=-math.inf)
-            tot = 0.0
-            for idx, mv in v.components.items():
-                back = frames[idx].P.T @ mv_to_vec(mv, bases[len(idx)])
-                tot += float(back @ back)
-            pulled = math.sqrt(tot)
-        c_glob = max(c_glob, c_here)
-        diffs[r] = pulled - math.exp(t * c_here) * raw
+    val, pulled, c_sup = _moved_values(space, intensity, W, gamma, J, run, eps)
+    raw = val.norm()
+    growth = np.exp(t * c_sup)
+    # with M = e^{tJ} the pulled norm is e^{tJ} |W| and the difference 0
+    diffs = (growth * raw if pulled is None else pulled.norm()) - growth * raw
     est = McEstimate.from_samples(-diffs)  # mean of e^{tC}|W| - |pulled|
     label = name or f"domination-{W.name}-t{t:g}"
     passed = est.mean >= -3.0 * max(est.stderr, 1e-300)
@@ -698,7 +654,7 @@ def domination_check(
         stderr=est.stderr,
         tol=3.0 * est.stderr,
         passed=bool(passed),
-        detail={"C": c_glob, "n": n_samples},
+        detail={"C": float(c_sup.max(initial=-math.inf)), "n": n_samples},
     )
 
 
@@ -778,20 +734,20 @@ def generator_check(
     checks = []
     for gi, gamma in enumerate(gammas):
         target_v = lift(kind, space, intensity, W, gamma)
-        base_v = eval_form(W, gamma)
         scale = max(target_v.norm(), 1.0)
-        unit = target_v.scale(1.0 / scale)
-        cdict = _coef_table(unit)
-        base = base_v.inner(unit)
-        tgt = target_v.inner(unit)
+        unit_v = target_v.scale(1.0 / scale)
+        start = _start(gamma, space.dim)
+        unit = BatchValue.filed(unit_v, start.configs, W.degree, space.dim)
+        base = float(start.form(W).inner(unit)[0])
+        tgt = target_v.inner(unit_v)
         slopes, ses = [], []
         for ti, t in enumerate(ts):
             cfg = SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO)
-            z = _tn_run(
+            blocks, R = _pulled(
                 space, intensity, W, gamma, t, J, cfg, n_samples,
-                rng.child(gi, ti), True, cdict,
+                rng.child(gi, ti), True,
             )
-            est = McEstimate.from_samples(z)
+            est = McEstimate.from_samples(_contract(blocks, unit, R))
             slopes.append((base - est.mean) / t)
             ses.append(est.stderr / t)
         s0, se = _richardson(np.asarray(ts), slopes, ses)
@@ -919,9 +875,10 @@ def poisson_invariance_check(
     ]
     counts = np.zeros((n_samples, len(expected)))
     totals = np.zeros(n_samples)
+    mass = sigma_mass(space, intensity, window)
     for r in range(n_samples):
         sub = rng.child(r)
-        gamma = sample(space, intensity, window, sub)
+        gamma = sample(space, intensity, window, sub, mass=mass)
         path = simulate_particles(
             space, intensity, gamma, cfg.with_horizon(t), sub.child(1),
             keep_paths=False,

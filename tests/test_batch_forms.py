@@ -8,7 +8,7 @@ import pytest
 
 from poissonforms import batteries as bat
 from poissonforms.exterior import t_basis
-from poissonforms.forms import BatchEval, eval_form
+from poissonforms.forms import BatchEval, BatchValue, eval_form
 from poissonforms.geometry import Euclidean, IntensitySpec
 from poissonforms.operators import (
     d_gamma,
@@ -40,14 +40,30 @@ def random_batch(seed: int = 0) -> SampleBatch:
     return SampleBatch(points, np.concatenate([[0], np.cumsum(sizes)]))
 
 
+def sphere_batch(seed: int = 1) -> SampleBatch:
+    """Configurations of 0 to 3 points on the unit sphere."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation([0, 1, 2, 3, 3, 2, 1])
+    v = rng.normal(size=(int(sizes.sum()), 3))
+    points = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return SampleBatch(points, np.concatenate([[0], np.cumsum(sizes)]))
+
+
 BATCH = random_batch()
 CONFIGS = list(BATCH)
+SPHERE = bat.sphere_form_battery()
+SPHERE_BATCH = sphere_batch()
+# the flat forms on the plane batch, the sphere forms on the sphere batch;
+# both spaces have tangent dimension 2
+CASES = [pytest.param(W, BATCH, id=W.name) for W in ALL] + [
+    pytest.param(W, SPHERE_BATCH, id=f"sphere-{W.name}") for W in SPHERE
+]
 
 
 def batch_coef(value, i: int, degree: int) -> dict:
     """The point-keyed coefficient table of configuration i, read off a
     BatchValue on the per-configuration layout (local point indices)."""
-    start = BATCH.offsets[i]
+    start = value.layout.start[i]
     out = {}
     for k, block in value.blocks.items():
         first, idx, _ = value.layout.rows(k)
@@ -64,33 +80,45 @@ def assert_same_coef(got: dict, want: dict, label: str):
         assert abs(got.get(key, 0.0) - want.get(key, 0.0)) < TOL, (label, key)
 
 
-@pytest.mark.parametrize("W", ALL, ids=lambda W: W.name)
-def test_values_and_norms(W):
-    ev = BatchEval(BATCH)
+@pytest.mark.parametrize("W, batch", CASES)
+def test_values_and_norms(W, batch):
+    ev = BatchEval(batch, 2)
     val = ev.form(W)
     norms = val.norm()
-    for i, cfg in enumerate(CONFIGS):
+    for i, cfg in enumerate(batch):
         fv = eval_form(W, cfg)
         assert_same_coef(batch_coef(val, i, W.degree), fv.point_coef(), f"{W.name}@{i}")
         assert abs(norms[i] - fv.norm()) < TOL
 
 
+@pytest.mark.parametrize("W, batch", CASES)
+def test_filed_values(W, batch):
+    # a per-configuration value filed on a batch of one lands where the
+    # batched evaluation puts it
+    for cfg in batch:
+        one = BatchEval(SampleBatch(cfg.points, np.array([0, cfg.n])), 2)
+        got = BatchValue.filed(eval_form(W, cfg), one.configs, W.degree, 2)
+        assert_same_coef(batch_coef(got, 0, W.degree),
+                         batch_coef(one.form(W), 0, W.degree), W.name)
+
+
 def test_inner_products_all_pairs():
     # every pair, plain and masked, including the cross-subset pairings of
     # the scalar-slot form and the pairings of different degrees (zero)
-    ev = BatchEval(BATCH)
-    vals = {W.name: ev.form(W) for W in ALL}
-    per_cfg = [{W.name: eval_form(W, cfg) for W in ALL} for cfg in CONFIGS]
-    for a, b in itertools.combinations_with_replacement(ALL, 2):
-        got = vals[a.name].inner(vals[b.name])
-        for i in range(len(CONFIGS)):
-            want = per_cfg[i][a.name].inner(per_cfg[i][b.name])
-            assert abs(got[i] - want) < TOL, (a.name, b.name, i)
+    for forms, batch in ((ALL, BATCH), (SPHERE, SPHERE_BATCH)):
+        ev = BatchEval(batch, 2)
+        vals = {W.name: ev.form(W) for W in forms}
+        per_cfg = [{W.name: eval_form(W, cfg) for W in forms} for cfg in batch]
+        for a, b in itertools.combinations_with_replacement(forms, 2):
+            got = vals[a.name].inner(vals[b.name])
+            for i in range(batch.n_samples):
+                want = per_cfg[i][a.name].inner(per_cfg[i][b.name])
+                assert abs(got[i] - want) < TOL, (a.name, b.name, i)
 
 
 @pytest.mark.parametrize("W", PLAIN, ids=lambda W: W.name)
 def test_dstar(W):
-    val = dstar_batch(SP, GAUSS, W, BatchEval(BATCH))
+    val = dstar_batch(SP, GAUSS, W, BatchEval(BATCH, SP.dim))
     for i, cfg in enumerate(CONFIGS):
         want = dstar_gamma(SP, GAUSS, W, cfg).point_coef()
         assert_same_coef(batch_coef(val, i, W.degree - 1), want, f"d*{W.name}@{i}")
@@ -99,7 +127,7 @@ def test_dstar(W):
 @pytest.mark.parametrize("kind", ["bochner", "deRham"])
 @pytest.mark.parametrize("W", PLAIN, ids=lambda W: W.name)
 def test_lifts(kind, W):
-    val = lift_batch(kind, SP, GAUSS, W, BatchEval(BATCH))
+    val = lift_batch(kind, SP, GAUSS, W, BatchEval(BATCH, SP.dim))
     for i, cfg in enumerate(CONFIGS):
         want = lift(kind, SP, GAUSS, W, cfg).point_coef()
         assert_same_coef(batch_coef(val, i, W.degree), want, f"{kind}{W.name}@{i}")
@@ -109,7 +137,7 @@ def test_lifts(kind, W):
                          ids=lambda p: f"{p[0].name}-{p[1].name}")
 def test_point_gradient_energy(pair):
     W1, W2 = pair
-    got = point_gradient_energy(W1, W2, BatchEval(BATCH))
+    got = point_gradient_energy(W1, W2, BatchEval(BATCH, SP.dim))
     for i, cfg in enumerate(CONFIGS):
         want = sum(
             point_partial_form(SP, GAUSS, W1, cfg, p, a).inner(
@@ -127,7 +155,7 @@ def test_scalar_slot_adjoint_pairing():
     # and d*V's dropped keys meet them
     W, V = FLAT[1], FLAT[3]
     assert (W.name, V.name) == ("deg1-weighted", "deg2-scalar-slot")
-    ev = BatchEval(BATCH)
+    ev = BatchEval(BATCH, SP.dim)
     lhs = ev.form(d_gamma(SP, GAUSS, W)).inner(ev.form(V))
     rhs = ev.form(W).inner(dstar_batch(SP, GAUSS, V, ev))
     for i, cfg in enumerate(CONFIGS):
@@ -140,4 +168,4 @@ def test_scalar_slot_adjoint_pairing():
 
 def test_masked_terms_rejected_by_lift():
     with pytest.raises(ValueError):
-        lift_batch("bochner", SP, GAUSS, d_gamma(SP, GAUSS, FLAT[1]), BatchEval(BATCH))
+        lift_batch("bochner", SP, GAUSS, d_gamma(SP, GAUSS, FLAT[1]), BatchEval(BATCH, SP.dim))

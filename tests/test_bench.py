@@ -3,7 +3,9 @@
     PYTHONPATH=src python -m pytest -m bench tests/test_bench.py
 
 L3 (form values) and L4 (lifted operators) on a fixed 30-configuration
-dirichlet batch, batched against per-configuration evaluation.
+dirichlet batch, batched against per-configuration evaluation; L6 (the
+form semigroup's value path: SDE block, frames, batched values and their
+pullback) on 500 replicas of a two-point configuration.
 """
 
 import pytest
@@ -11,7 +13,8 @@ import pytest
 from poissonforms import batteries as bat
 from poissonforms.forms import BatchEval, eval_form
 from poissonforms.operators import lift, lift_batch
-from poissonforms.pointprocess import RngStream, sample_batch
+from poissonforms.pointprocess import Configuration, RngStream, sample_batch
+from poissonforms.stochastic import SdeConfig, curvature_potential, semigroup_Tn
 
 pytestmark = pytest.mark.bench
 
@@ -27,7 +30,7 @@ def batch():
 
 
 def test_l3_values_batched(benchmark, batch):
-    benchmark(lambda: [BatchEval(batch).form(W) for W in FORMS])
+    benchmark(lambda: [BatchEval(batch, SP.dim).form(W) for W in FORMS])
 
 
 def test_l3_values_per_config(benchmark, batch):
@@ -37,10 +40,21 @@ def test_l3_values_per_config(benchmark, batch):
 
 @pytest.mark.parametrize("kind", ["bochner", "deRham"])
 def test_l4_lift_batched(benchmark, batch, kind):
-    benchmark(lambda: [lift_batch(kind, SP, INTEN, W, BatchEval(batch)) for W in FORMS])
+    benchmark(lambda: [lift_batch(kind, SP, INTEN, W, BatchEval(batch, SP.dim)) for W in FORMS])
 
 
 @pytest.mark.parametrize("kind", ["bochner", "deRham"])
 def test_l4_lift_per_config(benchmark, batch, kind):
     configs = list(batch)
     benchmark(lambda: [lift(kind, SP, INTEN, W, c) for W in FORMS for c in configs])
+
+
+@pytest.mark.parametrize("potential", ["scalar", "generic"])
+def test_l6_form_semigroup(benchmark, potential):
+    # the scalar potential takes the exact e^{tJ} path, the generic one
+    # solves a frame per (replica, point) over 10 steps
+    gamma = Configuration(bat.flat_configs()[1])
+    J = curvature_potential(SP, INTEN, 1, allow_scalar=potential == "scalar")
+    cfg = SdeConfig(t=0.1, dt=0.01)
+    W = bat.ou_eigenform()
+    benchmark(lambda: semigroup_Tn(SP, INTEN, W, gamma, 0.1, J, cfg, 500, RngStream(42)))

@@ -200,10 +200,10 @@ class TestFormSemigroup:
         J = curvature_potential(SP, GAUSS, 1)
         a = semigroup_Tn(SP, GAUSS, self.W, self.gamma, 0.2, J, self.cfg, 500, RngStream(7))
         b = semigroup_Tn(SP, GAUSS, self.W, self.gamma, 0.2, J, self.cfg, 500, RngStream(7))
-        assert set(a.entries) == set(b.entries)
-        for k in a.entries:
-            assert a.entries[k].mean == b.entries[k].mean
-            assert a.entries[k].stderr == b.entries[k].stderr
+        for x, y in ((a.mean, b.mean), (a.stderr, b.stderr)):
+            assert set(x.blocks) == set(y.blocks) and x.blocks
+            for k in x.blocks:
+                assert np.array_equal(x.blocks[k], y.blocks[k])
 
     def test_mean_form_against_decayed_target(self):
         from poissonforms.forms import eval_form
@@ -220,6 +220,59 @@ class TestFormSemigroup:
         J = curvature_potential(SP, GAUSS, 1)
         res = domination_check(
             SP, GAUSS, self.W, self.gamma, 0.3, J, self.cfg, 400, RngStream(44)
+        )
+        assert res.passed
+
+    def test_scalar_slot_pullback(self):
+        # the scalar slot files its keys on one point, outside the fibre of
+        # the m = 2 subset: the generic frame ODE must pull them back too,
+        # agreeing with the exact scalar-J path on the same paths
+        from poissonforms.forms import eval_form
+
+        W = bat.flat_form_battery()[3]
+        assert W.name == "deg2-scalar-slot"
+        gamma = Configuration(bat.flat_configs()[1])
+        cfg = SdeConfig(t=0.1, dt=0.01)
+        J = {
+            scalar: curvature_potential(SP, GAUSS, 2, allow_scalar=scalar)
+            for scalar in (True, False)
+        }
+        assert J[True].scalar is not None and J[False].scalar is None
+        est = {
+            s: semigroup_Tn(SP, GAUSS, W, gamma, 0.1, j, cfg, 400, RngStream(16))
+            for s, j in J.items()
+        }
+        target = eval_form(W, gamma)
+        (d_fast, se), (d_slow, _) = (est[s].against(target) for s in (True, False))
+        assert abs(d_slow - d_fast) < 4.0 * se + 5e-3  # O(dt) discretization allowance
+        fast, slow = est[True].mean.blocks, est[False].mean.blocks
+        assert set(fast) == set(slow)
+        dist = math.sqrt(sum(np.sum((fast[k] - slow[k]) ** 2) for k in fast))
+        assert dist < 4.0 * se + 5e-3
+        dom = {
+            s: domination_check(SP, GAUSS, W, gamma, 0.1, j, cfg, 400, RngStream(17))
+            for s, j in J.items()
+        }
+        assert dom[True].lhs == 0.0
+        assert abs(dom[False].lhs) < 4.0 * dom[False].stderr + 5e-3
+
+
+class TestSphereFormSemigroup:
+    @pytest.mark.parametrize("kind", ["bochner", "deRham"])
+    def test_killing_decay(self, kind):
+        # the Killing 1-form is an eigenform with eigenvalue 1 (Bochner) and
+        # 2 (de Rham); the frames run through the transport branch
+        sp, inten = Sphere(), IntensitySpec("uniform")
+        W = bat.sphere_form_battery()[0]
+        assert W.name == "killing"
+        J, rate, seed = {
+            "bochner": (zero_potential(1), 1.0, 70),
+            "deRham": (curvature_potential(sp, inten, 1), 2.0, 71),
+        }[kind]
+        gamma = Configuration(np.array([[1.0, 0.0, 0.0]]))
+        res = eigen_decay_check(
+            sp, inten, W, gamma, 0.25, rate, J, SdeConfig(0.25, 0.01), 400,
+            RngStream(seed),
         )
         assert res.passed
 
