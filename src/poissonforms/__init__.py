@@ -3,9 +3,6 @@ over Poisson configuration spaces."""
 
 from .exterior import (
     Multivector,
-    annihilate,
-    antisymmetrize,
-    create,
     curvature_operator,
     interior,
     leibniz_power,

@@ -9,9 +9,8 @@ full window); the sphere batteries back the curved-space checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

@@ -16,9 +16,10 @@ in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,10 +28,6 @@ from .geometry import Space
 __all__ = [
     "Multivector",
     "wedge",
-    "antisymmetrize",
-    "wedge_to_tensor",
-    "create",
-    "annihilate",
     "curvature_operator",
     "block_potential",
     "leibniz_power",
@@ -141,12 +138,6 @@ class Multivector:
 
     # -- structure -----------------------------------------------------------
 
-    def degrees(self) -> set[int]:
-        return {len(k) for k in self.coef}
-
-    def component(self, n: int) -> "Multivector":
-        return Multivector({k: c for k, c in self.coef.items() if len(k) == n})
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.coef.values())
 
@@ -189,122 +180,70 @@ def interior(v: np.ndarray, u: Multivector, slot: int = 0) -> Multivector:
     return Multivector(out)
 
 
-def create(v: np.ndarray, u: Multivector, slot: int = 0) -> Multivector:
-    """Creation operator a*(v): sqrt(n+1) v ^ u on the degree-n part."""
-    vmv = Multivector.from_vector(np.asarray(v, dtype=float), slot)
-    out = Multivector()
-    for n in u.degrees():
-        out = out + math.sqrt(n + 1) * wedge(vmv, u.component(n))
-    return out
-
-
-def annihilate(v: np.ndarray, u: Multivector, slot: int = 0) -> Multivector:
-    """Annihilation operator a(v): sqrt(n) iota_v on the degree-n part.
-
-    Adjoint of ``create`` under the Gram inner product.
-    """
-    v = np.asarray(v, dtype=float)
-    out = Multivector()
-    for n in u.degrees():
-        if n == 0:
-            continue
-        out = out + math.sqrt(n) * interior(v, u.component(n), slot)
-    return out
-
-
-def antisymmetrize(T: np.ndarray, n: int) -> Multivector:
-    """Project an n-tensor (shape (d,)*n, single tangent space) onto its
-    antisymmetric part and read off wedge coordinates on increasing tuples.
-
-    The normalization is the projector one: the coefficient of e_I is
-    (1/n!) sum_perm sgn(perm) T[I o perm].
-    """
-    T = np.asarray(T, dtype=float)
-    if n == 0:
-        return Multivector({(): float(T)})
-    d = T.shape[0]
-    out: dict = {}
-    fact = math.factorial(n)
-    for I in itertools.combinations(range(d), n):
-        c = 0.0
-        for perm in itertools.permutations(range(n)):
-            sgn = _perm_sign(perm)
-            c += sgn * float(T[tuple(I[p] for p in perm)])
-        c /= fact
-        if c != 0.0:
-            out[tuple((0, a) for a in I)] = c
-    return Multivector(out)
-
-
-def wedge_to_tensor(u: Multivector, n: int, d: int) -> np.ndarray:
-    """Realize a degree-n single-slot multivector inside the n-fold tensor
-    power by alternation without normalization, so that
-    antisymmetrize(wedge_to_tensor(u)) == u."""
-    T = np.zeros((d,) * n)
-    for key, c in u.coef.items():
-        if len(key) != n:
-            raise ValueError("mixed degree multivector")
-        I = tuple(a for _, a in key)
-        for perm in itertools.permutations(range(n)):
-            T[tuple(I[p] for p in perm)] += _perm_sign(perm) * c
-    return T
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # single-point operator blocks
 
 
-def _wedge_basis(d: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(d), k))
+@functools.lru_cache(maxsize=None)
+def _wedge_basis(d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.combinations(range(d), k))
 
 
-def curvature_operator(space: Space, p: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of the curvature operator on Lambda^n(T_p X) in the increasing
-    frame basis, built from the quadruple creation/annihilation sum
+def _slot_block_terms(
+    keys: Iterable[Key], block: Callable[[int, int], np.ndarray], d: int
+) -> Iterator[tuple[Key, Key, float]]:
+    """The per-slot block action on basis keys, term by term: for every
+    occupied slot s of each key, the degree-k block of that slot,
+    ``block(s, k)`` (fetched once per (slot, k)), acts on the slot's segment
+    of the key. Yields (key, image key, coefficient) for each nonzero entry.
 
-        R_n = sum_{ijkl} R_{ijkl} a*_j a_i a*_k a_l,
-
-    with the index pairing fixed so that the degree-1 block is the Ricci
-    transform (R_1 = +(d-1) K on a constant-curvature backend).
+    Keys are slot-major sorted, so a slot's indices form a contiguous
+    segment and a same-degree replacement carries no crossing sign.
     """
-    from .geometry import curvature as curv
+    mats: dict = {}
+    for key in keys:
+        for slot in sorted({s for s, _ in key}):
+            positions = [pos for pos, (s, _) in enumerate(key) if s == slot]
+            axes = tuple(key[pos][1] for pos in positions)
+            k = len(axes)
+            if (slot, k) not in mats:
+                mats[slot, k] = np.asarray(block(slot, k), dtype=float)
+            wb = _wedge_basis(d, k)
+            lo, hi = positions[0], positions[-1] + 1
+            for row, val in enumerate(mats[slot, k][:, wb.index(axes)]):
+                if val != 0.0:
+                    image = key[:lo] + tuple((slot, a) for a in wb[row]) + key[hi:]
+                    yield key, image, float(val)
 
-    d = space.dim
-    basis = _wedge_basis(d, n)
-    frame_vectors = np.eye(d)
+
+def _key_matrix(
+    basis: Sequence[Key], terms: Iterable[tuple[Key, Key, float]]
+) -> np.ndarray:
+    """Matrix on ``basis`` of a key-linear map given term by term as
+    (key, image key, coefficient)."""
+    index = {key: r for r, key in enumerate(basis)}
     mat = np.zeros((len(basis), len(basis)))
-    for col, I in enumerate(basis):
-        u = Multivector.basis(I)
-        acc = Multivector()
-        for i, j, k, l in itertools.product(range(d), repeat=4):
-            c = curv(space, p, i, j, k, l)
-            if c == 0.0:
-                continue
-            w = annihilate(frame_vectors[l], u)
-            w = create(frame_vectors[k], w)
-            w = annihilate(frame_vectors[i], w)
-            w = create(frame_vectors[j], w)
-            acc = acc + c * w
-        for row, J in enumerate(basis):
-            mat[row, col] = acc.inner(Multivector.basis(J))
+    for key, image, c in terms:
+        mat[index[image], index[key]] += c
     return mat
+
+
+def curvature_operator(space: Space, n: int) -> np.ndarray:
+    """Matrix of the curvature operator on Lambda^n in the increasing frame
+    basis.
+
+    Every backend has constant sectional curvature K
+    (``Space.sectional_curvature``), so R_{ijkl} = K (g_ik g_jl - g_il g_jk)
+    and the Weitzenboeck sum
+
+        R_n = sum_{ijkl} R_{ijkl} e_j ^ iota_i e_k ^ iota_l
+
+    collapses to n (d - n) K times the identity at every point; the
+    degree-1 block is the Ricci transform (d - 1) K. A backend of
+    non-constant curvature would need the sum itself.
+    """
+    d = space.dim
+    return n * (d - n) * space.sectional_curvature() * np.eye(math.comb(d, n))
 
 
 def leibniz_power(A: np.ndarray, k: int) -> np.ndarray:
@@ -313,20 +252,16 @@ def leibniz_power(A: np.ndarray, k: int) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
     basis = _wedge_basis(d, k)
-    index = {I: r for r, I in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
-    for col, I in enumerate(basis):
+    terms = []
+    for I in basis:
         for pos in range(k):
             for b in range(d):
                 if A[b, I[pos]] == 0.0:
                     continue
-                cand = list(I)
-                cand[pos] = b
-                key, sign = _sort_sign(cand)
-                if sign == 0:
-                    continue
-                mat[index[key], col] += sign * A[b, I[pos]]
-    return mat
+                key, sign = _sort_sign(I[:pos] + (b,) + I[pos + 1 :])
+                if sign != 0:
+                    terms.append((I, key, sign * A[b, I[pos]]))
+    return _key_matrix(basis, terms)
 
 
 def t_basis(n: int, m: int, d: int) -> list[Key]:
@@ -347,31 +282,24 @@ def t_basis(n: int, m: int, d: int) -> list[Key]:
 
 def apply_slot_linear(u: Multivector, slot: int, M: np.ndarray) -> Multivector:
     """Apply a frame matrix M to the factors of one slot multiplicatively
-    (Lambda^k M, the transport/pullback extension)."""
+    (Lambda^k M, the transport/pullback extension): its degree-k block is
+    the matrix of k x k minors of M."""
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
-    out: dict = {}
-    for key, c in u.coef.items():
-        positions = [pos for pos, (s, _) in enumerate(key) if s == slot]
-        if not positions:
-            out[key] = out.get(key, 0.0) + c
-            continue
-        axes = tuple(key[pos][1] for pos in positions)
-        k = len(axes)
-        # keys are slot-major sorted, so the slot's indices form a contiguous
-        # segment; a same-degree replacement is an in-place substitution with
-        # no crossing sign.
-        lo, hi = positions[0], positions[-1] + 1
-        prefix, suffix = key[:lo], key[hi:]
-        for J in itertools.combinations(range(d), k):
-            minor = M[np.ix_(J, axes)]
-            det = float(np.linalg.det(minor)) if k > 1 else float(minor[0, 0])
-            if det == 0.0:
-                continue
-            skey = prefix + tuple((slot, b) for b in J) + suffix
-            out[skey] = out.get(skey, 0.0) + det * c
-            if out[skey] == 0.0:
-                del out[skey]
+
+    def minors(s: int, k: int) -> np.ndarray:
+        if s != slot:
+            return np.zeros((math.comb(d, k),) * 2)  # other slots stay put
+        if k == 1:
+            return M
+        wb = _wedge_basis(d, k)
+        return np.array([[np.linalg.det(M[np.ix_(J, I)]) for I in wb] for J in wb])
+
+    out = {key: c for key, c in u.coef.items() if all(s != slot for s, _ in key)}
+    for key, image, det in _slot_block_terms(u.coef, minors, d):
+        out[image] = out.get(image, 0.0) + det * u.coef[key]
+        if out[image] == 0.0:
+            del out[image]
     return Multivector(out)
 
 
@@ -430,22 +358,6 @@ def block_potential(
     Block-diagonal across block indices by construction.
     """
     basis = t_basis(n, m, d)
-    index = {k: r for r, k in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
-    wedge_bases = {k: _wedge_basis(d, k) for k in range(1, d + 1)}
-    for col, key in enumerate(basis):
-        for i in range(m):
-            axes = tuple(a for s, a in key if s == i)
-            ki = len(axes)
-            Ji = np.asarray(J(ki, points[i]), dtype=float)
-            wb = wedge_bases[ki]
-            col_idx = wb.index(axes)
-            positions = [pos for pos, (s, _) in enumerate(key) if s == i]
-            lo, hi = positions[0], positions[-1] + 1
-            prefix, suffix = key[:lo], key[hi:]
-            for row_idx, Jval in enumerate(Ji[:, col_idx]):
-                if Jval == 0.0:
-                    continue
-                skey = prefix + tuple((i, a) for a in wb[row_idx]) + suffix
-                mat[index[skey], col] += Jval
-    return mat
+    return _key_matrix(
+        basis, _slot_block_terms(basis, lambda s, k: J(k, points[s]), d)
+    )

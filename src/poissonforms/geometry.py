@@ -30,7 +30,6 @@ __all__ = [
     "Sphere",
     "IntensitySpec",
     "Window",
-    "curvature",
     "beta",
     "grad_beta",
     "beta_rows",
@@ -196,15 +195,6 @@ class Window:
 
 # ---------------------------------------------------------------------------
 # geometry operations
-
-
-def curvature(space: Space, p: np.ndarray, i: int, j: int, k: int, l: int) -> float:
-    """Component R_{ijkl} of the curvature 4-tensor in the orthonormal frame
-    at p, with the sign fixed so that R_{1212} = +1 on the unit sphere:
-    R_{ijkl} = K (g_ik g_jl - g_il g_jk) for constant curvature K.
-    """
-    K = space.sectional_curvature()
-    return K * ((i == k) * (j == l) - (i == l) * (j == k))
 
 
 def beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .exterior import (
     Multivector,
-    _wedge_basis,
+    _slot_block_terms,
     block_potential,
     curvature_operator,
     interior,
@@ -652,7 +652,7 @@ def weitz_matrix(
 ) -> np.ndarray:
     """Degree-k block of the Weitzenboeck potential at p: the curvature
     operator minus the derivation extension of the beta Jacobian."""
-    return curvature_operator(space, p, k) - leibniz_power(
+    return curvature_operator(space, k) - leibniz_power(
         grad_beta(space, intensity, p), k
     )
 
@@ -662,13 +662,12 @@ def r_pi_sigma(
 ) -> np.ndarray:
     """Matrix of the lifted curvature potential on the fully occupied
     (n, m)-sector over the given subset points, in the t_basis ordering."""
-    points = np.atleast_2d(points)
-    m = points.shape[0]
+    points = list(np.atleast_2d(points))
     return block_potential(
         lambda k, x: weitz_matrix(space, intensity, x, k),
-        list(points),
+        points,
         n,
-        m,
+        len(points),
         space.dim,
     )
 
@@ -685,32 +684,14 @@ def apply_r_pi_sigma(
     Works for any slot occupancy (not only the fully occupied sector): the
     potential acts on each occupied slot through its degree-k block, and
     empty slots contribute nothing (the degree-0 block vanishes)."""
-    d = space.dim
-    wedge_bases = {k: _wedge_basis(d, k) for k in range(1, d + 1)}
     comps = {}
     for idx, mv in fv.components.items():
-        if len(idx) == 0:
-            continue
         pts = config.points[list(idx)]
-        mats: dict = {}
         acc: dict = {}
-        for key, c in mv.coef.items():
-            for slot in sorted({s for s, _ in key}):
-                positions = [pos for pos, (s, _) in enumerate(key) if s == slot]
-                axes = tuple(key[pos][1] for pos in positions)
-                ki = len(axes)
-                M = mats.get((slot, ki))
-                if M is None:
-                    M = weitz_matrix(space, intensity, pts[slot], ki)
-                    mats[(slot, ki)] = M
-                wb = wedge_bases[ki]
-                col = wb.index(axes)
-                lo, hi = positions[0], positions[-1] + 1
-                for row, val in enumerate(M[:, col]):
-                    if val == 0.0:
-                        continue
-                    nk = key[:lo] + tuple((slot, a) for a in wb[row]) + key[hi:]
-                    acc[nk] = acc.get(nk, 0.0) + c * float(val)
+        for key, image, val in _slot_block_terms(
+            mv.coef, lambda s, k: weitz_matrix(space, intensity, pts[s], k), space.dim
+        ):
+            acc[image] = acc.get(image, 0.0) + mv.coef[key] * val
         comps[idx] = Multivector({k: v for k, v in acc.items() if v != 0.0})
     return FormValue(comps)
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
-    Euclidean,
     IntensitySpec,
     Space,
     Sphere,
@@ -185,7 +184,10 @@ def _draw_locations(
     while filled < n:
         want = max(n - filled, 64)
         prop = lo + (hi - lo) * rng.uniform(size=(want, space.dim))
-        acc = rng.uniform(size=want) * rho_max <= intensity.rho(prop)
+        rho = intensity.rho(prop)
+        if np.any(rho > rho_max):
+            raise ValueError(f"density exceeds its probed rejection bound {rho_max:.6g}")
+        acc = rng.uniform(size=want) * rho_max <= rho
         take = prop[acc][: n - filled]
         out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]

@@ -37,10 +37,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exterior import Multivector, t_basis, transport_slot
+from .exterior import Multivector, _key_matrix, t_basis, transport_slot
 from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction, FormValue
-from .geometry import IntensitySpec, Space, Sphere, Window, beta_rows, sigma_mass
-from .operators import _outer_rows, h_pi_sigma, lift, r_pi_sigma, OperatorReport
+from .geometry import (
+    Euclidean,
+    IntensitySpec,
+    Space,
+    Sphere,
+    Window,
+    beta_rows,
+    sigma_mass,
+)
+from .operators import _outer_rows, h_pi_sigma, lift_batch, r_pi_sigma, OperatorReport
 from .pointprocess import Configuration, RngStream, SampleBatch, sample
 from .report import CheckResult, McEstimate
 
@@ -321,24 +329,21 @@ def _expm_sym(A: np.ndarray) -> np.ndarray:
 def _transport_matrix(
     space: Space, basis: Sequence, pts_from: np.ndarray, pts_to: np.ndarray
 ) -> np.ndarray:
-    """Matrix of the per-slot parallel transport on the fibre basis."""
-    k = len(basis)
-    index = {key: r for r, key in enumerate(basis)}
-    T = np.zeros((k, k))
+    """Matrix of the per-slot parallel transport on the fibre basis, whose
+    keys occupy every slot."""
     m = pts_from.shape[0]
     frames_from = [space.frame(pts_from[s]) for s in range(m)]
     frames_to = [space.frame(pts_to[s]) for s in range(m)]
-    for col, key in enumerate(basis):
+    terms = []
+    for key in basis:
         mv = Multivector({key: 1.0})
         for s in range(m):
-            if any(ks == s for ks, _ in key):
-                mv = transport_slot(
-                    space, mv, s, pts_from[s], pts_to[s],
-                    frame_q=frames_from[s], frame_p=frames_to[s],
-                )
-        for kk, c in mv.coef.items():
-            T[index[kk], col] += c
-    return T
+            mv = transport_slot(
+                space, mv, s, pts_from[s], pts_to[s],
+                frame_q=frames_from[s], frame_p=frames_to[s],
+            )
+        terms += [(key, image, c) for image, c in mv.coef.items()]
+    return _key_matrix(basis, terms)
 
 
 def parallel_translate(
@@ -719,11 +724,14 @@ def generator_check(
     H W and Richardson-extrapolated to t = 0; one row per configuration.
 
     kind 'bochner' runs with J = 0, kind 'deRham' with J = -R; the target is
-    the corresponding lift.  Pass when |extrapolated - target| is below
-    max(3 stderr, 5e-3) relative to the target scale.
+    the corresponding ``lift_batch``, so the space must be flat.  Pass when
+    |extrapolated - target| is below max(3 stderr, 5e-3) relative to the
+    target scale.
     """
     if kind not in ("bochner", "deRham"):
         raise ValueError("kind must be 'bochner' or 'deRham'")
+    if isinstance(space, Sphere):
+        raise ValueError("generator_check needs a flat backend")
     if rng is None:
         rng = RngStream(0)
     J = (
@@ -733,13 +741,15 @@ def generator_check(
     )
     checks = []
     for gi, gamma in enumerate(gammas):
-        target_v = lift(kind, space, intensity, W, gamma)
-        scale = max(target_v.norm(), 1.0)
-        unit_v = target_v.scale(1.0 / scale)
         start = _start(gamma, space.dim)
-        unit = BatchValue.filed(unit_v, start.configs, W.degree, space.dim)
+        target = lift_batch(kind, space, intensity, W, start)
+        scale = max(float(target.norm()[0]), 1.0)
+        unit = BatchValue(
+            start.configs, W.degree, space.dim,
+            {k: A / scale for k, A in target.blocks.items()},
+        )
         base = float(start.form(W).inner(unit)[0])
-        tgt = target_v.inner(unit_v)
+        tgt = float(target.inner(unit)[0])
         slopes, ses = [], []
         for ti, t in enumerate(ts):
             cfg = SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO)
@@ -860,9 +870,13 @@ def poisson_invariance_check(
 ) -> CheckResult:
     """Evolving a gaussian-intensity point process by its matching drifted
     diffusion preserves the law: radial band counts keep their Poisson means
-    (and the total count keeps variance = mean), all within 3 stderr."""
+    (and the total count keeps variance = mean), all within 3 stderr.
+    The band masses 2 pi s^2 (e^{-r0^2/2s^2} - e^{-r1^2/2s^2}) are those of
+    the plane."""
     if intensity.family != "gaussian":
         raise ValueError("invariance check is for the gaussian family")
+    if not (isinstance(space, Euclidean) and space.dim == 2):
+        raise ValueError("invariance check is for the Euclidean plane")
     window = Window("all")
     edges = list(edges) + [math.inf]
     s2 = intensity.scale**2

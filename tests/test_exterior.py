@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from poissonforms.exterior import (
     Multivector,
-    annihilate,
-    antisymmetrize,
     block_potential,
-    create,
     curvature_operator,
     interior,
     leibniz_power,
     t_basis,
     wedge,
-    wedge_to_tensor,
 )
-from poissonforms.geometry import Euclidean, Sphere
+from poissonforms.geometry import Euclidean, Space, Sphere
 
 vec2 = st.tuples(
     st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False)
@@ -58,24 +54,7 @@ class TestWedge:
 
 
 class TestCreateAnnihilate:
-    @settings(max_examples=40, deadline=None)
-    @given(vec2, vec2, vec2, vec2)
-    def test_adjoint_pair(self, v, a, b, c):
-        # <create(v) x, y> == <x, annihilate(v) y> across degrees
-        x = wedge(mv(a), mv(b, slot=1))
-        y = wedge(wedge(mv(c), mv(a, slot=1)), mv(b, slot=2))
-        lhs = create(v, x, slot=2).inner(y)
-        rhs = x.inner(annihilate(v, y, slot=2))
-        assert abs(lhs - rhs) < 1e-9
-
-    def test_occupation_scaling(self):
-        # on a fully occupied degree-n key, annihilate . create = (n+1) <v,v>
-        v = np.array([0.0, 1.0])
-        u = mv([1.0, 0.0], slot=0)
-        n = 1
-        out = annihilate(v, create(v, u, slot=1), slot=1)
-        assert (out - u * (n + 1)).norm() < 1e-12
-
+    # wedge with e_v creates and iota_v annihilates a factor
     def test_interior_antiderivation(self):
         v = np.array([0.3, -0.8])
         a, b = np.array([1.0, 0.2]), np.array([-0.4, 0.9])
@@ -83,18 +62,6 @@ class TestCreateAnnihilate:
         out = interior(v, u)
         expect = mv(b) * float(v @ a) - mv(a) * float(v @ b)
         assert (out - expect).norm() < 1e-12
-
-
-class TestAntisymmetrize:
-    def test_projects_and_fixes(self):
-        gen = np.random.default_rng(7)
-        T = gen.normal(size=(2, 2))
-        u = antisymmetrize(T, 2)
-        back = wedge_to_tensor(u, 2, 2)
-        # antisymmetric part of T, and idempotent on its image
-        anti = 0.5 * (T - T.T)
-        assert np.allclose(back, anti, atol=1e-12)
-        assert (antisymmetrize(back, 2) - u).norm() < 1e-12
 
 
 class TestTBasis:
@@ -135,24 +102,61 @@ class TestLeibniz:
         )
 
 
+class _ConstantCurvature(Space):
+    """Stub backend: only the dimension and the sectional curvature."""
+
+    def __init__(self, d: int, K: float):
+        self.dim = self.ambient_dim = d
+        self.name = f"constant{d}"
+        self.K = K
+
+    def sectional_curvature(self) -> float:
+        return self.K
+
+
+def _weitzenboeck_sum(d: int, K: float, n: int) -> np.ndarray:
+    """sum_{ijkl} R_ijkl e_j ^ iota_i e_k ^ iota_l on Lambda^n, with
+    R_ijkl = K (g_ik g_jl - g_il g_jk), written out term by term."""
+    e = np.eye(d)
+    basis = list(itertools.combinations(range(d), n))
+    mat = np.zeros((len(basis), len(basis)))
+    for col, I in enumerate(basis):
+        u = Multivector.basis(I)
+        acc = Multivector()
+        for i, j, k, l in itertools.product(range(d), repeat=4):
+            R = K * (float(i == k and j == l) - float(i == l and j == k))
+            if R == 0.0:
+                continue
+            w = wedge(mv(e[k]), interior(e[l], u))
+            acc = acc + wedge(mv(e[j]), interior(e[i], w)) * R
+        for row, J in enumerate(basis):
+            mat[row, col] = acc.inner(Multivector.basis(J))
+    return mat
+
+
 class TestCurvatureOperator:
     def test_euclidean_zero(self):
         sp = Euclidean(2)
-        p = np.array([0.3, 0.4])
         for n in (1, 2):
-            assert np.allclose(curvature_operator(sp, p, n), 0.0)
+            assert np.allclose(curvature_operator(sp, n), 0.0)
 
     def test_sphere_degree_one_identity(self):
         sp = Sphere()
-        p = np.array([0.0, 0.0, 1.0])
-        assert np.allclose(curvature_operator(sp, p, 1), np.eye(2), atol=1e-12)
+        assert np.allclose(curvature_operator(sp, 1), np.eye(2), atol=1e-12)
 
     def test_sphere_degree_two_zero(self):
         sp = Sphere()
-        p = np.array([1.0, 0.0, 0.0]) / 1.0
-        R2 = curvature_operator(sp, p, 2)
+        R2 = curvature_operator(sp, 2)
         assert R2.shape == (1, 1)
         assert abs(R2[0, 0]) < 1e-12
+
+    @pytest.mark.parametrize("K", [0.5, -1.3])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_matches_weitzenboeck_sum(self, d, K):
+        sp = _ConstantCurvature(d, K)
+        for n in range(d + 1):
+            expect = _weitzenboeck_sum(d, K, n)
+            assert np.allclose(curvature_operator(sp, n), expect, atol=1e-12), n
 
 
 class TestBlockPotential:

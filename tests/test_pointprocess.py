@@ -90,6 +90,17 @@ class TestSampling:
         assert isinstance(cfg, Configuration)
         assert cfg.points.shape[1] == 2
 
+    def test_custom_density_above_probed_bound_raises(self):
+        # a narrow spike centred between the 41-point probe nodes of BOX:
+        # the probe sees rho = 1, proposals near the centre see ~1000
+        c = np.full(2, 0.01625)
+        spike = IntensitySpec(
+            "custom",
+            density=lambda X: 1.0 + 1e3 * np.exp(-np.sum((X - c) ** 2, axis=1) / 1.8e-5),
+        )
+        with pytest.raises(ValueError, match="rejection bound"):
+            sample(SP, spike, BOX, RngStream(4), mass=20_000.0)
+
     def test_segment_sum(self):
         batch = sample_batch(SP, GAUSS, BOX, RngStream(1), 50)
         vals = batch.points[:, 0] ** 2

@@ -286,6 +286,15 @@ class TestGenerator:
         )
         assert rep.passed
 
+    def test_form_generator_rejects_sphere(self):
+        # the target is the batched lift, which is for flat backends
+        gamma = Configuration(np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="flat"):
+            generator_check(
+                Sphere(), IntensitySpec("uniform"), bat.sphere_form_battery()[0],
+                [gamma], "bochner", n_samples=10, rng=RngStream(1),
+            )
+
     def test_function_generator(self):
         F = bat.generator_functions()[0]
         rep = generator_check_function(
@@ -307,6 +316,13 @@ class TestLawPreservation:
         with pytest.raises(ValueError):
             poisson_invariance_check(
                 SP, IntensitySpec("uniform"), 0.3, SdeConfig(0.3, 0.01), 10, RngStream(1)
+            )
+
+    def test_poisson_invariance_rejects_other_dimensions(self):
+        # the expected band masses are those of the gaussian on the plane
+        with pytest.raises(ValueError, match="plane"):
+            poisson_invariance_check(
+                Euclidean(3), GAUSS, 0.3, SdeConfig(0.3, 0.01), 10, RngStream(1)
             )
 
     def test_sphere_uniform_small(self):
