@@ -33,8 +33,6 @@ from .forms import (
     SphereSlotTwo,
     SymmetricFormField,
     eval_form,
-    eval_function,
-    inner_forms,
 )
 from .geometry import Euclidean, IntensitySpec, Space, Sphere, Window, sigma_mass
 from .harness import EXPERIMENTS, RunRecord, main, resolve_config, run_experiment

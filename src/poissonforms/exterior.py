@@ -32,6 +32,7 @@ __all__ = [
     "block_potential",
     "leibniz_power",
     "t_basis",
+    "wedge_power",
     "apply_slot_linear",
     "relabel_slots",
     "transport_slot",
@@ -280,20 +281,28 @@ def t_basis(n: int, m: int, d: int) -> list[Key]:
     return keys
 
 
+def wedge_power(M: np.ndarray, k: int) -> np.ndarray:
+    """Lambda^k of a stack of (d x d) frame matrices: the (..., C(d, k),
+    C(d, k)) matrices of k x k minors, entry (J, I) = det M[J, I] over the
+    increasing frame basis (the transport/pullback extension)."""
+    M = np.asarray(M, dtype=float)
+    if k == 1:
+        return M
+    basis = _wedge_basis(M.shape[-1], k)
+    wb = np.array(basis, dtype=np.intp).reshape(len(basis), k)
+    return np.linalg.det(M[..., wb[:, None, :, None], wb[None, :, None, :]])
+
+
 def apply_slot_linear(u: Multivector, slot: int, M: np.ndarray) -> Multivector:
-    """Apply a frame matrix M to the factors of one slot multiplicatively
-    (Lambda^k M, the transport/pullback extension): its degree-k block is
-    the matrix of k x k minors of M."""
+    """Apply a frame matrix M to the factors of one slot multiplicatively:
+    its degree-k block is ``wedge_power(M, k)``."""
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
 
     def minors(s: int, k: int) -> np.ndarray:
         if s != slot:
             return np.zeros((math.comb(d, k),) * 2)  # other slots stay put
-        if k == 1:
-            return M
-        wb = _wedge_basis(d, k)
-        return np.array([[np.linalg.det(M[np.ix_(J, I)]) for I in wb] for J in wb])
+        return wedge_power(M, k)
 
     out = {key: c for key, c in u.coef.items() if all(s != slot for s, _ in key)}
     for key, image, det in _slot_block_terms(u.coef, minors, d):

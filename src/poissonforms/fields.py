@@ -307,9 +307,13 @@ class SphereAxisField:
         return self.g(t)
 
     def grad_one(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        t = float(p @ self.axis)
-        return float(self.dg(t)) * (self.axis - t * p)
+        return self.grad_batch(p)
+
+    def grad_batch(self, P: np.ndarray) -> np.ndarray:
+        """Tangential gradients at points stacked on leading axes."""
+        P = np.asarray(P, dtype=float)
+        t = np.vecdot(P, self.axis)[..., None]
+        return self.dg(t) * (self.axis - t * P)
 
     def laplacian_one(self, p) -> float:
         t = float(np.asarray(p) @ self.axis)
@@ -352,6 +356,9 @@ class SphereKilling:
     def value_one(self, p) -> np.ndarray:
         return np.cross(self.axis, np.asarray(p, dtype=float))
 
+    def value_batch(self, P: np.ndarray) -> np.ndarray:
+        return np.cross(self.axis, np.asarray(P, dtype=float))
+
     def div_one(self, p) -> float:
         return 0.0
 
@@ -364,6 +371,9 @@ class SphereGradientField:
 
     def value_one(self, p) -> np.ndarray:
         return self.scalar.grad_one(p)
+
+    def value_batch(self, P: np.ndarray) -> np.ndarray:
+        return self.scalar.grad_batch(P)
 
     def div_one(self, p) -> float:
         return self.scalar.laplacian_one(p)

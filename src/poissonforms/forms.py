@@ -27,7 +27,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,12 +50,7 @@ __all__ = [
     "LiftedVector",
     "FormValue",
     "EvalCache",
-    "eval_function",
-    "grad_gamma",
     "eval_form",
-    "inner_forms",
-    "i_n_apply",
-    "i_n_inverse",
     "symmetrize",
     "field_values",
     "field_grads",
@@ -200,21 +195,6 @@ class CylinderFunction:
             )
         return self._partials[j]
 
-    def grad_at(self, points: np.ndarray, i: int) -> np.ndarray:
-        """Gradient in the point x_i: sum_j d_j g(s) grad phi_j(x_i)."""
-        s = self.stat(points)[None, :]
-        x = points[i]
-        out = None
-        for j, f in enumerate(self.inners):
-            c = float(self.outer.partial(j).eval_batch(s)[0])
-            if c == 0.0:
-                continue
-            g = c * f.grad_one(x)
-            out = g if out is None else out + g
-        if out is None:
-            out = np.zeros(points.shape[1])
-        return out
-
 
 # ---------------------------------------------------------------------------
 # form fields on m-tuples of base points
@@ -278,14 +258,15 @@ class SphereSlotOne:
         self.space = space
         self.vec = vec_field
 
-    def _frame_coords(self, p) -> list[float]:
-        fr = self.space.frame(p)
-        v = self.space.project_tangent(p, self.vec.value_one(p))
-        return [float(fr[a] @ v) for a in range(self.space.dim)]
+    def _frame_coords(self, P: np.ndarray) -> np.ndarray:
+        """(points, dim) frame coordinates of the field at the rows of P."""
+        v = self.space.project_tangent(P, field_values(self.vec, P))
+        return np.vecdot(self.space.frame(P), v[:, None, :])
 
     def mv_at(self, p, slot: int) -> Multivector:
+        coords = self._frame_coords(np.asarray(p, dtype=float)[None, :])[0]
         return Multivector(
-            {((slot, a),): c for a, c in enumerate(self._frame_coords(p)) if c != 0.0}
+            {((slot, a),): float(c) for a, c in enumerate(coords) if c != 0.0}
         )
 
     @property
@@ -293,9 +274,7 @@ class SphereSlotOne:
         return tuple((a,) for a in range(self.space.dim))
 
     def coeffs(self, ev: "BatchEval") -> np.ndarray:
-        return np.array(
-            [self._frame_coords(p) for p in ev.points], dtype=float
-        ).reshape(len(ev.points), self.space.dim).T
+        return self._frame_coords(ev.points).T
 
 
 class SphereSlotTwo:
@@ -574,20 +553,6 @@ class EvalCache:
         return F.outer.eval_one(self.stat_without(F, excl))
 
 
-def eval_function(F: CylinderFunction, config: Configuration) -> float:
-    return F.value(config.points)
-
-
-def grad_gamma(F: CylinderFunction, config: Configuration) -> np.ndarray:
-    """Configuration gradient: row i is the gradient of F in the i-th point
-    (ambient coordinates, tangential on the sphere)."""
-    pts = config.points
-    out = np.zeros_like(pts, dtype=float)
-    for i in range(config.n):
-        out[i] = F.grad_at(pts, i)
-    return out
-
-
 class LiftedVector:
     """Vector field over the configuration: V_x(gamma) = sum of terms
     coef * G(gamma \\ x) * v(x) with G a cylinder function (or None for 1)
@@ -644,84 +609,6 @@ def eval_form(
                 continue
             comps[idx] = comps[idx] + mv if idx in comps else mv
     return FormValue(comps)
-
-
-def inner_forms(
-    W1: CylinderForm,
-    W2: CylinderForm,
-    config: Configuration,
-    cache: Optional[EvalCache] = None,
-) -> float:
-    """Pointwise inner product <W1(gamma), W2(gamma)> summing the Gram
-    products of all matching components."""
-    if cache is None:
-        cache = EvalCache(config)
-    return eval_form(W1, config, cache).inner(eval_form(W2, config, cache))
-
-
-def _check_disjoint(config: Configuration, xbar: np.ndarray):
-    if config.n == 0 or xbar.shape[0] == 0:
-        return
-    d2 = np.sum(
-        (config.points[:, None, :] - xbar[None, :, :]) ** 2, axis=-1
-    )
-    if np.min(d2) < 1e-24:
-        raise ValueError(
-            "i_n_apply requires the added points to be disjoint from the configuration"
-        )
-
-
-def i_n_apply(W: CylinderForm, config: Configuration, xbar: np.ndarray) -> Multivector:
-    """(I_m^n W)(gamma, xbar) = (m!)^{-1/2} W_m(gamma + xbar)(xbar): evaluate
-    the m = len(xbar) component with the configuration argument shifted.
-    Requires xbar disjoint from gamma."""
-    xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
-    _check_disjoint(config, xbar)
-    m = xbar.shape[0]
-    out = Multivector()
-    for t in W.terms:
-        if t.m != m:
-            continue
-        if t.mask is None:
-            fval = t.f_value(config.points)
-            if fval == 0.0:
-                continue
-            out = out + t.omega.value(xbar) * (t.coef * fval)
-        else:
-            # the cylinder factor keeps the unmasked slot points
-            acc = Multivector()
-            for nu in itertools.permutations(range(m)):
-                keep = [nu[i] for i in range(m) if not t.mask[i]]
-                arg = (
-                    np.concatenate([config.points, xbar[keep]], axis=0)
-                    if keep
-                    else config.points
-                )
-                fval = t.f_value(arg)
-                if fval == 0.0:
-                    continue
-                mv = t.omega.value(xbar[list(nu)])
-                if mv.is_zero():
-                    continue
-                acc = acc + relabel_slots(mv, {i: nu[i] for i in range(m)}) * fval
-            out = out + acc * (t.coef / math.factorial(m))
-    return out
-
-
-def i_n_inverse(
-    image: Callable[[Configuration, np.ndarray], Multivector], m: int
-) -> Callable[[Configuration, Sequence[int]], Multivector]:
-    """Invert the identification: from (gamma, xbar) |-> (I_m^n W)(gamma, xbar)
-    recover the m-component of W as a function of (gamma, subset indices):
-    W_m(gamma)(xbar) = sqrt(m!) image(gamma \\ xbar, xbar)."""
-
-    def component(config: Configuration, idx: Sequence[int]) -> Multivector:
-        idx = tuple(idx)
-        xbar = config.points[list(idx)]
-        rest = config.without(idx)
-        return image(rest, xbar) * math.sqrt(math.factorial(m))
-
-    return component
 
 
 # ---------------------------------------------------------------------------
@@ -832,25 +719,6 @@ class BatchValue:
         self.degree = degree
         self.dim = dim
         self.blocks = blocks
-
-    @classmethod
-    def filed(
-        cls, v: FormValue, layout: RowLayout, degree: int, dim: int
-    ) -> "BatchValue":
-        """A value computed at one configuration (``eval_form``, ``lift``)
-        on a layout whose one group is that configuration, each key filed
-        on the row of the points it occupies."""
-        blocks: dict[int, np.ndarray] = {}
-        for pk, c in v.point_coef().items():
-            pts = sorted({p for p, _ in pk})
-            k = len(pts)
-            cols = _basis_index(degree, k, dim)
-            if k not in blocks:
-                blocks[k] = np.zeros((len(layout.rows(k)[1]), len(cols)))
-            subset = layout.start[0] + np.array([pts], dtype=np.intp)
-            row = layout.find(np.zeros(1, dtype=np.intp), subset)[0]
-            blocks[k][row, cols[tuple((pts.index(p), a) for p, a in pk)]] = c
-        return cls(layout, degree, dim, blocks)
 
     def inner(self, other: "BatchValue") -> np.ndarray:
         out = np.zeros(self.layout.n_groups)

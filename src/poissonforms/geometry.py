@@ -4,7 +4,10 @@ Two backends are provided: the Euclidean plane/line with a Gaussian (or
 uniform-on-a-box, or user-supplied) intensity, and the unit sphere S^2 in
 R^3 with the uniform intensity. Points and tangent vectors are plain numpy
 arrays in ambient coordinates; operators that need coordinates work in the
-orthonormal tangent frame returned by ``frame``.
+orthonormal tangent frame returned by ``frame``. The sphere's ``frame``,
+``exp``, ``transport`` and ``project_tangent`` take points stacked on leading
+axes (an (N, 3) array, say) and act row by row, rounding as one call per row
+does.
 
 The logarithmic derivative of the intensity, ``beta = grad log rho``, is the
 drift that appears in every integration-by-parts identity and SDE downstream.
@@ -90,8 +93,17 @@ class Euclidean(Space):
         return 0.0
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot product over the last axis, kept as a length-1 axis.
+    ``np.vecdot`` runs the kernel of the 1-d ``u @ v`` on every row, so a
+    stacked call rounds as the row-by-row calls do."""
+    return np.vecdot(u, v)[..., None]
+
+
 class Sphere(Space):
-    """Unit sphere S^2 embedded in R^3. Points are unit 3-vectors."""
+    """Unit sphere S^2 embedded in R^3. Points are unit 3-vectors; every
+    method takes them stacked on leading axes, the frame at p having shape
+    p.shape[:-1] + (2, 3)."""
 
     def __init__(self):
         self.dim = 2
@@ -100,26 +112,21 @@ class Sphere(Space):
 
     def frame(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        # Gram-Schmidt against the polar axis, falling back near the poles.
-        a = np.array([0.0, 0.0, 1.0])
-        if abs(p @ a) > 0.9:
-            a = np.array([1.0, 0.0, 0.0])
-        e1 = a - (a @ p) * p
-        e1 /= np.linalg.norm(e1)
-        # e2 = p x e1, written out: np.cross costs more than the rest of
-        # the frame on a single 3-vector
-        p0, p1, p2 = p.tolist()
-        u0, u1, u2 = e1.tolist()
-        e2 = np.array([p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0])
-        return np.stack([e1, e2])
+        # Gram-Schmidt against the polar axis, falling back to the first
+        # axis near the poles; <a, p> is the matching coordinate of p
+        polar = np.abs(p[..., 2:]) > 0.9
+        a = np.where(polar, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        e1 = a - np.where(polar, p[..., :1], p[..., 2:]) * p
+        e1 = e1 / np.sqrt(_dot(e1, e1))
+        return np.stack([e1, np.cross(p, e1)], axis=-2)
 
     def exp(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         w = np.asarray(w, dtype=float)
-        r = np.linalg.norm(w)
-        if r < 1e-300:
-            return p.copy()
-        return np.cos(r) * p + np.sin(r) * (w / r)
+        r = np.sqrt(_dot(w, w))
+        small = r < 1e-300
+        q = np.cos(r) * p + np.sin(r) * (w / np.where(small, 1.0, r))
+        return np.where(small, p, q)
 
     def transport(self, p, q, v):
         # Minimal rotation taking p to q; the standard closed form for the
@@ -127,16 +134,16 @@ class Sphere(Space):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        c = 1.0 + p @ q
-        if c < 1e-12:
+        c = 1.0 + _dot(p, q)
+        if np.any(c < 1e-12):
             raise ValueError("transport undefined for antipodal points")
         s = p + q
-        return v - ((v @ s) / c) * s + 2.0 * (v @ p) * q
+        return v - (_dot(v, s) / c) * s + 2.0 * _dot(v, p) * q
 
     def project_tangent(self, p, v):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        return v - (v @ p) * p
+        return v - _dot(v, p) * p
 
     def sectional_curvature(self) -> float:
         return 1.0
@@ -238,17 +245,13 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
         return -np.eye(d) / intensity.scale**2
     if intensity.family == "uniform":
         return np.zeros((d, d))
+    # central differences along the geodesics exp(p, +-h E_b), transported
     fr = space.frame(p)
-    out = np.zeros((d, d))
     h = _FD_H
-    for b in range(d):
-        qp = space.exp(p, h * fr[b])
-        qm = space.exp(p, -h * fr[b])
-        bp = space.transport(qp, p, beta(space, intensity, qp))
-        bm = space.transport(qm, p, beta(space, intensity, qm))
-        diff = (bp - bm) / (2 * h)
-        out[:, b] = fr @ diff
-    return out
+    Q = space.exp(p, np.array([h, -h])[:, None, None] * fr)
+    B = beta_rows(space, intensity, Q.reshape(-1, space.ambient_dim)).reshape(Q.shape)
+    moved = space.transport(Q, p, B)
+    return fr @ ((moved[0] - moved[1]) / (2 * h)).T
 
 
 def sigma_mass(

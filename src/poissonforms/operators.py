@@ -9,6 +9,14 @@ gradient beta = grad log rho:
     H^B   = coefficientwise H (flat case) or covariant second differences
     H^R   = d d* + d* d
 
+On flat backends these act exactly on the symbolic slot fields.  On the
+sphere they act on one-slot forms at a stack of points (``d_rows``,
+``dstar_rows``, ``bochner_rows``, ``h_r_rows``): one call evaluates the form
+at the 2d geodesic neighbours exp(x, +-h e_a) of every point, transports the
+values back with Lambda^k of the frame-to-frame map, and applies fixed
+e_a ^ / iota_a matrices to the central differences; de Rham nests d and d*
+with a smaller inner step.
+
 Configuration level: a cylinder form is a sum of product terms
 sqrt(m!) c F(gamma \\ xbar) omega(xbar), and the lifted operators act one
 point at a time -- subset points feel the slot operators, the remaining
@@ -26,6 +34,7 @@ d) are checked as deterministic residuals on sampled configurations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,11 +47,10 @@ from .exterior import (
     _slot_block_terms,
     block_potential,
     curvature_operator,
-    interior,
     leibniz_power,
     relabel_slots,
-    transport_slot,
-    wedge,
+    t_basis,
+    wedge_power,
 )
 from .fields import Field, monomial
 from .forms import (
@@ -65,12 +73,11 @@ from .geometry import (
     Space,
     Sphere,
     Window,
-    beta,
     beta_rows,
     grad_beta,
     sigma_mass,
 )
-from .pointprocess import Configuration, RngStream, sample_batch
+from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -81,10 +88,10 @@ __all__ = [
     "slot_dstar",
     "slot_bochner",
     "slot_hr",
-    "d_x_at",
-    "dstar_x_at",
-    "bochner_x_at",
-    "h_r_at",
+    "d_rows",
+    "dstar_rows",
+    "bochner_rows",
+    "h_r_rows",
     "d_gamma",
     "dstar_gamma",
     "lift",
@@ -272,118 +279,144 @@ def slot_bochner(
     return _fanout(omega, i, expand)
 
 
-def _sff_add(a: SymmetricFormField, b: SymmetricFormField) -> SymmetricFormField:
-    return SymmetricFormField(
-        a.m, [(t.coef, t.slots) for t in a.terms] + [(t.coef, t.slots) for t in b.terms]
-    )
-
-
 def slot_hr(
     omega: SymmetricFormField, i: int, betas: Sequence[Field], dim: int
 ) -> SymmetricFormField:
     """De Rham operator in slot i: d d* + d* d."""
-    return _sff_add(
+    parts = (
         slot_d(slot_dstar(omega, i, betas), i, dim),
         slot_dstar(slot_d(omega, i, dim), i, betas),
     )
+    terms = [(t.coef, t.slots) for part in parts for t in part.terms]
+    return SymmetricFormField(omega.m, terms)
+
+
+def _slot_op(
+    kind: str, omega: SymmetricFormField, i: int, betas: Sequence[Field], dim: int
+) -> SymmetricFormField:
+    """The Bochner or de Rham block in slot i (flat backends)."""
+    if kind == "bochner":
+        return slot_bochner(omega, i, betas)
+    return slot_hr(omega, i, betas, dim)
 
 
 # ---------------------------------------------------------------------------
-# per-point operators at a point (value level; covariant differences on the
-# sphere, exact slot operators on flat backends)
+# point operators on rows (covariant differences on curved backends)
+#
+# A one-slot k-form is a row function: points (N, ambient_dim) -> (N, C(d, k))
+# coefficients on the increasing basis of Lambda^k of the frame at each point.
 
 
-def _transported(space: Space, om_fn, q: np.ndarray, p: np.ndarray) -> Multivector:
-    return transport_slot(space, om_fn(q), 0, q, p)
-
-
-def _cov_diff(space: Space, om_fn, p: np.ndarray, a: int, h: float) -> Multivector:
-    fr = space.frame(p)
-    qp = space.exp(p, h * fr[a])
-    qm = space.exp(p, -h * fr[a])
-    vp = _transported(space, om_fn, qp, p)
-    vm = _transported(space, om_fn, qm, p)
-    return (vp + vm * -1.0) * (1.0 / (2.0 * h))
-
-
-def _beta_frame(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
-    b = beta(space, intensity, p)
-    return space.frame(p) @ space.project_tangent(p, b)
-
-
-def d_x_at(
-    space: Space,
-    intensity: IntensitySpec,
-    om_fn,
-    p: np.ndarray,
-    h: float = _FD_H,
-) -> Multivector:
-    """d omega at p for a single-point form given as p -> Multivector (slot 0,
-    frame coordinates at the evaluation point), by covariant differences of
-    step h."""
-    out = Multivector()
-    for a in range(space.dim):
-        cov = _cov_diff(space, om_fn, p, a, h)
-        out = out + wedge(Multivector({((0, a),): 1.0}), cov)
+@functools.lru_cache(maxsize=None)
+def _wedge_ops(d: int, k: int) -> np.ndarray:
+    """e_a ^ from degree k to k + 1, a < d, as (d, C(d, k + 1), C(d, k))
+    matrices on the increasing frame bases; on orthonormal frames iota_a
+    from degree k + 1 to k is the transpose."""
+    up = {key: r for r, key in enumerate(itertools.combinations(range(d), k + 1))}
+    out = np.zeros((d, len(up), math.comb(d, k)))
+    for c, key in enumerate(itertools.combinations(range(d), k)):
+        for a in sorted(set(range(d)) - set(key)):
+            pos = sum(b < a for b in key)  # the factors e_a moves past
+            out[a, up[key[:pos] + (a,) + key[pos:]], c] = (-1.0) ** pos
     return out
 
 
-def dstar_x_at(
-    space: Space,
-    intensity: IntensitySpec,
-    om_fn,
-    p: np.ndarray,
-    h: float = _FD_H,
-) -> Multivector:
-    """d* omega at p: -sum_a (nabla_a + beta_a) iota_a."""
-    bv = _beta_frame(space, intensity, p)
-    eye = np.eye(space.dim)
-    out = Multivector()
-    v0 = None
-    for a in range(space.dim):
-        cov = _cov_diff(space, om_fn, p, a, h)
-        out = out + interior(eye[a], cov) * -1.0
-        if bv[a] != 0.0:
-            if v0 is None:
-                v0 = om_fn(p)
-            out = out + interior(eye[a], v0) * (-bv[a])
-    return out
+def _neighbour_rows(space: Space, om, k: int, X: np.ndarray, h: float) -> np.ndarray:
+    """The k-form ``om`` at the 2d geodesic neighbours exp(x, +-h e_a) of
+    every row x of X, transported back to x by Lambda^k of the frame-to-frame
+    map: (N, 2, d, C(d, k)), sign (+h, -h) on axis 1, frame axis a on axis 2."""
+    F = space.frame(X)
+    P = X[:, None, None, :]
+    Q = space.exp(P, np.array([h, -h])[:, None, None] * F[:, None])
+    vals = om(Q.reshape(-1, X.shape[1]))
+    vals = vals.reshape(Q.shape[:3] + (math.comb(space.dim, k),))
+    # M[b, a] = <F_b(x), transport of F_a(q) to x>
+    moved = space.transport(Q[..., None, :], P[..., None, :], space.frame(Q))
+    M = F[:, None, None] @ np.swapaxes(moved, -1, -2)
+    return np.einsum("...ji,...i->...j", wedge_power(M, k), vals)
 
 
-def bochner_x_at(
-    space: Space, intensity: IntensitySpec, om_fn, p: np.ndarray
-) -> Multivector:
-    """Bochner operator at p: minus the covariant trace Laplacian minus the
-    beta-drift, via transported second differences."""
+def _beta_frame_rows(space: Space, intensity: IntensitySpec, X: np.ndarray):
+    """beta in the frame at every row of X, (N, d)."""
+    b = space.project_tangent(X, beta_rows(space, intensity, X))
+    return np.vecdot(space.frame(X), b[:, None, :])
+
+
+def d_rows(
+    space: Space, intensity: IntensitySpec, om, k: int, X: np.ndarray, h: float = _FD_H
+) -> np.ndarray:
+    """d of the one-slot k-form ``om`` at the rows of X: sum_a e_a ^ nabla_a,
+    by covariant central differences of step h."""
+    nb = _neighbour_rows(space, om, k, X, h)
+    cov = (nb[:, 0] - nb[:, 1]) * (1.0 / (2.0 * h))
+    return np.einsum("aji,nai->nj", _wedge_ops(space.dim, k), cov)
+
+
+def dstar_rows(
+    space: Space, intensity: IntensitySpec, om, k: int, X: np.ndarray, h: float = _FD_H
+) -> np.ndarray:
+    """d* of the one-slot k-form at the rows of X:
+    -sum_a iota_a (nabla_a + beta_a)."""
+    nb = _neighbour_rows(space, om, k, X, h)
+    cov = (nb[:, 0] - nb[:, 1]) * (1.0 / (2.0 * h))
+    bv = _beta_frame_rows(space, intensity, X)
+    if np.any(bv):
+        cov = cov + bv[:, :, None] * om(X)[:, None, :]
+    return -np.einsum("aij,nai->nj", _wedge_ops(space.dim, k - 1), cov)
+
+
+def bochner_rows(
+    space: Space, intensity: IntensitySpec, om, k: int, X: np.ndarray
+) -> np.ndarray:
+    """Bochner operator at the rows of X: minus the covariant trace Laplacian
+    minus the beta-drift, via transported second differences."""
     h = _FD_H
-    fr = space.frame(p)
-    bv = _beta_frame(space, intensity, p)
-    v0 = om_fn(p)
-    out = Multivector()
-    for a in range(space.dim):
-        qp = space.exp(p, h * fr[a])
-        qm = space.exp(p, -h * fr[a])
-        vp = _transported(space, om_fn, qp, p)
-        vm = _transported(space, om_fn, qm, p)
-        second = (vp + vm + v0 * -2.0) * (1.0 / h**2)
-        out = out + second * -1.0
-        if bv[a] != 0.0:
-            out = out + (vp + vm * -1.0) * (-bv[a] / (2.0 * h))
-    return out
+    nb = _neighbour_rows(space, om, k, X, h)
+    second = (nb[:, 0] + nb[:, 1] - 2.0 * om(X)[:, None, :]) * (1.0 / h**2)
+    bv = _beta_frame_rows(space, intensity, X)[:, :, None]
+    drift = bv * (nb[:, 0] - nb[:, 1]) * (1.0 / (2.0 * h))
+    return -(second + drift).sum(axis=1)
 
 
-def h_r_at(
-    space: Space, intensity: IntensitySpec, om_fn, p: np.ndarray
-) -> Multivector:
-    """De Rham operator at p: d d* + d* d with nested differences."""
+def h_r_rows(
+    space: Space, intensity: IntensitySpec, om, k: int, X: np.ndarray
+) -> np.ndarray:
+    """De Rham operator d d* + d* d at the rows of X; the inner operator
+    takes the smaller step."""
 
-    def d_of(q):
-        return d_x_at(space, intensity, om_fn, q, _FD_INNER_H)
+    def inner(op):
+        return lambda Q: op(space, intensity, om, k, Q, _FD_INNER_H)
 
-    def ds_of(q):
-        return dstar_x_at(space, intensity, om_fn, q, _FD_INNER_H)
+    dstar_d = dstar_rows(space, intensity, inner(d_rows), k + 1, X)
+    return dstar_d + d_rows(space, intensity, inner(dstar_rows), k - 1, X)
 
-    return dstar_x_at(space, intensity, d_of, p) + d_x_at(space, intensity, ds_of, p)
+
+def _point_ops(
+    kind: str,
+    space: Space,
+    intensity: IntensitySpec,
+    omega: SymmetricFormField,
+    X: np.ndarray,
+) -> list[Multivector]:
+    """The Bochner or de Rham point operator applied to a one-point form
+    field at each row of X (slot 0): the subset-point action of ``lift`` on
+    curved backends, where the slot operators have no exact form."""
+    if omega.m != 1:
+        raise NotImplementedError("sphere lifts are implemented for one-point terms")
+    d, k = space.dim, omega.degree
+
+    def om(Q: np.ndarray) -> np.ndarray:
+        # every row is a one-point configuration of its own
+        ev = BatchEval(SampleBatch(Q, np.arange(len(Q) + 1)), d)
+        blocks = ev.form(CylinderForm([FormTerm(omega)])).blocks
+        return blocks.get(1, np.zeros((len(Q), math.comb(d, k))))
+
+    op = bochner_rows if kind == "bochner" else h_r_rows
+    keys = t_basis(k, 1, d)
+    return [
+        Multivector({key: float(c) for key, c in zip(keys, row) if c != 0.0})
+        for row in op(space, intensity, om, k, X)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +642,10 @@ def lift(
             raise ValueError("lift expects plain product terms")
         m = t.m
         scale = math.sqrt(math.factorial(m)) * t.coef
-        slot_ops = None
-        if not sphere and m > 0:
-            slot_ops = [
-                slot_bochner(t.omega, i, betas)
-                if kind == "bochner"
-                else slot_hr(t.omega, i, betas, space.dim)
-                for i in range(m)
-            ]
+        if m > 0 and sphere:
+            point_ops = _point_ops(kind, space, intensity, t.omega, pts)
+        elif m > 0:
+            slot_ops = [_slot_op(kind, t.omega, i, betas, space.dim) for i in range(m)]
         for idx in itertools.combinations(range(config.n), m):
             xbar = pts[list(idx)]
             if t.F is not None:
@@ -626,20 +655,11 @@ def lift(
             fval = cache.f_without(t.F, idx)
             if fval == 0.0 or m == 0:
                 continue
-            if not sphere:
-                for i in range(m):
-                    add(idx, slot_ops[i].value(xbar) * (scale * fval))
-            else:
-                if m != 1:
-                    raise NotImplementedError(
-                        "sphere lifts are implemented for one-point terms"
-                    )
-
-                def om_fn(q, _t=t):
-                    return _t.omega.value(q[None, :])
-
-                op = bochner_x_at if kind == "bochner" else h_r_at
-                add(idx, op(space, intensity, om_fn, xbar[0]) * (scale * fval))
+            if sphere:
+                add(idx, point_ops[idx[0]] * (scale * fval))
+                continue
+            for i in range(m):
+                add(idx, slot_ops[i].value(xbar) * (scale * fval))
     return FormValue(comps)
 
 
@@ -765,12 +785,7 @@ def lift_batch(
             out.add(t.omega, idx, cfg, scale * hs)
         w = scale * ev.f_rows(t.F, cfg, idx)
         for i in range(t.m):
-            op = (
-                slot_bochner(t.omega, i, betas)
-                if kind == "bochner"
-                else slot_hr(t.omega, i, betas, space.dim)
-            )
-            out.add(op, idx, cfg, w)
+            out.add(_slot_op(kind, t.omega, i, betas, space.dim), idx, cfg, w)
     return out.value()
 
 
@@ -1064,7 +1079,8 @@ def factorization_check(
     summed over the product terms of W, as a deterministic residual."""
     from .pointprocess import _draw_locations, sample
 
-    if not isinstance(space, Sphere):
+    sphere = isinstance(space, Sphere)
+    if not sphere:
         betas = beta_fields(space, intensity)
     mass = sigma_mass(space, intensity, window)
     worst = 0.0
@@ -1091,21 +1107,15 @@ def factorization_check(
                 fval = t.f_value(gamma.points)
                 if fval == 0.0:
                     continue
-                if not isinstance(space, Sphere):
-                    for i in range(m):
-                        op_om = (
-                            slot_bochner(t.omega, i, betas)
-                            if kind == "bochner"
-                            else slot_hr(t.omega, i, betas, space.dim)
-                        )
-                        right = right + op_om.value(xbar) * (t.coef * fval)
+                if sphere:
+                    ops = _point_ops(kind, space, intensity, t.omega, xbar)
                 else:
-
-                    def om_fn(q, _t=t):
-                        return _t.omega.value(q[None, :])
-
-                    op = bochner_x_at if kind == "bochner" else h_r_at
-                    right = right + op(space, intensity, om_fn, xbar[0]) * (t.coef * fval)
+                    ops = [
+                        _slot_op(kind, t.omega, i, betas, space.dim).value(xbar)
+                        for i in range(m)
+                    ]
+                for op_om in ops:
+                    right = right + op_om * (t.coef * fval)
             worst = max(worst, (left + right * -1.0).norm())
     label = name or f"factorization-{kind}-{W.name}"
     return CheckResult.deterministic(

@@ -214,11 +214,9 @@ def sample_batch(
     window: Window,
     rng: RngStream,
     n_samples: int,
-    mass: Optional[float] = None,
 ) -> SampleBatch:
     """A batch of independent configurations, stored flat."""
-    if mass is None:
-        mass = sigma_mass(space, intensity, window)
+    mass = sigma_mass(space, intensity, window)
     counts = rng.gen.poisson(mass, size=n_samples)
     offsets = np.zeros(n_samples + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

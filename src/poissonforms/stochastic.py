@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exterior import Multivector, _key_matrix, t_basis, transport_slot
-from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction, FormValue
+from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction
 from .geometry import (
     Euclidean,
     IntensitySpec,
@@ -126,17 +126,11 @@ def _step_rows(
 ) -> np.ndarray:
     """One Euler--Maruyama step on every row; geodesic version on the sphere."""
     w = beta_rows(space, intensity, X) * dt + math.sqrt(2.0 * dt) * eps
+    # follow the geodesic along the tangent part of the ambient increment;
+    # the projected 3d white noise is white in the sphere's frame
+    Xn = space.exp(X, space.project_tangent(X, w))
     if isinstance(space, Sphere):
-        # project the ambient increment to the tangent plane, then follow
-        # the geodesic; the projected 3d white noise is white in the frame
-        w = w - np.sum(w * X, axis=1, keepdims=True) * X
-        norm = np.linalg.norm(w, axis=1, keepdims=True)
-        small = norm < 1e-300
-        direction = np.where(small, 0.0, w / np.where(small, 1.0, norm))
-        Xn = np.cos(norm) * X + np.sin(norm) * direction
         Xn /= np.linalg.norm(Xn, axis=1, keepdims=True)
-    else:
-        Xn = X + w
     if not np.all(np.isfinite(Xn)):
         raise BlowUpError(step_index, (step_index + 1) * dt)
     return Xn
@@ -465,18 +459,6 @@ class FormEstimate:
         self.mean = mean
         self.stderr = stderr
         self.n_samples = n_samples
-
-    def against(self, target: FormValue) -> tuple[float, float]:
-        """Euclidean distance of the mean to the target and its propagated
-        standard error over the union of components."""
-        m = self.mean
-        tgt = BatchValue.filed(target, m.layout, m.degree, m.dim).blocks
-        diff2 = sum(
-            float(np.sum((m.blocks.get(k, 0.0) - tgt.get(k, 0.0)) ** 2))
-            for k in m.blocks.keys() | tgt.keys()
-        )
-        var = sum(float(np.sum(s * s)) for s in self.stderr.blocks.values())
-        return math.sqrt(diff2), math.sqrt(var)
 
 
 def _start(gamma: Configuration, dim: int) -> BatchEval:

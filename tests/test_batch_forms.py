@@ -8,7 +8,7 @@ import pytest
 
 from poissonforms import batteries as bat
 from poissonforms.exterior import t_basis
-from poissonforms.forms import BatchEval, BatchValue, eval_form
+from poissonforms.forms import BatchEval, eval_form
 from poissonforms.geometry import Euclidean, IntensitySpec
 from poissonforms.operators import (
     d_gamma,
@@ -93,13 +93,13 @@ def test_values_and_norms(W, batch):
 
 @pytest.mark.parametrize("W, batch", CASES)
 def test_filed_values(W, batch):
-    # a per-configuration value filed on a batch of one lands where the
-    # batched evaluation puts it
-    for cfg in batch:
-        one = BatchEval(SampleBatch(cfg.points, np.array([0, cfg.n])), 2)
-        got = BatchValue.filed(eval_form(W, cfg), one.configs, W.degree, 2)
-        assert_same_coef(batch_coef(got, 0, W.degree),
-                         batch_coef(one.form(W), 0, W.degree), W.name)
+    # a configuration evaluated as a batch of one (the layout of the form
+    # semigroup's estimates) files every key on the row it occupies in the
+    # whole batch, bit for bit
+    whole = BatchEval(batch, 2).form(W)
+    for i, cfg in enumerate(batch):
+        one = BatchEval(SampleBatch(cfg.points, np.array([0, cfg.n])), 2).form(W)
+        assert batch_coef(one, 0, W.degree) == batch_coef(whole, i, W.degree), W.name
 
 
 def test_inner_products_all_pairs():

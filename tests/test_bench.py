@@ -3,9 +3,11 @@
     PYTHONPATH=src python -m pytest -m bench tests/test_bench.py
 
 L3 (form values) and L4 (lifted operators) on a fixed 30-configuration
-dirichlet batch, batched against per-configuration evaluation; L6 (the
-form semigroup's value path: SDE block, frames, batched values and their
-pullback) on 500 replicas of a two-point configuration.
+dirichlet batch, batched against per-configuration evaluation; L4 on the
+sphere (per-configuration lifts through the covariant-difference point
+operators) on a fixed 5-configuration batch; L6 (the form semigroup's value
+path: SDE block, frames, batched values and their pullback) on 500 replicas
+of a two-point configuration.
 """
 
 import pytest
@@ -47,6 +49,15 @@ def test_l4_lift_batched(benchmark, batch, kind):
 def test_l4_lift_per_config(benchmark, batch, kind):
     configs = list(batch)
     benchmark(lambda: [lift(kind, SP, INTEN, W, c) for W in FORMS for c in configs])
+
+
+@pytest.mark.parametrize("kind", ["bochner", "deRham"])
+def test_l4_lift_sphere(benchmark, kind):
+    sp, inten = bat.sphere_space(), bat.sphere_intensity()
+    batch = sample_batch(sp, inten, bat.full_window(), RngStream(42).child("l4-s"), 5)
+    configs = list(batch)
+    forms = bat.sphere_form_battery()
+    benchmark(lambda: [lift(kind, sp, inten, W, c) for W in forms for c in configs])
 
 
 @pytest.mark.parametrize("potential", ["scalar", "generic"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poissonforms.exterior import Multivector, relabel_slots
-from poissonforms.fields import gauss_bump, monomial
+from poissonforms.fields import monomial
 from poissonforms.forms import (
     CylinderForm,
     CylinderFunction,
@@ -16,11 +16,6 @@ from poissonforms.forms import (
     SlotForm,
     SymmetricFormField,
     eval_form,
-    eval_function,
-    grad_gamma,
-    i_n_apply,
-    i_n_inverse,
-    inner_forms,
     symmetrize,
 )
 from poissonforms.pointprocess import Configuration
@@ -40,26 +35,11 @@ class TestCylinderFunction:
     def test_value_frozen(self):
         # F = exp(-0.5 sum x_1): stat = 0.7 + 0.3 - 0.5 = 0.5
         F = CylinderFunction(Exp([-0.5]), (X1,))
-        assert abs(eval_function(F, CONFIG) - math.exp(-0.25)) < 1e-14
+        assert abs(F.value(CONFIG.points) - math.exp(-0.25)) < 1e-14
 
     def test_empty_configuration(self):
         F = CylinderFunction(Exp([-0.5]), (X1,))
         assert abs(F.value(np.zeros((0, 2))) - 1.0) < 1e-15
-
-    def test_grad_at_chain_rule(self):
-        # F = g(<phi, .>) with g = exp(w s): grad_i F = w g(s) grad phi(x_i)
-        phi = gauss_bump(2, 0.5, (0.0, 0.0), 1.0)
-        F = CylinderFunction(Exp([-0.7]), (phi,))
-        pts = CONFIG.points
-        s = float(np.sum(phi.value_batch(pts)))
-        for i in range(3):
-            expect = -0.7 * math.exp(-0.7 * s) * phi.grad_one(pts[i])
-            assert np.allclose(F.grad_at(pts, i), expect, atol=1e-13)
-
-    def test_grad_gamma_rows(self):
-        F = sum_x1()
-        G = grad_gamma(F, CONFIG)
-        assert np.allclose(G, np.tile([1.0, 0.0], (3, 1)))
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -132,14 +112,6 @@ class TestEvalForm:
         assert abs(fv.components[(0,)].coef[((0, 0),)] - full * (-0.4)) < 1e-14
         assert abs(fv.components[(1,)].coef[((0, 0),)] - full * 0.2) < 1e-14
 
-    def test_inner_forms_consistency(self):
-        omega = SymmetricFormField(1, [(1.0, (SlotForm(X2, (0,)),))])
-        W = CylinderForm([FormTerm(omega, sum_x1())])
-        cache = EvalCache(CONFIG)
-        direct = inner_forms(W, W, CONFIG, cache)
-        fv = eval_form(W, CONFIG, cache)
-        assert abs(direct - fv.inner(fv)) < 1e-13
-
     def test_mixed_degree_rejected(self):
         o1 = SymmetricFormField(1, [(1.0, (SlotForm(ONE, (0,)),))])
         o2 = SymmetricFormField(1, [(1.0, (SlotForm(ONE, (0, 1)),))])
@@ -158,29 +130,3 @@ class TestSymmetrize:
         v_ba = relabel_slots(sym.value(np.array([b, a])), {0: 1, 1: 0})
         assert (v_ab - v_ba).norm() < 1e-14
 
-
-class TestInApply:
-    def test_roundtrip_recovers_component(self):
-        omega = SymmetricFormField(1, [(1.0, (SlotForm(X2, (0,)),))])
-        W = CylinderForm([FormTerm(omega, sum_x1())])
-        comp = i_n_inverse(lambda cfg, xb: i_n_apply(W, cfg, xb), 1)
-        fv = eval_form(W, CONFIG)
-        for idx in [(0,), (1,), (2,)]:
-            got = comp(CONFIG, idx)
-            assert (got - fv.components[idx]).norm() < 1e-13
-
-    def test_roundtrip_two_point_subset(self):
-        omega = SymmetricFormField(
-            2, [(1.0, (SlotForm(X1, (0,)), SlotForm(X2, (1,))))]
-        )
-        W = CylinderForm([FormTerm(symmetrize(omega), sum_x1())])
-        comp = i_n_inverse(lambda cfg, xb: i_n_apply(W, cfg, xb), 2)
-        fv = eval_form(W, CONFIG)
-        got = comp(CONFIG, (0, 2))
-        assert (got - fv.components[(0, 2)]).norm() < 1e-13
-
-    def test_disjointness_enforced(self):
-        omega = SymmetricFormField(1, [(1.0, (SlotForm(X2, (0,)),))])
-        W = CylinderForm([FormTerm(omega)])
-        with pytest.raises(ValueError):
-            i_n_apply(W, CONFIG, CONFIG.points[:1])

@@ -48,8 +48,8 @@ class TestSpaces:
         assert np.allclose(E @ p, 0.0, atol=1e-12)
 
     def test_sphere_frame_second_vector_is_exact_cross_product(self):
-        # the written-out p x e1 must equal np.cross bit for bit, on both
-        # sides of the near-pole switch |p_z| > 0.9
+        # the second frame vector is p x e1 bit for bit, on both sides of
+        # the near-pole switch |p_z| > 0.9
         sp = Sphere()
         gen = np.random.default_rng(7)
         P = gen.normal(size=(2000, 3))
@@ -79,6 +79,53 @@ class TestSpaces:
         p = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
             sp.transport(p, -p, np.array([1.0, 0.0, 0.0]))
+
+    def test_sphere_rows_match_row_by_row_calls(self):
+        # stacked calls return what one call per row returns, bit for bit:
+        # rows past both pole fallbacks (|p_z| > 0.9, either sign), zero
+        # exp steps, and leading axes of more than one dimension
+        sp = Sphere()
+        gen = np.random.default_rng(3)
+        P = gen.normal(size=(300, 3))
+        P[:40, 2] = 10.0
+        P[40:80, 2] = -10.0
+        P /= np.linalg.norm(P, axis=1, keepdims=True)
+        assert np.sum(P[:, 2] > 0.9) >= 40 and np.sum(P[:, 2] < -0.9) >= 40
+        Q = gen.normal(size=(300, 3))
+        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+        W = sp.project_tangent(P, gen.normal(size=(300, 3)))
+        W[::25] = 0.0
+        V = gen.normal(size=(300, 3))
+        rows = {
+            "frame": (sp.frame(P), [sp.frame(p) for p in P]),
+            "exp": (sp.exp(P, W), [sp.exp(p, w) for p, w in zip(P, W)]),
+            "transport": (
+                sp.transport(P, Q, V),
+                [sp.transport(p, q, v) for p, q, v in zip(P, Q, V)],
+            ),
+            "project_tangent": (
+                sp.project_tangent(P, V),
+                [sp.project_tangent(p, v) for p, v in zip(P, V)],
+            ),
+        }
+        for name, (stacked, one_by_one) in rows.items():
+            assert np.array_equal(stacked, np.array(one_by_one)), name
+        assert np.array_equal(sp.exp(P[::25], W[::25]), P[::25])
+        grid = P.reshape(10, 30, 3)
+        assert np.array_equal(sp.frame(grid), sp.frame(P).reshape(10, 30, 2, 3))
+        moved = sp.transport(grid[:, :, None, :], Q[None, :1, :], sp.frame(grid))
+        assert np.array_equal(
+            moved.reshape(300, 2, 3),
+            [[sp.transport(p, Q[0], e) for e in sp.frame(p)] for p in P],
+        )
+
+    def test_sphere_transport_one_antipodal_row_raises(self):
+        sp = Sphere()
+        P = np.tile([0.0, 0.6, 0.8], (20, 1))
+        Q = P.copy()
+        Q[7] = -P[7]
+        with pytest.raises(ValueError):
+            sp.transport(P, Q, sp.frame(P)[:, 0])
 
     def test_sectional_curvatures(self):
         assert Euclidean(2).sectional_curvature() == 0.0

@@ -6,11 +6,13 @@ import pytest
 from poissonforms import batteries as bat
 from poissonforms.fields import SphereAxisField, SphereGradientField, SphereKilling
 from poissonforms.forms import (
+    BatchEval,
     CylinderFunction,
     EvalCache,
     Exp,
     Linear,
     SphereSlotOne,
+    SphereSlotTwo,
     eval_form,
 )
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
@@ -20,22 +22,22 @@ from poissonforms.operators import (
     adjointness_check,
     apply_r_pi_sigma,
     beta_fields,
-    bochner_x_at,
+    bochner_rows,
     d_gamma,
-    d_x_at,
+    d_rows,
     dd_zero_check,
     dirichlet_check,
     dstar_gamma,
-    dstar_x_at,
+    dstar_rows,
     factorization_check,
     h_pi_sigma,
-    h_r_at,
+    h_r_rows,
     ibp_check,
     lift,
     weitz_matrix,
     weitzenbock_check,
 )
-from poissonforms.pointprocess import Configuration, RngStream
+from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
 
 SP = Euclidean(2)
 GAUSS = IntensitySpec("gaussian", 1.0)
@@ -130,37 +132,65 @@ class TestLiftedOperators:
             lift("heat", SP, GAUSS, bat.ou_eigenform(), CONFIG)
 
 
+def sphere_points(n: int, seed: int) -> np.ndarray:
+    v = np.random.default_rng(seed).normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def slot_rows(slot):
+    """A sphere slot as a row function: points -> (N, C(2, k)) coefficients
+    on the frame basis at each point."""
+    return lambda Q: slot.coeffs(BatchEval(SampleBatch(Q, np.arange(len(Q) + 1)), 2)).T
+
+
 class TestSphereFiniteDifferences:
+    # covariant differences on a stack of 50 points, both frame charts
+    # (|z| <= 0.9 and the pole fallback) included
     def setup_method(self):
         self.sp = Sphere()
         self.inten = IntensitySpec("uniform")
-        self.p = np.array([0.6, -0.3, 0.74161984870956629])  # unit length
+        fixed = [[0.6, -0.3, 0.74161984870956629], [0.1, 0.2, -0.97467943448089633]]
+        self.X = np.vstack([sphere_points(48, 11), fixed])
+        assert np.sum(np.abs(self.X[:, 2]) > 0.9) >= 2
         e3 = np.array([0.0, 0.0, 1.0])
-        self.killing = SphereSlotOne(self.sp, SphereKilling(e3))
-        grad = SphereGradientField(SphereAxisField(e3, [0.0, 1.0]))
-        self.gradient = SphereSlotOne(self.sp, grad)
+        height = SphereAxisField(e3, [0.0, 1.0])
+        self.killing = slot_rows(SphereSlotOne(self.sp, SphereKilling(e3)))
+        self.dz = slot_rows(SphereSlotOne(self.sp, SphereGradientField(height)))
+        self.zvol = slot_rows(SphereSlotTwo(self.sp, height))
 
-    def om(self, slot):
-        return lambda q: slot.mv_at(q, 0)
+    def residual(self, got, want):
+        return np.linalg.norm(got - want, axis=1).max()
 
     def test_killing_is_coclosed(self):
-        val = dstar_x_at(self.sp, self.inten, self.om(self.killing), self.p)
-        assert val.norm() < 1e-6
+        val = dstar_rows(self.sp, self.inten, self.killing, 1, self.X)
+        assert val.shape == (50, 1)
+        assert self.residual(val, 0.0) < 1e-6
 
     def test_gradient_form_is_closed(self):
-        val = d_x_at(self.sp, self.inten, self.om(self.gradient), self.p)
-        assert val.norm() < 1e-6
+        val = d_rows(self.sp, self.inten, self.dz, 1, self.X)
+        assert val.shape == (50, 1)
+        assert self.residual(val, 0.0) < 1e-6
 
     def test_killing_bochner_eigenvalue_one(self):
         # rotation forms on the unit sphere: Delta_B = 1, Delta_R = 2
-        base = self.killing.mv_at(self.p, 0)
-        got = bochner_x_at(self.sp, self.inten, self.om(self.killing), self.p)
-        assert (got - base).norm() < 5e-6
+        got = bochner_rows(self.sp, self.inten, self.killing, 1, self.X)
+        assert self.residual(got, self.killing(self.X)) < 5e-6
 
     def test_killing_derham_eigenvalue_two(self):
-        base = self.killing.mv_at(self.p, 0)
-        got = h_r_at(self.sp, self.inten, self.om(self.killing), self.p)
-        assert (got - base * 2.0).norm() < 5e-5
+        got = h_r_rows(self.sp, self.inten, self.killing, 1, self.X)
+        assert self.residual(got, 2.0 * self.killing(self.X)) < 5e-5
+
+    def test_closed_forms_eigenvalues(self):
+        # dz is closed with Delta_B = 1 (Ricci = 1) and Delta_R = 2; z vol is
+        # a top form, where both operators give 2
+        cases = ((self.dz, 1, 1.0, 2.0), (self.zvol, 2, 2.0, 2.0))
+        for om, k, bochner, derham in cases:
+            base = om(self.X)
+            assert np.abs(base).max() > 0.1
+            got = bochner_rows(self.sp, self.inten, om, k, self.X)
+            assert self.residual(got, bochner * base) < 5e-6
+            got = h_r_rows(self.sp, self.inten, om, k, self.X)
+            assert self.residual(got, derham * base) < 5e-5
 
 
 class TestChecks:

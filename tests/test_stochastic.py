@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
-from poissonforms.forms import CylinderFunction, Exp, Linear
+from poissonforms.forms import BatchEval, CylinderFunction, Exp, Linear
 from poissonforms.fields import monomial
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere
-from poissonforms.pointprocess import Configuration, RngStream
+from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
 from poissonforms.stochastic import (
     BlockPotential,
     FrameMatrix,
@@ -31,6 +31,24 @@ from poissonforms.stochastic import (
 
 SP = Euclidean(2)
 GAUSS = IntensitySpec("gaussian", 1.0)
+
+
+def value_blocks(W, gamma: Configuration) -> dict:
+    """The form's value at gamma on the one-group layout of the estimates."""
+    start = SampleBatch(gamma.points, np.array([0, gamma.n]))
+    return BatchEval(start, 2).form(W).blocks
+
+
+def distance(est, target: dict) -> tuple[float, float]:
+    """Euclidean distance of the estimated mean to the target blocks over
+    the union of their components, and its propagated standard error."""
+    mean = est.mean.blocks
+    diff2 = sum(
+        float(np.sum((mean.get(k, 0.0) - target.get(k, 0.0)) ** 2))
+        for k in mean.keys() | target.keys()
+    )
+    var = sum(float(np.sum(s * s)) for s in est.stderr.blocks.values())
+    return math.sqrt(diff2), math.sqrt(var)
 
 
 def ou_discrete_moments(x0: float, t: float, dt_target: float) -> tuple[float, float]:
@@ -206,14 +224,13 @@ class TestFormSemigroup:
                 assert np.array_equal(x.blocks[k], y.blocks[k])
 
     def test_mean_form_against_decayed_target(self):
-        from poissonforms.forms import eval_form
-
         J = curvature_potential(SP, GAUSS, 1)
         est = semigroup_Tn(
             SP, GAUSS, self.W, self.gamma, 0.25, J, self.cfg, 2000, RngStream(15)
         )
-        target = eval_form(self.W, self.gamma).scale(math.exp(-2.0 * 0.25))
-        dist, se = est.against(target)
+        decay = math.exp(-2.0 * 0.25)
+        target = {k: decay * A for k, A in value_blocks(self.W, self.gamma).items()}
+        dist, se = distance(est, target)
         assert dist < 4.0 * se + 5e-3  # O(dt) discretization allowance
 
     def test_domination(self):
@@ -227,8 +244,6 @@ class TestFormSemigroup:
         # the scalar slot files its keys on one point, outside the fibre of
         # the m = 2 subset: the generic frame ODE must pull them back too,
         # agreeing with the exact scalar-J path on the same paths
-        from poissonforms.forms import eval_form
-
         W = bat.flat_form_battery()[3]
         assert W.name == "deg2-scalar-slot"
         gamma = Configuration(bat.flat_configs()[1])
@@ -242,8 +257,8 @@ class TestFormSemigroup:
             s: semigroup_Tn(SP, GAUSS, W, gamma, 0.1, j, cfg, 400, RngStream(16))
             for s, j in J.items()
         }
-        target = eval_form(W, gamma)
-        (d_fast, se), (d_slow, _) = (est[s].against(target) for s in (True, False))
+        target = value_blocks(W, gamma)
+        (d_fast, se), (d_slow, _) = (distance(est[s], target) for s in (True, False))
         assert abs(d_slow - d_fast) < 4.0 * se + 5e-3  # O(dt) discretization allowance
         fast, slow = est[True].mean.blocks, est[False].mean.blocks
         assert set(fast) == set(slow)
