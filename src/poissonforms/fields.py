@@ -6,6 +6,14 @@ The Euclidean family is spanned by polynomial-times-Gaussian atoms
 
 which is closed under partial derivatives and products, so every derivative
 an operator check needs is exact (gradients, Hessians, and anything nested).
+Batch evaluation runs on a ``PointTable`` over the points: the coordinate
+columns x_i - c_i and one Gaussian factor exp(-a |x - c|^2 / 2) per
+(rate, centre), each computed once and shared by every atom that reads it:
+a field's value and its partials, the components and divergence of a
+vector field, and every field evaluated on one table (``forms.BatchEval``
+keeps one over its batch). Sharing changes no value: each atom multiplies
+the same arrays in the same order either way.
+
 Compactly supported mollifier bumps are provided for the checks that want
 genuinely compact support; they expose value/gradient/Hessian analytically.
 
@@ -24,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "PointTable",
     "Field",
     "polygauss",
     "monomial",
@@ -63,6 +72,53 @@ def _shift_poly(terms: dict, old: np.ndarray, new: np.ndarray) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+class PointTable:
+    """The pieces polynomial-Gaussian atoms are built from, on one point set
+    (rows of ``points``), each computed on first use and then shared: the
+    columns x_i - c_i, keyed by (axis, c_i), and the Gaussian factors
+    exp(-a |x - c|^2 / 2), keyed by (a, c). Higher powers of a column are
+    taken where they are used and not kept, which bounds the table at one
+    array per column and per Gaussian."""
+
+    def __init__(self, X: np.ndarray):
+        self.points = np.atleast_2d(np.asarray(X, dtype=float))
+        self._columns: dict = {}
+        self._gauss: dict = {}
+
+    def power(self, axis: int, c: float, k: int) -> np.ndarray:
+        """(x_axis - c) ** k for k >= 1."""
+        col = self._columns.get((axis, c))
+        if col is None:
+            col = self._columns[axis, c] = self.points[:, axis] - c
+        return col if k == 1 else col**k
+
+    def gauss(self, rate: float, center: tuple) -> np.ndarray:
+        key = (rate, center)
+        hit = self._gauss.get(key)
+        if hit is None:
+            # the squared columns summed left to right: for d <= 7 the order
+            # in which np.sum adds a row, and several times faster on a short row
+            r2 = self.power(0, center[0], 2)
+            for i in range(1, len(center)):
+                r2 += self.power(i, center[i], 2)
+            hit = self._gauss[key] = np.exp(-0.5 * rate * r2)
+        return hit
+
+
+def _table(X: np.ndarray, dim: int, table: PointTable | None) -> PointTable:
+    """``table``, or a new one on X, after checking that the points have
+    ``dim`` coordinates."""
+    if table is None:
+        table = PointTable(X)
+    elif table.points is not X:
+        raise ValueError("the table was built on other points")
+    if table.points.shape[1] != dim:
+        raise ValueError(
+            f"points with {table.points.shape[1]} coordinates for a field on R^{dim}"
+        )
+    return table
+
+
 @dataclass(frozen=True)
 class _Atom:
     """One polynomial-times-Gaussian atom. terms maps multi-indices to
@@ -88,20 +144,19 @@ class _Atom:
             tot += v
         return tot * e
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        dX = X - np.asarray(self.center)
-        if self.rate != 0.0:
-            e = np.exp(-0.5 * self.rate * np.sum(dX**2, axis=-1))
-        else:
-            e = np.ones(X.shape[0])
-        tot = np.zeros(X.shape[0])
+    def values(self, table: PointTable) -> np.ndarray:
+        """Values at the table's points; the terms and their factors in the
+        order ``value_one`` takes them."""
+        tot = np.zeros(len(table.points))
         for alpha, c in self.terms:
-            v = np.full(X.shape[0], c)
+            v = c
             for i, ai in enumerate(alpha):
                 if ai:
-                    v = v * dX[:, i] ** ai
+                    v = v * table.power(i, self.center[i], ai)
             tot += v
-        return tot * e
+        if self.rate == 0.0:
+            return tot
+        return tot * table.gauss(self.rate, self.center)
 
     def partial(self, axis: int) -> "_Atom":
         out: dict = {}
@@ -159,11 +214,15 @@ class Field:
     def value_one(self, x) -> float:
         return sum(a.value_one(x) for a in self.atoms)
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(X.shape[0])
+    def value_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        """Values at the rows of X, read from ``table`` (a ``PointTable`` on
+        X) when one is given."""
+        return self._values(_table(X, self.dim, table))
+
+    def _values(self, table: PointTable) -> np.ndarray:
+        out = np.zeros(len(table.points))
         for a in self.atoms:
-            out += a.value_batch(X)
+            out += a.values(table)
         return out
 
     # -- calculus -------------------------------------------------------------
@@ -179,8 +238,9 @@ class Field:
     def grad_one(self, x) -> np.ndarray:
         return np.array([g.value_one(x) for g in self._grads()])
 
-    def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([g.value_batch(X) for g in self._grads()], axis=-1)
+    def grad_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        table = _table(X, self.dim, table)
+        return np.stack([g._values(table) for g in self._grads()], axis=-1)
 
     def laplacian(self) -> "Field":
         out = Field([], self.dim)
@@ -330,18 +390,20 @@ class VectorField:
     def value_one(self, x) -> np.ndarray:
         return np.array([c.value_one(x) for c in self.components])
 
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.stack([c.value_batch(X) for c in self.components], axis=-1)
+    def value_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        table = _table(X, self.dim, table)
+        return np.stack([c._values(table) for c in self.components], axis=-1)
 
     def div_one(self, x) -> float:
         return sum(
-            c.partial(a).value_one(x) for a, c in enumerate(self.components)
+            c._grads()[a].value_one(x) for a, c in enumerate(self.components)
         )
 
-    def div_batch(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.atleast_2d(X).shape[0])
+    def div_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        table = _table(X, self.dim, table)
+        out = np.zeros(len(table.points))
         for a, c in enumerate(self.components):
-            out += c.partial(a).value_batch(X)
+            out += c._grads()[a]._values(table)
         return out
 
 

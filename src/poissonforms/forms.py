@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .exterior import Multivector, relabel_slots, t_basis, wedge
+from .fields import Field, PointTable, VectorField
 from .pointprocess import Configuration, SampleBatch
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "field_values",
     "field_grads",
     "field_laps",
+    "field_divs",
     "RowLayout",
     "BatchValue",
     "BatchEval",
@@ -615,23 +617,36 @@ def eval_form(
 # batched evaluation over a whole SampleBatch (flat backends)
 
 
-def field_values(f, X: np.ndarray) -> np.ndarray:
-    """Values of a scalar or vector field at the rows of X."""
+def field_values(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
+    """Values of a scalar or vector field at the rows of X. Polynomial-
+    Gaussian fields read ``table``, a ``PointTable`` on X, when one is
+    given; the helpers below do the same."""
+    if isinstance(f, (Field, VectorField)):
+        return f.value_batch(X, table=table)
     if hasattr(f, "value_batch"):
         return np.asarray(f.value_batch(X), dtype=float)
     return np.array([f.value_one(x) for x in X], dtype=float)
 
 
-def field_grads(f, X: np.ndarray) -> np.ndarray:
+def field_grads(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
+    if isinstance(f, Field):
+        return f.grad_batch(X, table=table)
     if hasattr(f, "grad_batch"):
         return np.asarray(f.grad_batch(X), dtype=float)
     return np.array([f.grad_one(x) for x in X], dtype=float)
 
 
-def field_laps(f, X: np.ndarray) -> np.ndarray:
+def field_laps(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
     if hasattr(f, "laplacian_one"):
         return np.array([f.laplacian_one(x) for x in X], dtype=float)
-    return field_values(f.laplacian(), X)
+    return field_values(f.laplacian(), X, table)
+
+
+def field_divs(v, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
+    """Divergences of a vector field at the rows of X."""
+    if isinstance(v, VectorField):
+        return v.div_batch(X, table=table)
+    return np.array([v.div_one(x) for x in X], dtype=float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -664,25 +679,28 @@ class RowLayout:
         self.cfg = np.asarray(cfg, dtype=np.intp)
         self.start = batch.offsets[self.cfg]
         self.size = np.diff(batch.offsets)[self.cfg]
-        nmax = int(self.size.max(initial=0))
-        self._binom = np.array(
-            [[math.comb(a, b) for b in range(nmax + 2)] for a in range(nmax + 1)],
-            dtype=np.intp,
-        )
+        self._nmax = int(self.size.max(initial=0))
+        self._binoms: dict[int, np.ndarray] = {}
         self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def n_groups(self) -> int:
         return len(self.cfg)
 
+    def _binom(self, b: int) -> np.ndarray:
+        """C(a, b) for a up to the largest group size. Columns are built
+        only for the b that ``rows`` and ``find`` read (b <= k): the whole
+        table overflows int64 from 67 points on."""
+        if b not in self._binoms:
+            self._binoms[b] = np.array(
+                [math.comb(a, b) for a in range(self._nmax + 1)], dtype=np.intp
+            )
+        return self._binoms[b]
+
     def rows(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(first row of each group, (R, k) subsets, group of each row)."""
         if k not in self._rows:
-            count = (
-                self._binom[self.size, k]
-                if k < self._binom.shape[1]
-                else np.zeros(self.n_groups, dtype=np.intp)
-            )
+            count = self._binom(k)[self.size]
             first = np.concatenate([[0], np.cumsum(count)])
             idx = np.empty((int(first[-1]), k), dtype=np.intp)
             for n in np.unique(self.size[count > 0]):
@@ -699,7 +717,7 @@ class RowLayout:
         groups."""
         first = self.rows(subsets.shape[1])[0]
         local = subsets - self.start[group][:, None]
-        rank = sum(self._binom[local[:, j], j + 1] for j in range(subsets.shape[1]))
+        rank = sum(self._binom(j + 1)[local[:, j]] for j in range(subsets.shape[1]))
         return first[group] + rank
 
 
@@ -792,18 +810,23 @@ class BatchEval:
     tangent dimension of the space the batch lives on (2 on the sphere,
     whose points have 3 coordinates).
 
-    Every field is evaluated once on all points of the batch; an m-subset
-    is a row of index arrays built from the batch offsets, a cylinder
-    factor F(gamma \\ xbar) is the outer function of the configuration's
-    statistics minus the subset points' rows, and a form value is a
-    ``BatchValue``. Form values take flat and sphere slots; the batched
-    operators built on this class are for the flat backends."""
+    Every field is evaluated once on all points of the batch, through one
+    ``PointTable`` over them: each Gaussian factor exp(-a |x - c|^2 / 2) of
+    a (rate, centre) pair is computed once and shared by the values,
+    gradients and Laplacians of every field the batch evaluates, and by
+    the lifted vectors' values and divergences. The table lives as long as
+    this object. An m-subset is a row of index arrays built from the batch
+    offsets, a cylinder factor F(gamma \\ xbar) is the outer function of the
+    configuration's statistics minus the subset points' rows, and a form
+    value is a ``BatchValue``. Form values take flat and sphere slots; the
+    batched operators built on this class are for the flat backends."""
 
     def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch
         self.points = batch.points
         self.sid = batch.sample_ids
         self.dim = dim
+        self.table = PointTable(self.points)
         self.configs = RowLayout(batch, np.arange(batch.n_samples))
         self._cache: dict = {}
 
@@ -816,13 +839,13 @@ class BatchEval:
         return hit[1]
 
     def values(self, f) -> np.ndarray:
-        return self._memo("val", f, lambda: field_values(f, self.points))
+        return self._memo("val", f, lambda: field_values(f, self.points, self.table))
 
     def grads(self, f) -> np.ndarray:
-        return self._memo("grad", f, lambda: field_grads(f, self.points))
+        return self._memo("grad", f, lambda: field_grads(f, self.points, self.table))
 
     def laps(self, f) -> np.ndarray:
-        return self._memo("lap", f, lambda: field_laps(f, self.points))
+        return self._memo("lap", f, lambda: field_laps(f, self.points, self.table))
 
     def stats(self, F: CylinderFunction) -> np.ndarray:
         """(n_samples, nargs) statistics <phi_j, gamma> of every configuration."""

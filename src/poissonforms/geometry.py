@@ -189,6 +189,9 @@ class Window:
             raise ValueError(f"unknown window kind {self.kind!r}")
         if self.kind == "box" and not self.bounds:
             raise ValueError("box window requires bounds")
+        if self.bounds is not None:
+            # tuples, so that a window can key the sigma-mass memo
+            object.__setattr__(self, "bounds", tuple(map(tuple, self.bounds)))
 
     def contains(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -254,6 +257,9 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
     return fr @ ((moved[0] - moved[1]) / (2 * h)).T
 
 
+_MASSES: dict = {}
+
+
 def sigma_mass(
     space: Space,
     intensity: IntensitySpec,
@@ -262,7 +268,18 @@ def sigma_mass(
 ) -> float:
     """Total sigma-mass of the window, by deterministic quadrature with node
     doubling until the relative change is below ``rtol`` (``RuntimeError``
-    if the doublings run out first)."""
+    if the doublings run out first). The result is kept for the process,
+    keyed by the space's type and dimension (spaces have no value
+    equality), the intensity, the window and ``rtol``."""
+    key = (type(space), space.dim, intensity, window, rtol)
+    if key not in _MASSES:
+        _MASSES[key] = _sigma_mass(space, intensity, window, rtol)
+    return _MASSES[key]
+
+
+def _sigma_mass(
+    space: Space, intensity: IntensitySpec, window: Window, rtol: float
+) -> float:
     if isinstance(space, Sphere):
         if window.kind != "all":
             raise ValueError("sphere backend supports the full-sphere window only")

@@ -66,6 +66,7 @@ from .forms import (
     SlotForm,
     SymmetricFormField,
     eval_form,
+    field_divs,
     field_values,
 )
 from .geometry import (
@@ -720,12 +721,6 @@ def apply_r_pi_sigma(
 # batched operators over a whole SampleBatch (flat backends)
 
 
-def _divfield_batch(v, X: np.ndarray) -> np.ndarray:
-    if hasattr(v, "div_batch"):
-        return np.asarray(v.div_batch(X), dtype=float)
-    return np.array([v.div_one(x) for x in X], dtype=float)
-
-
 def _outer_rows(fn, S: np.ndarray) -> np.ndarray:
     return np.asarray(fn.eval_batch(S), dtype=float)
 
@@ -851,8 +846,8 @@ def _lifted_vector_batch(V: LiftedVector, ev: BatchEval) -> tuple[np.ndarray, np
     vals = np.zeros((P.shape[0], P.shape[1]))
     divs = np.zeros(P.shape[0])
     for coef, G, v in V.terms:
-        vv = field_values(v, P)
-        dv = _divfield_batch(v, P)
+        vv = field_values(v, P, ev.table)
+        dv = field_divs(v, P, ev.table)
         if G is None:
             g_pt = np.full(P.shape[0], coef)
         else:

@@ -15,6 +15,7 @@ independent ways, and the checks here cross those routes:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zlib
@@ -119,11 +120,12 @@ class SampleBatch:
     def n_samples(self) -> int:
         return len(self.offsets) - 1
 
-    @property
+    @functools.cached_property
     def sample_ids(self) -> np.ndarray:
-        return np.repeat(
-            np.arange(self.n_samples), np.diff(self.offsets)
-        )
+        """The configuration of each point; built once, read-only."""
+        out = np.repeat(np.arange(self.n_samples), np.diff(self.offsets))
+        out.setflags(write=False)
+        return out
 
     def counts(self) -> np.ndarray:
         return np.diff(self.offsets)

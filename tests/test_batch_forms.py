@@ -2,6 +2,7 @@
 which stay as the reference implementation."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -169,3 +170,14 @@ def test_scalar_slot_adjoint_pairing():
 def test_masked_terms_rejected_by_lift():
     with pytest.raises(ValueError):
         lift_batch("bochner", SP, GAUSS, d_gamma(SP, GAUSS, FLAT[1]), BatchEval(BATCH, SP.dim))
+
+
+def test_row_layout_past_int64_binomials():
+    # C(67, 33) > 2^63: only the binomial columns the subset sizes read are
+    # built, so configurations of 67 and 100 points work
+    points = np.random.default_rng(2).normal(size=(167, 2))
+    layout = BatchEval(SampleBatch(points, np.array([0, 67, 167])), 2).configs
+    for k in (1, 2):
+        first, idx, group = layout.rows(k)
+        assert list(np.diff(first)) == [math.comb(67, k), math.comb(100, k)]
+        assert np.array_equal(layout.find(group, idx), np.arange(len(idx)))

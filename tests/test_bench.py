@@ -1,19 +1,24 @@
-"""Microbenchmarks of the form layers, deselected from the default run:
+"""Microbenchmarks of the field and form layers, deselected from the default
+run:
 
     PYTHONPATH=src python -m pytest -m bench tests/test_bench.py
 
-L3 (form values) and L4 (lifted operators) on a fixed 30-configuration
-dirichlet batch, batched against per-configuration evaluation; L4 on the
-sphere (per-configuration lifts through the covariant-difference point
-operators) on a fixed 5-configuration batch; L6 (the form semigroup's value
-path: SDE block, frames, batched values and their pullback) on 500 replicas
-of a two-point configuration.
+L1 (field batch evaluation: the ibp experiment's values, gradients and
+lifted-vector values and divergences) on a fixed 20,000-configuration batch
+drawn from the first ibp row's stream at seed 42, through one ``BatchEval``
+point table per row against per-call evaluation; L3 (form values) and L4
+(lifted operators) on a fixed 30-configuration dirichlet batch, batched
+against per-configuration evaluation; L4 on the sphere (per-configuration
+lifts through the covariant-difference point operators) on a fixed
+5-configuration batch; L6 (the form semigroup's value path: SDE block,
+frames, batched values and their pullback) on 500 replicas of a two-point
+configuration.
 """
 
 import pytest
 
 from poissonforms import batteries as bat
-from poissonforms.forms import BatchEval, eval_form
+from poissonforms.forms import BatchEval, eval_form, field_divs, field_values
 from poissonforms.operators import lift, lift_batch
 from poissonforms.pointprocess import Configuration, RngStream, sample_batch
 from poissonforms.stochastic import SdeConfig, curvature_potential, semigroup_Tn
@@ -29,6 +34,43 @@ def batch():
     # the first dirichlet batch of the harness at seed 42, cut to 30 configs
     rng = RngStream(42).child("dir1", "bochner", 0)
     return sample_batch(SP, INTEN, bat.full_window(), rng, 30)
+
+
+def _ibp_fields():
+    """Per ibp row: its distinct scalar fields (the statistics' integrands,
+    whose values and gradients the row reads) and its vector fields."""
+    out = []
+    for F1, F2, V in bat.ibp_battery():
+        inners = F1.inners + F2.inners + tuple(
+            phi for _, G, _ in V.terms if G is not None for phi in G.inners)
+        scalars = list({id(f): f for f in inners}.values())
+        out.append((scalars, [v for _, _, v in V.terms]))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["table", "per-call"])
+def test_l1_fields_ibp(benchmark, mode):
+    rng = RngStream(42).child("ibp", 0)
+    batch = sample_batch(SP, INTEN, bat.full_window(), rng, 20_000)
+    P = batch.points
+    rows = _ibp_fields()
+
+    def shared():
+        for scalars, vectors in rows:
+            ev = BatchEval(batch, SP.dim)
+            for f in scalars:
+                ev.values(f), ev.grads(f)
+            for v in vectors:
+                field_values(v, P, ev.table), field_divs(v, P, ev.table)
+
+    def per_call():
+        for scalars, vectors in rows:
+            for f in scalars:
+                f.value_batch(P), f.grad_batch(P)
+            for v in vectors:
+                v.value_batch(P), v.div_batch(P)
+
+    benchmark(shared if mode == "table" else per_call)
 
 
 def test_l3_values_batched(benchmark, batch):

@@ -1,0 +1,116 @@
+"""Batch evaluation of polynomial-Gaussian fields through a ``PointTable``:
+against the pointwise path, against a shared table, and against the
+per-atom evaluation it replaced, bit for bit."""
+
+import numpy as np
+import pytest
+
+from poissonforms import batteries as bat
+from poissonforms.fields import PointTable, VectorField, monomial, polygauss
+from poissonforms.forms import BatchEval, field_divs, field_values
+from poissonforms.pointprocess import SampleBatch
+
+
+def random_field(d: int, seed: int):
+    """A product of two Gaussian atoms with different centres (their sum
+    from d = 5 on, where the product expands into thousands of terms), plus
+    a third atom and a rate-0 monomial: three distinct exponentials, mixed
+    powers, and a constant term."""
+    rng = np.random.default_rng(seed)
+
+    def terms(n):
+        return {tuple(rng.integers(0, 3, d)): float(rng.normal()) for _ in range(n)}
+
+    a = polygauss(d, terms(3), rate=0.7, center=rng.normal(scale=0.3, size=d))
+    b = polygauss(d, terms(2), rate=0.4, center=rng.normal(scale=0.3, size=d))
+    c = polygauss(d, {(0,) * d: 0.5, **terms(2)}, rate=1.3)
+    ab = a * b if d <= 4 else a + b
+    return ab + c + monomial(d, tuple(rng.integers(0, 3, d)), 0.3)
+
+
+def points(d: int, n: int = 200, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).normal(scale=0.9, size=(n, d))
+
+
+def per_atom(f, X: np.ndarray) -> np.ndarray:
+    """Each atom on its own, with r^2 as numpy's sum over the last axis."""
+    out = np.zeros(X.shape[0])
+    for atom in f.atoms:
+        dX = X - np.asarray(atom.center)
+        if atom.rate != 0.0:
+            e = np.exp(-0.5 * atom.rate * np.sum(dX**2, axis=-1))
+        else:
+            e = np.ones(X.shape[0])
+        tot = np.zeros(X.shape[0])
+        for alpha, c in atom.terms:
+            v = np.full(X.shape[0], c)
+            for i, ai in enumerate(alpha):
+                if ai:
+                    v = v * dX[:, i] ** ai
+            tot += v
+        out += tot * e
+    return out
+
+
+def close(got: np.ndarray, want: np.ndarray) -> bool:
+    return bool(np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_batch_matches_pointwise(d):
+    f, X = random_field(d, d), points(d)
+    assert close(f.value_batch(X), np.array([f.value_one(x) for x in X]))
+    assert close(f.grad_batch(X), np.array([f.grad_one(x) for x in X]))
+    fx = f.partial(d - 1)
+    assert close(fx.value_batch(X), np.array([fx.value_one(x) for x in X]))
+    mono = monomial(d, (2,) + (1,) * (d - 1), -1.5)
+    assert close(mono.value_batch(X), np.array([mono.value_one(x) for x in X]))
+    assert close(mono.grad_batch(X), np.array([mono.grad_one(x) for x in X]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_table_is_bit_identical_to_per_atom(d):
+    # np.sum adds a row of at most 7 entries left to right, as the table does
+    f, X = random_field(d, 10 + d), points(d, seed=d)
+    assert np.array_equal(f.value_batch(X), per_atom(f, X))
+    grads = f.grad_batch(X)
+    for a in range(d):
+        assert np.array_equal(grads[:, a], per_atom(f.partial(a), X))
+
+
+def test_shared_table_matches_standalone():
+    # the ibp battery's fields through one BatchEval, in an order that has
+    # partials and other fields fill the table first
+    X = points(2, 500, seed=3)
+    ev = BatchEval(SampleBatch(X, np.array([0, 200, 500])), 2)
+    triples = bat.ibp_battery()
+    vectors = [v for _, _, V in triples for _, _, v in V.terms]
+    scalars = [phi for F1, F2, _ in triples for phi in F1.inners + F2.inners]
+    scalars += [v.components[0] for v in vectors]
+    for v in vectors:
+        assert np.array_equal(field_divs(v, X, ev.table), v.div_batch(X))
+        assert np.array_equal(field_values(v, X, ev.table), v.value_batch(X))
+    for f in scalars:
+        assert np.array_equal(ev.grads(f), f.grad_batch(X))
+        assert np.array_equal(ev.laps(f), f.laplacian().value_batch(X))
+        assert np.array_equal(ev.values(f), f.value_batch(X))
+
+
+def test_vector_field_matches_pointwise():
+    v = VectorField([random_field(2, 1), random_field(2, 2)])
+    X = points(2)
+    assert close(v.value_batch(X), np.array([v.value_one(x) for x in X]))
+    assert close(v.div_batch(X), np.array([v.div_one(x) for x in X]))
+
+
+def test_wrong_column_count_raises():
+    f2, f1 = random_field(2, 0), random_field(1, 0)
+    v = VectorField([f2, f2])
+    X3 = points(3)
+    for call in (f2.value_batch, f2.grad_batch, v.value_batch, v.div_batch):
+        with pytest.raises(ValueError):
+            call(X3)
+    with pytest.raises(ValueError):
+        f1.value_batch(points(2))
+    with pytest.raises(ValueError):
+        f2.value_batch(points(2), table=PointTable(points(2)))

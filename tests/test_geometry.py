@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonforms import geometry
 from poissonforms.geometry import (
     Euclidean,
     IntensitySpec,
@@ -208,6 +209,21 @@ class TestSigmaMass:
             adaptive_box_integral(kinked, box, max_doublings=2)
         smooth = adaptive_box_integral(lambda X: np.exp(X[:, 0]), box)
         assert abs(smooth - (math.e - 1.0 / math.e)) < 1e-12
+
+    def test_mass_memoized(self, monkeypatch):
+        # equal spaces, intensities and windows share one quadrature
+        monkeypatch.setattr(geometry, "_MASSES", {})
+        calls = []
+        quad = geometry.adaptive_box_integral
+        monkeypatch.setattr(geometry, "adaptive_box_integral",
+                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        inten = IntensitySpec("gaussian", 1.0)
+        box = [[-0.65, 0.65], [-0.65, 0.65]]
+        m = sigma_mass(Euclidean(2), inten, Window("box", box))
+        again = sigma_mass(Euclidean(2), IntensitySpec("gaussian", 1.0), Window("box", box))
+        assert again is m and len(calls) == 1
+        sigma_mass(Euclidean(2), inten, Window("box", box), rtol=1e-9)
+        assert len(calls) == 2
 
     def test_sphere_box_rejected(self):
         with pytest.raises(ValueError):

@@ -108,6 +108,17 @@ class TestSampling:
         for i in (0, 17, 49):
             assert abs(sums[i] - batch.config(i).points[:, 0].__pow__(2).sum()) < 1e-12
 
+    def test_sample_ids_built_once(self):
+        batch = sample_batch(SP, GAUSS, BOX, RngStream(1), 50)
+        ids = batch.sample_ids
+        assert batch.sample_ids is ids and not ids.flags.writeable
+        ref = np.repeat(np.arange(50), batch.counts())
+        assert np.array_equal(ids, ref)
+        vals = batch.points[:, 0] ** 2
+        want = np.bincount(ref, weights=vals, minlength=50)
+        for _ in range(2):
+            assert np.array_equal(batch.segment_sum(vals), want)
+
     def test_m_subsets(self):
         cfg = Configuration(np.zeros((4, 2)))
         assert len(m_subsets(cfg, 2)) == 6
