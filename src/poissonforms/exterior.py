@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import Space
+from .geometry import Space, frame_maps
 
 __all__ = [
     "Multivector",
@@ -217,18 +217,6 @@ def _slot_block_terms(
                     yield key, image, float(val)
 
 
-def _key_matrix(
-    basis: Sequence[Key], terms: Iterable[tuple[Key, Key, float]]
-) -> np.ndarray:
-    """Matrix on ``basis`` of a key-linear map given term by term as
-    (key, image key, coefficient)."""
-    index = {key: r for r, key in enumerate(basis)}
-    mat = np.zeros((len(basis), len(basis)))
-    for key, image, c in terms:
-        mat[index[image], index[key]] += c
-    return mat
-
-
 def curvature_operator(space: Space, n: int) -> np.ndarray:
     """Matrix of the curvature operator on Lambda^n in the increasing frame
     basis.
@@ -247,31 +235,48 @@ def curvature_operator(space: Space, n: int) -> np.ndarray:
     return n * (d - n) * space.sectional_curvature() * np.eye(math.comb(d, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge_ops(d: int, k: int) -> np.ndarray:
+    """e_a ^ from degree k to k + 1, a < d, as (d, C(d, k + 1), C(d, k))
+    matrices on the increasing frame bases; on orthonormal frames iota_a
+    from degree k + 1 to k is the transpose."""
+    up = {key: r for r, key in enumerate(_wedge_basis(d, k + 1))}
+    out = np.zeros((d, len(up), math.comb(d, k)))
+    for c, key in enumerate(_wedge_basis(d, k)):
+        for a in sorted(set(range(d)) - set(key)):
+            pos = sum(b < a for b in key)  # the factors e_a moves past
+            out[a, up[key[:pos] + (a,) + key[pos:]], c] = (-1.0) ** pos
+    return out
+
+
 def leibniz_power(A: np.ndarray, k: int) -> np.ndarray:
-    """Derivation extension of a (d x d) frame matrix A to Lambda^k:
-    A acts on one wedge factor at a time (sum over factors)."""
+    """Derivation extension of (d x d) frame matrices A, stacked on leading
+    axes, to Lambda^k: sum_{a,b} A[b, a] e_b ^ iota_a, so A acts on one
+    wedge factor at a time. Shape A.shape[:-2] + (C(d, k), C(d, k)); the
+    degree-0 block is a 1 x 1 zero."""
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    basis = _wedge_basis(d, k)
-    terms = []
-    for I in basis:
-        for pos in range(k):
-            for b in range(d):
-                if A[b, I[pos]] == 0.0:
-                    continue
-                key, sign = _sort_sign(I[:pos] + (b,) + I[pos + 1 :])
-                if sign != 0:
-                    terms.append((I, key, sign * A[b, I[pos]]))
-    return _key_matrix(basis, terms)
+    if k == 0:
+        return np.zeros(A.shape[:-2] + (1, 1))
+    up = _wedge_ops(A.shape[-1], k - 1)  # iota_a is the transpose of e_a ^
+    return np.einsum("...ba,bip,ajp->...ij", A, up, up)
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(n: int, m: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Per-slot degrees (k_1, ..., k_m) of the fully occupied sector,
+    k_i >= 1, sum k_i = n, k_i <= d, in the ``t_basis`` block order."""
+    return tuple(
+        block for block in itertools.product(range(1, d + 1), repeat=m)
+        if sum(block) == n
+    )
 
 
 def t_basis(n: int, m: int, d: int) -> list[Key]:
     """Basis keys of the exterior sector over m slots with every slot
-    occupied: per-slot degrees k_i >= 1, sum k_i = n, k_i <= d."""
+    occupied, block by block (``_splits``); within a block, slot 0's keys
+    vary slowest."""
     keys: list[Key] = []
-    for block in itertools.product(range(1, d + 1), repeat=m):
-        if sum(block) != n:
-            continue
+    for block in _splits(n, m, d):
         per_slot = [
             [tuple((i, a) for a in I) for I in _wedge_basis(d, k)]
             for i, k in enumerate(block)
@@ -329,27 +334,11 @@ def relabel_slots(u: Multivector, perm: dict[int, int]) -> Multivector:
 
 
 def transport_slot(
-    space: Space,
-    u: Multivector,
-    slot: int,
-    q: np.ndarray,
-    p: np.ndarray,
-    frame_q: np.ndarray | None = None,
-    frame_p: np.ndarray | None = None,
+    space: Space, u: Multivector, slot: int, q: np.ndarray, p: np.ndarray
 ) -> Multivector:
     """Parallel-transport the slot-``slot`` factors of ``u`` from q to p,
     rewriting frame coordinates from frame(q) to frame(p)."""
-    if frame_q is None:
-        frame_q = space.frame(q)
-    if frame_p is None:
-        frame_p = space.frame(p)
-    d = space.dim
-    M = np.empty((d, d))
-    for a in range(d):
-        tv = space.transport(q, p, frame_q[a])
-        for b in range(d):
-            M[b, a] = float(frame_p[b] @ tv)
-    return apply_slot_linear(u, slot, M)
+    return apply_slot_linear(u, slot, frame_maps(space, q, p))
 
 
 def block_potential(
@@ -367,6 +356,8 @@ def block_potential(
     Block-diagonal across block indices by construction.
     """
     basis = t_basis(n, m, d)
-    return _key_matrix(
-        basis, _slot_block_terms(basis, lambda s, k: J(k, points[s]), d)
-    )
+    index = {key: r for r, key in enumerate(basis)}
+    mat = np.zeros((len(basis), len(basis)))
+    for key, image, c in _slot_block_terms(basis, lambda s, k: J(k, points[s]), d):
+        mat[index[image], index[key]] += c
+    return mat

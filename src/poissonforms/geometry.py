@@ -35,6 +35,7 @@ __all__ = [
     "Window",
     "beta",
     "grad_beta",
+    "frame_maps",
     "beta_rows",
     "sigma_mass",
 ]
@@ -241,20 +242,34 @@ def beta_rows(space: Space, intensity: IntensitySpec, X: np.ndarray) -> np.ndarr
 
 
 def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
-    """Covariant derivative of beta at p, as a (dim x dim) matrix in the
-    orthonormal frame: entry (a, b) = <nabla_{E_b} beta, E_a>."""
+    """Covariant derivative of beta at the points p (stacked on leading
+    axes), as (dim x dim) matrices in the orthonormal frame: entry (a, b) =
+    <nabla_{E_b} beta, E_a>. Shape p.shape[:-1] + (dim, dim)."""
+    p = np.asarray(p, dtype=float)
     d = space.dim
     if intensity.family == "gaussian":
-        return -np.eye(d) / intensity.scale**2
+        return np.broadcast_to(-np.eye(d) / intensity.scale**2, p.shape[:-1] + (d, d))
     if intensity.family == "uniform":
-        return np.zeros((d, d))
+        return np.zeros(p.shape[:-1] + (d, d))
     # central differences along the geodesics exp(p, +-h E_b), transported
-    fr = space.frame(p)
+    fr = np.broadcast_to(space.frame(p), p.shape[:-1] + (d, space.ambient_dim))
     h = _FD_H
-    Q = space.exp(p, np.array([h, -h])[:, None, None] * fr)
+    P = p[..., None, None, :]
+    Q = space.exp(P, np.array([h, -h])[:, None, None] * fr[..., None, :, :])
     B = beta_rows(space, intensity, Q.reshape(-1, space.ambient_dim)).reshape(Q.shape)
-    moved = space.transport(Q, p, B)
-    return fr @ ((moved[0] - moved[1]) / (2 * h)).T
+    moved = space.transport(Q, P, B)
+    diff = (moved[..., 0, :, :] - moved[..., 1, :, :]) / (2 * h)
+    return fr @ np.swapaxes(diff, -1, -2)
+
+
+def frame_maps(space: Space, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Matrices of the parallel transport from the points q to the points p
+    (stacked on leading axes, broadcast together) in the orthonormal frames:
+    M[..., b, a] = <F_b(p), transport of F_a(q) to p>. ``Lambda^k`` of M
+    (``exterior.wedge_power``) moves the degree-k coordinates."""
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    moved = space.transport(q[..., None, :], p[..., None, :], space.frame(q))
+    return space.frame(p) @ np.swapaxes(moved, -1, -2)
 
 
 _MASSES: dict = {}

@@ -34,7 +34,6 @@ d) are checked as deterministic residuals on sampled configurations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,6 +44,7 @@ import numpy as np
 from .exterior import (
     Multivector,
     _slot_block_terms,
+    _wedge_ops,
     block_potential,
     curvature_operator,
     leibniz_power,
@@ -75,8 +75,8 @@ from .geometry import (
     Sphere,
     Window,
     beta_rows,
+    frame_maps,
     grad_beta,
-    sigma_mass,
 )
 from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
 from .report import CheckResult, McEstimate
@@ -308,32 +308,15 @@ def _slot_op(
 # coefficients on the increasing basis of Lambda^k of the frame at each point.
 
 
-@functools.lru_cache(maxsize=None)
-def _wedge_ops(d: int, k: int) -> np.ndarray:
-    """e_a ^ from degree k to k + 1, a < d, as (d, C(d, k + 1), C(d, k))
-    matrices on the increasing frame bases; on orthonormal frames iota_a
-    from degree k + 1 to k is the transpose."""
-    up = {key: r for r, key in enumerate(itertools.combinations(range(d), k + 1))}
-    out = np.zeros((d, len(up), math.comb(d, k)))
-    for c, key in enumerate(itertools.combinations(range(d), k)):
-        for a in sorted(set(range(d)) - set(key)):
-            pos = sum(b < a for b in key)  # the factors e_a moves past
-            out[a, up[key[:pos] + (a,) + key[pos:]], c] = (-1.0) ** pos
-    return out
-
-
 def _neighbour_rows(space: Space, om, k: int, X: np.ndarray, h: float) -> np.ndarray:
     """The k-form ``om`` at the 2d geodesic neighbours exp(x, +-h e_a) of
     every row x of X, transported back to x by Lambda^k of the frame-to-frame
     map: (N, 2, d, C(d, k)), sign (+h, -h) on axis 1, frame axis a on axis 2."""
-    F = space.frame(X)
     P = X[:, None, None, :]
-    Q = space.exp(P, np.array([h, -h])[:, None, None] * F[:, None])
+    Q = space.exp(P, np.array([h, -h])[:, None, None] * space.frame(X)[:, None])
     vals = om(Q.reshape(-1, X.shape[1]))
     vals = vals.reshape(Q.shape[:3] + (math.comb(space.dim, k),))
-    # M[b, a] = <F_b(x), transport of F_a(q) to x>
-    moved = space.transport(Q[..., None, :], P[..., None, :], space.frame(Q))
-    M = F[:, None, None] @ np.swapaxes(moved, -1, -2)
+    M = frame_maps(space, Q, P)
     return np.einsum("...ji,...i->...j", wedge_power(M, k), vals)
 
 
@@ -671,8 +654,9 @@ def lift(
 def weitz_matrix(
     space: Space, intensity: IntensitySpec, p: np.ndarray, k: int
 ) -> np.ndarray:
-    """Degree-k block of the Weitzenboeck potential at p: the curvature
-    operator minus the derivation extension of the beta Jacobian."""
+    """Degree-k block of the Weitzenboeck potential at the points p (stacked
+    on leading axes): the curvature operator minus the derivation extension
+    of the beta Jacobian, shape p.shape[:-1] + (C(d, k), C(d, k))."""
     return curvature_operator(space, k) - leibniz_power(
         grad_beta(space, intensity, p), k
     )
@@ -1077,12 +1061,11 @@ def factorization_check(
     sphere = isinstance(space, Sphere)
     if not sphere:
         betas = beta_fields(space, intensity)
-    mass = sigma_mass(space, intensity, window)
     worst = 0.0
     sizes = sorted(m for m in W.subset_sizes() if m > 0)
     for trial in range(n_trials):
         sub_rng = rng.child(trial)
-        gamma = sample(space, intensity, window, sub_rng, mass=mass)
+        gamma = sample(space, intensity, window, sub_rng)
         for m in sizes:
             xbar = _draw_locations(space, intensity, window, sub_rng.gen, m)
             union = gamma.union(xbar)

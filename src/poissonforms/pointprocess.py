@@ -201,12 +201,9 @@ def sample(
     intensity: IntensitySpec,
     window: Window,
     rng: RngStream,
-    mass: Optional[float] = None,
 ) -> Configuration:
     """One Poisson configuration on the window."""
-    if mass is None:
-        mass = sigma_mass(space, intensity, window)
-    n = int(rng.gen.poisson(mass))
+    n = int(rng.gen.poisson(sigma_mass(space, intensity, window)))
     return Configuration(_draw_locations(space, intensity, window, rng.gen, n))
 
 

@@ -27,17 +27,25 @@ with the symmetric order-2 splitting
 
 where T_k is the transport step (identity in R^d); for path-independent J
 both halves merge into the midpoint rule expm((dt/2)(J_k + J_{k+1})).
+
+J and T_k act on each point's slot separately, and expm(A (+) B) =
+expm(A) (x) expm(B): on the fibre's block of per-slot degrees (q_1, ...,
+q_m) the frame is the Kronecker product of its points' degree-q_s frames.
+So the ODE is solved once per (path, point, slot degree) on stacked rows.
+c_sup, the constant of the norm bound, is the largest sum of the points'
+top slot eigenvalues over the steps and blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exterior import Multivector, _key_matrix, t_basis, transport_slot
+from .exterior import _splits, wedge_power
 from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction
 from .geometry import (
     Euclidean,
@@ -46,9 +54,9 @@ from .geometry import (
     Sphere,
     Window,
     beta_rows,
-    sigma_mass,
+    frame_maps,
 )
-from .operators import _outer_rows, h_pi_sigma, lift_batch, r_pi_sigma, OperatorReport
+from .operators import _outer_rows, h_pi_sigma, lift_batch, weitz_matrix, OperatorReport
 from .pointprocess import Configuration, RngStream, SampleBatch, sample
 from .report import CheckResult, McEstimate
 
@@ -227,17 +235,19 @@ def simulate_particles(
 
 
 class BlockPotential:
-    """Symmetric potential acting blockwise on the n-covector fibre over an
-    m-point tuple, in the ``t_basis`` ordering.
+    """Symmetric potential on the n-covector fibre over an m-point tuple,
+    acting on each point's slot separately: ``block_fn(X, q)`` gives the
+    degree-q slot matrices at the stacked points X, (N, C(d, q), C(d, q)).
 
-    ``scalar`` marks the case J = c * Identity on every block, which admits
-    exact exponentials and needs no path storage on flat space.
+    ``scalar`` marks the case J = c * Identity on the whole fibre, which
+    admits exact exponentials and needs no path storage on flat space; a
+    degree-q slot carries c q / n of it.
     """
 
     def __init__(
         self,
         n: int,
-        block_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        block_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         scalar: Optional[float] = None,
         name: str = "J",
     ):
@@ -248,11 +258,13 @@ class BlockPotential:
         self.scalar = scalar
         self.name = name
 
-    def block(self, points: np.ndarray, k: int) -> np.ndarray:
-        """Matrix on the fibre over the given points (k = fibre dimension)."""
+    def slot(self, X: np.ndarray, q: int, d: int) -> np.ndarray:
+        """Degree-q slot matrices at the points X (N, ambient), with d the
+        tangent dimension: shape (N, C(d, q), C(d, q))."""
         if self.scalar is not None:
-            return self.scalar * np.eye(k)
-        return np.asarray(self._fn(points), dtype=float)
+            block = (self.scalar * q / self.n) * np.eye(math.comb(d, q))
+            return np.broadcast_to(block, (len(X),) + block.shape)
+        return np.asarray(self._fn(X, q), dtype=float)
 
 
 def zero_potential(n: int) -> BlockPotential:
@@ -263,33 +275,29 @@ def curvature_potential(
     space: Space,
     intensity: IntensitySpec,
     n: int,
-    sign: float = -1.0,
     allow_scalar: bool = True,
 ) -> BlockPotential:
-    """sign times the lifted curvature potential R_pi_sigma on n-covectors.
-
-    The default sign -1 is the de Rham choice: with M' = J M the pulled-back
-    estimator represents e^{-t H^R} = e^{-t(H^B + R)}.  For the gaussian
-    intensity on R^d the potential is (n / scale^2) I on every block, and on
-    the uniform sphere it is the identity on 1-covector fibres, so those
-    cases run on the exact-exponential fast path unless ``allow_scalar`` is
-    switched off (useful to exercise the generic ODE).
-    """
+    """Minus the lifted curvature potential on n-covectors, the de Rham
+    choice: with M' = J M the pulled-back estimator represents e^{-t H^R} =
+    e^{-t(H^B + R)}.  Its degree-q slot matrix at x is -``weitz_matrix``(x,
+    q).  It is -(n / scale^2) I for the gaussian intensity on R^d and -I on
+    1-covectors of the uniform sphere: exact-exponential fast paths unless
+    ``allow_scalar`` is off (useful to exercise the generic ODE)."""
     scalar = None
     if allow_scalar and not isinstance(space, Sphere):
         if intensity.family == "gaussian":
-            scalar = sign * n / intensity.scale**2
+            scalar = n / intensity.scale**2
         elif intensity.family == "uniform":
-            scalar = sign * 0.0
+            scalar = 0.0
     if allow_scalar and isinstance(space, Sphere) and n == 1:
         if intensity.family == "uniform":
-            scalar = sign * 1.0
+            scalar = 1.0
     if scalar is not None:
-        return BlockPotential(n, scalar=scalar, name=f"{sign:+g}*R")
+        return BlockPotential(n, scalar=-scalar, name="-1*R")
     return BlockPotential(
         n,
-        block_fn=lambda pts: sign * r_pi_sigma(space, intensity, pts, n),
-        name=f"{sign:+g}*R",
+        block_fn=lambda X, q: -weitz_matrix(space, intensity, X, q),
+        name="-1*R",
     )
 
 
@@ -307,37 +315,74 @@ class FrameMatrix:
         # empty fibre (m-subset with m > n has no fully occupied sector)
         return float(np.linalg.norm(self.P, 2)) if self.P.size else 0.0
 
-    def bound_slack(self) -> float:
-        """norm / e^{t c_sup} - 1; the discretization keeps this below 5 dt."""
-        return self.norm() / math.exp(self.t * self.c_sup) - 1.0
-
-    def bound_ok(self, dt: float) -> bool:
-        return self.bound_slack() <= 5.0 * dt
-
 
 def _expm_sym(A: np.ndarray) -> np.ndarray:
     lam, V = np.linalg.eigh(A)
-    return (V * np.exp(lam)) @ V.T
+    return (V * np.exp(lam)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _transport_matrix(
-    space: Space, basis: Sequence, pts_from: np.ndarray, pts_to: np.ndarray
-) -> np.ndarray:
-    """Matrix of the per-slot parallel transport on the fibre basis, whose
-    keys occupy every slot."""
-    m = pts_from.shape[0]
-    frames_from = [space.frame(pts_from[s]) for s in range(m)]
-    frames_to = [space.frame(pts_to[s]) for s in range(m)]
-    terms = []
-    for key in basis:
-        mv = Multivector({key: 1.0})
-        for s in range(m):
-            mv = transport_slot(
-                space, mv, s, pts_from[s], pts_to[s],
-                frame_q=frames_from[s], frame_p=frames_to[s],
-            )
-        terms += [(key, image, c) for image, c in mv.coef.items()]
-    return _key_matrix(basis, terms)
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kronecker products of stacked square matrices, A's index slowest."""
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], *np.multiply(A.shape[-2:], B.shape[-2:]))
+
+
+def _frames(
+    space: Space,
+    J: BlockPotential,
+    n: int,
+    paths: np.ndarray,
+    subsets: np.ndarray,
+    t: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frames (R, S, k, k), on the ``t_basis`` of each fibre, and c_sup
+    (R, S) of the n-covector fibres over the point subsets (S, m) of every
+    replica of the paths (R, P, K + 1, ambient) on the horizon t. An empty
+    fibre or a path without steps gets I and c_sup = ``J.scalar or 0.0``;
+    a scalar J on flat space the exact e^{tJ}."""
+    R, P, K1, da = paths.shape
+    S, m = subsets.shape
+    d = space.dim
+    splits = _splits(n, m, d)
+    sizes = [math.prod(math.comb(d, q) for q in split) for split in splits]
+    k = sum(sizes)
+    if k == 0 or K1 < 2:
+        return np.broadcast_to(np.eye(k), (R, S, k, k)), np.full((R, S), J.scalar or 0.0)
+    if J.scalar is not None and not isinstance(space, Sphere):
+        fac = math.exp(t * J.scalar)
+        return np.broadcast_to(fac * np.eye(k), (R, S, k, k)), np.full((R, S), J.scalar)
+    X = paths.reshape(R * P, K1, da)
+    dt = t / (K1 - 1)
+    frames, tops = {}, {}
+    for q in sorted(set().union(*splits)):
+        # per (replica, point) the degree-q slot frame: one eigvalsh and one
+        # eigh over every row and step, the product over the steps a loop
+        c = math.comb(d, q)
+        B = J.slot(X.reshape(-1, da), q, d).reshape(R * P, K1, c, c)
+        tops[q] = np.linalg.eigvalsh(B)[..., -1].reshape(R, P, K1)
+        if isinstance(space, Sphere):
+            half = _expm_sym((dt / 2.0) * B)
+            T = wedge_power(frame_maps(space, X[:, :-1], X[:, 1:]), q)
+            steps = [half[:, j + 1] @ T[:, j] @ half[:, j] for j in range(K1 - 1)]
+        else:
+            mid = _expm_sym((dt / 2.0) * (B[:, :-1] + B[:, 1:]))
+            steps = [mid[:, j] for j in range(K1 - 1)]
+        M = np.broadcast_to(np.eye(c), (R * P, c, c))
+        for E in steps:
+            M = E @ M
+        frames[q] = M.reshape(R, P, c, c)
+    out = np.zeros((R, S, k, k))
+    c_sup = np.full((R, S), -math.inf)
+    lo = 0
+    for split, size in zip(splits, sizes):
+        slots = [(q, subsets[:, s]) for s, q in enumerate(split)]
+        out[:, :, lo : lo + size, lo : lo + size] = functools.reduce(
+            _kron, [frames[q][:, pts] for q, pts in slots]
+        )
+        top = functools.reduce(np.add, [tops[q][:, pts] for q, pts in slots])
+        c_sup = np.maximum(c_sup, top.max(axis=-1))
+        lo += size
+    return out, c_sup
 
 
 def parallel_translate(
@@ -350,35 +395,9 @@ def parallel_translate(
     """Solve M' = J(xi(s)) M along the stored path (transport interleaved on
     the sphere) for the fibre over the chosen particles (default: all)."""
     parts = list(range(path.n_particles)) if subset is None else list(subset)
-    m = len(parts)
-    d = space.dim
-    basis = t_basis(n, m, d)
-    k = len(basis)
-    if k == 0:
-        # no fully occupied sector over this subset (m exceeds the degree)
-        return FrameMatrix(path.t, np.zeros((0, 0)), J.scalar or 0.0)
-    pts = path.paths[parts]  # (m, K+1, ambient)
-    K = pts.shape[1] - 1
-    if K < 1:
-        return FrameMatrix(path.t, np.eye(k), J.scalar or 0.0)
-    dt = float(path.ts[1] - path.ts[0])
-    flat = not isinstance(space, Sphere)
-    M = np.eye(k)
-    if J.scalar is not None and flat:
-        return FrameMatrix(path.t, math.exp(path.t * J.scalar) * np.eye(k), J.scalar)
-    c_sup = -math.inf
-    B_next = J.block(pts[:, 0, :], k)
-    c_sup = max(c_sup, float(np.linalg.eigvalsh(B_next)[-1]))
-    for j in range(K):
-        B0 = B_next
-        B_next = J.block(pts[:, j + 1, :], k)
-        c_sup = max(c_sup, float(np.linalg.eigvalsh(B_next)[-1]))
-        if flat:
-            M = _expm_sym((dt / 2.0) * (B0 + B_next)) @ M
-        else:
-            T = _transport_matrix(space, basis, pts[:, j, :], pts[:, j + 1, :])
-            M = _expm_sym((dt / 2.0) * B_next) @ T @ _expm_sym((dt / 2.0) * B0) @ M
-    return FrameMatrix(path.t, M, c_sup)
+    subsets = np.array(parts, dtype=np.intp).reshape(1, len(parts))
+    P, c_sup = _frames(space, J, n, path.paths[None], subsets, path.t)
+    return FrameMatrix(path.t, P[0, 0], float(c_sup[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +507,15 @@ def _moved_values(
     val = BatchEval(batch, space.dim).form(W)
     if fast:
         return val, None, np.full(R, J.scalar)
-    ts = np.linspace(0.0, run.t, run.n_steps + 1)
-    paths = [ParticlePath(space, ts, p) for p in block]
     pulled, c_sup = {}, np.full(R, -math.inf)
     for k, A in val.blocks.items():
         first, idx, _ = val.layout.rows(k)
         # every replica moves the same P points, so the subsets of group 0
         # (global indices from 0) are the subsets of each replica
-        frames = [
-            parallel_translate(space, path, J, W.degree, sub)
-            for path in paths
-            for sub in idx[: first[1]]
-        ]
-        Mt = np.stack([fm.P for fm in frames]).transpose(0, 2, 1)
+        P, c = _frames(space, J, W.degree, block, idx[: first[1]], run.t)
+        Mt = P.reshape(-1, *P.shape[2:]).transpose(0, 2, 1)
         pulled[k] = np.matmul(Mt, A[:, :, None])[:, :, 0]
-        per_row = np.reshape([fm.c_sup for fm in frames], (R, -1))
-        c_sup = np.maximum(c_sup, per_row.max(axis=1))
+        c_sup = np.maximum(c_sup, c.max(axis=1))
     return val, BatchValue(val.layout, W.degree, space.dim, pulled), c_sup
 
 
@@ -658,17 +670,19 @@ def frame_bound_check(
 ) -> CheckResult:
     """norm(M(t)) <= e^{t c_sup} (1 + 5 dt) on every sampled path, for the
     full block and each singleton block."""
+    paths = np.stack([
+        simulate_particles(space, intensity, gamma, cfg, rng.child(r)).paths
+        for r in range(n_paths)
+    ])
     worst = -math.inf
-    dt = cfg.step
-    for r in range(n_paths):
-        path = simulate_particles(space, intensity, gamma, cfg, rng.child(r))
-        blocks = [None] + [[i] for i in range(gamma.n)]
-        for sub in blocks:
-            fm = parallel_translate(space, path, J, n, sub)
-            worst = max(worst, fm.bound_slack())
+    for subsets in (np.arange(gamma.n)[None], np.arange(gamma.n)[:, None]):
+        P, c_sup = _frames(space, J, n, paths, subsets, cfg.t)
+        norm = np.linalg.norm(P, 2, axis=(-2, -1)) if P.size else np.zeros(c_sup.shape)
+        slack = norm / np.exp(cfg.t * c_sup) - 1.0
+        worst = max(worst, float(slack.max(initial=-math.inf)))
     label = name or f"frame-bound-{J.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, 5.0 * dt, detail={"paths": n_paths}
+        label, worst, 0.0, 5.0 * cfg.step, detail={"paths": n_paths}
     )
 
 
@@ -689,6 +703,26 @@ def _richardson(ts: Sequence[float], slopes: Sequence[float], ses: Sequence[floa
     s0 = w * s2 - (w - 1.0) * s1
     se = math.hypot(w * ses[order[0]], (w - 1.0) * ses[order[1]])
     return s0, se
+
+
+def _generator_row(
+    check: str, base: float, target: float, scale: float, ts: Sequence[float],
+    n_samples: int, estimate: Callable[[int, SdeConfig], McEstimate],
+) -> CheckResult:
+    """Slopes (base - estimate(ti, cfg).mean) / t over ts, extrapolated to
+    t = 0; pass when |s0 - target| / scale <= max(3 stderr / scale, 5e-3)."""
+    slopes, ses = [], []
+    for ti, t in enumerate(ts):
+        est = estimate(ti, SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO))
+        slopes.append((base - est.mean) / t)
+        ses.append(est.stderr / t)
+    s0, se = _richardson(np.asarray(ts), slopes, ses)
+    tol = max(3.0 * se / scale, 5e-3)
+    return CheckResult(
+        check=check, lhs=s0, rhs=target, stderr=se, tol=tol * scale,
+        passed=bool(abs(s0 - target) / scale <= tol),
+        detail={"ts": list(ts), "n": n_samples},
+    )
 
 
 def generator_check(
@@ -719,7 +753,7 @@ def generator_check(
     J = (
         zero_potential(W.degree)
         if kind == "bochner"
-        else curvature_potential(space, intensity, W.degree, sign=-1.0)
+        else curvature_potential(space, intensity, W.degree)
     )
     checks = []
     for gi, gamma in enumerate(gammas):
@@ -730,32 +764,18 @@ def generator_check(
             start.configs, W.degree, space.dim,
             {k: A / scale for k, A in target.blocks.items()},
         )
-        base = float(start.form(W).inner(unit)[0])
-        tgt = float(target.inner(unit)[0])
-        slopes, ses = [], []
-        for ti, t in enumerate(ts):
-            cfg = SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO)
+
+        def estimate(ti: int, cfg: SdeConfig) -> McEstimate:
             blocks, R = _pulled(
-                space, intensity, W, gamma, t, J, cfg, n_samples,
+                space, intensity, W, gamma, cfg.t, J, cfg, n_samples,
                 rng.child(gi, ti), True,
             )
-            est = McEstimate.from_samples(_contract(blocks, unit, R))
-            slopes.append((base - est.mean) / t)
-            ses.append(est.stderr / t)
-        s0, se = _richardson(np.asarray(ts), slopes, ses)
-        diff = abs(s0 - tgt) / scale
-        tol = max(3.0 * se / scale, 5e-3)
-        checks.append(
-            CheckResult(
-                check=f"generator-{kind}-{W.name}-g{gi}",
-                lhs=s0,
-                rhs=tgt,
-                stderr=se,
-                tol=tol * scale,
-                passed=bool(diff <= tol),
-                detail={"ts": list(ts), "n": n_samples},
-            )
-        )
+            return McEstimate.from_samples(_contract(blocks, unit, R))
+
+        checks.append(_generator_row(
+            f"generator-{kind}-{W.name}-g{gi}", float(start.form(W).inner(unit)[0]),
+            float(target.inner(unit)[0]), scale, ts, n_samples, estimate,
+        ))
     return OperatorReport(name or f"generator-{kind}-{W.name}", checks)
 
 
@@ -775,31 +795,17 @@ def generator_check_function(
     checks = []
     for gi, gamma in enumerate(gammas):
         target = h_pi_sigma(space, intensity, F, gamma)
-        base = float(F.value(gamma.points))
-        scale = max(abs(target), 1.0)
-        slopes, ses = [], []
-        for ti, t in enumerate(ts):
-            cfg = SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO)
-            est = semigroup_T0(
-                space, intensity, F, gamma, t, cfg, n_samples,
+
+        def estimate(ti: int, cfg: SdeConfig) -> McEstimate:
+            return semigroup_T0(
+                space, intensity, F, gamma, cfg.t, cfg, n_samples,
                 rng.child(gi, ti), antithetic=True,
             )
-            slopes.append((base - est.mean) / t)
-            ses.append(est.stderr / t)
-        s0, se = _richardson(np.asarray(ts), slopes, ses)
-        diff = abs(s0 - target) / scale
-        tol = max(3.0 * se / scale, 5e-3)
-        checks.append(
-            CheckResult(
-                check=f"generator-scalar-{F.name}-g{gi}",
-                lhs=s0,
-                rhs=target,
-                stderr=se,
-                tol=tol * scale,
-                passed=bool(diff <= tol),
-                detail={"ts": list(ts), "n": n_samples},
-            )
-        )
+
+        checks.append(_generator_row(
+            f"generator-scalar-{F.name}-g{gi}", float(F.value(gamma.points)),
+            target, max(abs(target), 1.0), ts, n_samples, estimate,
+        ))
     return OperatorReport(name or f"generator-scalar-{F.name}", checks)
 
 
@@ -871,10 +877,9 @@ def poisson_invariance_check(
     ]
     counts = np.zeros((n_samples, len(expected)))
     totals = np.zeros(n_samples)
-    mass = sigma_mass(space, intensity, window)
     for r in range(n_samples):
         sub = rng.child(r)
-        gamma = sample(space, intensity, window, sub, mass=mass)
+        gamma = sample(space, intensity, window, sub)
         path = simulate_particles(
             space, intensity, gamma, cfg.with_horizon(t), sub.child(1),
             keep_paths=False,

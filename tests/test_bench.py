@@ -12,7 +12,9 @@ against per-configuration evaluation; L4 on the sphere (per-configuration
 lifts through the covariant-difference point operators) on a fixed
 5-configuration batch; L6 (the form semigroup's value path: SDE block,
 frames, batched values and their pullback) on 500 replicas of a two-point
-configuration.
+configuration, for the degree-1 eigenform under the scalar and the generic
+potential and for a degree-2 form whose two-point fibre takes the Kronecker
+assembly.
 """
 
 import pytest
@@ -102,12 +104,13 @@ def test_l4_lift_sphere(benchmark, kind):
     benchmark(lambda: [lift(kind, sp, inten, W, c) for W in forms for c in configs])
 
 
-@pytest.mark.parametrize("potential", ["scalar", "generic"])
-def test_l6_form_semigroup(benchmark, potential):
-    # the scalar potential takes the exact e^{tJ} path, the generic one
-    # solves a frame per (replica, point) over 10 steps
+@pytest.mark.parametrize("case", ["scalar", "generic", "deg2-scalar-slot"])
+def test_l6_form_semigroup(benchmark, case):
+    # the scalar potential takes the exact e^{tJ} path; the generic one
+    # solves a frame per (replica, point) over 10 steps, and for the
+    # degree-2 form the two-point fibre's frame is their Kronecker product
     gamma = Configuration(bat.flat_configs()[1])
-    J = curvature_potential(SP, INTEN, 1, allow_scalar=potential == "scalar")
+    W = bat.flat_form_battery()[3] if case == "deg2-scalar-slot" else bat.ou_eigenform()
+    J = curvature_potential(SP, INTEN, W.degree, allow_scalar=case == "scalar")
     cfg = SdeConfig(t=0.1, dt=0.01)
-    W = bat.ou_eigenform()
     benchmark(lambda: semigroup_Tn(SP, INTEN, W, gamma, 0.1, J, cfg, 500, RngStream(42)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,39 @@ class TestLeibniz:
         assert np.allclose(
             leibniz_power(A + B, 2), leibniz_power(A, 2) + leibniz_power(B, 2)
         )
+
+
+def _leibniz_walk(A: np.ndarray, k: int) -> np.ndarray:
+    """The derivation extension key by key: A[b, a] replaces factor a of a
+    basis key by b, with the sign of re-sorting."""
+    d = A.shape[0]
+    basis = list(itertools.combinations(range(d), k))
+    index = {I: r for r, I in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)))
+    for I in basis:
+        for pos in range(k):
+            for b in range(d):
+                J = I[:pos] + (b,) + I[pos + 1 :]
+                if len(set(J)) < k:
+                    continue
+                inversions = sum(x > y for i, x in enumerate(J) for y in J[i + 1 :])
+                out[index[tuple(sorted(J))], index[I]] += (-1.0) ** inversions * A[b, I[pos]]
+    return out
+
+
+class TestLeibnizStacked:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_matches_per_matrix_and_key_walk(self, d):
+        A = np.random.default_rng(d).normal(size=(5, d, d))
+        for k in range(d + 1):
+            got = leibniz_power(A, k)
+            assert got.shape == (5, math.comb(d, k), math.comb(d, k))
+            for a, g in zip(A, got):
+                assert np.array_equal(g, leibniz_power(a, k))
+                assert np.allclose(g, _leibniz_walk(a, k), rtol=0, atol=1e-15)
+
+    def test_degree_zero_is_a_zero(self):
+        assert np.array_equal(leibniz_power(np.eye(2), 0), np.zeros((1, 1)))
 
 
 class _ConstantCurvature(Space):

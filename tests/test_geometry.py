@@ -22,6 +22,28 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def _skewed_grad_log(p):
+    g = -np.asarray(p, dtype=float)
+    g[0] -= 0.6 * p[0] * p[1]
+    return g
+
+
+@pytest.mark.parametrize("inten", [
+    IntensitySpec("gaussian", 0.7),
+    IntensitySpec("uniform"),
+    IntensitySpec("custom", grad_log_density=_skewed_grad_log),
+    IntensitySpec(
+        "custom", density=lambda X: np.exp(-np.sum(X**2, axis=1) - X[:, 0] ** 3)
+    ),
+], ids=["gaussian", "uniform", "custom-grad", "custom-density"])
+def test_grad_beta_stacked_matches_per_point(inten):
+    X = np.random.default_rng(8).normal(size=(3, 4, 2)) * 0.5
+    got = grad_beta(Euclidean(2), inten, X)
+    assert got.shape == (3, 4, 2, 2)
+    for idx in np.ndindex(3, 4):
+        assert np.array_equal(got[idx], grad_beta(Euclidean(2), inten, X[idx]))
+
+
 class TestSpaces:
     def test_euclidean_roundtrip(self):
         sp = Euclidean(2)

@@ -64,6 +64,28 @@ class TestWeitzMatrix:
         assert np.allclose(weitz_matrix(sp, inten, p, 2), [[0.0]], atol=1e-12)
 
 
+    @pytest.mark.parametrize("inten", [
+        GAUSS,
+        IntensitySpec("uniform"),
+        IntensitySpec("custom", grad_log_density=lambda p: -p - np.array([p[1], p[0]]) * p),
+    ], ids=["gaussian", "uniform", "custom"])
+    def test_stacked_matches_per_point(self, inten):
+        X = np.random.default_rng(5).normal(size=(6, 2)) * 0.5
+        for k in range(3):
+            got = weitz_matrix(SP, inten, X, k)
+            for x, g in zip(X, got):
+                assert np.array_equal(g, weitz_matrix(SP, inten, x, k))
+
+    def test_stacked_on_sphere(self):
+        sp, inten = Sphere(), IntensitySpec("uniform")
+        X = np.random.default_rng(6).normal(size=(4, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        for k in range(3):
+            got = weitz_matrix(sp, inten, X, k)
+            for x, g in zip(X, got):
+                assert np.array_equal(g, weitz_matrix(sp, inten, x, k))
+
+
 class TestScalarLevel:
     def test_h_on_first_coordinate_statistic(self):
         # F = <x_1, gamma> is an OU eigenfunction: H F = F

@@ -12,6 +12,7 @@ from poissonforms.pointprocess import (
     MeckeFunctional,
     RngStream,
     _cheb_nodes,
+    _draw_locations,
     expect_series,
     iterated_kernel,
     laplace_check,
@@ -99,7 +100,7 @@ class TestSampling:
             density=lambda X: 1.0 + 1e3 * np.exp(-np.sum((X - c) ** 2, axis=1) / 1.8e-5),
         )
         with pytest.raises(ValueError, match="rejection bound"):
-            sample(SP, spike, BOX, RngStream(4), mass=20_000.0)
+            _draw_locations(SP, spike, BOX, RngStream(4).gen, 20_000)
 
     def test_segment_sum(self):
         batch = sample_batch(SP, GAUSS, BOX, RngStream(1), 50)

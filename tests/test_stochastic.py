@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from poissonforms import batteries as bat
+from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
 from poissonforms.forms import BatchEval, CylinderFunction, Exp, Linear
 from poissonforms.fields import monomial
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere
+from poissonforms.operators import r_pi_sigma
 from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
 from poissonforms.stochastic import (
     BlockPotential,
@@ -163,7 +167,7 @@ class TestFrameTransport:
         fm = parallel_translate(SP, path, J, 1)
         assert abs(fm.norm() - math.exp(-0.12)) < 1e-13
         assert fm.c_sup == pytest.approx(-0.4)
-        assert fm.bound_ok(cfg.step)
+        assert fm.norm() <= math.exp(0.3 * fm.c_sup) * (1.0 + 5.0 * cfg.step)
 
     def test_empty_fibre_guard(self):
         gamma = Configuration(np.array([[0.5, -0.3], [0.1, 0.2]]))
@@ -192,6 +196,103 @@ class TestFrameTransport:
             SdeConfig(0.25, 0.01), n_paths=10, rng=RngStream(13),
         )
         assert res.passed
+
+
+def _grad_log_density(p):
+    # log rho = -|x|^2 / 2 - 0.3 x_0^2 x_1: its Hessian, and so the
+    # curvature potential, changes from point to point
+    g = -np.asarray(p, dtype=float)
+    g[0] -= 0.6 * p[0] * p[1]
+    g[1] -= 0.3 * p[0] ** 2
+    return g
+
+
+SKEWED = IntensitySpec(
+    "custom",
+    density=lambda X: np.exp(-0.5 * np.sum(X**2, axis=1) - 0.3 * X[:, 0] ** 2 * X[:, 1]),
+    grad_log_density=_grad_log_density,
+)
+
+
+def _reference_transport(space, basis, q, p):
+    """The per-slot transport on the fibre basis, key by key, with each
+    slot's frame-to-frame matrix taken one frame vector at a time."""
+    d = space.dim
+    maps = []
+    for qs, ps in zip(q, p):
+        fq, fp = space.frame(qs), space.frame(ps)
+        maps.append(np.array([
+            [fp[b] @ space.transport(qs, ps, fq[a]) for a in range(d)] for b in range(d)
+        ]))
+    index = {key: r for r, key in enumerate(basis)}
+    T = np.zeros((len(basis), len(basis)))
+    for col, key in enumerate(basis):
+        mv = Multivector({key: 1.0})
+        for s, M in enumerate(maps):
+            mv = apply_slot_linear(mv, s, M)
+        for image, c in mv.coef.items():
+            T[index[image], col] += c
+    return T
+
+
+def _reference_frame(space, intensity, J, n, path, subset):
+    """The whole-fibre frame solve: J on the fibre at every step
+    (-r_pi_sigma over the subset points, or scalar I), c_sup from its
+    eigenvalues, the midpoint exponential on flat space and the split step
+    around the transport on the sphere."""
+    pts = path.paths[list(subset)]
+    K1 = pts.shape[1]
+    basis = t_basis(n, len(subset), space.dim)
+    k = len(basis)
+    if k == 0:
+        return np.zeros((0, 0)), J.scalar or 0.0
+    B = [
+        J.scalar * np.eye(k) if J.scalar is not None
+        else -r_pi_sigma(space, intensity, pts[:, j], n)
+        for j in range(K1)
+    ]
+    c_sup = max(float(np.linalg.eigvalsh(b)[-1]) for b in B)
+    dt = path.t / (K1 - 1)
+    M = np.eye(k)
+    for j in range(K1 - 1):
+        if isinstance(space, Sphere):
+            T = _reference_transport(space, basis, pts[:, j], pts[:, j + 1])
+            M = expm(dt / 2 * B[j + 1]) @ T @ expm(dt / 2 * B[j]) @ M
+        else:
+            M = expm(dt / 2 * (B[j] + B[j + 1])) @ M
+    return M, c_sup
+
+
+class TestKroneckerFrames:
+    """Per-point frames assembled by Kronecker products against the solve
+    over the whole fibre, on three points whose frames differ."""
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("setting", ["flat", "sphere"])
+    def test_matches_fibre_solve(self, setting, n, scalar):
+        if setting == "flat":
+            sp, inten = Euclidean(2), SKEWED
+            start = np.array([[0.5, -0.3], [-0.4, 0.6], [0.2, 0.9]])
+        else:
+            sp, inten = Sphere(), IntensitySpec("uniform")
+            start = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0]])
+        path = simulate_particles(
+            sp, inten, Configuration(start), SdeConfig(0.2, 0.02), RngStream(12)
+        )
+        # a scalar J is c I on the whole fibre: each degree-q slot carries
+        # c q / n of it
+        J = (
+            BlockPotential(n, scalar=-0.7) if scalar
+            else curvature_potential(sp, inten, n, allow_scalar=False)
+        )
+        for m in (1, 2, 3):
+            for subset in itertools.combinations(range(3), m):
+                fm = parallel_translate(sp, path, J, n, list(subset))
+                P, c_sup = _reference_frame(sp, inten, J, n, path, subset)
+                assert fm.P.shape == P.shape
+                assert np.max(np.abs(fm.P - P), initial=0.0) < 1e-13, subset
+                assert abs(fm.c_sup - c_sup) < 1e-13, subset
 
 
 class TestFormSemigroup:
