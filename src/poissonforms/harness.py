@@ -275,12 +275,8 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
     for case in bat.series_battery():
         sr = expect_series(sp, inten, win, case.outer, case.inners, case.envelope)
         batch = sample_batch(sp, inten, win, rng.child("series", case.name), cfg["n_samples"])
-        inside = win.contains(batch.points)
         stats = np.column_stack(
-            [
-                batch.segment_sum(np.where(inside, f.value_batch(batch.points), 0.0))
-                for f in case.inners
-            ]
+            [batch.segment_sum(f.value_batch(batch.points)) for f in case.inners]
         )
         est = McEstimate.from_samples(np.asarray(case.outer(stats), dtype=float))
         diff = abs(est.mean - sr.value)

@@ -251,57 +251,92 @@ def _cheb_nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x[::-1]
 
 
-def _cheb_weights(n: int) -> np.ndarray:
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+@functools.lru_cache(maxsize=None)
+def _dct1(n: int) -> np.ndarray:
+    """The DCT-I: values at the n ascending ``_cheb_nodes`` to the
+    coefficients c of their interpolant sum_k c_k T_k. The nodes run up from
+    -1, so T_k at node j is (-1)^k cos(pi j k / (n - 1)). Cached per n and
+    read-only."""
+    j = np.arange(n)
+    # reduce jk exactly before the cosine: pi jk / (n - 1) reaches ~200 rad
+    M = np.cos(np.pi * (np.outer(j, j) % (2 * (n - 1))) / (n - 1)) * (2.0 / (n - 1))
+    M[:, [0, -1]] *= 0.5
+    M[[0, -1], :] *= 0.5
+    M[1::2] *= -1.0
+    M.setflags(write=False)
+    return M
 
 
 class ChebProfile:
-    """Barycentric Chebyshev interpolant of a function of 1 or 2 statistics."""
+    """Chebyshev series of a function of 1 or 2 statistics: the interpolant
+    of its values on a tensor grid of ``_cheb_nodes``, held as coefficients
+    (one DCT-I per axis) and evaluated by three-term recurrences."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
-        self.values = np.asarray(values, dtype=float)
-        self.weights = [_cheb_weights(len(a)) for a in self.axes]
+        c = _dct1(len(self.axes[0])) @ np.asarray(values, dtype=float)
+        if len(self.axes) == 2:
+            c = c @ _dct1(len(self.axes[1])).T
+        self.coeffs = c
 
-    def _axis_matrix(self, axis: int, s: np.ndarray) -> np.ndarray:
+    def _two_t(self, axis: int, s: np.ndarray) -> np.ndarray:
+        """2t, with t the points s mapped onto [-1, 1] by the axis."""
         x = self.axes[axis]
-        w = self.weights[axis]
         # refuse to extrapolate (or read NaN); the tolerance admits only the
         # rounding with which a kernel step's shifted grid meets the endpoints
         tol = 1e-8 * max(abs(x[0]), abs(x[-1]))
         if s.size and not (s.min() >= x[0] - tol and s.max() <= x[-1] + tol):
             raise ValueError(f"profile axis {axis} spans [{x[0]:.6g}, {x[-1]:.6g}], "
                              f"asked for [{s.min():.6g}, {s.max():.6g}]")
-        # the matrices run to millions of entries: build A in place
-        A = s[:, None] - x[None, :]
-        exact = np.abs(A) <= 1e-14
-        hit = exact.any(axis=1)
-        A[exact] = 1.0
-        np.divide(w, A, out=A)
-        A /= np.sum(A, axis=1, keepdims=True)
-        A[hit] = exact[hit]
-        return A
+        # no clamp: inside the slack t leaves [-1, 1] by ~1e-8, where the
+        # recurrences are still accurate and a clamp would move the value
+        t2 = s - 0.5 * (x[0] + x[-1])
+        t2 *= 4.0 / (x[-1] - x[0])
+        return t2
+
+    def _axis_matrix(self, axis: int, s: np.ndarray) -> np.ndarray:
+        """T_0..T_{n-1} at the mapped points, one row per degree: (n, rows)."""
+        t2 = self._two_t(axis, s)
+        T = np.empty((len(self.axes[axis]), s.size))
+        T[0] = 1.0
+        np.multiply(t2, 0.5, out=T[1])
+        for k in range(2, T.shape[0]):
+            np.multiply(t2, T[k - 1], out=T[k])
+            T[k] -= T[k - 2]
+        return T
+
+    def _clenshaw(self, s: np.ndarray) -> np.ndarray:
+        """The 1-statistic series at s: b_k = c_k + 2t b_{k+1} - b_{k+2},
+        value c_0 + t b_1 - b_2, in place over three row-length buffers."""
+        c = self.coeffs
+        t2 = self._two_t(0, s)
+        b1, b2, out = np.zeros_like(t2), np.zeros_like(t2), np.empty_like(t2)
+        for ck in c[:0:-1]:
+            np.multiply(t2, b1, out=out)
+            np.subtract(out, b2, out=b2)
+            b2 += ck
+            b1, b2 = b2, b1
+        np.multiply(t2, b1, out=out)
+        out *= 0.5
+        out -= b2
+        out += c[0]
+        return out
 
     def __call__(self, S: np.ndarray) -> np.ndarray:
         S = np.atleast_2d(np.asarray(S, dtype=float))
         if S.shape[1] != len(self.axes):
             raise ValueError("statistic dimension mismatch")
-        # evaluate in chunks: the barycentric matrices are (rows, cheb_n) and
-        # the callers feed millions of rows
+        if len(self.axes) == 1:
+            return self._clenshaw(S[:, 0])
+        # two statistics: contract per-axis (cheb_n, rows) recurrence blocks
+        # with the coefficients, in chunks of rows to bound their size
         out = np.empty(S.shape[0])
         step = 1 << 16
         for a in range(0, S.shape[0], step):
             chunk = S[a:a + step]
-            A0 = self._axis_matrix(0, chunk[:, 0])
-            if len(self.axes) == 1:
-                out[a:a + step] = A0 @ self.values
-            else:
-                A1 = self._axis_matrix(1, chunk[:, 1])
-                out[a:a + step] = np.einsum("pi,pj,ij->p", A0, A1, self.values)
+            T0 = self._axis_matrix(0, chunk[:, 0])
+            T1 = self._axis_matrix(1, chunk[:, 1])
+            out[a:a + step] = np.einsum("ip,jp,ij->p", T0, T1, self.coeffs)
         return out
 
 
@@ -318,8 +353,8 @@ def _sample_profile(outer, axes: list[np.ndarray]) -> ChebProfile:
     return ChebProfile(axes, np.reshape(outer(grid), [len(axes[0])] * len(axes)))
 
 
-# Quadrature nodes per barycentric contraction in the 2-statistic kernel
-# step: two (chunk, cheb_n, cheb_n) tensors, 2 x 8.4 MB at cheb_n = 64. A
+# Quadrature nodes per contraction in the 2-statistic kernel step: two
+# (cheb_n, chunk * cheb_n) recurrence blocks, 2 x 8.4 MB at cheb_n = 64. A
 # 16 x 16 tensor rule is a single chunk.
 _STEP_CHUNK = 256
 
@@ -336,20 +371,21 @@ def _kernel_step(
         prev = profile(shifted.reshape(-1, 1)).reshape(cheb_n, Q)
         vals = prev @ w
     else:
-        # the grid is a tensor product, so the shifted interpolation
-        # factorizes into per-axis barycentric matrices (one per node),
-        # contracted a chunk of nodes at a time to bound the memory
+        # the series is a tensor product, so the shifted evaluation factorizes
+        # into per-axis Chebyshev blocks T_k(s_i + phi(x_q)), indexed
+        # (k, q, i), contracted a chunk of nodes at a time to bound the memory
+        n = len(profile.axes[0])
         for lo in range(0, Q, _STEP_CHUNK):
             q = slice(lo, lo + _STEP_CHUNK)
-            A0 = profile._axis_matrix(
+            T0 = profile._axis_matrix(
                 0, (axes[0][None, :] + inner_values[q, :1]).ravel()
-            ).reshape(-1, cheb_n, cheb_n)
-            A1 = profile._axis_matrix(
+            ).reshape(n, -1, cheb_n)
+            T1 = profile._axis_matrix(
                 1, (axes[1][None, :] + inner_values[q, 1:2]).ravel()
-            ).reshape(-1, cheb_n, cheb_n)
-            part = np.einsum(
-                "q,qik,kl,qjl->ij", w[q], A0, profile.values, A1, optimize=True
-            )
+            ).reshape(n, -1, cheb_n)
+            # weights folded into T1 first, so both contractions are GEMMs
+            T1 *= w[q][:, None]
+            part = np.einsum("kqi,kl,lqj->ij", T0, profile.coeffs, T1, optimize=True)
             vals = part if lo == 0 else vals + part
     return ChebProfile(axes, vals.reshape([cheb_n] * N))
 
@@ -418,11 +454,14 @@ def expect_series(
     k-fold integral, so all terms cost k_max quadrature passes rather than a
     2k-dimensional rule. Each h_k is read at 0, so its domain is the hull of
     {0} and (k_max - k)[phi_lo, phi_hi]; for positive phi the latter alone
-    misses 0.
+    misses 0. Each h_k is a ``ChebProfile``, evaluated from its coefficients:
+    by Clenshaw's recurrence for one statistic, and for two through per-axis
+    recurrence blocks of at most (cheb_n, ``_STEP_CHUNK`` * cheb_n) entries.
 
     ``envelope(k)`` must bound sup |F| over k-point configurations in the
     window; when omitted, a probe bound is used and the result is flagged
-    uncertified.
+    uncertified. Raises ``ValueError`` if the tail sum has not converged
+    after 400 terms (a sigma-mass far beyond ``k_max``).
     """
     N = len(inners)
     if N not in (1, 2):
@@ -463,8 +502,12 @@ def expect_series(
         log_term = -mass + k * log_mass - math.lgamma(k + 1)
         t = math.exp(log_term) * float(envelope(k))
         tail += t
-        if t < 1e-18 * max(abs(value), 1.0) and k > k_max + 5:
+        # below the Poisson mode the terms still rise, however small they are
+        if t < 1e-18 * max(abs(value), 1.0) and k > max(k_max + 5, mass):
             break
+    else:
+        raise ValueError(f"series tail did not converge within {k_max + 399} terms "
+                         f"(sigma-mass {mass:.6g}); the tail bound would be truncated")
     return SeriesResult(value, tail, tuple(terms), certified)
 
 
@@ -511,20 +554,14 @@ def mecke_check(
     verdict is based on the paired difference and its standard error.
     """
     m = functional.m
+    # sample_batch draws every point inside the window: no mask is needed
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    inside = window.contains(batch.points)
 
-    # per-point values of the slot factors, zeroed outside the window
-    slot_vals = [
-        np.where(inside, f.value_batch(batch.points), 0.0)
-        for f in functional.slot_fields
-    ]
+    # per-point values of the slot factors
+    slot_vals = [f.value_batch(batch.points) for f in functional.slot_fields]
 
     if functional.inner is not None:
-        psi_vals = np.where(
-            inside, functional.inner.value_batch(batch.points), 0.0
-        )
-        s_stat = batch.segment_sum(psi_vals)
+        s_stat = batch.segment_sum(functional.inner.value_batch(batch.points))
         g_of_s = np.asarray(functional.outer(s_stat[:, None]), dtype=float)
     else:
         s_stat = np.zeros(batch.n_samples)
@@ -585,9 +622,7 @@ def laplace_check(
 ) -> CheckResult:
     """Laplace functional: E exp<f, gamma> = exp int (e^f - 1) d sigma."""
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    inside = window.contains(batch.points)
-    fv = np.where(inside, f_field.value_batch(batch.points), 0.0)
-    lhs_vals = np.exp(batch.segment_sum(fv))
+    lhs_vals = np.exp(batch.segment_sum(f_field.value_batch(batch.points)))
     nodes, w = sigma_nodes(space, intensity, window, quad_n)
     rhs = math.exp(float(w @ (np.exp(f_field.value_batch(nodes)) - 1.0)))
     return CheckResult.from_estimates(

@@ -14,15 +14,28 @@ lifts through the covariant-difference point operators) on a fixed
 frames, batched values and their pullback) on 500 replicas of a two-point
 configuration, for the degree-1 eigenform under the scalar and the generic
 potential and for a degree-2 form whose two-point fibre takes the Kronecker
-assembly.
+assembly; L5 (quadrature and series: Chebyshev profiles and iterated
+kernels) through ``expect_series`` for each series-vs-mc case at the
+harness defaults (quad_n 40, cheb_n 64, k_max 8), and through the m = 2
+Mecke right side of the ``pair-exp`` row, a two-step ``iterated_kernel``
+read at the statistic of each of 70,000 configurations drawn from that
+row's stream at seed 42.
 """
 
+import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
 from poissonforms.forms import BatchEval, eval_form, field_divs, field_values
 from poissonforms.operators import lift, lift_batch
-from poissonforms.pointprocess import Configuration, RngStream, sample_batch
+from poissonforms.pointprocess import (
+    Configuration,
+    RngStream,
+    expect_series,
+    iterated_kernel,
+    sample_batch,
+    sigma_nodes,
+)
 from poissonforms.stochastic import SdeConfig, curvature_potential, semigroup_Tn
 
 pytestmark = pytest.mark.bench
@@ -114,3 +127,23 @@ def test_l6_form_semigroup(benchmark, case):
     J = curvature_potential(SP, INTEN, W.degree, allow_scalar=case == "scalar")
     cfg = SdeConfig(t=0.1, dt=0.01)
     benchmark(lambda: semigroup_Tn(SP, INTEN, W, gamma, 0.1, J, cfg, 500, RngStream(42)))
+
+
+@pytest.mark.parametrize("case", [c.name for c in bat.series_battery()])
+def test_l5_expect_series(benchmark, case):
+    c = next(c for c in bat.series_battery() if c.name == case)
+    win = bat.series_window()
+    benchmark(lambda: expect_series(SP, INTEN, win, c.outer, c.inners, c.envelope,
+                                    k_max=8, cheb_n=64, quad_n=40))
+
+
+def test_l5_mecke_chain(benchmark):
+    fn = next(f for f in bat.mecke_battery() if f.name == "pair-exp")
+    win = bat.full_window()
+    batch = sample_batch(SP, INTEN, win, RngStream(42).child("mecke", fn.name), 70_000)
+    s = batch.segment_sum(fn.inner.value_batch(batch.points))[:, None]
+    nodes, w = sigma_nodes(SP, INTEN, win, 40)
+    phi = [f.value_batch(nodes) for f in fn.slot_fields]
+    psi = fn.inner.value_batch(nodes)[:, None]
+    bounds = (np.minimum(s.min(axis=0), 0.0), np.maximum(s.max(axis=0), 0.0))
+    benchmark(lambda: iterated_kernel(fn.outer, psi, w, phi, bounds, 64)(s))

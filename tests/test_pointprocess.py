@@ -80,6 +80,25 @@ class TestSampling:
         batch = sample_batch(SP, GAUSS, BOX, RngStream(2), 500)
         assert BOX.contains(batch.points).all()
 
+    @pytest.mark.parametrize(
+        "intensity, window",
+        [
+            (GAUSS, Window("box", ((-0.65, 0.65), (-0.65, 0.65)))),
+            (GAUSS, Window("box", ((-0.9, 0.9), (-0.9, 0.9)))),
+            (
+                IntensitySpec("custom", density=lambda X: 1.0 + X[:, 0] ** 2),
+                Window("box", ((-1.0, 0.5), (0.0, 2.0))),
+            ),
+        ],
+        ids=["series-window", "dd-zero-box", "custom-density-box"],
+    )
+    def test_sampled_points_need_no_window_mask(self, intensity, window):
+        # laplace_check, mecke_check and the series rows sum field values
+        # over the batch unmasked: every sampled point must lie in the window
+        batch = sample_batch(SP, intensity, window, RngStream(3), 5_000)
+        assert batch.points.shape[0] > 5_000
+        assert window.contains(batch.points).all()
+
     def test_deterministic_replay(self):
         b1 = sample_batch(SP, GAUSS, BOX, RngStream(9, (4,)), 100)
         b2 = sample_batch(SP, GAUSS, BOX, RngStream(9, (4,)), 100)
@@ -165,6 +184,49 @@ class TestQuadrature:
         nodes = _cheb_nodes(0.0, 1.0, 9)
         prof = ChebProfile([nodes], nodes**3)
         assert np.allclose(prof(nodes[:, None]), nodes**3, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [9, 24, 64])
+    def test_cheb_coefficients_round_trip_at_nodes(self, n):
+        # values -> coefficients (DCT-I per axis) -> values at the grid nodes
+        ax = _cheb_nodes(-2.0, 1.0, n)
+        ay = _cheb_nodes(0.5, 3.0, n)
+        v1 = np.sin(3.0 * ax) + ax**2
+        assert np.max(np.abs(ChebProfile([ax], v1)(ax[:, None]) - v1)) <= 1e-13
+        v2 = np.exp(-np.add.outer(ax**2, 0.5 * ay)) + np.multiply.outer(ax, ay)
+        grid = np.stack([g.ravel() for g in np.meshgrid(ax, ay, indexing="ij")], -1)
+        got = ChebProfile([ax, ay], v2)(grid).reshape(n, n)
+        assert np.max(np.abs(got - v2)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [9, 24, 64])
+    def test_cheb_series_matches_barycentric_interpolant(self, n):
+        # the series is the interpolant through the nodes: the barycentric
+        # formula (second kind, Chebyshev-Lobatto weights) is the reference
+        ax = _cheb_nodes(-2.0, 1.0, n)
+        ay = _cheb_nodes(0.5, 3.0, n)
+        w = np.ones(n)
+        w[1::2] = -1.0
+        w[[0, -1]] *= 0.5
+
+        def bary(x, s):
+            A = w / (s[:, None] - x[None, :])
+            return A / A.sum(axis=1, keepdims=True)
+
+        gen = np.random.default_rng(n)
+        s, u = gen.uniform(-2.0, 1.0, 300), gen.uniform(0.5, 3.0, 300)
+        v1 = np.cos(2.0 * ax)
+        assert np.max(np.abs(ChebProfile([ax], v1)(s[:, None]) - bary(ax, s) @ v1)) <= 1e-13
+        v2 = np.cos(np.add.outer(ax, ay))
+        want = np.einsum("pi,pj,ij->p", bary(ax, s), bary(ay, u), v2)
+        assert np.max(np.abs(ChebProfile([ax, ay], v2)(np.column_stack([s, u])) - want)) <= 1e-13
+
+    def test_cheb_profile_does_not_clamp(self):
+        # inside the admitted slack past an endpoint the series is read as
+        # it is; a clamp would return 1 where s^3 = 1 + 1.5e-8
+        nodes = _cheb_nodes(0.0, 1.0, 9)
+        s = nodes[-1] + 0.5e-8
+        assert abs(ChebProfile([nodes], nodes**3)(np.array([[s]]))[0] - s**3) <= 1e-12
+        prof2 = ChebProfile([nodes, nodes], np.multiply.outer(nodes**3, nodes))
+        assert abs(prof2(np.array([[s, s]]))[0] - s**4) <= 1e-12
 
     def test_cheb_profile_rejects_extrapolation(self):
         nodes = _cheb_nodes(-2.0, 1.0, 12)
@@ -261,6 +323,19 @@ class TestExpectSeries:
         whole = terms()
         assert len(sigma_nodes(SP, GAUSS, bat.series_window(), 40)[1]) == 1600
         assert np.max(np.abs(np.subtract(chunked, whole))) <= 1e-12
+
+    def test_tail_that_cannot_converge_raises(self):
+        # sigma-mass 500: the Poisson mode lies beyond k_max + 400, so the
+        # tail terms still rise when the 400-term budget runs out (and they
+        # are below 1e-18 at first: stopping on size alone would report a
+        # tail of ~0 for a series that captures none of the mass)
+        uni, big = IntensitySpec("uniform"), Window("box", ((0.0, 25.0), (0.0, 20.0)))
+        assert abs(sigma_mass(SP, uni, big) - 500.0) < 1e-6
+        with pytest.raises(ValueError, match="did not converge"):
+            expect_series(
+                SP, uni, big, Exp([-0.5]), (PHI,), envelope=lambda k: 1.0,
+                k_max=8, cheb_n=8, quad_n=8,
+            )
 
     def test_three_stats_rejected(self):
         with pytest.raises(ValueError):
