@@ -17,8 +17,9 @@ defined for xbar disjoint from gamma; it is the unitary map the factorization
 checks are built on.
 
 ``BatchEval`` evaluates forms at every configuration of a ``SampleBatch``
-at once; ``eval_form`` with ``EvalCache`` is the single-configuration path
-and the reference the batched one is tested against.
+at once, on flat space and the sphere; every form-level check runs on it.
+``eval_form`` with ``EvalCache`` is the single-configuration path, kept as
+the reference the batched one is tested against.
 """
 
 from __future__ import annotations
@@ -423,9 +424,6 @@ class FormTerm:
     def m(self) -> int:
         return self.omega.m
 
-    def f_value(self, points: np.ndarray) -> float:
-        return 1.0 if self.F is None else self.F.value(points)
-
 
 class CylinderForm:
     """A finite sum of product terms, possibly with different subset sizes m
@@ -482,20 +480,11 @@ class FormValue:
     def norm(self) -> float:
         return math.sqrt(sum(c * c for c in self.point_coef().values()))
 
-    def __add__(self, other: "FormValue") -> "FormValue":
-        out = dict(self.components)
-        for k, v in other.components.items():
-            out[k] = out[k] + v if k in out else v
-        return FormValue(out)
-
-    def scale(self, c: float) -> "FormValue":
-        return FormValue({k: v * c for k, v in self.components.items()})
-
 
 class EvalCache:
     """Per-configuration memo for form evaluation.
 
-    Caches point values, gradients and Laplacians of the inner fields over
+    Caches point values and gradients of the inner fields over
     the configuration, and serves the statistics of cylinder factors with
     excluded points by subtracting rows from the full sum -- the subset
     loops in the operators reuse these instead of re-summing every time.
@@ -504,10 +493,8 @@ class EvalCache:
     def __init__(self, config: Configuration):
         self.config = config
         self.points = config.points
-        self.misc: dict = {}
         self._vals: dict[int, np.ndarray] = {}
         self._grads: dict[int, np.ndarray] = {}
-        self._laps: dict[int, np.ndarray] = {}
         self._stats: dict[int, np.ndarray] = {}
         self._keep: dict[int, object] = {}
 
@@ -525,9 +512,6 @@ class EvalCache:
     def grads(self, f) -> np.ndarray:
         # value-only fields give shape (0,) on no points, not (0, dim)
         return self._memo(self._grads, f, field_grads, (0, self.points.shape[1]))
-
-    def laps(self, f) -> np.ndarray:
-        return self._memo(self._laps, f, field_laps, (0,))
 
     def stat_full(self, F: CylinderFunction) -> np.ndarray:
         k = id(F)
@@ -586,12 +570,9 @@ def _masked_component(
     return total * (1.0 / math.factorial(m))
 
 
-def eval_form(
-    W: CylinderForm, config: Configuration, cache: Optional[EvalCache] = None
-) -> FormValue:
+def eval_form(W: CylinderForm, config: Configuration) -> FormValue:
     """All components of W at the configuration."""
-    if cache is None:
-        cache = EvalCache(config)
+    cache = EvalCache(config)
     comps: dict[tuple[int, ...], Multivector] = {}
     pts = config.points
     for t in W.terms:
@@ -614,7 +595,7 @@ def eval_form(
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation over a whole SampleBatch (flat backends)
+# batched evaluation over a whole SampleBatch
 
 
 def field_values(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
@@ -755,6 +736,14 @@ class BatchValue:
     def norm(self) -> np.ndarray:
         return np.sqrt(np.maximum(self.inner(self), 0.0))
 
+    def __sub__(self, other: "BatchValue") -> "BatchValue":
+        """Blockwise difference of two values on one layout and degree."""
+        blocks = {
+            k: self.blocks.get(k, 0.0) - other.blocks.get(k, 0.0)
+            for k in self.blocks.keys() | other.blocks.keys()
+        }
+        return BatchValue(self.layout, self.degree, self.dim, blocks)
+
 
 class _Scatter:
     """Collects weighted form-field values on subset rows and files each
@@ -793,6 +782,12 @@ class _Scatter:
             flat.append(targets[pos] * width + col)
             w.append(c)
 
+    def add_block(self, k: int, block: np.ndarray) -> None:
+        """Add a dense (k-rows, basis) block of coefficients."""
+        flat, w = self.parts.setdefault(k, ([], []))
+        flat.append(np.arange(block.size))
+        w.append(block.ravel())
+
     def value(self) -> BatchValue:
         blocks = {}
         for k, (flat, w) in self.parts.items():
@@ -819,7 +814,8 @@ class BatchEval:
     offsets, a cylinder factor F(gamma \\ xbar) is the outer function of the
     configuration's statistics minus the subset points' rows, and a form
     value is a ``BatchValue``. Form values take flat and sphere slots; the
-    batched operators built on this class are for the flat backends."""
+    batched lifts built on this class run on both backends, d* and the
+    point partials on the flat ones."""
 
     def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch

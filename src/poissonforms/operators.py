@@ -44,6 +44,7 @@ import numpy as np
 from .exterior import (
     Multivector,
     _slot_block_terms,
+    _splits,
     _wedge_ops,
     block_potential,
     curvature_operator,
@@ -65,7 +66,7 @@ from .forms import (
     RowLayout,
     SlotForm,
     SymmetricFormField,
-    eval_form,
+    _Scatter,
     field_divs,
     field_values,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "lift",
     "lift_batch",
     "dstar_batch",
+    "r_pi_sigma_batch",
     "point_gradient_energy",
     "weitz_matrix",
     "r_pi_sigma",
@@ -156,55 +158,12 @@ def beta_fields(space: Space, intensity: IntensitySpec) -> list[Field]:
     )
 
 
-def _cache_beta(space: Space, intensity: IntensitySpec, cache: EvalCache) -> np.ndarray:
-    key = ("beta", id(intensity))
-    if key not in cache.misc:
-        cache.misc[key] = beta_rows(space, intensity, cache.points)
-    return cache.misc[key]
-
-
-def _h_sigma_rest_sum(
-    space: Space,
-    intensity: IntensitySpec,
-    F: CylinderFunction,
-    cache: EvalCache,
-    idx: tuple[int, ...],
-) -> float:
-    """Sum of H acting through each point outside the subset on
-    F(gamma \\ xbar); the statistic is the same for every such point, so the
-    point sums vectorize."""
-    n = cache.points.shape[0]
-    rest = [r for r in range(n) if r not in idx]
-    if not rest:
-        return 0.0
-    s = cache.stat_without(F, idx)
-    bet = _cache_beta(space, intensity, cache)[rest]
-    grads = [cache.grads(phi)[rest] for phi in F.inners]
-    tot = 0.0
-    for j, phi in enumerate(F.inners):
-        gj = F.outer.partial(j)
-        for k in range(len(F.inners)):
-            pjk = gj.partial(k).eval_one(s)
-            if pjk != 0.0:
-                tot -= pjk * float(np.einsum("pa,pa->", grads[j], grads[k]))
-        pj = gj.eval_one(s)
-        if pj != 0.0:
-            drift = float(np.einsum("pa,pa->", bet, grads[j]))
-            tot += pj * (-float(cache.laps(phi)[rest].sum()) - drift)
-    return tot
-
-
 def h_pi_sigma(
-    space: Space,
-    intensity: IntensitySpec,
-    F: CylinderFunction,
-    config: Configuration,
-    cache: Optional[EvalCache] = None,
+    space: Space, intensity: IntensitySpec, F: CylinderFunction, config: Configuration
 ) -> float:
     """The lifted operator on cylinder functions: sum of H over the points."""
-    if cache is None:
-        cache = EvalCache(config)
-    return _h_sigma_rest_sum(space, intensity, F, cache, ())
+    ev = BatchEval(SampleBatch(config.points, np.array([0, config.n])), space.dim)
+    return float(_h_rows(space, intensity, F, ev)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +340,11 @@ def _point_ops(
     intensity: IntensitySpec,
     omega: SymmetricFormField,
     X: np.ndarray,
-) -> list[Multivector]:
+) -> np.ndarray:
     """The Bochner or de Rham point operator applied to a one-point form
-    field at each row of X (slot 0): the subset-point action of ``lift`` on
-    curved backends, where the slot operators have no exact form."""
+    field at each row of X (slot 0), as (N, C(d, k)) coefficients on
+    ``t_basis(k, 1, d)``: the subset-point action of the lifts on curved
+    backends, where the slot operators have no exact form."""
     if omega.m != 1:
         raise NotImplementedError("sphere lifts are implemented for one-point terms")
     d, k = space.dim, omega.degree
@@ -396,11 +356,7 @@ def _point_ops(
         return blocks.get(1, np.zeros((len(Q), math.comb(d, k))))
 
     op = bochner_rows if kind == "bochner" else h_r_rows
-    keys = t_basis(k, 1, d)
-    return [
-        Multivector({key: float(c) for key, c in zip(keys, row) if c != 0.0})
-        for row in op(space, intensity, om, k, X)
-    ]
+    return op(space, intensity, om, k, X)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +440,6 @@ def dstar_gamma(
     intensity: IntensitySpec,
     W: CylinderForm,
     config: Configuration,
-    cache: Optional[EvalCache] = None,
 ) -> FormValue:
     """Codifferential of a cylinder form at one configuration (value level).
 
@@ -498,8 +453,7 @@ def dstar_gamma(
             "the configuration-level codifferential is implemented on flat backends"
         )
     betas = beta_fields(space, intensity)
-    if cache is None:
-        cache = EvalCache(config)
+    cache = EvalCache(config)
     comps: dict[tuple[int, ...], Multivector] = {}
     pts = config.points
     for t in W.terms:
@@ -543,17 +497,14 @@ def point_partial_form(
     config: Configuration,
     i: int,
     a: int,
-    cache: Optional[EvalCache] = None,
-    memo: Optional[dict] = None,
 ) -> FormValue:
     """Derivative of all components of W in coordinate a of configuration
     point i (flat backends; the Bochner-level Dirichlet identity pairs these
-    gradients).  ``memo`` persists the symbolic slot partials across calls."""
-    if cache is None:
-        cache = EvalCache(config)
+    gradients)."""
+    cache = EvalCache(config)
     comps: dict[tuple[int, ...], Multivector] = {}
     pts = config.points
-    for ti, t in enumerate(W.terms):
+    for t in W.terms:
         if t.mask is not None:
             raise ValueError("point_partial_form expects plain product terms")
         m = t.m
@@ -563,14 +514,7 @@ def point_partial_form(
             if i in idx:
                 if fval == 0.0:
                     continue
-                slot = idx.index(i)
-                key = (ti, slot, a)
-                if memo is None:
-                    part = t.omega.slot_partial(slot, a)
-                elif key not in memo:
-                    part = memo[key] = t.omega.slot_partial(slot, a)
-                else:
-                    part = memo[key]
+                part = t.omega.slot_partial(idx.index(i), a)
                 mv = part.value(pts[list(idx)]) * fval
             else:
                 F = t.F
@@ -598,7 +542,6 @@ def lift(
     intensity: IntensitySpec,
     W: CylinderForm,
     config: Configuration,
-    cache: Optional[EvalCache] = None,
 ) -> FormValue:
     """The lifted Bochner or de Rham operator applied to W at one
     configuration.
@@ -612,8 +555,7 @@ def lift(
     sphere = isinstance(space, Sphere)
     if not sphere:
         betas = beta_fields(space, intensity)
-    if cache is None:
-        cache = EvalCache(config)
+    cache = EvalCache(config)
     comps: dict[tuple[int, ...], Multivector] = {}
 
     def add(idx, mv):
@@ -627,13 +569,17 @@ def lift(
         m = t.m
         scale = math.sqrt(math.factorial(m)) * t.coef
         if m > 0 and sphere:
-            point_ops = _point_ops(kind, space, intensity, t.omega, pts)
+            keys = t_basis(t.omega.degree, 1, space.dim)
+            point_ops = [
+                Multivector({key: float(c) for key, c in zip(keys, row) if c != 0.0})
+                for row in _point_ops(kind, space, intensity, t.omega, pts)
+            ]
         elif m > 0:
             slot_ops = [_slot_op(kind, t.omega, i, betas, space.dim) for i in range(m)]
         for idx in itertools.combinations(range(config.n), m):
             xbar = pts[list(idx)]
             if t.F is not None:
-                hs = _h_sigma_rest_sum(space, intensity, t.F, cache, idx)
+                hs = h_pi_sigma(space, intensity, t.F, config.without(idx))
                 if hs != 0.0:
                     add(idx, t.omega.value(xbar) * (scale * hs))
             fval = cache.f_without(t.F, idx)
@@ -702,7 +648,7 @@ def apply_r_pi_sigma(
 
 
 # ---------------------------------------------------------------------------
-# batched operators over a whole SampleBatch (flat backends)
+# batched operators over a whole SampleBatch
 
 
 def _outer_rows(fn, S: np.ndarray) -> np.ndarray:
@@ -725,9 +671,8 @@ def _h_rest_rows(
     idx: np.ndarray,
 ) -> np.ndarray:
     """Per row: the sum of H acting through each point of configuration
-    cfg[r] outside the subset idx[r] on F(gamma \\ xbar) (the batched
-    ``_h_sigma_rest_sum``); point sums are configuration sums minus the
-    subset points."""
+    cfg[r] outside the subset idx[r] on F(gamma \\ xbar); point sums are
+    configuration sums minus the subset points."""
 
     def rest(per_point: np.ndarray) -> np.ndarray:
         tot = ev.batch.segment_sum(per_point)[cfg]
@@ -749,13 +694,40 @@ def _h_rest_rows(
     return tot
 
 
+def _h_rows(
+    space: Space, intensity: IntensitySpec, F: CylinderFunction, ev: BatchEval
+) -> np.ndarray:
+    """H F at every configuration of the batch: H through every point, no
+    subset held out."""
+    n = ev.batch.n_samples
+    return _h_rest_rows(
+        space, intensity, F, ev, np.arange(n), np.empty((n, 0), dtype=np.intp)
+    )
+
+
+def _add_point_ops(
+    kind: str, space: Space, intensity: IntensitySpec, out: _Scatter,
+    omega: SymmetricFormField, ev: BatchEval, idx: np.ndarray, cfg: np.ndarray,
+    w: np.ndarray,
+) -> None:
+    """Add w times the Bochner or de Rham point operator, summed over the
+    slots of omega, on the subset rows (idx, cfg) of ``ev.configs``. On the
+    sphere the one-slot operator is taken at every batch point in one call
+    and filed on the 1-subset rows, where row r holds batch point r."""
+    if not isinstance(space, Sphere):
+        betas = beta_fields(space, intensity)
+        for i in range(omega.m):
+            out.add(_slot_op(kind, omega, i, betas, space.dim), idx, cfg, w)
+    elif omega.m:
+        out.add_block(1, w[:, None] * _point_ops(kind, space, intensity, omega, ev.points))
+
+
 def lift_batch(
     kind: str, space: Space, intensity: IntensitySpec, W: CylinderForm, ev: BatchEval
 ) -> BatchValue:
-    """``lift`` at every configuration of the batch (flat backends)."""
+    """``lift`` at every configuration of the batch."""
     if kind not in ("bochner", "deRham"):
         raise ValueError("kind must be 'bochner' or 'deRham'")
-    betas = beta_fields(space, intensity)
     out = ev.scatter(ev.configs, W.degree)
     for t, scale in _plain_terms(W, "lift"):
         _, idx, cfg = ev.configs.rows(t.m)
@@ -763,9 +735,38 @@ def lift_batch(
             hs = _h_rest_rows(space, intensity, t.F, ev, cfg, idx)
             out.add(t.omega, idx, cfg, scale * hs)
         w = scale * ev.f_rows(t.F, cfg, idx)
-        for i in range(t.m):
-            out.add(_slot_op(kind, t.omega, i, betas, space.dim), idx, cfg, w)
+        _add_point_ops(kind, space, intensity, out, t.omega, ev, idx, cfg, w)
     return out.value()
+
+
+def r_pi_sigma_batch(
+    space: Space, intensity: IntensitySpec, value: BatchValue, points: np.ndarray
+) -> BatchValue:
+    """``apply_r_pi_sigma`` at every group of a batched value whose rows
+    index ``points``. On each block k and each split (q_0, ..., q_{k-1}) of
+    its ``t_basis`` the potential is the Kronecker sum of the slots'
+    degree-q blocks ``weitz_matrix(x_s, q_s)``, slot 0 slowest. This is
+    exact per block: a key with an empty slot is filed on the smaller
+    subset it occupies, and the degree-0 block vanishes."""
+    d = space.dim
+    blocks = {}
+    for k, A in value.blocks.items():
+        idx = value.layout.rows(k)[1]
+        out = np.zeros_like(A)
+        lo = 0
+        for split in _splits(value.degree, k, d):
+            dims = tuple(math.comb(d, q) for q in split)
+            size = math.prod(dims)
+            a = A[:, lo : lo + size].reshape(-1, *dims)
+            acc = np.zeros_like(a)
+            for s, q in enumerate(split):
+                M = weitz_matrix(space, intensity, points[idx[:, s]], q)
+                img = np.einsum("rij,r...j->r...i", M, np.moveaxis(a, s + 1, -1))
+                acc += np.moveaxis(img, -1, s + 1)
+            out[:, lo : lo + size] = acc.reshape(len(A), size)
+            lo += size
+        blocks[k] = out
+    return BatchValue(value.layout, value.degree, value.dim, blocks)
 
 
 def dstar_batch(
@@ -936,11 +937,7 @@ def dirichlet_check(
                     pd1[j] * pd2[k] * np.einsum("pa,pa->p", grads1[j], grads2[k])
                 )
         lhs = np.bincount(sid, weights=lhs_pt, minlength=n)
-        # H W1 per sample: H through every point, no subset held out
-        h = _h_rest_rows(
-            space, intensity, W1, ev, np.arange(n), np.empty((n, 0), dtype=np.intp)
-        )
-        rhs = h * _outer_rows(W2.outer, S2)
+        rhs = _h_rows(space, intensity, W1, ev) * _outer_rows(W2.outer, S2)
         diff = McEstimate.from_samples(lhs - rhs)
         label = name or f"dirichlet-functions-{W1.name}-{W2.name}"
         return CheckResult.from_estimates(
@@ -1021,21 +1018,32 @@ def weitzenbock_check(
     name: Optional[str] = None,
 ) -> CheckResult:
     """De Rham lift minus Bochner lift equals the curvature potential,
-    as a deterministic residual over sampled configurations."""
+    as a deterministic residual over sampled configurations: the largest
+    per-configuration norm of the difference."""
     batch = sample_batch(space, intensity, window, rng, n_configs)
-    n = W.degree
-    worst = 0.0
-    for cfg in batch:
-        cache = EvalCache(cfg)
-        a = lift("deRham", space, intensity, W, cfg, cache)
-        b = lift("bochner", space, intensity, W, cfg, cache)
-        r = apply_r_pi_sigma(space, intensity, eval_form(W, cfg, cache), cfg, n)
-        resid = a + b.scale(-1.0) + r.scale(-1.0)
-        worst = max(worst, resid.norm())
+    ev = BatchEval(batch, space.dim)
+    resid = (
+        lift_batch("deRham", space, intensity, W, ev)
+        - lift_batch("bochner", space, intensity, W, ev)
+        - r_pi_sigma_batch(space, intensity, ev.form(W), ev.points)
+    )
+    worst = float(resid.norm().max(initial=0.0))
     label = name or f"weitzenbock-{W.name}"
     return CheckResult.deterministic(
         label, worst, 0.0, tol, detail={"configs": n_configs}
     )
+
+
+def _rest_batch(ev: BatchEval, cfg: np.ndarray, idx: np.ndarray) -> SampleBatch:
+    """Per row r: configuration cfg[r] of the batch without the points
+    idx[r], as a batch of configurations of their own."""
+    size = ev.configs.size[cfg]
+    row = np.repeat(np.arange(len(cfg)), size)
+    local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    pt = np.repeat(ev.configs.start[cfg], size) + local
+    keep = ~(pt[:, None] == idx[row]).any(axis=1)
+    offsets = np.concatenate([[0], np.cumsum(size - idx.shape[1])])
+    return SampleBatch(ev.points[pt[keep]], offsets)
 
 
 def factorization_check(
@@ -1050,51 +1058,46 @@ def factorization_check(
     name: Optional[str] = None,
 ) -> CheckResult:
     """The subset identification intertwines the lifted operator with
-    H otimes 1 + 1 otimes (point-operator sum): for sampled (gamma, xbar),
+    H otimes 1 + 1 otimes (point-operator sum): for a configuration eta and
+    each m-subset xbar of it, with gamma = eta minus xbar,
 
         I(lift W)(gamma, xbar) = (H F)(gamma) omega(xbar)
                                  + F(gamma) (sum_i op_i omega)(xbar)
 
-    summed over the product terms of W, as a deterministic residual."""
+    summed over the product terms of W, as a deterministic residual. Per
+    trial and subset size m of W, eta is a sampled configuration plus m
+    points drawn from sigma. The left side is ``lift_batch`` at every eta,
+    which takes H and F through the points outside each subset; the right
+    side takes them from each gamma as a configuration of its own. Every
+    subset is compared, since a key with an empty slot is filed on the
+    smaller subset it occupies, together with other subsets' keys.
+
+    Both sides apply the same point operators (``_slot_op`` on flat space,
+    ``_point_ops`` on the sphere) through the same filing, so the row checks
+    the subset identification and the H-through-the-cylinder-factor term,
+    not the point operators."""
     from .pointprocess import _draw_locations, sample
 
-    sphere = isinstance(space, Sphere)
-    if not sphere:
-        betas = beta_fields(space, intensity)
-    worst = 0.0
+    unions = []
     sizes = sorted(m for m in W.subset_sizes() if m > 0)
     for trial in range(n_trials):
         sub_rng = rng.child(trial)
         gamma = sample(space, intensity, window, sub_rng)
         for m in sizes:
             xbar = _draw_locations(space, intensity, window, sub_rng.gen, m)
-            union = gamma.union(xbar)
-            got = lift(kind, space, intensity, W, union)
-            idx = tuple(range(gamma.n, gamma.n + m))
-            left = got.components.get(idx, Multivector()) * (
-                1.0 / math.sqrt(math.factorial(m))
-            )
-            right = Multivector()
-            for t in W.terms:
-                if t.m != m:
-                    continue
-                base = t.omega.value(xbar)
-                if t.F is not None:
-                    hval = h_pi_sigma(space, intensity, t.F, gamma)
-                    right = right + base * (t.coef * hval)
-                fval = t.f_value(gamma.points)
-                if fval == 0.0:
-                    continue
-                if sphere:
-                    ops = _point_ops(kind, space, intensity, t.omega, xbar)
-                else:
-                    ops = [
-                        _slot_op(kind, t.omega, i, betas, space.dim).value(xbar)
-                        for i in range(m)
-                    ]
-                for op_om in ops:
-                    right = right + op_om * (t.coef * fval)
-            worst = max(worst, (left + right * -1.0).norm())
+            unions.append(np.vstack([gamma.points, xbar]))
+    offsets = np.cumsum([0] + [len(u) for u in unions])
+    ev = BatchEval(SampleBatch(np.vstack(unions), offsets), space.dim)
+    right = ev.scatter(ev.configs, W.degree)
+    for t, scale in _plain_terms(W, "factorization_check"):
+        _, idx, cfg = ev.configs.rows(t.m)
+        rest = BatchEval(_rest_batch(ev, cfg, idx), space.dim)
+        if t.F is not None:
+            right.add(t.omega, idx, cfg, scale * _h_rows(space, intensity, t.F, rest))
+        f = rest.f_rows(t.F, np.arange(len(cfg)), idx[:, :0])  # no point held out
+        _add_point_ops(kind, space, intensity, right, t.omega, ev, idx, cfg, scale * f)
+    resid = lift_batch(kind, space, intensity, W, ev) - right.value()
+    worst = float(resid.norm().max(initial=0.0))
     label = name or f"factorization-{kind}-{W.name}"
     return CheckResult.deterministic(
         label, worst, 0.0, tol, detail={"trials": n_trials}

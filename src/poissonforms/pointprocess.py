@@ -42,7 +42,6 @@ __all__ = [
     "McEstimate",
     "sample",
     "sample_batch",
-    "m_subsets",
     "sigma_nodes",
     "ChebProfile",
     "iterated_kernel",
@@ -97,16 +96,6 @@ class Configuration:
         mask[list(indices)] = False
         return Configuration(self.points[mask])
 
-    def union(self, extra: np.ndarray) -> "Configuration":
-        extra = np.atleast_2d(np.asarray(extra, dtype=float))
-        if self.n == 0:
-            return Configuration(extra.copy())
-        return Configuration(np.vstack([self.points, extra]))
-
-
-def m_subsets(config: Configuration, m: int) -> list[tuple[int, ...]]:
-    """Index tuples of the m-point subsets of a configuration."""
-    return list(itertools.combinations(range(config.n), m))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The batched form evaluator against the per-configuration functions,
-which stay as the reference implementation."""
+which stay as the reference implementation, and a guard that the checks
+run on the batched path alone."""
 
 import itertools
 import math
@@ -8,19 +9,25 @@ import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
+from poissonforms import forms
 from poissonforms.exterior import t_basis
 from poissonforms.forms import BatchEval, eval_form
 from poissonforms.geometry import Euclidean, IntensitySpec
 from poissonforms.operators import (
+    apply_r_pi_sigma,
     d_gamma,
     dstar_batch,
     dstar_gamma,
+    factorization_check,
     lift,
     lift_batch,
     point_gradient_energy,
     point_partial_form,
+    r_pi_sigma_batch,
+    weitzenbock_check,
 )
-from poissonforms.pointprocess import SampleBatch
+from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
+from poissonforms.stochastic import generator_check_function
 
 SP = Euclidean(2)
 GAUSS = IntensitySpec("gaussian", 1.0)
@@ -54,11 +61,21 @@ BATCH = random_batch()
 CONFIGS = list(BATCH)
 SPHERE = bat.sphere_form_battery()
 SPHERE_BATCH = sphere_batch()
+SS, SI = bat.sphere_space(), bat.sphere_intensity()
 # the flat forms on the plane batch, the sphere forms on the sphere batch;
 # both spaces have tangent dimension 2
 CASES = [pytest.param(W, BATCH, id=W.name) for W in ALL] + [
     pytest.param(W, SPHERE_BATCH, id=f"sphere-{W.name}") for W in SPHERE
 ]
+# the plain (unmasked) forms, which the lifts take
+PLAIN_CASES = [pytest.param(W, BATCH, id=W.name) for W in PLAIN] + [
+    pytest.param(W, SPHERE_BATCH, id=f"sphere-{W.name}") for W in SPHERE
+]
+
+
+def backend(batch: SampleBatch):
+    """The space and intensity a test batch lives on."""
+    return (SP, GAUSS) if batch is BATCH else (SS, SI)
 
 
 def batch_coef(value, i: int, degree: int) -> dict:
@@ -126,12 +143,25 @@ def test_dstar(W):
 
 
 @pytest.mark.parametrize("kind", ["bochner", "deRham"])
-@pytest.mark.parametrize("W", PLAIN, ids=lambda W: W.name)
-def test_lifts(kind, W):
-    val = lift_batch(kind, SP, GAUSS, W, BatchEval(BATCH, SP.dim))
-    for i, cfg in enumerate(CONFIGS):
-        want = lift(kind, SP, GAUSS, W, cfg).point_coef()
+@pytest.mark.parametrize("W, batch", PLAIN_CASES)
+def test_lifts(kind, W, batch):
+    space, intensity = backend(batch)
+    val = lift_batch(kind, space, intensity, W, BatchEval(batch, space.dim))
+    for i, cfg in enumerate(batch):
+        want = lift(kind, space, intensity, W, cfg).point_coef()
         assert_same_coef(batch_coef(val, i, W.degree), want, f"{kind}{W.name}@{i}")
+
+
+@pytest.mark.parametrize("W, batch", CASES)
+def test_curvature_term(W, batch):
+    # the Kronecker sum per block against the key-by-key slot action,
+    # masked forms and scalar-slot keys included
+    space, intensity = backend(batch)
+    ev = BatchEval(batch, space.dim)
+    val = r_pi_sigma_batch(space, intensity, ev.form(W), ev.points)
+    for i, cfg in enumerate(batch):
+        fv = apply_r_pi_sigma(space, intensity, eval_form(W, cfg), cfg, W.degree)
+        assert_same_coef(batch_coef(val, i, W.degree), fv.point_coef(), f"R{W.name}@{i}")
 
 
 @pytest.mark.parametrize("pair", PAIRS + [(FLAT[1], FLAT[1]), (FLAT[2], FLAT[3])],
@@ -181,3 +211,25 @@ def test_row_layout_past_int64_binomials():
         first, idx, group = layout.rows(k)
         assert list(np.diff(first)) == [math.comb(67, k), math.comb(100, k)]
         assert np.array_equal(layout.find(group, idx), np.arange(len(idx)))
+
+
+def test_checks_never_build_an_eval_cache(monkeypatch):
+    # eval_form, lift, dstar_gamma and point_partial_form each build an
+    # EvalCache, and apply_r_pi_sigma acts on their values: with the
+    # constructor refusing, the structural checks and the scalar generator
+    # reduction must still run, on the batched path alone
+    def refuse(self, config):
+        raise AssertionError("a check used the per-configuration form path")
+
+    monkeypatch.setattr(forms.EvalCache, "__init__", refuse)
+    win = bat.full_window()
+    for space, intensity, W in ((SP, GAUSS, FLAT[3]), (SS, SI, SPHERE[1])):
+        res = weitzenbock_check(space, intensity, win, W, RngStream(3), n_configs=2, tol=1e-4)
+        assert res.passed, W.name
+        for kind in ("bochner", "deRham"):
+            res = factorization_check(kind, space, intensity, win, W, RngStream(4), n_trials=2)
+            assert res.passed, (kind, W.name)
+    gamma = Configuration(bat.flat_configs()[1])
+    generator_check_function(
+        SP, GAUSS, bat.generator_functions()[0], [gamma], n_samples=50, rng=RngStream(5)
+    )

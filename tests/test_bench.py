@@ -8,13 +8,13 @@ lifted-vector values and divergences) on a fixed 20,000-configuration batch
 drawn from the first ibp row's stream at seed 42, through one ``BatchEval``
 point table per row against per-call evaluation; L3 (form values) and L4
 (lifted operators) on a fixed 30-configuration dirichlet batch, batched
-against per-configuration evaluation; L4 on the sphere (per-configuration
-lifts through the covariant-difference point operators) on a fixed
-5-configuration batch; L6 (the form semigroup's value path: SDE block,
-frames, batched values and their pullback) on 500 replicas of a two-point
-configuration, for the degree-1 eigenform under the scalar and the generic
-potential and for a degree-2 form whose two-point fibre takes the Kronecker
-assembly; L5 (quadrature and series: Chebyshev profiles and iterated
+against per-configuration evaluation; L4 on the sphere (lifts through the
+covariant-difference point operators) on a fixed 5-configuration batch,
+batched against per-configuration; L6 (the form semigroup's value path:
+SDE block, frames, batched values and their pullback) on 500 replicas of
+a two-point configuration, for the degree-1 eigenform under the scalar and
+the generic potential and for a degree-2 form whose two-point fibre takes
+the Kronecker assembly; L5 (quadrature and series: Chebyshev profiles and iterated
 kernels) through ``expect_series`` for each series-vs-mc case at the
 harness defaults (quad_n 40, cheb_n 64, k_max 8), and through the m = 2
 Mecke right side of the ``pair-exp`` row, a two-step ``iterated_kernel``
@@ -108,13 +108,21 @@ def test_l4_lift_per_config(benchmark, batch, kind):
     benchmark(lambda: [lift(kind, SP, INTEN, W, c) for W in FORMS for c in configs])
 
 
+@pytest.mark.parametrize("mode", ["batched", "per-config"])
 @pytest.mark.parametrize("kind", ["bochner", "deRham"])
-def test_l4_lift_sphere(benchmark, kind):
+def test_l4_lift_sphere(benchmark, kind, mode):
     sp, inten = bat.sphere_space(), bat.sphere_intensity()
     batch = sample_batch(sp, inten, bat.full_window(), RngStream(42).child("l4-s"), 5)
     configs = list(batch)
     forms = bat.sphere_form_battery()
-    benchmark(lambda: [lift(kind, sp, inten, W, c) for W in forms for c in configs])
+
+    def batched():
+        return [lift_batch(kind, sp, inten, W, BatchEval(batch, sp.dim)) for W in forms]
+
+    def per_config():
+        return [lift(kind, sp, inten, W, c) for W in forms for c in configs]
+
+    benchmark(batched if mode == "batched" else per_config)
 
 
 @pytest.mark.parametrize("case", ["scalar", "generic", "deg2-scalar-slot"])

@@ -75,11 +75,6 @@ class TestFormValue:
         assert abs(a.inner(b) - 6.0) < 1e-15
         assert abs(a.norm() - 2.0) < 1e-15
 
-    def test_add_and_scale(self):
-        a = FormValue({(0,): Multivector({((0, 0),): 1.0})})
-        s = (a + a).scale(0.25)
-        assert abs(s.norm() - 0.5) < 1e-15
-
 
 class TestEvalForm:
     def test_m1_component_frozen(self):

@@ -16,7 +16,6 @@ from poissonforms.pointprocess import (
     expect_series,
     iterated_kernel,
     laplace_check,
-    m_subsets,
     mecke_check,
     sample,
     sample_batch,
@@ -139,15 +138,9 @@ class TestSampling:
         for _ in range(2):
             assert np.array_equal(batch.segment_sum(vals), want)
 
-    def test_m_subsets(self):
-        cfg = Configuration(np.zeros((4, 2)))
-        assert len(m_subsets(cfg, 2)) == 6
-        assert m_subsets(Configuration(np.zeros((1, 2))), 2) == []
-
     def test_without_union(self):
         cfg = Configuration(np.array([[0.0, 0], [1, 1], [2, 2]]))
         assert cfg.without([1]).points.tolist() == [[0, 0], [2, 2]]
-        assert cfg.union(np.array([3.0, 3])).n == 4
 
 
 class TestQuadrature:
