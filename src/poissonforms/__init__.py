@@ -71,7 +71,6 @@ from .stochastic import (
     semigroup_T0,
     semigroup_Tn,
     simulate_particles,
-    simulate_sde,
     zero_potential,
 )
 

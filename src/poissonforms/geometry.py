@@ -36,7 +36,6 @@ __all__ = [
     "beta",
     "grad_beta",
     "frame_maps",
-    "beta_rows",
     "sigma_mass",
 ]
 
@@ -157,7 +156,8 @@ class IntensitySpec:
     family:
       - "gaussian": rho(x) = exp(-|x|^2 / (2 scale^2)) on R^d
       - "uniform":  rho = 1 (surface measure on the sphere, Lebesgue on a box)
-      - "custom":   user-supplied density handle (box windows only)
+      - "custom":   user-supplied density handle (box windows only); an
+        optional ``grad_log_density`` maps rows (N, d) to (N, d)
     """
 
     family: str = "gaussian"
@@ -209,36 +209,27 @@ class Window:
 
 
 def beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
-    """Logarithmic gradient of the intensity at p, as an ambient tangent
-    vector: beta = grad log rho."""
+    """Logarithmic gradient of the intensity at the points p (stacked on
+    leading axes), as ambient tangent vectors: beta = grad log rho. A custom
+    ``grad_log_density`` takes rows (N, d) and returns (N, d)."""
     p = np.asarray(p, dtype=float)
     if intensity.family == "gaussian":
         return -p / intensity.scale**2
     if intensity.family == "uniform":
-        return np.zeros(space.ambient_dim)
-    if intensity.family == "custom":
-        if intensity.grad_log_density is not None:
-            return np.asarray(intensity.grad_log_density(p), dtype=float)
+        return np.zeros_like(p)
+    if intensity.family != "custom":
+        raise ValueError(f"unknown intensity family {intensity.family!r}")
+    X = p.reshape(-1, space.ambient_dim)
+    if intensity.grad_log_density is not None:
+        out = np.asarray(intensity.grad_log_density(X), dtype=float)
+    else:
         # central differences on log rho
-        out = np.zeros(space.ambient_dim)
-        for a in range(space.ambient_dim):
-            e = np.zeros(space.ambient_dim)
-            e[a] = _FD_H
-            lo = float(np.log(intensity.rho(p - e)[0]))
-            hi = float(np.log(intensity.rho(p + e)[0]))
-            out[a] = (hi - lo) / (2 * _FD_H)
-        return space.project_tangent(p, out)
-    raise ValueError(f"unknown intensity family {intensity.family!r}")
-
-
-def beta_rows(space: Space, intensity: IntensitySpec, X: np.ndarray) -> np.ndarray:
-    """``beta`` at each row of X, vectorized for the gaussian and uniform
-    families."""
-    if intensity.family == "gaussian":
-        return -X / intensity.scale**2
-    if intensity.family == "uniform":
-        return np.zeros_like(X)
-    return np.array([beta(space, intensity, x) for x in X], dtype=float)
+        out = np.empty_like(X)
+        for a, e in enumerate(_FD_H * np.eye(space.ambient_dim)):
+            lo, hi = np.log(intensity.rho(X - e)), np.log(intensity.rho(X + e))
+            out[:, a] = (hi - lo) / (2 * _FD_H)
+        out = space.project_tangent(X, out)
+    return out.reshape(p.shape)
 
 
 def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
@@ -256,10 +247,15 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
     h = _FD_H
     P = p[..., None, None, :]
     Q = space.exp(P, np.array([h, -h])[:, None, None] * fr[..., None, :, :])
-    B = beta_rows(space, intensity, Q.reshape(-1, space.ambient_dim)).reshape(Q.shape)
+    B = beta(space, intensity, Q)
     moved = space.transport(Q, P, B)
     diff = (moved[..., 0, :, :] - moved[..., 1, :, :]) / (2 * h)
-    return fr @ np.swapaxes(diff, -1, -2)
+    G = fr @ np.swapaxes(diff, -1, -2)
+    # beta is a gradient, so its covariant derivative (the Hessian of log
+    # rho) is symmetric. The difference quotient is symmetric only up to
+    # rounding amplified by 1/h, and the frame solve's eigh would silently
+    # drop that part
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def frame_maps(space: Space, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ from .geometry import (
     Space,
     Sphere,
     Window,
-    beta_rows,
+    beta,
     frame_maps,
     grad_beta,
 )
@@ -281,7 +281,7 @@ def _neighbour_rows(space: Space, om, k: int, X: np.ndarray, h: float) -> np.nda
 
 def _beta_frame_rows(space: Space, intensity: IntensitySpec, X: np.ndarray):
     """beta in the frame at every row of X, (N, d)."""
-    b = space.project_tangent(X, beta_rows(space, intensity, X))
+    b = space.project_tangent(X, beta(space, intensity, X))
     return np.vecdot(space.frame(X), b[:, None, :])
 
 
@@ -681,7 +681,7 @@ def _h_rest_rows(
         return tot
 
     s = ev.stat_rows(F, cfg, idx)
-    bet = beta_rows(space, intensity, ev.points)
+    bet = beta(space, intensity, ev.points)
     grads = [ev.grads(phi) for phi in F.inners]
     tot = np.zeros(len(cfg))
     for j, phi in enumerate(F.inners):
@@ -886,7 +886,7 @@ def ibp_check(
     d1 = _directional_batch(F1, ev, vvals)
     d2 = _directional_batch(F2, ev, vvals)
     bdot = np.einsum(
-        "pa,pa->p", beta_rows(space, intensity, batch.points), vvals
+        "pa,pa->p", beta(space, intensity, batch.points), vvals
     )
     per_pt = np.bincount(
         batch.sample_ids, weights=bdot + divs, minlength=batch.n_samples
@@ -1068,7 +1068,9 @@ def factorization_check(
     trial and subset size m of W, eta is a sampled configuration plus m
     points drawn from sigma. The left side is ``lift_batch`` at every eta,
     which takes H and F through the points outside each subset; the right
-    side takes them from each gamma as a configuration of its own. Every
+    side takes them from each gamma as a configuration of its own. The
+    trials' configurations are one ``sample_batch`` and their added points
+    one draw on the same stream, trial by trial and size by size. Every
     subset is compared, since a key with an empty slot is filed on the
     smaller subset it occupies, together with other subsets' keys.
 
@@ -1076,16 +1078,19 @@ def factorization_check(
     ``_point_ops`` on the sphere) through the same filing, so the row checks
     the subset identification and the H-through-the-cylinder-factor term,
     not the point operators."""
-    from .pointprocess import _draw_locations, sample
+    from .pointprocess import _draw_locations
 
-    unions = []
     sizes = sorted(m for m in W.subset_sizes() if m > 0)
-    for trial in range(n_trials):
-        sub_rng = rng.child(trial)
-        gamma = sample(space, intensity, window, sub_rng)
-        for m in sizes:
-            xbar = _draw_locations(space, intensity, window, sub_rng.gen, m)
-            unions.append(np.vstack([gamma.points, xbar]))
+    batch = sample_batch(space, intensity, window, rng, n_trials)
+    added = _draw_locations(
+        space, intensity, window, rng.gen, n_trials * sum(sizes)
+    ).reshape(n_trials, sum(sizes), space.ambient_dim)
+    lo = np.cumsum([0, *sizes])
+    unions = [
+        np.vstack([gamma.points, xbar[a:b]])
+        for gamma, xbar in zip(batch, added)
+        for a, b in zip(lo[:-1], lo[1:])
+    ]
     offsets = np.cumsum([0] + [len(u) for u in unions])
     ev = BatchEval(SampleBatch(np.vstack(unions), offsets), space.dim)
     right = ev.scatter(ev.configs, W.degree)

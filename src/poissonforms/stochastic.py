@@ -53,11 +53,11 @@ from .geometry import (
     Space,
     Sphere,
     Window,
-    beta_rows,
+    beta,
     frame_maps,
 )
 from .operators import _outer_rows, h_pi_sigma, lift_batch, weitz_matrix, OperatorReport
-from .pointprocess import Configuration, RngStream, SampleBatch, sample
+from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "BlockPotential",
     "zero_potential",
     "curvature_potential",
-    "simulate_sde",
     "simulate_particles",
     "parallel_translate",
     "semigroup_T0",
@@ -133,7 +132,7 @@ def _step_rows(
     step_index: int,
 ) -> np.ndarray:
     """One Euler--Maruyama step on every row; geodesic version on the sphere."""
-    w = beta_rows(space, intensity, X) * dt + math.sqrt(2.0 * dt) * eps
+    w = beta(space, intensity, X) * dt + math.sqrt(2.0 * dt) * eps
     # follow the geodesic along the tangent part of the ambient increment;
     # the projected 3d white noise is white in the sphere's frame
     Xn = space.exp(X, space.project_tangent(X, w))
@@ -189,23 +188,6 @@ class ParticlePath:
         return self.paths[:, -1, :]
 
 
-def simulate_sde(
-    space: Space,
-    intensity: IntensitySpec,
-    x: np.ndarray,
-    cfg: SdeConfig,
-    rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single path from x; returns (ts, path) with path[k] the state at ts[k]."""
-    x = np.asarray(x, dtype=float)
-    K = cfg.n_steps
-    dt = cfg.step
-    eps = rng.gen.normal(size=(K, x.shape[0]))
-    out = _evolve(space, intensity, x[None, :], eps[None], dt, keep_paths=True)
-    ts = np.linspace(0.0, cfg.t, K + 1)
-    return ts, out[0]
-
-
 def simulate_particles(
     space: Space,
     intensity: IntensitySpec,
@@ -214,7 +196,8 @@ def simulate_particles(
     rng: RngStream,
     keep_paths: bool = True,
 ) -> ParticlePath:
-    """Evolve every point of gamma independently (per-particle sub-streams)."""
+    """Evolve every point of gamma independently, through one (points,
+    steps, dim) noise block drawn from rng."""
     P = gamma.n
     K = cfg.n_steps
     dt = cfg.step
@@ -223,7 +206,7 @@ def simulate_particles(
     if P == 0:
         frames = K + 1 if keep_paths else 2
         return ParticlePath(space, ts if keep_paths else ts[[0, -1]], np.empty((0, frames, da)))
-    eps = np.stack([rng.child(i).gen.normal(size=(K, da)) for i in range(P)])
+    eps = rng.gen.normal(size=(P, K, da))
     X = _evolve(space, intensity, gamma.points, eps, dt, keep_paths)
     if keep_paths:
         return ParticlePath(space, ts, X)
@@ -404,14 +387,6 @@ def parallel_translate(
 # scalar semigroup
 
 
-def _noise_block(rng: RngStream, R: int, P: int, K: int, da: int) -> np.ndarray:
-    """Per-replica sub-streams; particle rows occupy a fixed layout."""
-    eps = np.empty((R, P, K, da))
-    for r in range(R):
-        eps[r] = rng.child(r).gen.normal(size=(P, K, da))
-    return eps
-
-
 def _evolve_block(
     space: Space,
     intensity: IntensitySpec,
@@ -420,8 +395,9 @@ def _evolve_block(
     dt: float,
     keep_paths: bool = False,
 ) -> np.ndarray:
-    """Evolve (R, P) particles from X0 (P, da) through eps (R, P, K, da):
-    endpoints (R, P, da), or with ``keep_paths`` paths (R, P, K + 1, da)."""
+    """Evolve (R, P) particles from X0, (P, da) shared by the replicas or
+    (R, P, da), through eps (R, P, K, da): endpoints (R, P, da), or with
+    ``keep_paths`` paths (R, P, K + 1, da)."""
     R, P, K, da = eps.shape
     X = np.broadcast_to(X0, (R, P, da)).reshape(R * P, da)
     out = _evolve(space, intensity, X, eps.reshape(R * P, K, da), dt, keep_paths)
@@ -457,7 +433,7 @@ def semigroup_T0(
     K, dt = run.n_steps, run.step
     da = gamma.points.shape[1]
     R = n_samples // 2 if antithetic else n_samples
-    eps = _noise_block(rng, R, gamma.n, K, da)
+    eps = rng.gen.normal(size=(R, gamma.n, K, da))
     vals = _f_rows(F, _evolve_block(space, intensity, gamma.points, eps, dt))
     if antithetic:
         vals_m = _f_rows(F, _evolve_block(space, intensity, gamma.points, -eps, dt))
@@ -535,7 +511,7 @@ def _pulled(
     the antithetic pair (blocks of R groups of rows), and R."""
     run = cfg.with_horizon(t)
     R = n_samples // 2 if antithetic else n_samples
-    eps = _noise_block(rng, R, gamma.n, run.n_steps, gamma.points.shape[1])
+    eps = rng.gen.normal(size=(R, gamma.n, run.n_steps, gamma.points.shape[1]))
     signs = (1.0, -1.0) if antithetic else (1.0,)
     val, pulled, _ = _moved_values(
         space, intensity, W, gamma, J, run, np.concatenate([s * eps for s in signs])
@@ -637,7 +613,7 @@ def domination_check(
     """Pathwise domination: e^{tC} |W(xi(t))| - |M^T W(xi(t))| >= 0 up to
     3 standard errors (C from the J-eigenvalues met on the paths)."""
     run = cfg.with_horizon(t)
-    eps = _noise_block(rng, n_samples, gamma.n, run.n_steps, gamma.points.shape[1])
+    eps = rng.gen.normal(size=(n_samples, gamma.n, run.n_steps, gamma.points.shape[1]))
     val, pulled, c_sup = _moved_values(space, intensity, W, gamma, J, run, eps)
     raw = val.norm()
     growth = np.exp(t * c_sup)
@@ -670,10 +646,8 @@ def frame_bound_check(
 ) -> CheckResult:
     """norm(M(t)) <= e^{t c_sup} (1 + 5 dt) on every sampled path, for the
     full block and each singleton block."""
-    paths = np.stack([
-        simulate_particles(space, intensity, gamma, cfg, rng.child(r)).paths
-        for r in range(n_paths)
-    ])
+    eps = rng.gen.normal(size=(n_paths, gamma.n, cfg.n_steps, gamma.points.shape[1]))
+    paths = _evolve_block(space, intensity, gamma.points, eps, cfg.step, keep_paths=True)
     worst = -math.inf
     for subsets in (np.arange(gamma.n)[None], np.arange(gamma.n)[:, None]):
         P, c_sup = _frames(space, J, n, paths, subsets, cfg.t)
@@ -822,19 +796,21 @@ def semigroup_property_check(
     rng: RngStream,
     name: Optional[str] = None,
 ) -> CheckResult:
-    """T_0(t+s) F = T_0(t) T_0(s) F, nested Monte Carlo with fresh streams."""
+    """T_0(t+s) F = T_0(t) T_0(s) F, nested Monte Carlo: n_outer midpoints
+    at time t, each moved on by n_inner paths of length s, one noise block
+    per stage."""
     direct = semigroup_T0(
         space, intensity, F, gamma, t + s, cfg, n_outer * 4, rng.child(0)
     )
-    run = cfg.with_horizon(t)
-    eps = _noise_block(rng.child(1), n_outer, gamma.n, run.n_steps, gamma.points.shape[1])
+    P, da = gamma.points.shape
+    run, rest = cfg.with_horizon(t), cfg.with_horizon(s)
+    eps = rng.child(1).gen.normal(size=(n_outer, P, run.n_steps, da))
     mids = _evolve_block(space, intensity, gamma.points, eps, run.step)
-    ys = np.empty(n_outer)
-    for r in range(n_outer):
-        ys[r] = semigroup_T0(
-            space, intensity, F, Configuration(mids[r]), s, cfg, n_inner,
-            rng.child(2, r),
-        ).mean
+    eps = rng.child(2).gen.normal(size=(n_outer * n_inner, P, rest.n_steps, da))
+    ends = _evolve_block(
+        space, intensity, np.repeat(mids, n_inner, axis=0), eps, rest.step
+    )
+    ys = _f_rows(F, ends).reshape(n_outer, n_inner).mean(axis=1)
     nested = McEstimate.from_samples(ys)
     label = name or f"semigroup-{F.name}"
     return CheckResult.from_estimates(
@@ -875,21 +851,16 @@ def poisson_invariance_check(
         )
         for i in range(len(edges) - 1)
     ]
-    counts = np.zeros((n_samples, len(expected)))
-    totals = np.zeros(n_samples)
-    for r in range(n_samples):
-        sub = rng.child(r)
-        gamma = sample(space, intensity, window, sub)
-        path = simulate_particles(
-            space, intensity, gamma, cfg.with_horizon(t), sub.child(1),
-            keep_paths=False,
-        )
-        pts = path.final()
-        totals[r] = pts.shape[0]
-        if pts.shape[0]:
-            rads = np.linalg.norm(pts, axis=1)
-            for b in range(len(expected)):
-                counts[r, b] = np.sum((rads >= edges[b]) & (rads < edges[b + 1]))
+    batch = sample_batch(space, intensity, window, rng, n_samples)
+    run = cfg.with_horizon(t)
+    eps = rng.child(1).gen.normal(size=(len(batch.points), run.n_steps, space.dim))
+    pts = _evolve(space, intensity, batch.points, eps, run.step)
+    nb = len(expected)
+    band = np.searchsorted(edges, np.linalg.norm(pts, axis=1), side="right") - 1
+    counts = np.bincount(
+        batch.sample_ids * nb + band, minlength=n_samples * nb
+    ).reshape(n_samples, nb)
+    totals = batch.counts()
     zmax = 0.0
     for b, mu in enumerate(expected):
         est = McEstimate.from_samples(counts[:, b])

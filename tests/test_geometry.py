@@ -22,9 +22,9 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def _skewed_grad_log(p):
-    g = -np.asarray(p, dtype=float)
-    g[0] -= 0.6 * p[0] * p[1]
+def _skewed_grad_log(X):
+    g = -np.asarray(X, dtype=float)
+    g[:, 0] -= 0.6 * X[:, 0] * X[:, 1]
     return g
 
 

@@ -76,7 +76,7 @@ class TestWeitzMatrix:
     @pytest.mark.parametrize("inten", [
         GAUSS,
         IntensitySpec("uniform"),
-        IntensitySpec("custom", grad_log_density=lambda p: -p - np.array([p[1], p[0]]) * p),
+        IntensitySpec("custom", grad_log_density=lambda X: -X - X[:, ::-1] * X),
     ], ids=["gaussian", "uniform", "custom"])
     def test_stacked_matches_per_point(self, inten):
         X = np.random.default_rng(5).normal(size=(6, 2)) * 0.5

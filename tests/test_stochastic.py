@@ -9,8 +9,8 @@ from poissonforms import batteries as bat
 from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
 from poissonforms.forms import BatchEval, CylinderFunction, Exp, Linear
 from poissonforms.fields import monomial
-from poissonforms.geometry import Euclidean, IntensitySpec, Sphere
-from poissonforms.operators import r_pi_sigma
+from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
+from poissonforms.operators import factorization_check, r_pi_sigma
 from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
 from poissonforms.stochastic import (
     BlockPotential,
@@ -28,7 +28,6 @@ from poissonforms.stochastic import (
     semigroup_Tn,
     semigroup_property_check,
     simulate_particles,
-    simulate_sde,
     sphere_uniform_check,
     zero_potential,
 )
@@ -102,10 +101,13 @@ class TestSimulation:
         assert abs(v_chain - (1.0 - math.exp(-1.0))) < 8e-3
 
     def test_single_path_deterministic(self):
-        ts, p1 = simulate_sde(SP, GAUSS, np.array([0.3, -0.2]), SdeConfig(0.2), RngStream(3))
-        _, p2 = simulate_sde(SP, GAUSS, np.array([0.3, -0.2]), SdeConfig(0.2), RngStream(3))
-        assert np.array_equal(p1, p2)
-        assert ts[0] == 0.0 and ts[-1] == pytest.approx(0.2)
+        gamma = Configuration(np.array([[0.3, -0.2]]))
+        p1, p2 = (
+            simulate_particles(SP, GAUSS, gamma, SdeConfig(0.2), RngStream(3))
+            for _ in range(2)
+        )
+        assert np.array_equal(p1.paths, p2.paths)
+        assert p1.ts[0] == 0.0 and p1.ts[-1] == pytest.approx(0.2)
 
     def test_sphere_paths_stay_on_sphere(self):
         sp = Sphere()
@@ -198,12 +200,12 @@ class TestFrameTransport:
         assert res.passed
 
 
-def _grad_log_density(p):
+def _grad_log_density(X):
     # log rho = -|x|^2 / 2 - 0.3 x_0^2 x_1: its Hessian, and so the
     # curvature potential, changes from point to point
-    g = -np.asarray(p, dtype=float)
-    g[0] -= 0.6 * p[0] * p[1]
-    g[1] -= 0.3 * p[0] ** 2
+    g = -np.asarray(X, dtype=float)
+    g[:, 0] -= 0.6 * X[:, 0] * X[:, 1]
+    g[:, 1] -= 0.3 * X[:, 0] ** 2
     return g
 
 
@@ -444,3 +446,48 @@ class TestLawPreservation:
     def test_sphere_uniform_small(self):
         res = sphere_uniform_check(0.4, SdeConfig(0.4, 0.01), 4000, RngStream(61))
         assert res.passed
+
+
+_G2 = Configuration(np.array([[0.4, 0.1], [-0.2, 0.3]]))
+_RUN = SdeConfig(0.1, 0.02)
+_JG = curvature_potential(SP, GAUSS, 1, allow_scalar=False)
+_OU = bat.ou_eigenform()
+_G = bat.generator_functions()[0]
+
+# each check at n replicas (paths, outer and inner samples, configurations,
+# trials)
+REPLICA_CHECKS = {
+    "semigroup_T0": lambda n, rng: semigroup_T0(SP, GAUSS, _G, _G2, 0.1, _RUN, n, rng),
+    "eigen_decay_check": lambda n, rng: eigen_decay_check(
+        SP, GAUSS, _OU, _G2, 0.1, 1.0, zero_potential(1), _RUN, n, rng),
+    "domination_check": lambda n, rng: domination_check(
+        SP, GAUSS, _OU, _G2, 0.1, _JG, _RUN, n, rng),
+    "frame_bound_check": lambda n, rng: frame_bound_check(
+        SP, GAUSS, _G2, _JG, 1, _RUN, n, rng),
+    "semigroup_property_check": lambda n, rng: semigroup_property_check(
+        SP, GAUSS, _G, _G2, 0.04, 0.06, _RUN, n, n, rng),
+    "poisson_invariance_check": lambda n, rng: poisson_invariance_check(
+        SP, GAUSS, 0.1, _RUN, n, rng),
+    "factorization_check": lambda n, rng: factorization_check(
+        "bochner", SP, GAUSS, Window("all"), bat.flat_form_battery()[1], rng, n),
+}
+
+
+@pytest.mark.parametrize("check", sorted(REPLICA_CHECKS))
+def test_streams_do_not_grow_with_replicas(monkeypatch, check):
+    # a check draws each Monte Carlo block from one stream, so the streams
+    # it builds do not depend on how many replicas the block holds
+    built = []
+    init = RngStream.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "__init__", counting)
+    counts = []
+    for n in (10, 40):
+        before = len(built)
+        REPLICA_CHECKS[check](n, RngStream(70))
+        counts.append(len(built) - before)
+    assert counts[0] == counts[1], counts
