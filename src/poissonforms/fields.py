@@ -74,11 +74,11 @@ def _shift_poly(terms: dict, old: np.ndarray, new: np.ndarray) -> dict:
 
 class PointTable:
     """The pieces polynomial-Gaussian atoms are built from, on one point set
-    (rows of ``points``), each computed on first use and then shared: the
-    columns x_i - c_i, keyed by (axis, c_i), and the Gaussian factors
-    exp(-a |x - c|^2 / 2), keyed by (a, c). Higher powers of a column are
-    taken where they are used and not kept, which bounds the table at one
-    array per column and per Gaussian."""
+    (a chunk of whole configurations in the Monte Carlo checks), each
+    computed on first use and then shared: the columns x_i - c_i, keyed by
+    (axis, c_i), and the Gaussian factors exp(-a |x - c|^2 / 2), keyed by
+    (a, c). Higher powers of a column are taken where they are used and not
+    kept, which bounds the table at one array per column and per Gaussian."""
 
     def __init__(self, X: np.ndarray):
         self.points = np.atleast_2d(np.asarray(X, dtype=float))

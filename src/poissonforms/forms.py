@@ -84,6 +84,14 @@ class OuterFn:
         return self.eval_batch(S)
 
 
+def _linear_rows(S: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """S @ w, a row's value not depending on the rows beside it for up to 7
+    columns: numpy takes a one-row product as a dot, which rounds unlike its
+    matrix-vector one, and from 8 columns that one rounds rows unalike."""
+    S = np.atleast_2d(S)
+    return (np.repeat(S, 2, axis=0) @ w)[:1] if len(S) == 1 else S @ w
+
+
 class Const(OuterFn):
     def __init__(self, c: float, nargs: int = 1):
         self.c = float(c)
@@ -105,7 +113,7 @@ class Linear(OuterFn):
         self.nargs = len(self.w)
 
     def eval_batch(self, S):
-        return np.atleast_2d(S) @ self.w + self.b
+        return _linear_rows(S, self.w) + self.b
 
     def partial(self, j):
         return Const(float(self.w[j]), self.nargs)
@@ -120,7 +128,7 @@ class Exp(OuterFn):
         self.nargs = len(self.w)
 
     def eval_batch(self, S):
-        return self.c * np.exp(np.atleast_2d(S) @ self.w)
+        return self.c * np.exp(_linear_rows(S, self.w))
 
     def partial(self, j):
         return Exp(self.w, self.c * float(self.w[j]))
@@ -805,8 +813,9 @@ class BatchEval:
     tangent dimension of the space the batch lives on (2 on the sphere,
     whose points have 3 coordinates).
 
-    Every field is evaluated once on all points of the batch, through one
-    ``PointTable`` over them: each Gaussian factor exp(-a |x - c|^2 / 2) of
+    Every field is evaluated once per chunk of whole configurations (a view
+    of ``SampleBatch.map_configs`` in the Monte Carlo checks), through one
+    ``PointTable`` over its points: each Gaussian factor exp(-a |x - c|^2 / 2) of
     a (rate, centre) pair is computed once and shared by the values,
     gradients and Laplacians of every field the batch evaluates, and by
     the lifted vectors' values and divergences. The table lives as long as

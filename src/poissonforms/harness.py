@@ -275,9 +275,9 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
     for case in bat.series_battery():
         sr = expect_series(sp, inten, win, case.outer, case.inners, case.envelope)
         batch = sample_batch(sp, inten, win, rng.child("series", case.name), cfg["n_samples"])
-        stats = np.column_stack(
-            [batch.segment_sum(f.value_batch(batch.points)) for f in case.inners]
-        )
+        stats = batch.map_configs(lambda b: np.column_stack(
+            [b.segment_sum(f.value_batch(b.points)) for f in case.inners]
+        ))
         est = McEstimate.from_samples(np.asarray(case.outer(stats), dtype=float))
         diff = abs(est.mean - sr.value)
         tol = 3.0 * est.stderr + sr.tail_bound

@@ -857,6 +857,24 @@ def _directional_batch(
     return out
 
 
+def _ibp_rows(
+    space: Space, intensity: IntensitySpec, F1: CylinderFunction,
+    F2: CylinderFunction, V: LiftedVector, batch: SampleBatch,
+) -> np.ndarray:
+    """The integration-by-parts sum at every configuration of the batch."""
+    ev = BatchEval(batch, space.dim)
+    f1 = _outer_rows(F1.outer, ev.stats(F1))
+    f2 = _outer_rows(F2.outer, ev.stats(F2))
+    vvals, divs = _lifted_vector_batch(V, ev)
+    d1 = _directional_batch(F1, ev, vvals)
+    d2 = _directional_batch(F2, ev, vvals)
+    bdot = np.einsum("pa,pa->p", beta(space, intensity, batch.points), vvals)
+    per_pt = np.bincount(
+        batch.sample_ids, weights=bdot + divs, minlength=batch.n_samples
+    )
+    return d1 * f2 + f1 * d2 + f1 * f2 * per_pt
+
+
 # ---------------------------------------------------------------------------
 # identity checks
 
@@ -879,19 +897,7 @@ def ibp_check(
     checked as a paired-sample mean against zero at three standard errors.
     """
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    ev = BatchEval(batch, space.dim)
-    f1 = _outer_rows(F1.outer, ev.stats(F1))
-    f2 = _outer_rows(F2.outer, ev.stats(F2))
-    vvals, divs = _lifted_vector_batch(V, ev)
-    d1 = _directional_batch(F1, ev, vvals)
-    d2 = _directional_batch(F2, ev, vvals)
-    bdot = np.einsum(
-        "pa,pa->p", beta(space, intensity, batch.points), vvals
-    )
-    per_pt = np.bincount(
-        batch.sample_ids, weights=bdot + divs, minlength=batch.n_samples
-    )
-    est = d1 * f2 + f1 * d2 + f1 * f2 * per_pt
+    est = batch.map_configs(lambda b: _ibp_rows(space, intensity, F1, F2, V, b))
     lhs = McEstimate.from_samples(est)
     label = name or f"ibp-{F1.name}-{F2.name}-{V.name}"
     return CheckResult.from_estimates(
@@ -920,25 +926,26 @@ def dirichlet_check(
     the form levels on flat backends.
     """
     if level == "functions":
+
+        def rows(batch: SampleBatch) -> np.ndarray:
+            ev = BatchEval(batch, space.dim)
+            S1, S2 = ev.stats(W1), ev.stats(W2)
+            sid = batch.sample_ids
+            grads1 = [ev.grads(phi) for phi in W1.inners]
+            grads2 = [ev.grads(chi) for chi in W2.inners]
+            pd1 = [_outer_rows(W1.outer.partial(j), S1)[sid] for j in range(W1.nargs)]
+            pd2 = [_outer_rows(W2.outer.partial(k), S2)[sid] for k in range(W2.nargs)]
+            lhs_pt = np.zeros(batch.points.shape[0])
+            for j in range(W1.nargs):
+                for k in range(W2.nargs):
+                    lhs_pt += (
+                        pd1[j] * pd2[k] * np.einsum("pa,pa->p", grads1[j], grads2[k])
+                    )
+            lhs = np.bincount(sid, weights=lhs_pt, minlength=batch.n_samples)
+            return lhs - _h_rows(space, intensity, W1, ev) * _outer_rows(W2.outer, S2)
+
         batch = sample_batch(space, intensity, window, rng, n_samples)
-        ev = BatchEval(batch, space.dim)
-        n = batch.n_samples
-        S1 = ev.stats(W1)
-        S2 = ev.stats(W2)
-        sid = batch.sample_ids
-        grads1 = [ev.grads(phi) for phi in W1.inners]
-        grads2 = [ev.grads(chi) for chi in W2.inners]
-        pd1 = [_outer_rows(W1.outer.partial(j), S1)[sid] for j in range(W1.nargs)]
-        pd2 = [_outer_rows(W2.outer.partial(k), S2)[sid] for k in range(W2.nargs)]
-        lhs_pt = np.zeros(batch.points.shape[0])
-        for j in range(W1.nargs):
-            for k in range(W2.nargs):
-                lhs_pt += (
-                    pd1[j] * pd2[k] * np.einsum("pa,pa->p", grads1[j], grads2[k])
-                )
-        lhs = np.bincount(sid, weights=lhs_pt, minlength=n)
-        rhs = _h_rows(space, intensity, W1, ev) * _outer_rows(W2.outer, S2)
-        diff = McEstimate.from_samples(lhs - rhs)
+        diff = McEstimate.from_samples(batch.map_configs(rows))
         label = name or f"dirichlet-functions-{W1.name}-{W2.name}"
         return CheckResult.from_estimates(
             label, diff, McEstimate.exact(0.0), detail={"n": n_samples}

@@ -14,8 +14,11 @@ batched against per-configuration; L6 (the form semigroup's value path:
 SDE block, frames, batched values and their pullback) on 500 replicas of
 a two-point configuration, for the degree-1 eigenform under the scalar and
 the generic potential and for a degree-2 form whose two-point fibre takes
-the Kronecker assembly; L5 (quadrature and series: Chebyshev profiles and iterated
-kernels) through ``expect_series`` for each series-vs-mc case at the
+the Kronecker assembly; L2 (segment sums: the per-configuration sums of
+every ibp row through ``SampleBatch.map_configs``) on the 70,000
+configurations of each row's stream at seed 42, on views of the default
+``_CHUNK_POINTS`` against the whole batch as one view; L5 (quadrature and
+series: Chebyshev profiles and iterated kernels) through ``expect_series`` for each series-vs-mc case at the
 harness defaults (quad_n 40, cheb_n 64, k_max 8), and through the m = 2
 Mecke right side of the ``pair-exp`` row, a two-step ``iterated_kernel``
 read at the statistic of each of 70,000 configurations drawn from that
@@ -27,7 +30,8 @@ import pytest
 
 from poissonforms import batteries as bat
 from poissonforms.forms import BatchEval, eval_form, field_divs, field_values
-from poissonforms.operators import lift, lift_batch
+from poissonforms import pointprocess
+from poissonforms.operators import _ibp_rows, lift, lift_batch
 from poissonforms.pointprocess import (
     Configuration,
     RngStream,
@@ -86,6 +90,24 @@ def test_l1_fields_ibp(benchmark, mode):
                 v.value_batch(P), v.div_batch(P)
 
     benchmark(shared if mode == "table" else per_call)
+
+
+@pytest.mark.parametrize("view", ["chunked", "whole"])
+def test_l2_ibp_statistics(benchmark, monkeypatch, view):
+    # the per-configuration sums of every ibp row, on views of whole
+    # configurations of the default size or on the whole batch at once
+    win = bat.full_window()
+    rows = [
+        (row, sample_batch(SP, INTEN, win, RngStream(42).child("ibp", i), 70_000))
+        for i, row in enumerate(bat.ibp_battery())
+    ]
+    if view == "whole":
+        monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", 1 << 40)
+
+    def run():
+        return [b.map_configs(lambda v: _ibp_rows(SP, INTEN, *row, v)) for row, b in rows]
+
+    benchmark(run)
 
 
 def test_l3_values_batched(benchmark, batch):
