@@ -18,6 +18,10 @@ checks are built on.
 
 ``BatchEval`` evaluates forms at every configuration of a ``SampleBatch``
 at once, on flat space and the sphere; every form-level check runs on it.
+It is also the one batched reader of cylinder factors: its ``stats`` and
+``f_rows`` read F for the Monte Carlo checks and, at the ends of a noise
+block, for the scalar and form semigroups alike. Its statistics are
+``SampleBatch.segment_sum``s, the one per-configuration sum.
 ``eval_form`` with ``EvalCache`` is the single-configuration path, kept as
 the reference the batched one is tested against.
 """
@@ -188,16 +192,6 @@ class CylinderFunction:
 
     def value(self, points: np.ndarray) -> float:
         return float(self.outer.eval_batch(self.stat(points)[None, :])[0])
-
-    def value_batch(self, batch: SampleBatch) -> np.ndarray:
-        S = np.stack(
-            [
-                batch.segment_sum(f.value_batch(batch.points))
-                for f in self.inners
-            ],
-            axis=-1,
-        )
-        return self.outer.eval_batch(S)
 
     def partial_outer(self, j: int) -> "CylinderFunction":
         if j not in self._partials:
@@ -821,10 +815,11 @@ class BatchEval:
     the lifted vectors' values and divergences. The table lives as long as
     this object. An m-subset is a row of index arrays built from the batch
     offsets, a cylinder factor F(gamma \\ xbar) is the outer function of the
-    configuration's statistics minus the subset points' rows, and a form
-    value is a ``BatchValue``. Form values take flat and sphere slots; the
-    batched lifts built on this class run on both backends, d* and the
-    point partials on the flat ones."""
+    configuration's statistics (``segment_sum``s) minus the subset points'
+    rows, read by ``f_rows``, and a form value is a ``BatchValue``. Form
+    values take flat and sphere slots; the batched lifts built on this
+    class run on both backends, d* and the point partials on the flat
+    ones."""
 
     def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch
@@ -854,11 +849,9 @@ class BatchEval:
 
     def stats(self, F: CylinderFunction) -> np.ndarray:
         """(n_samples, nargs) statistics <phi_j, gamma> of every configuration."""
-        n = self.batch.n_samples
         return self._memo("stats", F.inners, lambda: np.column_stack(
-            [np.bincount(self.sid, weights=self.values(phi), minlength=n)
-             for phi in F.inners]
-        ).reshape(n, F.nargs))
+            [self.batch.segment_sum(self.values(phi)) for phi in F.inners]
+        ).reshape(self.batch.n_samples, F.nargs))
 
     def inner_values(self, F: CylinderFunction) -> np.ndarray:
         """(points, nargs) values of the statistics' integrands."""
@@ -874,12 +867,17 @@ class BatchEval:
         return S
 
     def f_rows(
-        self, F: Optional[CylinderFunction], cfg: np.ndarray, excl: np.ndarray
+        self,
+        F: Optional[CylinderFunction],
+        cfg: Optional[np.ndarray] = None,
+        excl: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """F(gamma_cfg[r] minus the points excl[r]); 1 for F = None."""
+        """F(gamma_cfg[r] minus the points excl[r]), or without cfg F at
+        every configuration of the batch; 1 for F = None."""
         if F is None:
             return np.ones(len(cfg))
-        return np.asarray(F.outer.eval_batch(self.stat_rows(F, cfg, excl)), dtype=float)
+        S = self.stats(F) if cfg is None else self.stat_rows(F, cfg, excl)
+        return np.asarray(F.outer.eval_batch(S), dtype=float)
 
     def _plan(self, omega: SymmetricFormField, nu: tuple[int, ...]) -> list:
         """Per separable term and choice of one axis pattern per slot: the

@@ -85,12 +85,15 @@ _SCHEMA: dict[str, tuple[type, object]] = {
     "t_grid": (list, [0.25, 0.5]),
     "generator_ts": (list, [0.02, 0.01, 0.005]),
     "dt": (float, 0.01),
-    "det_tol": (float, 1e-8),
-    "sphere_tol": (float, 1e-4),
     "with_sphere": (bool, True),
     "out": ((str, type(None)), None),
     "format": (str, "json"),
 }
+
+# tolerances of the deterministic rows (residuals of exact identities) on
+# flat space and on the sphere
+_DET_TOL = 1e-8
+_SPHERE_TOL = 1e-4
 
 _CHOICES = {
     "format": ("json", "csv"),
@@ -353,7 +356,7 @@ def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:
         out.append(
             CheckResult.deterministic(
                 f"eigenform-{kind}-x1dx1-times-{mult:g}", float(worst), 0.0,
-                cfg["det_tol"], detail={"configs": 20},
+                _DET_TOL, detail={"configs": 20},
             )
         )
     # structure of the complex: d d = 0 and adjointness
@@ -378,7 +381,7 @@ def _exp_factorization(cfg: dict, rng: RngStream) -> list[CheckResult]:
             out.append(
                 factorization_check(kind, sp, inten, win, W,
                                     rng.child("fac", kind, W.name),
-                                    n_trials=cfg["n_configs"], tol=cfg["det_tol"])
+                                    n_trials=cfg["n_configs"], tol=_DET_TOL)
             )
     if cfg["with_sphere"]:
         ss, si, sw = bat.sphere_space(), bat.sphere_intensity(), bat.full_window()
@@ -388,7 +391,7 @@ def _exp_factorization(cfg: dict, rng: RngStream) -> list[CheckResult]:
                     factorization_check(kind, ss, si, sw, W,
                                         rng.child("fac-s", kind, W.name),
                                         n_trials=cfg["n_configs"],
-                                        tol=cfg["sphere_tol"],
+                                        tol=_SPHERE_TOL,
                                         name=f"factorization-{kind}-sphere-{W.name}")
                 )
     return out
@@ -398,7 +401,7 @@ def _exp_weitzenbock(cfg: dict, rng: RngStream) -> list[CheckResult]:
     sp, inten, win = bat.default_space(), bat.default_intensity(), bat.full_window()
     out = [
         weitzenbock_check(sp, inten, win, W, rng.child("wb", W.name),
-                          n_configs=cfg["n_configs"], tol=cfg["det_tol"])
+                          n_configs=cfg["n_configs"], tol=_DET_TOL)
         for W in bat.flat_form_battery()
     ]
     if cfg["with_sphere"]:
@@ -406,7 +409,7 @@ def _exp_weitzenbock(cfg: dict, rng: RngStream) -> list[CheckResult]:
         out.extend(
             weitzenbock_check(ss, si, bat.full_window(), W, rng.child("wb-s", W.name),
                               n_configs=max(6, cfg["n_configs"] // 8),
-                              tol=cfg["sphere_tol"],
+                              tol=_SPHERE_TOL,
                               name=f"weitzenbock-sphere-{W.name}")
             for W in bat.sphere_form_battery()
         )

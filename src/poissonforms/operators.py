@@ -651,10 +651,6 @@ def apply_r_pi_sigma(
 # batched operators over a whole SampleBatch
 
 
-def _outer_rows(fn, S: np.ndarray) -> np.ndarray:
-    return np.asarray(fn.eval_batch(S), dtype=float)
-
-
 def _plain_terms(W: CylinderForm, what: str):
     for t in W.terms:
         if t.mask is not None:
@@ -688,9 +684,9 @@ def _h_rest_rows(
         gj = F.outer.partial(j)
         for k in range(F.nargs):
             dots = rest(np.einsum("pa,pa->p", grads[j], grads[k]))
-            tot -= _outer_rows(gj.partial(k), s) * dots
+            tot -= gj.partial(k).eval_batch(s) * dots
         drift = rest(np.einsum("pa,pa->p", bet, grads[j]))
-        tot += _outer_rows(gj, s) * (-rest(ev.laps(phi)) - drift)
+        tot += gj.eval_batch(s) * (-rest(ev.laps(phi)) - drift)
     return tot
 
 
@@ -809,7 +805,7 @@ def _point_partials(W: CylinderForm, ev: BatchEval, layout: RowLayout) -> BatchV
         S = ev.stat_rows(t.F, cfg[sel], idx)
         coeff = np.zeros(len(idx))
         for j, phi in enumerate(t.F.inners):
-            coeff += _outer_rows(t.F.outer.partial(j), S) * ev.grads(phi)[pt, ax]
+            coeff += t.F.outer.partial(j).eval_batch(S) * ev.grads(phi)[pt, ax]
         out.add(t.omega, idx, group, scale * coeff)
     return out.value()
 
@@ -837,8 +833,7 @@ def _lifted_vector_batch(V: LiftedVector, ev: BatchEval) -> tuple[np.ndarray, np
             g_pt = np.full(P.shape[0], coef)
         else:
             # the cylinder factor sees the configuration without the point
-            SG = ev.stats(G)[sid] - ev.inner_values(G)
-            g_pt = coef * _outer_rows(G.outer, SG)
+            g_pt = coef * ev.f_rows(G, sid, np.arange(len(sid))[:, None])
         vals += g_pt[:, None] * vv
         divs += g_pt * dv
     return vals, divs
@@ -848,12 +843,10 @@ def _directional_batch(
     F: CylinderFunction, ev: BatchEval, vvals: np.ndarray
 ) -> np.ndarray:
     """Per-sample directional derivative sum_x <grad_x F, V_x>."""
-    batch = ev.batch
-    out = np.zeros(batch.n_samples)
+    out = np.zeros(ev.batch.n_samples)
     for j, phi in enumerate(F.inners):
-        pj = _outer_rows(F.outer.partial(j), ev.stats(F))
         dots = np.einsum("pa,pa->p", ev.grads(phi), vvals)
-        out += pj * np.bincount(ev.sid, weights=dots, minlength=batch.n_samples)
+        out += ev.f_rows(F.partial_outer(j)) * ev.batch.segment_sum(dots)
     return out
 
 
@@ -863,15 +856,12 @@ def _ibp_rows(
 ) -> np.ndarray:
     """The integration-by-parts sum at every configuration of the batch."""
     ev = BatchEval(batch, space.dim)
-    f1 = _outer_rows(F1.outer, ev.stats(F1))
-    f2 = _outer_rows(F2.outer, ev.stats(F2))
+    f1, f2 = ev.f_rows(F1), ev.f_rows(F2)
     vvals, divs = _lifted_vector_batch(V, ev)
     d1 = _directional_batch(F1, ev, vvals)
     d2 = _directional_batch(F2, ev, vvals)
     bdot = np.einsum("pa,pa->p", beta(space, intensity, batch.points), vvals)
-    per_pt = np.bincount(
-        batch.sample_ids, weights=bdot + divs, minlength=batch.n_samples
-    )
+    per_pt = batch.segment_sum(bdot + divs)
     return d1 * f2 + f1 * d2 + f1 * f2 * per_pt
 
 
@@ -929,20 +919,19 @@ def dirichlet_check(
 
         def rows(batch: SampleBatch) -> np.ndarray:
             ev = BatchEval(batch, space.dim)
-            S1, S2 = ev.stats(W1), ev.stats(W2)
             sid = batch.sample_ids
             grads1 = [ev.grads(phi) for phi in W1.inners]
             grads2 = [ev.grads(chi) for chi in W2.inners]
-            pd1 = [_outer_rows(W1.outer.partial(j), S1)[sid] for j in range(W1.nargs)]
-            pd2 = [_outer_rows(W2.outer.partial(k), S2)[sid] for k in range(W2.nargs)]
+            pd1 = [ev.f_rows(W1.partial_outer(j))[sid] for j in range(W1.nargs)]
+            pd2 = [ev.f_rows(W2.partial_outer(k))[sid] for k in range(W2.nargs)]
             lhs_pt = np.zeros(batch.points.shape[0])
             for j in range(W1.nargs):
                 for k in range(W2.nargs):
                     lhs_pt += (
                         pd1[j] * pd2[k] * np.einsum("pa,pa->p", grads1[j], grads2[k])
                     )
-            lhs = np.bincount(sid, weights=lhs_pt, minlength=batch.n_samples)
-            return lhs - _h_rows(space, intensity, W1, ev) * _outer_rows(W2.outer, S2)
+            lhs = batch.segment_sum(lhs_pt)
+            return lhs - _h_rows(space, intensity, W1, ev) * ev.f_rows(W2)
 
         batch = sample_batch(space, intensity, window, rng, n_samples)
         diff = McEstimate.from_samples(batch.map_configs(rows))

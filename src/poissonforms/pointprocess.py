@@ -130,7 +130,8 @@ class SampleBatch:
         return Configuration(self.points[self.offsets[i] : self.offsets[i + 1]])
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-configuration sums of a per-point array."""
+        """Per-configuration sums of a per-point array: the one sum over
+        sample ids that the batched statistics and checks use."""
         return np.bincount(
             self.sample_ids, weights=values, minlength=self.n_samples
         )
@@ -170,6 +171,9 @@ def _draw_locations(
     n: int,
 ) -> np.ndarray:
     """n iid draws from sigma / sigma(window)."""
+    if isinstance(space, Sphere) and intensity.family == "custom":
+        # the draws below are uniform, which only a constant density matches
+        raise ValueError("the sphere samples gaussian and uniform intensities only")
     if n == 0:
         return np.zeros((0, space.ambient_dim))
     if isinstance(space, Sphere):

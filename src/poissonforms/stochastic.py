@@ -34,6 +34,12 @@ q_m) the frame is the Kronecker product of its points' degree-q_s frames.
 So the ODE is solved once per (path, point, slot degree) on stacked rows.
 c_sup, the constant of the norm bound, is the largest sum of the points'
 top slot eigenvalues over the steps and blocks.
+
+The semigroup estimators evolve one noise block of replicas (an antithetic
+pair as its +eps and -eps halves) and read F or W at its ends through one
+``BatchEval`` over the replicas, so the scalar semigroup is the degree-0
+case of the form semigroup and sums per configuration with
+``SampleBatch.segment_sum``.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from .geometry import (
     beta,
     frame_maps,
 )
-from .operators import _outer_rows, h_pi_sigma, lift_batch, weitz_matrix, OperatorReport
+from .operators import h_pi_sigma, lift_batch, weitz_matrix, OperatorReport
 from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
 from .report import CheckResult, McEstimate
 
@@ -404,15 +410,21 @@ def _evolve_block(
     return out.reshape(R, P, *out.shape[1:])
 
 
-def _f_rows(F: CylinderFunction, pts: np.ndarray) -> np.ndarray:
-    """F at each replica of a (R, P, da) block of configurations."""
-    R, P, da = pts.shape
-    flat = pts.reshape(R * P, da)
-    stats = np.stack(
-        [phi.value_batch(flat).reshape(R, P).sum(axis=1) for phi in F.inners],
-        axis=1,
-    ) if P else np.zeros((R, len(F.inners)))
-    return _outer_rows(F.outer, stats)
+def _replicas(ends: np.ndarray, dim: int) -> BatchEval:
+    """A (R, P, da) block of endpoints as a batch of R configurations."""
+    R, P, da = ends.shape
+    return BatchEval(SampleBatch(ends.reshape(R * P, da), np.arange(R + 1) * P), dim)
+
+
+def _noise(
+    gamma: Configuration, run: SdeConfig, n_samples: int, rng: RngStream,
+    antithetic: bool = False,
+) -> np.ndarray:
+    """The noise block of n_samples replicas of gamma's points over run;
+    ``antithetic`` draws n_samples // 2 and appends their negatives."""
+    R = n_samples // 2 if antithetic else n_samples
+    eps = rng.gen.normal(size=(R, gamma.n, run.n_steps, gamma.points.shape[1]))
+    return np.concatenate([eps, -eps]) if antithetic else eps
 
 
 def semigroup_T0(
@@ -426,19 +438,15 @@ def semigroup_T0(
     rng: RngStream,
     antithetic: bool = False,
 ) -> McEstimate:
-    """Monte Carlo estimate of E[F(xi_gamma(t))]."""
+    """Monte Carlo estimate of E[F(xi_gamma(t))], F read at the ends of one
+    noise block (the antithetic pair averaged)."""
     if t == 0.0 or gamma.n == 0:
         return McEstimate.exact(float(F.value(gamma.points)))
     run = cfg.with_horizon(t)
-    K, dt = run.n_steps, run.step
-    da = gamma.points.shape[1]
-    R = n_samples // 2 if antithetic else n_samples
-    eps = rng.gen.normal(size=(R, gamma.n, K, da))
-    vals = _f_rows(F, _evolve_block(space, intensity, gamma.points, eps, dt))
-    if antithetic:
-        vals_m = _f_rows(F, _evolve_block(space, intensity, gamma.points, -eps, dt))
-        vals = 0.5 * (vals + vals_m)
-    return McEstimate.from_samples(vals)
+    eps = _noise(gamma, run, n_samples, rng, antithetic)
+    ends = _evolve_block(space, intensity, gamma.points, eps, run.step)
+    vals = _replicas(ends, space.dim).f_rows(F)
+    return McEstimate.from_samples(vals.reshape(2 if antithetic else 1, -1).mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +466,7 @@ class FormEstimate:
 
 def _start(gamma: Configuration, dim: int) -> BatchEval:
     """The starting configuration as a batch of one."""
-    return BatchEval(SampleBatch(gamma.points, np.array([0, gamma.n])), dim)
+    return _replicas(gamma.points[None], dim)
 
 
 def _moved_values(
@@ -475,12 +483,11 @@ def _moved_values(
     call; its pullback M^T W through the frame of each (replica, subset)
     row, or None on flat space with scalar J, where M is e^{tJ}; and per
     replica the largest J-eigenvalue its frames met."""
-    R, P = eps.shape[:2]
+    R = len(eps)
     fast = not isinstance(space, Sphere) and J.scalar is not None
     block = _evolve_block(space, intensity, gamma.points, eps, run.step, not fast)
     ends = block if fast else block[:, :, -1, :]
-    batch = SampleBatch(ends.reshape(R * P, -1), np.arange(R + 1) * P)
-    val = BatchEval(batch, space.dim).form(W)
+    val = _replicas(ends, space.dim).form(W)
     if fast:
         return val, None, np.full(R, J.scalar)
     pulled, c_sup = {}, np.full(R, -math.inf)
@@ -510,21 +517,17 @@ def _pulled(
     """Per replica the pulled-back value M^T W(xi_gamma(t)), averaged over
     the antithetic pair (blocks of R groups of rows), and R."""
     run = cfg.with_horizon(t)
-    R = n_samples // 2 if antithetic else n_samples
-    eps = rng.gen.normal(size=(R, gamma.n, run.n_steps, gamma.points.shape[1]))
-    signs = (1.0, -1.0) if antithetic else (1.0,)
-    val, pulled, _ = _moved_values(
-        space, intensity, W, gamma, J, run, np.concatenate([s * eps for s in signs])
-    )
+    eps = _noise(gamma, run, n_samples, rng, antithetic)
+    val, pulled, _ = _moved_values(space, intensity, W, gamma, J, run, eps)
     if pulled is None:
         fac = math.exp(t * J.scalar)
         blocks = {k: fac * A for k, A in val.blocks.items()}
     else:
         blocks = pulled.blocks
+    pairs = 2 if antithetic else 1
     return {
-        k: A.reshape(len(signs), -1, A.shape[1]).mean(axis=0)
-        for k, A in blocks.items()
-    }, R
+        k: A.reshape(pairs, -1, A.shape[1]).mean(axis=0) for k, A in blocks.items()
+    }, len(eps) // pairs
 
 
 def _contract(blocks: dict, target: BatchValue, R: int) -> np.ndarray:
@@ -613,7 +616,7 @@ def domination_check(
     """Pathwise domination: e^{tC} |W(xi(t))| - |M^T W(xi(t))| >= 0 up to
     3 standard errors (C from the J-eigenvalues met on the paths)."""
     run = cfg.with_horizon(t)
-    eps = rng.gen.normal(size=(n_samples, gamma.n, run.n_steps, gamma.points.shape[1]))
+    eps = _noise(gamma, run, n_samples, rng)
     val, pulled, c_sup = _moved_values(space, intensity, W, gamma, J, run, eps)
     raw = val.norm()
     growth = np.exp(t * c_sup)
@@ -646,7 +649,7 @@ def frame_bound_check(
 ) -> CheckResult:
     """norm(M(t)) <= e^{t c_sup} (1 + 5 dt) on every sampled path, for the
     full block and each singleton block."""
-    eps = rng.gen.normal(size=(n_paths, gamma.n, cfg.n_steps, gamma.points.shape[1]))
+    eps = _noise(gamma, cfg, n_paths, rng)
     paths = _evolve_block(space, intensity, gamma.points, eps, cfg.step, keep_paths=True)
     worst = -math.inf
     for subsets in (np.arange(gamma.n)[None], np.arange(gamma.n)[:, None]):
@@ -802,15 +805,14 @@ def semigroup_property_check(
     direct = semigroup_T0(
         space, intensity, F, gamma, t + s, cfg, n_outer * 4, rng.child(0)
     )
-    P, da = gamma.points.shape
     run, rest = cfg.with_horizon(t), cfg.with_horizon(s)
-    eps = rng.child(1).gen.normal(size=(n_outer, P, run.n_steps, da))
+    eps = _noise(gamma, run, n_outer, rng.child(1))
     mids = _evolve_block(space, intensity, gamma.points, eps, run.step)
-    eps = rng.child(2).gen.normal(size=(n_outer * n_inner, P, rest.n_steps, da))
+    eps = _noise(gamma, rest, n_outer * n_inner, rng.child(2))
     ends = _evolve_block(
         space, intensity, np.repeat(mids, n_inner, axis=0), eps, rest.step
     )
-    ys = _f_rows(F, ends).reshape(n_outer, n_inner).mean(axis=1)
+    ys = _replicas(ends, space.dim).f_rows(F).reshape(n_outer, n_inner).mean(axis=1)
     nested = McEstimate.from_samples(ys)
     label = name or f"semigroup-{F.name}"
     return CheckResult.from_estimates(

@@ -63,9 +63,10 @@ class TestResolveConfig:
             resolve_config("laplace", {"format": "yaml"})
 
     def test_removed_keys_are_unknown(self):
-        # space, window and batteries had one value each and were dropped
+        # these keys had one value each in use and were dropped
         for key, value in (
-            ("space", "euclidean2"), ("window", "all"), ("batteries", "default")
+            ("space", "euclidean2"), ("window", "all"), ("batteries", "default"),
+            ("det_tol", 1e-8), ("sphere_tol", 1e-4),
         ):
             with pytest.raises(ConfigError, match="unknown config key"):
                 resolve_config("laplace", {key: value})

@@ -36,7 +36,7 @@ from poissonforms.operators import (
     weitz_matrix,
     weitzenbock_check,
 )
-from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
+from poissonforms.pointprocess import Configuration, RngStream, SampleBatch, sample_batch
 
 SP = Euclidean(2)
 GAUSS = IntensitySpec("gaussian", 1.0)
@@ -247,6 +247,23 @@ class TestChecks:
         F1, F2, V = bat.ibp_battery()[0]
         res = ibp_check(SP, GAUSS, ALL, F1, F2, V, RngStream(6), n_samples=20_000)
         assert res.passed
+
+    def test_ibp_sums_run_through_segment_sum(self, monkeypatch):
+        # SampleBatch.segment_sum is the one per-configuration sum: all five
+        # of this row's (the two statistics, the two directional sums and
+        # the beta.V + div V sum) must reach it, each over every point
+        summed = []
+        plain = SampleBatch.segment_sum
+
+        def counted(batch, values):
+            summed.append(len(values))
+            return plain(batch, values)
+
+        monkeypatch.setattr(SampleBatch, "segment_sum", counted)
+        F1, F2, V = bat.ibp_battery()[0]
+        ibp_check(SP, GAUSS, ALL, F1, F2, V, RngStream(6), n_samples=2_000)
+        n_points = len(sample_batch(SP, GAUSS, ALL, RngStream(6), 2_000).points)
+        assert sum(summed) == 5 * n_points
 
     def test_dirichlet_functions_small(self):
         F1, F2 = bat.function_pairs()[0]

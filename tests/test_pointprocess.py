@@ -5,7 +5,7 @@ import pytest
 
 from poissonforms.forms import CylinderFunction, Exp, Linear
 from poissonforms.fields import gauss_bump
-from poissonforms.geometry import Euclidean, IntensitySpec, Window, sigma_mass
+from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window, sigma_mass
 from poissonforms.pointprocess import (
     ChebProfile,
     Configuration,
@@ -119,6 +119,13 @@ class TestSampling:
         )
         with pytest.raises(ValueError, match="rejection bound"):
             _draw_locations(SP, spike, BOX, RngStream(4).gen, 20_000)
+
+    def test_custom_density_on_sphere_raises(self):
+        # the sphere draws uniform directions; sigma_mass would integrate
+        # this rho while the points ignored it
+        tilted = IntensitySpec("custom", density=lambda X: 1.0 + X[:, 2])
+        with pytest.raises(ValueError, match="sphere"):
+            sample_batch(Sphere(), tilted, Window("all"), RngStream(5), 100)
 
     def test_segment_sum(self):
         batch = sample_batch(SP, GAUSS, BOX, RngStream(1), 50)

@@ -7,7 +7,9 @@ from scipy.linalg import expm
 
 from poissonforms import batteries as bat
 from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
-from poissonforms.forms import BatchEval, CylinderFunction, Exp, Linear
+from poissonforms.forms import (
+    BatchEval, CylinderForm, CylinderFunction, Exp, FormTerm, Linear, SymmetricFormField,
+)
 from poissonforms.fields import monomial
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
 from poissonforms.operators import factorization_check, r_pi_sigma
@@ -149,6 +151,29 @@ class TestScalarSemigroup:
             SP, GAUSS, F, Configuration(np.zeros((0, 2))), 0.2, cfg, 10, RngStream(1)
         )
         assert empty.mean == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("n_points", [1, 2, 3])
+    def test_t0_is_degree_zero_form_semigroup(self, n_points, antithetic):
+        # functions are 0-forms: on the same stream the scalar estimator and
+        # the form semigroup of F times the constant 0-form agree exactly
+        F = bat.generator_functions()[0]
+        W = CylinderForm([FormTerm(SymmetricFormField(0, [(1.0, ())]), F=F)])
+        gamma = Configuration(
+            np.array([[0.7, -0.4], [0.3, -0.2], [-0.5, 0.4]])[:n_points]
+        )
+        cfg = SdeConfig(t=0.1, dt=0.02)
+        scalar = semigroup_T0(
+            SP, GAUSS, F, gamma, 0.1, cfg, 301, RngStream(8), antithetic
+        )
+        form = semigroup_Tn(
+            SP, GAUSS, W, gamma, 0.1, zero_potential(0), cfg, 301, RngStream(8),
+            antithetic,
+        )
+        assert list(form.mean.blocks) == [0]
+        assert form.mean.blocks[0].shape == (1, 1)
+        assert scalar.mean == form.mean.blocks[0][0, 0]
+        assert scalar.stderr == form.stderr.blocks[0][0, 0]
 
     def test_semigroup_property(self):
         F = bat.generator_functions()[0]
