@@ -296,6 +296,8 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
                     "tail_bound": sr.tail_bound,
                     "k_max": len(sr.terms) - 1,
                     "certified": sr.certified,
+                    "max_degree": list(sr.max_degree),
+                    "chop_bound": sr.chop_bound,
                 },
             )
         )

@@ -285,17 +285,40 @@ def _dct1(n: int) -> np.ndarray:
     return M
 
 
+# Chop threshold relative to max|c|: trailing degrees below it are rounding
+# noise of the DCT-I (about 1e-16 relative), not resolved content.
+_CHOP_TOL = 1e-15
+
+
 class ChebProfile:
     """Chebyshev series of a function of 1 or 2 statistics: the interpolant
     of its values on a tensor grid of ``_cheb_nodes``, held as coefficients
-    (one DCT-I per axis) and evaluated by three-term recurrences."""
+    (one DCT-I per axis) and evaluated by three-term recurrences.
+
+    The series is chopped at its rounding plateau: on each axis the trailing
+    degrees whose coefficients all lie below ``_CHOP_TOL`` * max|c| are
+    dropped, so ``coeffs`` holds only the kept degrees and every recurrence
+    runs over them alone. ``dropped`` is the absolute mass of the dropped
+    coefficients; since |T_k| <= 1 it bounds the change of the profile
+    anywhere on its domain. ``resolved`` says that each axis dropped at least
+    two degrees: one small trailing coefficient can be a parity zero of an
+    even or odd function, not a plateau."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         c = _dct1(len(self.axes[0])) @ np.asarray(values, dtype=float)
         if len(self.axes) == 2:
             c = c @ _dct1(len(self.axes[1])).T
-        self.coeffs = c
+        big = np.abs(c) > _CHOP_TOL * np.max(np.abs(c))
+        # per axis, keep through the last degree with a coefficient above the
+        # threshold (at least degree 0)
+        kept = [1 + int(i.max(initial=0)) for i in np.nonzero(big)]
+        keep = tuple(slice(0, k) for k in kept)
+        self.coeffs = c[keep]
+        rest = np.abs(c)
+        rest[keep] = 0.0
+        self.dropped = float(rest.sum())
+        self.resolved = all(n - k >= 2 for n, k in zip(c.shape, kept))
 
     def _two_t(self, axis: int, s: np.ndarray) -> np.ndarray:
         """2t, with t the points s mapped onto [-1, 1] by the axis."""
@@ -313,11 +336,12 @@ class ChebProfile:
         return t2
 
     def _axis_matrix(self, axis: int, s: np.ndarray) -> np.ndarray:
-        """T_0..T_{n-1} at the mapped points, one row per degree: (n, rows)."""
+        """T_k at the mapped points for each kept degree k: (kept, rows)."""
         t2 = self._two_t(axis, s)
-        T = np.empty((len(self.axes[axis]), s.size))
+        T = np.empty((self.coeffs.shape[axis], s.size))
         T[0] = 1.0
-        np.multiply(t2, 0.5, out=T[1])
+        if len(T) > 1:
+            np.multiply(t2, 0.5, out=T[1])
         for k in range(2, T.shape[0]):
             np.multiply(t2, T[k - 1], out=T[k])
             T[k] -= T[k - 2]
@@ -346,7 +370,7 @@ class ChebProfile:
             raise ValueError("statistic dimension mismatch")
         if len(self.axes) == 1:
             return self._clenshaw(S[:, 0])
-        # two statistics: contract per-axis (cheb_n, rows) recurrence blocks
+        # two statistics: contract per-axis (kept, rows) recurrence blocks
         # with the coefficients, in chunks of rows to bound their size
         out = np.empty(S.shape[0])
         step = 1 << 16
@@ -372,8 +396,9 @@ def _sample_profile(outer, axes: list[np.ndarray]) -> ChebProfile:
 
 
 # Quadrature nodes per contraction in the 2-statistic kernel step: two
-# (cheb_n, chunk * cheb_n) recurrence blocks, 2 x 8.4 MB at cheb_n = 64. A
-# 16 x 16 tensor rule is a single chunk.
+# (kept, chunk * cheb_n) recurrence blocks, at most 2 x 8.4 MB at
+# cheb_n = 64 (2 x 2 MB at 16 kept degrees). A 16 x 16 tensor rule is a
+# single chunk.
 _STEP_CHUNK = 256
 
 
@@ -391,16 +416,17 @@ def _kernel_step(
     else:
         # the series is a tensor product, so the shifted evaluation factorizes
         # into per-axis Chebyshev blocks T_k(s_i + phi(x_q)), indexed
-        # (k, q, i), contracted a chunk of nodes at a time to bound the memory
-        n = len(profile.axes[0])
+        # (k, q, i) over the kept degrees k, contracted a chunk of nodes at a
+        # time to bound the memory
+        n0, n1 = profile.coeffs.shape
         for lo in range(0, Q, _STEP_CHUNK):
             q = slice(lo, lo + _STEP_CHUNK)
             T0 = profile._axis_matrix(
                 0, (axes[0][None, :] + inner_values[q, :1]).ravel()
-            ).reshape(n, -1, cheb_n)
+            ).reshape(n0, -1, cheb_n)
             T1 = profile._axis_matrix(
                 1, (axes[1][None, :] + inner_values[q, 1:2]).ravel()
-            ).reshape(n, -1, cheb_n)
+            ).reshape(n1, -1, cheb_n)
             # weights folded into T1 first, so both contractions are GEMMs
             T1 *= w[q][:, None]
             part = np.einsum("kqi,kl,lqj->ij", T0, profile.coeffs, T1, optimize=True)
@@ -444,10 +470,17 @@ def iterated_kernel(
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """``chop_bound`` bounds the change of ``value`` made by the chops;
+    ``max_degree`` is the largest kept degree per axis over the chain;
+    ``resolved`` says every profile reached its rounding plateau."""
+
     value: float
     tail_bound: float
     terms: tuple[float, ...]
     certified: bool
+    resolved: bool
+    chop_bound: float
+    max_degree: tuple[int, ...]
 
 
 def expect_series(
@@ -472,9 +505,19 @@ def expect_series(
     k-fold integral, so all terms cost k_max quadrature passes rather than a
     2k-dimensional rule. Each h_k is read at 0, so its domain is the hull of
     {0} and (k_max - k)[phi_lo, phi_hi]; for positive phi the latter alone
-    misses 0. Each h_k is a ``ChebProfile``, evaluated from its coefficients:
-    by Clenshaw's recurrence for one statistic, and for two through per-axis
-    recurrence blocks of at most (cheb_n, ``_STEP_CHUNK`` * cheb_n) entries.
+    misses 0. Each h_k is a ``ChebProfile`` sampled on ``cheb_n`` nodes per
+    axis and chopped at its rounding plateau, evaluated from the kept
+    coefficients: by Clenshaw's recurrence for one statistic, and for two
+    through per-axis recurrence blocks of at most (kept, ``_STEP_CHUNK`` *
+    cheb_n) entries.
+
+    A chop changes h_k by at most its dropped mass, and a step passes an
+    earlier change on at most sum_q |w_q| times the Lebesgue constant of
+    the nodes per axis; ``chop_bound`` sums these changes through the chain
+    into a bound on the change of the value. ``resolved`` is false when some profile
+    kept (almost) every degree on an axis: then ``cheb_n`` is too small for
+    that profile, its interpolation error is not bounded, and the result is
+    not ``certified``.
 
     ``envelope(k)`` must bound sup |F| over k-point configurations in the
     window; when omitted, a probe bound is used and the result is flagged
@@ -493,15 +536,26 @@ def expect_series(
     phi_lo, phi_hi = inner_vals.min(axis=0), inner_vals.max(axis=0)
     bounds = (zero[0], zero[0], np.minimum(phi_lo, 0.0), np.maximum(phi_hi, 0.0))
     profile = _sample_profile(outer, _axes(*bounds, k_max, cheb_n))
+    chain = [profile]
     terms = [float(np.asarray(outer(zero))[0])]  # k = 0: empty configuration
+    # a step maps a sup-norm change of h_{k-1} to at most `grow` times it in
+    # h_k: the sigma-integral by sum |w|, the interpolation by the Lebesgue
+    # constant of Chebyshev points, <= 2/pi log(cheb_n) + 1 per axis
+    grow = float(np.abs(w).sum()) * (2.0 / math.pi * math.log(cheb_n) + 1.0) ** N
+    err, chop_bound = profile.dropped, 0.0
     for k in range(1, k_max + 1):
         profile = _kernel_step(profile, _axes(*bounds, k_max - k, cheb_n), inner_vals, w)
+        chain.append(profile)
         # profile(0) is the k-fold sigma-integral of F over Lambda^k; the
         # expansion wants it with the 1/k! in front
         terms.append(float(profile(zero)[0]) / math.factorial(k))
+        err = profile.dropped + grow * err  # sup change of h_k from every chop
+        chop_bound += err / math.factorial(k)
     value = math.exp(-mass) * sum(terms[k] for k in range(k_max + 1))
+    resolved = all(p.resolved for p in chain)
+    max_degree = tuple(int(d) - 1 for d in np.max([p.coeffs.shape for p in chain], axis=0))
 
-    certified = envelope is not None
+    certified = envelope is not None and resolved
     if envelope is None:
 
         def envelope(k: int) -> float:  # probe bound, not certified
@@ -526,7 +580,8 @@ def expect_series(
     else:
         raise ValueError(f"series tail did not converge within {k_max + 399} terms "
                          f"(sigma-mass {mass:.6g}); the tail bound would be truncated")
-    return SeriesResult(value, tail, tuple(terms), certified)
+    return SeriesResult(value, tail, tuple(terms), certified, resolved,
+                        math.exp(-mass) * chop_bound, max_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval, chebval2d
 
 from poissonforms.forms import CylinderFunction, Exp, Linear
 from poissonforms.fields import gauss_bump
@@ -12,6 +13,7 @@ from poissonforms.pointprocess import (
     MeckeFunctional,
     RngStream,
     _cheb_nodes,
+    _dct1,
     _draw_locations,
     expect_series,
     iterated_kernel,
@@ -239,6 +241,45 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             prof2(np.array([[0.0, 1.01]]))
 
+    def test_chop_keeps_every_degree_when_under_resolved(self):
+        n = 16
+        ax, ay = _cheb_nodes(-1.0, 1.0, n), _cheb_nodes(0.0, 2.0, n)
+        prof = ChebProfile([ax], np.sin(20.0 * ax) + np.cos(20.0 * ax))
+        assert prof.coeffs.shape == (n,) and prof.dropped == 0.0 and not prof.resolved
+        prof2 = ChebProfile([ax, ay], np.cos(20.0 * np.add.outer(ax, 1.3 * ay)))
+        assert prof2.coeffs.shape == (n, n) and prof2.dropped == 0.0
+        assert not prof2.resolved
+        # an even function has zero odd coefficients: the last degree is
+        # dropped, but one small coefficient is no plateau
+        even = ChebProfile([ax], np.cos(20.0 * ax))
+        assert even.coeffs.shape == (n - 1,) and not even.resolved
+
+    def test_chop_changes_the_series_by_at_most_the_dropped_mass(self):
+        n = 64
+        ax, ay = _cheb_nodes(-2.0, 1.0, n), _cheb_nodes(0.0, 2.0, n)
+        gen = np.random.default_rng(3)
+        s, u = gen.uniform(-2.0, 1.0, 300), gen.uniform(0.0, 2.0, 300)
+        t, r = (2.0 * s + 1.0) / 3.0, u - 1.0  # the points mapped onto [-1, 1]
+        v1 = np.sin(ax)
+        v2 = np.exp(-np.add.outer(ax, 0.5 * ay))
+        full1 = _dct1(n) @ v1
+        full2 = _dct1(n) @ v2 @ _dct1(n).T
+        cases = [
+            (ChebProfile([ax], v1), s[:, None], chebval(t, full1), full1),
+            (ChebProfile([ax, ay], v2), np.column_stack([s, u]),
+             chebval2d(t, r, full2), full2),
+        ]
+        for prof, S, want, full in cases:
+            assert prof.resolved and max(prof.coeffs.shape) < n and prof.dropped > 0.0
+            # beyond the dropped mass only the rounding of the two
+            # recurrences, a few eps times sum |c|
+            rounding = 8.0 * np.finfo(float).eps * np.abs(full).sum()
+            assert np.max(np.abs(prof(S) - want)) <= prof.dropped + rounding
+        # an axis on which the profile is constant keeps degree 0 alone
+        flat = ChebProfile([ax, ay], np.multiply.outer(ax**3, np.ones(n)))
+        assert flat.coeffs.shape == (4, 1) and flat.resolved
+        assert np.max(np.abs(flat(np.column_stack([s, u])) - s**3)) <= 1e-13
+
 
 class TestExpectSeries:
     def test_exp_one_stat(self):
@@ -323,6 +364,65 @@ class TestExpectSeries:
         whole = terms()
         assert len(sigma_nodes(SP, GAUSS, bat.series_window(), 40)[1]) == 1600
         assert np.max(np.abs(np.subtract(chunked, whole))) <= 1e-12
+
+    def test_battery_values_do_not_depend_on_cheb_n(self, monkeypatch):
+        # every profile is chopped at its plateau, so raising cheb_n past the
+        # resolved degrees moves the value only by rounding
+        from poissonforms import batteries as bat
+        from poissonforms import pointprocess
+
+        def run(case, n):
+            return expect_series(
+                SP, GAUSS, bat.series_window(), case.outer, case.inners,
+                case.envelope, cheb_n=n,
+            )
+
+        for case in bat.series_battery():
+            res = [run(case, n) for n in (24, 32, 64)]
+            vals = [r.value for r in res]
+            assert np.ptp(vals) <= 1e-13 * abs(vals[-1]), case.name
+            assert all(r.resolved and r.certified for r in res)
+            # the chain without the chop moves the value by at most chop_bound
+            with monkeypatch.context() as m:
+                m.setattr(pointprocess, "_CHOP_TOL", 0.0)
+                whole = run(case, 24)
+            assert whole.chop_bound == 0.0
+            assert abs(whole.value - res[0].value) <= res[0].chop_bound, case.name
+
+    def test_two_stat_step_contracts_only_kept_degrees(self, monkeypatch):
+        from poissonforms import batteries as bat
+        from poissonforms import pointprocess
+
+        case = next(c for c in bat.series_battery() if c.name == "exp-two-stats")
+        rows = []
+        axis_matrix = ChebProfile._axis_matrix
+
+        def spy(self, axis, s):
+            T = axis_matrix(self, axis, s)
+            rows.append(T.shape[0])
+            return T
+
+        monkeypatch.setattr(pointprocess.ChebProfile, "_axis_matrix", spy)
+        res = expect_series(
+            SP, GAUSS, bat.series_window(), case.outer, case.inners,
+            case.envelope, cheb_n=64, quad_n=16,
+        )
+        assert res.resolved and res.certified
+        assert rows and max(rows) <= 32
+        assert len(res.max_degree) == 2 and max(res.max_degree) < 32
+
+    def test_unresolved_profiles_are_not_certified(self):
+        # e^{-20 s} over the reach of 8 points needs far more than 8 nodes:
+        # the value is off by ~0.04 while the tail bound is ~2e-5
+        from poissonforms import batteries as bat
+
+        bump = bat.series_battery()[0].inners
+        kw = dict(envelope=lambda k: 1.0, quad_n=16)
+        coarse = expect_series(SP, GAUSS, bat.series_window(), Exp([-20.0]), bump, cheb_n=8, **kw)
+        fine = expect_series(SP, GAUSS, bat.series_window(), Exp([-20.0]), bump, cheb_n=64, **kw)
+        assert abs(coarse.value - fine.value) > 100.0 * coarse.tail_bound
+        assert not coarse.resolved and not coarse.certified
+        assert coarse.max_degree == (7,)
 
     def test_tail_that_cannot_converge_raises(self):
         # sigma-mass 500: the Poisson mode lies beyond k_max + 400, so the
