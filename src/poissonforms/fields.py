@@ -42,6 +42,7 @@ __all__ = [
     "VectorField",
     "SphereKilling",
     "SphereGradientField",
+    "field_values",
 ]
 
 
@@ -440,3 +441,11 @@ class SphereGradientField:
     def div_one(self, p) -> float:
         return self.scalar.laplacian_one(p)
 
+
+def field_values(f, X: np.ndarray, table: PointTable | None = None) -> np.ndarray:
+    """Values of a scalar or vector field at the rows of X. Polynomial-
+    Gaussian fields read ``table``, a ``PointTable`` on X, when one is
+    given; ``forms.field_grads`` and its siblings do the same."""
+    if isinstance(f, (Field, VectorField)):
+        return f.value_batch(X, table=table)
+    return np.asarray(f.value_batch(X), dtype=float)

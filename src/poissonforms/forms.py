@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .exterior import Multivector, relabel_slots, t_basis, wedge
-from .fields import Field, PointTable, VectorField
+from .fields import Field, PointTable, VectorField, field_values
 from .pointprocess import Configuration, SampleBatch
 
 __all__ = [
@@ -173,6 +173,8 @@ class CylinderFunction:
     def __init__(self, outer: OuterFn, inners: Sequence, name: str = "F"):
         if outer.nargs != len(inners):
             raise ValueError("outer arity does not match inner count")
+        if len(inners) > 7:  # see _linear_rows: rows would depend on their view
+            raise ValueError("a cylinder function takes at most 7 statistics")
         self.outer = outer
         self.inners = tuple(inners)
         self.name = name
@@ -598,17 +600,6 @@ def eval_form(W: CylinderForm, config: Configuration) -> FormValue:
 
 # ---------------------------------------------------------------------------
 # batched evaluation over a whole SampleBatch
-
-
-def field_values(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
-    """Values of a scalar or vector field at the rows of X. Polynomial-
-    Gaussian fields read ``table``, a ``PointTable`` on X, when one is
-    given; the helpers below do the same."""
-    if isinstance(f, (Field, VectorField)):
-        return f.value_batch(X, table=table)
-    if hasattr(f, "value_batch"):
-        return np.asarray(f.value_batch(X), dtype=float)
-    return np.array([f.value_one(x) for x in X], dtype=float)
 
 
 def field_grads(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:

@@ -7,6 +7,9 @@ in the file).  CLI flags override file values, and the fully resolved config
 is echoed into every output record, so a record is always reproducible from
 itself: identical resolved configs reproduce identical numbers, stream by
 stream (random streams are keyed by task labels, never by scheduling order).
+The Monte Carlo rows of one experiment on one window share one batch, so they
+are dependent, but each row is still a mean over ``n_samples`` independent
+configurations and its gate keeps its size.
 
 The JSON record is canonical except for the trailing "timing" block, which
 holds measured wall-clock and is naturally volatile; `RunRecord.canonical_json`
@@ -263,12 +266,14 @@ def _row(result: CheckResult) -> dict:
 
 def _exp_laplace(cfg: dict, rng: RngStream) -> list[CheckResult]:
     sp, inten, win = bat.default_space(), bat.default_intensity(), bat.full_window()
-    return [
-        laplace_check(
-            sp, inten, w or win, f, rng.child("laplace", nm), cfg["n_samples"], name=nm
-        )
-        for nm, f, w in bat.laplace_battery()
-    ]
+    battery = bat.laplace_battery()
+    out = []
+    # one batch per window, drawn from the stream of its first row
+    for w in dict.fromkeys(w for _, _, w in battery):
+        rows = [(nm, f) for nm, f, wi in battery if wi == w]
+        out += laplace_check(sp, inten, w or win, rows, rng.child("laplace", rows[0][0]),
+                             cfg["n_samples"])
+    return out
 
 
 def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
@@ -306,27 +311,21 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
 
 def _exp_mecke(cfg: dict, rng: RngStream) -> list[CheckResult]:
     sp, inten, win = bat.default_space(), bat.default_intensity(), bat.full_window()
+    fns = bat.mecke_battery()
     out = []
-    for fn in bat.mecke_battery():
-        r = mecke_check(sp, inten, win, fn, rng.child("mecke", fn.name), cfg["n_samples"])
+    for fn, r in zip(fns, mecke_check(sp, inten, win, fns, rng.child("mecke", fns[0].name),
+                                      cfg["n_samples"])):
         out.append(r)
         if fn.name == "phi-pi":
             est = McEstimate(r.lhs, r.stderr, cfg["n_samples"])
-            out.append(
-                CheckResult.from_estimates(
-                    "mecke-phi-quadrature-pi", est, McEstimate.exact(math.pi)
-                )
-            )
+            out.append(CheckResult.from_estimates("mecke-phi-quadrature-pi", est,
+                                                  McEstimate.exact(math.pi)))
     return out
 
 
 def _exp_ibp(cfg: dict, rng: RngStream) -> list[CheckResult]:
     sp, inten, win = bat.default_space(), bat.default_intensity(), bat.full_window()
-    return [
-        ibp_check(sp, inten, win, F1, F2, V, rng.child("ibp", i), cfg["n_samples"],
-                  name=f"ibp-{F1.name}-{F2.name}-{V.name}")
-        for i, (F1, F2, V) in enumerate(bat.ibp_battery())
-    ]
+    return ibp_check(sp, inten, win, bat.ibp_battery(), rng.child("ibp", 0), cfg["n_samples"])
 
 
 def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:

@@ -820,49 +820,40 @@ def point_gradient_energy(
     return np.bincount(layout.cfg, weights=e, minlength=ev.batch.n_samples)
 
 
-def _lifted_vector_batch(V: LiftedVector, ev: BatchEval) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point values V_x(gamma) (P, dim) and divergences (P,)."""
-    P = ev.points
-    sid = ev.sid
-    vals = np.zeros((P.shape[0], P.shape[1]))
-    divs = np.zeros(P.shape[0])
-    for coef, G, v in V.terms:
-        vv = field_values(v, P, ev.table)
-        dv = field_divs(v, P, ev.table)
-        if G is None:
-            g_pt = np.full(P.shape[0], coef)
-        else:
-            # the cylinder factor sees the configuration without the point
-            g_pt = coef * ev.f_rows(G, sid, np.arange(len(sid))[:, None])
-        vals += g_pt[:, None] * vv
-        divs += g_pt * dv
-    return vals, divs
-
-
-def _directional_batch(
-    F: CylinderFunction, ev: BatchEval, vvals: np.ndarray
-) -> np.ndarray:
-    """Per-sample directional derivative sum_x <grad_x F, V_x>."""
-    out = np.zeros(ev.batch.n_samples)
-    for j, phi in enumerate(F.inners):
-        dots = np.einsum("pa,pa->p", ev.grads(phi), vvals)
-        out += ev.f_rows(F.partial_outer(j)) * ev.batch.segment_sum(dots)
-    return out
-
-
 def _ibp_rows(
-    space: Space, intensity: IntensitySpec, F1: CylinderFunction,
-    F2: CylinderFunction, V: LiftedVector, batch: SampleBatch,
-) -> np.ndarray:
-    """The integration-by-parts sum at every configuration of the batch."""
+    space: Space, intensity: IntensitySpec, rows: Sequence[tuple], batch: SampleBatch,
+) -> tuple[np.ndarray, ...]:
+    """The integration-by-parts sum of each (F1, F2, V) row at every
+    configuration of the batch. The rows share one ``BatchEval``; each
+    lifted vector and each directional derivative is evaluated once, and
+    the rows are taken V by V, so one V's point values are held at a time."""
     ev = BatchEval(batch, space.dim)
-    f1, f2 = ev.f_rows(F1), ev.f_rows(F2)
-    vvals, divs = _lifted_vector_batch(V, ev)
-    d1 = _directional_batch(F1, ev, vvals)
-    d2 = _directional_batch(F2, ev, vvals)
-    bdot = np.einsum("pa,pa->p", beta(space, intensity, batch.points), vvals)
-    per_pt = batch.segment_sum(bdot + divs)
-    return d1 * f2 + f1 * d2 + f1 * f2 * per_pt
+    P, sid = ev.points, ev.sid
+    out = [None] * len(rows)
+    for V in dict.fromkeys(V for _, _, V in rows):
+        mine = [r for r, row in enumerate(rows) if row[2] is V]
+        # V_x(gamma) at every point
+        vals, divs = np.zeros(P.shape), np.zeros(len(P))
+        for coef, G, v in V.terms:
+            # the cylinder factor sees the configuration without the point
+            g_pt = (np.full(len(P), coef) if G is None
+                    else coef * ev.f_rows(G, sid, np.arange(len(sid))[:, None]))
+            vals += g_pt[:, None] * field_values(v, P, ev.table)
+            divs += g_pt * field_divs(v, P, ev.table)
+        bdot = np.einsum("pa,pa->p", beta(space, intensity, P), vals)
+        per_cfg = batch.segment_sum(bdot + divs)
+        # sum_x <grad_x F, V_x> per configuration, for each F beside V
+        directional = {}
+        for F in dict.fromkeys(F for r in mine for F in rows[r][:2]):
+            directional[F] = np.zeros(batch.n_samples)
+            for j, phi in enumerate(F.inners):
+                dots = np.einsum("pa,pa->p", ev.grads(phi), vals)
+                directional[F] += ev.f_rows(F.partial_outer(j)) * batch.segment_sum(dots)
+        for r in mine:
+            F1, F2, _ = rows[r]
+            f1, f2 = ev.f_rows(F1), ev.f_rows(F2)
+            out[r] = directional[F1] * f2 + f1 * directional[F2] + f1 * f2 * per_cfg
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -873,29 +864,25 @@ def ibp_check(
     space: Space,
     intensity: IntensitySpec,
     window: Window,
-    F1: CylinderFunction,
-    F2: CylinderFunction,
-    V: LiftedVector,
+    rows: Sequence[tuple[CylinderFunction, CylinderFunction, LiftedVector]],
     rng: RngStream,
     n_samples: int = 100_000,
-    name: Optional[str] = None,
-) -> CheckResult:
-    """Integration by parts on the configuration space:
+) -> list[CheckResult]:
+    """Integration by parts on the configuration space, one row
+    ``ibp-<F1>-<F2>-<V>`` per (F1, F2, V):
 
         E[(D_V F1) F2] + E[F1 (D_V F2)] + E[F1 F2 (sum_x <beta, V_x> + div V)] = 0,
 
-    checked as a paired-sample mean against zero at three standard errors.
+    each checked as a paired-sample mean against zero at three standard
+    errors. All rows read one batch, so they are dependent; each is still a
+    mean over ``n_samples`` independent configurations.
     """
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    est = batch.map_configs(lambda b: _ibp_rows(space, intensity, F1, F2, V, b))
-    lhs = McEstimate.from_samples(est)
-    label = name or f"ibp-{F1.name}-{F2.name}-{V.name}"
-    return CheckResult.from_estimates(
-        label,
-        lhs,
-        McEstimate.exact(0.0),
-        detail={"n": n_samples},
-    )
+    est = batch.map_configs(lambda b: _ibp_rows(space, intensity, rows, b))
+    return [CheckResult.from_estimates(f"ibp-{F1.name}-{F2.name}-{V.name}",
+                                       McEstimate.from_samples(vals), McEstimate.exact(0.0),
+                                       detail={"n": n_samples})
+            for (F1, F2, V), vals in zip(rows, est)]
 
 
 def dirichlet_check(

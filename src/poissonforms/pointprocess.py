@@ -31,6 +31,7 @@ from .geometry import (
     Window,
     sigma_mass,
 )
+from .fields import PointTable, field_values
 from .quadrature import gauss_hermite_gaussian, sphere_rule, tensor_rule
 from .report import CheckResult, McEstimate
 
@@ -139,20 +140,24 @@ class SampleBatch:
     def map_configs(self, fn: Callable):
         """``fn`` on consecutive views of whole configurations, of at most
         ``_CHUNK_POINTS`` points unless one configuration is larger, with its
-        per-configuration outputs (an array or a tuple of arrays) joined in
-        order. A configuration's points keep their order in one view, so
-        point-wise work and segment sums equal those on the whole batch."""
+        per-configuration outputs (an array or a tuple of arrays) written in
+        order into arrays over the whole batch, allocated with the first
+        view's dtypes and trailing shapes. A configuration's points keep
+        their order in one view, so point-wise work and segment sums equal
+        those on the whole batch."""
         off, cuts = self.offsets, [0]
         while len(cuts) == 1 or cuts[-1] < self.n_samples:
             hi = np.searchsorted(off, off[cuts[-1]] + _CHUNK_POINTS, side="right") - 1
             cuts.append(min(max(int(hi), cuts[-1] + 1), self.n_samples))
-        parts = [
-            fn(SampleBatch(self.points[off[a] : off[b]], off[a : b + 1] - off[a]))
-            for a, b in zip(cuts, cuts[1:])
-        ]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(p) for p in zip(*parts))
-        return np.concatenate(parts)
+        out = None
+        for a, b in zip(cuts, cuts[1:]):
+            part = fn(SampleBatch(self.points[off[a] : off[b]], off[a : b + 1] - off[a]))
+            parts = part if isinstance(part, tuple) else (part,)
+            if out is None:
+                out = tuple(np.empty((self.n_samples, *p.shape[1:]), p.dtype) for p in parts)
+            for o, p in zip(out, parts):
+                o[a:b] = p
+        return out if isinstance(part, tuple) else out[0]
 
     def __iter__(self):
         for i in range(self.n_samples):
@@ -610,95 +615,96 @@ def mecke_check(
     space: Space,
     intensity: IntensitySpec,
     window: Window,
-    functional: MeckeFunctional,
+    functionals: Sequence[MeckeFunctional],
     rng: RngStream,
     n_samples: int = 100_000,
     cheb_n: int = 64,
     quad_n: int = 40,
-) -> CheckResult:
-    """Verify the multivariate Mecke identity for the given functional:
+) -> list[CheckResult]:
+    """Verify the multivariate Mecke identity for each functional:
 
         E sum_{xbar subset gamma, |xbar| = m} f(gamma, xbar)
             = (1/m!) int E f(gamma + xbar, xbar) sigma^m(dxbar).
 
     Both sides are evaluated on the same sampled configurations (the right
     side is Rao-Blackwellized: the sigma^m integral is collapsed into a
-    profile of the cylinder statistic, then averaged over the samples), so the
-    verdict is based on the paired difference and its standard error.
+    profile of the cylinder statistic, then averaged over the samples), so
+    each verdict is based on the paired difference and its standard error.
+    All functionals read one batch, so their rows are dependent; each row
+    is still a mean over ``n_samples`` independent configurations.
     """
-    m = functional.m
-    if m not in (1, 2):
+    if any(fn.m not in (1, 2) for fn in functionals):
         raise ValueError("mecke_check supports m in {1, 2}")
+    fields = {id(f): f for fn in functionals for f in (*fn.slot_fields, fn.inner)
+              if f is not None}
     # sample_batch draws every point inside the window: no mask is needed
     batch = sample_batch(space, intensity, window, rng, n_samples)
 
-    def left_and_stat(b: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
-        slot_vals = [f.value_batch(b.points) for f in functional.slot_fields]
-        if functional.inner is not None:
-            s_stat = b.segment_sum(functional.inner.value_batch(b.points))
-            g_of_s = np.asarray(functional.outer(s_stat[:, None]), dtype=float)
-        else:
-            s_stat = np.zeros(b.n_samples)
-            g_of_s = np.ones(b.n_samples)
-        # ordered-distinct sums over the configuration
-        sums = b.segment_sum(slot_vals[0])
-        if m == 2:
-            cross = b.segment_sum(slot_vals[0] * slot_vals[1])
-            sums = sums * b.segment_sum(slot_vals[1]) - cross
-        return sums * g_of_s, s_stat
+    def left_and_stat(b: SampleBatch) -> tuple[np.ndarray, ...]:
+        # every field's values and per-configuration sums, once per view
+        table = PointTable(b.points)
+        vals = {k: field_values(f, b.points, table) for k, f in fields.items()}
+        sums = {k: b.segment_sum(v) for k, v in vals.items()}
+        out = []
+        for fn in functionals:
+            # ordered-distinct sums over the configuration
+            i = [id(f) for f in fn.slot_fields]
+            left = sums[i[0]] if fn.m == 1 else (
+                sums[i[0]] * sums[i[1]] - b.segment_sum(vals[i[0]] * vals[i[1]]))
+            if fn.inner is None:
+                out.append(left)
+            else:
+                s_stat = sums[id(fn.inner)]
+                out += [left * np.asarray(fn.outer(s_stat[:, None]), dtype=float), s_stat]
+        return tuple(out)
 
-    lhs_vals, s_stat = batch.map_configs(left_and_stat)
-
-    # right side profile: h(s) = int..int prod phi_i * g(s + sum psi(x_i))
+    cols = list(batch.map_configs(left_and_stat))[::-1]
+    del batch  # the right side reads only the statistics
     nodes, w = sigma_nodes(space, intensity, window, quad_n)
-    phi_node_vals = [
-        np.asarray(f.value_batch(nodes), dtype=float) for f in functional.slot_fields
-    ]
-    if functional.inner is not None:
-        psi_nodes = np.asarray(functional.inner.value_batch(nodes), dtype=float)
-        inner_vals = psi_nodes[:, None]
-        lo = np.array([min(float(np.min(s_stat)), 0.0)])
-        hi = np.array([max(float(np.max(s_stat)), 0.0)])
-        prof = iterated_kernel(
-            functional.outer, inner_vals, w, phi_node_vals, (lo, hi), cheb_n
-        )
-        rhs_vals = prof(s_stat[:, None])
-    else:
-        const = 1.0
-        for pv in phi_node_vals:
-            const *= float(w @ pv)
-        rhs_vals = np.full(batch.n_samples, const)
 
-    diff = lhs_vals - rhs_vals
-    se = float(np.std(diff, ddof=1) / math.sqrt(batch.n_samples))
-    return CheckResult.from_estimates(
-        check=f"mecke-m{m}-{functional.name}",
-        lhs=McEstimate.from_samples(lhs_vals),
-        rhs=McEstimate.from_samples(rhs_vals),
-        stderr_diff=se,
-        detail={"coupled": True},
-    )
+    def right_and_row(fn: MeckeFunctional) -> CheckResult:
+        # the row's arrays are dropped when it returns
+        lhs_vals = cols.pop()
+        # right side profile: h(s) = int..int prod phi_i * g(s + sum psi(x_i))
+        phi_node_vals = [np.asarray(f.value_batch(nodes), dtype=float) for f in fn.slot_fields]
+        if fn.inner is not None:
+            s_stat = cols.pop()
+            inner_vals = np.asarray(fn.inner.value_batch(nodes), dtype=float)[:, None]
+            span = (np.array([min(s_stat.min(), 0.0)]), np.array([max(s_stat.max(), 0.0)]))
+            prof = iterated_kernel(fn.outer, inner_vals, w, phi_node_vals, span, cheb_n)
+            rhs_vals = prof(s_stat[:, None])
+        else:
+            rhs_vals = np.full(n_samples, math.prod(float(w @ pv) for pv in phi_node_vals))
+        se = float(np.std(lhs_vals - rhs_vals, ddof=1) / math.sqrt(n_samples))
+        return CheckResult.from_estimates(
+            f"mecke-m{fn.m}-{fn.name}", McEstimate.from_samples(lhs_vals),
+            McEstimate.from_samples(rhs_vals), stderr_diff=se, detail={"coupled": True})
+
+    return [right_and_row(fn) for fn in functionals]
 
 
 def laplace_check(
     space: Space,
     intensity: IntensitySpec,
     window: Window,
-    f_field,
+    fields: Sequence[tuple[str, object]],
     rng: RngStream,
     n_samples: int = 100_000,
     quad_n: int = 64,
-    name: str = "laplace",
-) -> CheckResult:
-    """Laplace functional: E exp<f, gamma> = exp int (e^f - 1) d sigma."""
+) -> list[CheckResult]:
+    """Laplace functional E exp<f, gamma> = exp int (e^f - 1) d sigma, one
+    row ``laplace-<name>`` per (name, f). All fields read one batch, so
+    their rows are dependent; each row is still a mean over ``n_samples``
+    independent configurations."""
     batch = sample_batch(space, intensity, window, rng, n_samples)
-    lhs_vals = batch.map_configs(
-        lambda b: np.exp(b.segment_sum(f_field.value_batch(b.points)))
-    )
+
+    def left(b: SampleBatch) -> tuple[np.ndarray, ...]:
+        table = PointTable(b.points)
+        return tuple(np.exp(b.segment_sum(field_values(f, b.points, table))) for _, f in fields)
+
+    lhs = batch.map_configs(left)
     nodes, w = sigma_nodes(space, intensity, window, quad_n)
-    rhs = math.exp(float(w @ (np.exp(f_field.value_batch(nodes)) - 1.0)))
-    return CheckResult.from_estimates(
-        check=f"laplace-{name}",
-        lhs=McEstimate.from_samples(lhs_vals),
-        rhs=McEstimate.exact(rhs),
-    )
+    return [CheckResult.from_estimates(
+        f"laplace-{name}", McEstimate.from_samples(vals),
+        McEstimate.exact(math.exp(float(w @ (np.exp(f.value_batch(nodes)) - 1.0)))))
+        for (name, f), vals in zip(fields, lhs)]

@@ -5,8 +5,9 @@ run:
 
 L1 (field batch evaluation: the ibp experiment's values, gradients and
 lifted-vector values and divergences) on a fixed 20,000-configuration batch
-drawn from the first ibp row's stream at seed 42, through one ``BatchEval``
-point table per row against per-call evaluation; L3 (form values) and L4
+drawn from the ibp experiment's stream at seed 42, through one ``BatchEval``
+point table for all five rows (``battery``, the harness's path) or one per
+row (``table``), against per-call evaluation; L3 (form values) and L4
 (lifted operators) on a fixed 30-configuration dirichlet batch, batched
 against per-configuration evaluation; L4 on the sphere (lifts through the
 covariant-difference point operators) on a fixed 5-configuration batch,
@@ -15,14 +16,16 @@ SDE block, frames, batched values and their pullback) on 500 replicas of
 a two-point configuration, for the degree-1 eigenform under the scalar and
 the generic potential and for a degree-2 form whose two-point fibre takes
 the Kronecker assembly; L2 (segment sums: the per-configuration sums of
-every ibp row through ``SampleBatch.map_configs``) on the 70,000
-configurations of each row's stream at seed 42, on views of the default
+every ibp row through ``SampleBatch.map_configs``) at 70,000
+configurations and seed 42, for all five rows on the experiment's one batch
+through one ``BatchEval`` per view (``battery``, the harness's path) or for
+each row on a batch of its own (``per-row``), on views of the default
 ``_CHUNK_POINTS`` against the whole batch as one view; L5 (quadrature and
 series: Chebyshev profiles and iterated kernels) through ``expect_series`` for each series-vs-mc case at the
 harness defaults (quad_n 40, cheb_n 64, k_max 8), and through the m = 2
 Mecke right side of the ``pair-exp`` row, a two-step ``iterated_kernel``
-read at the statistic of each of 70,000 configurations drawn from that
-row's stream at seed 42.
+read at the statistic of each of 70,000 configurations drawn from the
+mecke experiment's stream at seed 42.
 """
 
 import numpy as np
@@ -67,16 +70,18 @@ def _ibp_fields():
     return out
 
 
-@pytest.mark.parametrize("mode", ["table", "per-call"])
+@pytest.mark.parametrize("mode", ["battery", "table", "per-call"])
 def test_l1_fields_ibp(benchmark, mode):
     rng = RngStream(42).child("ibp", 0)
     batch = sample_batch(SP, INTEN, bat.full_window(), rng, 20_000)
     P = batch.points
     rows = _ibp_fields()
 
-    def shared():
+    def shared(per_row: bool):
+        ev = BatchEval(batch, SP.dim)
         for scalars, vectors in rows:
-            ev = BatchEval(batch, SP.dim)
+            if per_row:
+                ev = BatchEval(batch, SP.dim)
             for f in scalars:
                 ev.values(f), ev.grads(f)
             for v in vectors:
@@ -89,24 +94,31 @@ def test_l1_fields_ibp(benchmark, mode):
             for v in vectors:
                 v.value_batch(P), v.div_batch(P)
 
-    benchmark(shared if mode == "table" else per_call)
+    benchmark(per_call if mode == "per-call" else lambda: shared(mode == "table"))
 
 
 @pytest.mark.parametrize("view", ["chunked", "whole"])
-def test_l2_ibp_statistics(benchmark, monkeypatch, view):
+@pytest.mark.parametrize("mode", ["battery", "per-row"])
+def test_l2_ibp_statistics(benchmark, monkeypatch, mode, view):
     # the per-configuration sums of every ibp row, on views of whole
-    # configurations of the default size or on the whole batch at once
+    # configurations of the default size or on the whole batch at once:
+    # all rows on the harness's one batch through one BatchEval per view,
+    # or each row on a batch from its own stream through its own
     win = bat.full_window()
-    rows = [
-        (row, sample_batch(SP, INTEN, win, RngStream(42).child("ibp", i), 70_000))
-        for i, row in enumerate(bat.ibp_battery())
-    ]
+    battery = bat.ibp_battery()
+
+    def draw(i):
+        return sample_batch(SP, INTEN, win, RngStream(42).child("ibp", i), 70_000)
+
+    if mode == "battery":
+        batch = draw(0)
+        run = lambda: batch.map_configs(lambda v: _ibp_rows(SP, INTEN, battery, v))
+    else:
+        rows = [(row, draw(i)) for i, row in enumerate(battery)]
+        run = lambda: [b.map_configs(lambda v: _ibp_rows(SP, INTEN, [row], v))
+                       for row, b in rows]
     if view == "whole":
         monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", 1 << 40)
-
-    def run():
-        return [b.map_configs(lambda v: _ibp_rows(SP, INTEN, *row, v)) for row, b in rows]
-
     benchmark(run)
 
 
@@ -170,7 +182,7 @@ def test_l5_expect_series(benchmark, case):
 def test_l5_mecke_chain(benchmark):
     fn = next(f for f in bat.mecke_battery() if f.name == "pair-exp")
     win = bat.full_window()
-    batch = sample_batch(SP, INTEN, win, RngStream(42).child("mecke", fn.name), 70_000)
+    batch = sample_batch(SP, INTEN, win, RngStream(42).child("mecke", "phi-pi"), 70_000)
     s = batch.segment_sum(fn.inner.value_batch(batch.points))[:, None]
     nodes, w = sigma_nodes(SP, INTEN, win, 40)
     phi = [f.value_batch(nodes) for f in fn.slot_fields]

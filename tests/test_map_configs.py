@@ -10,7 +10,7 @@ import pytest
 
 from poissonforms import batteries as bat
 from poissonforms import pointprocess
-from poissonforms.forms import Exp, Linear
+from poissonforms.forms import CylinderFunction, Exp, Linear
 from poissonforms.operators import dirichlet_check, ibp_check
 from poissonforms.pointprocess import RngStream, SampleBatch, laplace_check, mecke_check
 
@@ -59,6 +59,37 @@ def test_empty_batch_is_one_empty_view(monkeypatch):
     assert len(views) == 1 and counts.size == 0 and labels.size == 0
 
 
+@pytest.mark.parametrize("tuple_out", [False, True])
+def test_outputs_equal_the_joined_views(monkeypatch, tuple_out):
+    # chunk 4 cuts a view holding only the 12-point configuration
+    monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", 4)
+    batch = _batch(COUNTS)
+    views = []
+
+    def fn(view):
+        views.append(view)
+        sums = view.segment_sum(view.points[:, 0])
+        return (view.counts(), np.column_stack([sums, -sums])) if tuple_out else sums
+
+    out = batch.map_configs(fn)
+    assert any(v.n_samples == 1 for v in views)
+    parts = [fn(v) for v in list(views)]
+    want = (tuple(np.concatenate(p) for p in zip(*parts)) if tuple_out
+            else (np.concatenate(parts),))
+    got = out if tuple_out else (out,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_cylinder_function_refuses_eight_statistics():
+    # from 8 columns a row of the outer's product rounds by its neighbours
+    phi = bat.function_pairs()[0][0].inners[0]
+    CylinderFunction(Linear([1.0] * 7), [phi] * 7)
+    with pytest.raises(ValueError, match="at most 7"):
+        CylinderFunction(Linear([1.0] * 8), [phi] * 8)
+
+
 @pytest.mark.parametrize("outer", [Exp([-0.3, -0.2]), Linear([1.0, 0.5, -2.0], 0.5)])
 def test_outer_row_does_not_depend_on_its_batch(outer):
     # a view may hold one configuration, and numpy rounds a one-row
@@ -71,17 +102,13 @@ def test_outer_row_does_not_depend_on_its_batch(outer):
 def _rows():
     n = 3_000
     rng = RngStream(42)
-    checks = [
-        laplace_check(SP, INTEN, w or WIN, f, rng.child("laplace", nm), n, name=nm)
-        for nm, f, w in bat.laplace_battery()
-    ]
-    checks += [
-        mecke_check(SP, INTEN, WIN, fn, rng.child("mecke", fn.name), n)
-        for fn in bat.mecke_battery()
-    ]
-    F1, F2, V = bat.ibp_battery()[1]
-    assert V.name == "V-mixed"
-    checks.append(ibp_check(SP, INTEN, WIN, F1, F2, V, rng.child("ibp", 1), n))
+    battery = bat.laplace_battery()
+    checks = laplace_check(SP, INTEN, WIN, [(nm, f) for nm, f, w in battery if w is None],
+                           rng.child("laplace", "gauss-centered"), n)
+    nm, f, w = battery[-1]
+    checks += laplace_check(SP, INTEN, w, [(nm, f)], rng.child("laplace", nm), n)
+    checks += mecke_check(SP, INTEN, WIN, bat.mecke_battery(), rng.child("mecke", "phi-pi"), n)
+    checks += ibp_check(SP, INTEN, WIN, bat.ibp_battery(), rng.child("ibp", 0), n)
     checks += [
         dirichlet_check(SP, INTEN, WIN, W1, W2, rng.child("dir0", i), "functions", n)
         for i, (W1, W2) in enumerate(bat.function_pairs())
@@ -104,11 +131,25 @@ def test_rows_do_not_depend_on_the_view_size(monkeypatch, default_rows, chunk):
 
 def test_ibp_peak_memory():
     # per-point temporaries over the whole batch at once peaked at 99 MB
-    F1, F2, V = bat.ibp_battery()[1]
     tracemalloc.start()
     try:
-        ibp_check(SP, INTEN, WIN, F1, F2, V, RngStream(42).child("ibp", 1), 70_000)
+        ibp_check(SP, INTEN, WIN, bat.ibp_battery(), RngStream(42).child("ibp", 0), 70_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 30e6
+
+
+@pytest.mark.parametrize("check", ["laplace", "mecke", "ibp"])
+def test_battery_rows_equal_one_row_calls(check):
+    # a row read from the shared pass equals the row checked alone on the
+    # same stream: sharing fields, statistics and lifted vectors across
+    # rows changes no value
+    run, battery = {
+        "laplace": (laplace_check, [(nm, f) for nm, f, w in bat.laplace_battery() if w is None]),
+        "mecke": (mecke_check, bat.mecke_battery()),
+        "ibp": (ibp_check, bat.ibp_battery()),
+    }[check]
+    together = run(SP, INTEN, WIN, battery, RngStream(5), 2_000)
+    alone = [run(SP, INTEN, WIN, [row], RngStream(5), 2_000)[0] for row in battery]
+    assert [r.as_row() for r in together] == [r.as_row() for r in alone]

@@ -245,7 +245,7 @@ class TestChecks:
 
     def test_ibp_small(self):
         F1, F2, V = bat.ibp_battery()[0]
-        res = ibp_check(SP, GAUSS, ALL, F1, F2, V, RngStream(6), n_samples=20_000)
+        (res,) = ibp_check(SP, GAUSS, ALL, [(F1, F2, V)], RngStream(6), n_samples=20_000)
         assert res.passed
 
     def test_ibp_sums_run_through_segment_sum(self, monkeypatch):
@@ -261,7 +261,7 @@ class TestChecks:
 
         monkeypatch.setattr(SampleBatch, "segment_sum", counted)
         F1, F2, V = bat.ibp_battery()[0]
-        ibp_check(SP, GAUSS, ALL, F1, F2, V, RngStream(6), n_samples=2_000)
+        ibp_check(SP, GAUSS, ALL, [(F1, F2, V)], RngStream(6), n_samples=2_000)
         n_points = len(sample_batch(SP, GAUSS, ALL, RngStream(6), 2_000).points)
         assert sum(summed) == 5 * n_points
 

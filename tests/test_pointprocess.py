@@ -446,8 +446,8 @@ class TestMecke:
     def test_m1_bare_statistic(self):
         # E sum phi(x) = int phi dsigma = pi for this bump on the full plane
         phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
-        res = mecke_check(
-            SP, GAUSS, ALL, MeckeFunctional((phi,), name="bare"),
+        (res,) = mecke_check(
+            SP, GAUSS, ALL, [MeckeFunctional((phi,), name="bare")],
             RngStream(42), n_samples=20_000,
         )
         assert res.passed
@@ -459,7 +459,7 @@ class TestMecke:
         fun = MeckeFunctional(
             (phi, psi), outer=Exp([-0.3]), inner=phi, name="pair"
         )
-        res = mecke_check(SP, GAUSS, ALL, fun, RngStream(43), n_samples=20_000)
+        (res,) = mecke_check(SP, GAUSS, ALL, [fun], RngStream(43), n_samples=20_000)
         assert res.passed
         assert res.stderr > 0.0
 
@@ -467,21 +467,21 @@ class TestMecke:
         phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
         with pytest.raises(ValueError):
             mecke_check(
-                SP, GAUSS, ALL, MeckeFunctional((phi, phi, phi)),
+                SP, GAUSS, ALL, [MeckeFunctional((phi, phi, phi))],
                 RngStream(1), n_samples=10,
             )
 
 
 class TestLaplace:
     def test_gaussian_bump(self):
-        res = laplace_check(
-            SP, GAUSS, ALL, gauss_bump(2, 0.5, (0.0, 0.0), -0.6),
+        (res,) = laplace_check(
+            SP, GAUSS, ALL, [("bump", gauss_bump(2, 0.5, (0.0, 0.0), -0.6))],
             RngStream(7), n_samples=30_000,
         )
         assert res.passed
         assert res.check.startswith("laplace")
 
     def test_deterministic(self):
-        a = laplace_check(SP, GAUSS, BOX, PHI, RngStream(5), n_samples=2000)
-        b = laplace_check(SP, GAUSS, BOX, PHI, RngStream(5), n_samples=2000)
+        (a,) = laplace_check(SP, GAUSS, BOX, [("phi", PHI)], RngStream(5), n_samples=2000)
+        (b,) = laplace_check(SP, GAUSS, BOX, [("phi", PHI)], RngStream(5), n_samples=2000)
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.stderr == b.stderr
