@@ -89,11 +89,14 @@ class OuterFn:
 
 
 def _linear_rows(S: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """S @ w, a row's value not depending on the rows beside it for up to 7
-    columns: numpy takes a one-row product as a dot, which rounds unlike its
-    matrix-vector one, and from 8 columns that one rounds rows unalike."""
+    """S @ w summed column by column, left to right, so a row's value does
+    not depend on the rows evaluated beside it; a BLAS matrix-vector product
+    may round a row by the row count or by its position."""
     S = np.atleast_2d(S)
-    return (np.repeat(S, 2, axis=0) @ w)[:1] if len(S) == 1 else S @ w
+    out = np.zeros(len(S))
+    for j, wj in enumerate(w):
+        out += S[:, j] * wj
+    return out
 
 
 class Const(OuterFn):
@@ -173,8 +176,6 @@ class CylinderFunction:
     def __init__(self, outer: OuterFn, inners: Sequence, name: str = "F"):
         if outer.nargs != len(inners):
             raise ValueError("outer arity does not match inner count")
-        if len(inners) > 7:  # see _linear_rows: rows would depend on their view
-            raise ValueError("a cylinder function takes at most 7 statistics")
         self.outer = outer
         self.inners = tuple(inners)
         self.name = name

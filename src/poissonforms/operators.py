@@ -853,6 +853,7 @@ def _ibp_rows(
             F1, F2, _ = rows[r]
             f1, f2 = ev.f_rows(F1), ev.f_rows(F2)
             out[r] = directional[F1] * f2 + f1 * directional[F2] + f1 * f2 * per_cfg
+        del vals, divs, directional  # before the next V's are allocated
     return tuple(out)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from poissonforms import batteries as bat
 from poissonforms import pointprocess
-from poissonforms.forms import CylinderFunction, Exp, Linear
+from poissonforms.forms import Exp, Linear
 from poissonforms.operators import dirichlet_check, ibp_check
 from poissonforms.pointprocess import RngStream, SampleBatch, laplace_check, mecke_check
 
@@ -82,21 +82,17 @@ def test_outputs_equal_the_joined_views(monkeypatch, tuple_out):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
-def test_cylinder_function_refuses_eight_statistics():
-    # from 8 columns a row of the outer's product rounds by its neighbours
-    phi = bat.function_pairs()[0][0].inners[0]
-    CylinderFunction(Linear([1.0] * 7), [phi] * 7)
-    with pytest.raises(ValueError, match="at most 7"):
-        CylinderFunction(Linear([1.0] * 8), [phi] * 8)
-
-
-@pytest.mark.parametrize("outer", [Exp([-0.3, -0.2]), Linear([1.0, 0.5, -2.0], 0.5)])
+@pytest.mark.parametrize("outer", [Exp([-0.3, -0.2]), Linear([1.0, 0.5, -2.0], 0.5),
+                                   Linear(np.linspace(-2.0, 2.5, 9), 0.5)])
 def test_outer_row_does_not_depend_on_its_batch(outer):
-    # a view may hold one configuration, and numpy rounds a one-row
-    # product unlike a matrix-vector one
-    S = np.random.default_rng(3).normal(size=(500, outer.nargs))
+    # a view may hold one configuration or a few, and a BLAS matrix-vector
+    # product rounds a one-row product, and from 8 columns a row by its
+    # position, unlike the whole batch
+    S = np.random.default_rng(3).normal(size=(501, outer.nargs))
     whole = outer.eval_batch(S)
     assert np.array_equal(np.concatenate([outer.eval_batch(s) for s in S]), whole)
+    assert np.array_equal(np.concatenate([outer.eval_batch(s) for s in S.reshape(167, 3, -1)]),
+                          whole)
 
 
 def _rows():

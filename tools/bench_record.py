@@ -1,16 +1,18 @@
 """Record a ``BENCH_<k>.json``: the benchmark's end-to-end metrics on a base
 revision and on this checkout, side by side.
 
-    python3 tools/bench_record.py --out BENCH_1.json --base HEAD~1 --runs 3
+    python3 tools/bench_record.py --out BENCH_1.json --base HEAD~1
 
 The base revision is exported with ``git archive`` into a temporary
 directory, so both sides build from their own source. For each workload of
-``BENCHMARK.json`` the script alternates base and change runs of
-``perfbench/run.py`` (``--runs`` each, ``--seconds`` per run, at
-``--seed``) and keeps every run's metrics and their medians. It then times
-every harness experiment at its default config, each run in a fresh
-process with BLAS on one thread: ``run_experiment(resolve_config(name))``,
-the median of ``--runs`` wall times per side. The record also holds the
+``BENCHMARK.json`` the script runs ``PAIRS`` pairs of ``perfbench/run.py``
+at its default seed and at the benchmark's ``run_seconds`` per run; the
+base runs first in even pairs and the change first in odd ones, so neither
+side always runs on the warmer or the cooler host. It keeps every run's
+metrics and their medians. It then times every harness experiment at its
+default config in ``PAIRS`` pairs, in the same alternating order, each run
+in a fresh process with BLAS on one thread: the median wall time of
+``run_experiment(resolve_config(name))`` per side. The record also holds the
 host's CPU count, the numpy and scipy versions and the git shas; with
 uncommitted changes (``dirty``) the change side is the working tree on top
 of ``head``.
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PAIRS = 10  # alternating base/change pairs per workload and per experiment
 
 # one default-config experiment in a fresh process; prints its wall seconds
 _EXPERIMENT = """
@@ -60,6 +63,17 @@ def _medians(runs: list[dict]) -> dict:
     return {m: statistics.median(r["metrics"][m]["value"] for r in runs) for m in names}
 
 
+def _alternate(trees: dict[str, Path], run) -> dict[str, list[dict]]:
+    """``run(tree)`` on every side, ``PAIRS`` times, the first side first in
+    even pairs and last in odd ones."""
+    runs: dict[str, list[dict]] = {side: [] for side in trees}
+    for i in range(PAIRS):
+        order = list(trees.items())
+        for side, tree in order if i % 2 == 0 else order[::-1]:
+            runs[side].append(run(tree))
+    return runs
+
+
 def _experiments(tree: Path) -> list[str]:
     code = "import sys; sys.path.insert(0, 'src'); from poissonforms.harness import " \
            "EXPERIMENTS; print(__import__('json').dumps(list(EXPERIMENTS)))"
@@ -70,13 +84,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True)
     parser.add_argument("--base", default="HEAD~1", help="git revision to compare against")
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per benchmark run (default: BENCHMARK.json's)")
-    parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
 
     import numpy
     import scipy
@@ -88,8 +98,7 @@ def main(argv=None) -> int:
         "scipy": scipy.__version__,
         "git": {"base": _git("rev-parse", args.base), "head": _git("rev-parse", "HEAD"),
                 "dirty": bool(_git("status", "--porcelain"))},
-        "seed": args.seed,
-        "runs": args.runs,
+        "pairs": PAIRS,
         "seconds": seconds,
         "workloads": {},
         "experiments": {},
@@ -101,12 +110,9 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         trees = {"base": base, "change": ROOT}
         for wl in (w["name"] for w in spec["workloads"]):
-            runs: dict[str, list[dict]] = {"base": [], "change": []}
-            for _ in range(args.runs):
-                for side, tree in trees.items():
-                    cmd = [sys.executable, "perfbench/run.py", "--workload", wl,
-                           "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"]
-                    runs[side].append(_last_json(cmd, tree))
+            cmd = [sys.executable, "perfbench/run.py", "--workload", wl,
+                   "--seconds", str(seconds), "--trace", "0"]
+            runs = _alternate(trees, lambda tree: _last_json(cmd, tree))
             record["workloads"][wl] = {
                 side: {"median": _medians(rs), "correct": all(r["correct"] for r in rs),
                        "runs": [{m: v["value"] for m, v in r["metrics"].items()} for r in rs]}
@@ -115,14 +121,12 @@ def main(argv=None) -> int:
             print(wl, {s: v["median"] for s, v in record["workloads"][wl].items()}, flush=True)
         names = {side: _experiments(tree) for side, tree in trees.items()}
         for name in names["change"]:
-            row = {}
-            for side, tree in trees.items():
-                if name not in names[side]:
-                    continue
-                rs = [_last_json([sys.executable, "-c", _EXPERIMENT, name], tree)
-                      for _ in range(args.runs)]
-                row[side] = {"wall_s": statistics.median(r["wall_s"] for r in rs),
-                             "passed": all(r["passed"] for r in rs)}
+            sides = {side: tree for side, tree in trees.items() if name in names[side]}
+            runs = _alternate(sides, lambda tree: _last_json(
+                [sys.executable, "-c", _EXPERIMENT, name], tree))
+            row = {side: {"wall_s": statistics.median(r["wall_s"] for r in rs),
+                          "passed": all(r["passed"] for r in rs)}
+                   for side, rs in runs.items()}
             record["experiments"][name] = row
             print(name, row, flush=True)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
