@@ -93,9 +93,9 @@ def _linear_rows(S: np.ndarray, w: np.ndarray) -> np.ndarray:
     not depend on the rows evaluated beside it; a BLAS matrix-vector product
     may round a row by the row count or by its position."""
     S = np.atleast_2d(S)
-    out = np.zeros(len(S))
-    for j, wj in enumerate(w):
-        out += S[:, j] * wj
+    out = S[:, 0] * w[0]
+    for j in range(1, len(w)):
+        out += S[:, j] * w[j]
     return out
 
 
