@@ -651,6 +651,15 @@ def apply_r_pi_sigma(
 # batched operators over a whole SampleBatch
 
 
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of two (P, d) arrays, the column products summed
+    left to right."""
+    out = A[:, 0] * B[:, 0]
+    for a in range(1, A.shape[1]):
+        out += A[:, a] * B[:, a]
+    return out
+
+
 def _plain_terms(W: CylinderForm, what: str):
     for t in W.terms:
         if t.mask is not None:
@@ -683,9 +692,9 @@ def _h_rest_rows(
     for j, phi in enumerate(F.inners):
         gj = F.outer.partial(j)
         for k in range(F.nargs):
-            dots = rest(np.einsum("pa,pa->p", grads[j], grads[k]))
+            dots = rest(_row_dots(grads[j], grads[k]))
             tot -= gj.partial(k).eval_batch(s) * dots
-        drift = rest(np.einsum("pa,pa->p", bet, grads[j]))
+        drift = rest(_row_dots(bet, grads[j]))
         tot += gj.eval_batch(s) * (-rest(ev.laps(phi)) - drift)
     return tot
 
@@ -840,14 +849,14 @@ def _ibp_rows(
                     else coef * ev.f_rows(G, sid, np.arange(len(sid))[:, None]))
             vals += g_pt[:, None] * field_values(v, P, ev.table)
             divs += g_pt * field_divs(v, P, ev.table)
-        bdot = np.einsum("pa,pa->p", beta(space, intensity, P), vals)
+        bdot = _row_dots(beta(space, intensity, P), vals)
         per_cfg = batch.segment_sum(bdot + divs)
         # sum_x <grad_x F, V_x> per configuration, for each F beside V
         directional = {}
         for F in dict.fromkeys(F for r in mine for F in rows[r][:2]):
             directional[F] = np.zeros(batch.n_samples)
             for j, phi in enumerate(F.inners):
-                dots = np.einsum("pa,pa->p", ev.grads(phi), vals)
+                dots = _row_dots(ev.grads(phi), vals)
                 directional[F] += ev.f_rows(F.partial_outer(j)) * batch.segment_sum(dots)
         for r in mine:
             F1, F2, _ = rows[r]
@@ -915,9 +924,7 @@ def dirichlet_check(
             lhs_pt = np.zeros(batch.points.shape[0])
             for j in range(W1.nargs):
                 for k in range(W2.nargs):
-                    lhs_pt += (
-                        pd1[j] * pd2[k] * np.einsum("pa,pa->p", grads1[j], grads2[k])
-                    )
+                    lhs_pt += pd1[j] * pd2[k] * _row_dots(grads1[j], grads2[k])
             lhs = batch.segment_sum(lhs_pt)
             return lhs - _h_rows(space, intensity, W1, ev) * ev.f_rows(W2)
 

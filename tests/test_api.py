@@ -1,7 +1,10 @@
+import ast
 import functools
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,3 +44,36 @@ def test_traced_boundaries_resolve(monkeypatch):
         except (ImportError, AttributeError):
             missing.append(b.name)
     assert not missing
+
+
+def test_no_scipy_import_outside_the_version_record():
+    # scipy.special alone adds about 25 MB of resident memory to a process;
+    # the package imports scipy only to record its version
+    src = Path(poissonforms.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == [("harness.py", "scipy")]
+
+
+def test_diffusion_checks_do_not_load_scipy_special():
+    code = """
+import sys
+from poissonforms.harness import resolve_config, run_experiment
+from poissonforms.pointprocess import RngStream
+from poissonforms.stochastic import SdeConfig, sphere_uniform_check
+sphere_uniform_check(0.2, SdeConfig(0.2, 0.05), 500, RngStream(3))
+run_experiment(resolve_config("semigroup-ou", overrides={"n_samples": 2000}))
+print("scipy.special" in sys.modules)
+"""
+    src = str(Path(poissonforms.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.split()[-1] == "False"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import chdtrc
 
 from poissonforms import batteries as bat
 from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
@@ -18,6 +19,7 @@ from poissonforms.stochastic import (
     BlockPotential,
     FrameMatrix,
     SdeConfig,
+    _chi2_sf,
     curvature_potential,
     domination_check,
     eigen_decay_check,
@@ -471,6 +473,29 @@ class TestLawPreservation:
     def test_sphere_uniform_small(self):
         res = sphere_uniform_check(0.4, SdeConfig(0.4, 0.01), 4000, RngStream(61))
         assert res.passed
+
+    def test_sphere_uniform_tail_is_the_chi2_tail(self):
+        res = sphere_uniform_check(0.4, SdeConfig(0.4, 0.01), 4000, RngStream(61))
+        want = chdtrc(res.detail["bands"] - 1, res.detail["chi2"])
+        assert res.lhs == pytest.approx(want, rel=1e-12)
+
+
+class TestChi2Tail:
+    # scipy's chdtrc is the reference; the package computes the tail itself
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_chdtrc(self, k):
+        xs = np.concatenate([np.linspace(0.0, 200.0, 801), [1e-12, 1e-6, 1e-3]])
+        got = np.array([_chi2_sf(k, x) for x in xs])
+        np.testing.assert_allclose(got, chdtrc(k, xs), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 12])
+    def test_zero_has_tail_one(self, k):
+        assert _chi2_sf(k, 0.0) == 1.0
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5])
+    def test_rejects_bad_degrees_of_freedom(self, k):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            _chi2_sf(k, 1.0)
 
 
 _G2 = Configuration(np.array([[0.4, 0.1], [-0.2, 0.3]]))

@@ -12,7 +12,8 @@ side always runs on the warmer or the cooler host. It keeps every run's
 metrics and their medians. It then times every harness experiment at its
 default config in ``PAIRS`` pairs, in the same alternating order, each run
 in a fresh process with BLAS on one thread: the median wall time of
-``run_experiment(resolve_config(name))`` per side. The record also holds the
+``run_experiment(resolve_config(name))`` and the median peak resident memory
+of the process (``ru_maxrss``, import included) per side. The record also holds the
 host's CPU count, the numpy and scipy versions and the git shas; with
 uncommitted changes (``dirty``) the change side is the working tree on top
 of ``head``.
@@ -35,12 +36,14 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 PAIRS = 10  # alternating base/change pairs per workload and per experiment
 
 # one default-config experiment in a fresh process; prints its wall seconds
+# and the process's peak resident memory
 _EXPERIMENT = """
-import json, sys
+import json, resource, sys
 sys.path.insert(0, "src")
 from poissonforms.harness import resolve_config, run_experiment
 rec = run_experiment(resolve_config(sys.argv[1]))
-print(json.dumps({"wall_s": rec.wall_clock, "passed": rec.passed}))
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"wall_s": rec.wall_clock, "peak_rss_mb": rss, "passed": rec.passed}))
 """
 
 
@@ -125,6 +128,7 @@ def main(argv=None) -> int:
             runs = _alternate(sides, lambda tree: _last_json(
                 [sys.executable, "-c", _EXPERIMENT, name], tree))
             row = {side: {"wall_s": statistics.median(r["wall_s"] for r in rs),
+                          "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs),
                           "passed": all(r["passed"] for r in rs)}
                    for side, rs in runs.items()}
             record["experiments"][name] = row
