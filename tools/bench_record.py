@@ -12,11 +12,11 @@ side always runs on the warmer or the cooler host. It keeps every run's
 metrics and their medians. It then times every harness experiment at its
 default config in ``PAIRS`` pairs, in the same alternating order, each run
 in a fresh process with BLAS on one thread: the median wall time of
-``run_experiment(resolve_config(name))`` and the median peak resident memory
-of the process (``ru_maxrss``, import included) per side. The record also holds the
-host's CPU count, the numpy and scipy versions and the git shas; with
-uncommitted changes (``dirty``) the change side is the working tree on top
-of ``head``.
+``run_experiment(resolve_config(name))`` and the median peak resident
+memory of the process (``ru_maxrss``, import included) per side. The record
+also holds the host's CPU count, the numpy and scipy versions and the git
+shas; with uncommitted changes (``dirty``) the change side is the working
+tree on top of ``head``.
 """
 
 from __future__ import annotations
