@@ -215,11 +215,9 @@ def _slot(field_terms: dict, axes: tuple, rate: float = 0.5) -> SlotForm:
     return SlotForm(polygauss(2, field_terms, rate=rate), axes)
 
 
-def form_pairs(degree: int = 1) -> list[tuple[CylinderForm, CylinderForm]]:
+def form_pairs() -> list[tuple[CylinderForm, CylinderForm]]:
     """Degree-1 form pairs with overlapping covector axes, so the pointwise
     pairings in the Dirichlet identities are not identically zero."""
-    if degree != 1:
-        raise ValueError("the shipped pairs are degree 1")
     G = CylinderFunction(Exp([-0.4]), [gauss_bump(2, 0.6, (0.3, -0.2), 0.8)], name="G")
     om_a = SymmetricFormField(
         1, [(1.0, (_slot({(0, 0): 1.0, (1, 0): 0.3}, (0,)),)),

@@ -139,8 +139,8 @@ class Multivector:
 
     # -- structure -----------------------------------------------------------
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coef.values())
+    def is_zero(self) -> bool:
+        return all(c == 0.0 for c in self.coef.values())
 
     def __repr__(self) -> str:
         if not self.coef:

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exterior import Multivector, relabel_slots, t_basis, wedge
+from .exterior import Multivector, _sort_sign, relabel_slots, t_basis, wedge
 from .fields import Field, PointTable, VectorField, field_values
 from .pointprocess import Configuration, SampleBatch
 
@@ -57,7 +57,6 @@ __all__ = [
     "FormValue",
     "EvalCache",
     "eval_form",
-    "symmetrize",
     "field_values",
     "field_grads",
     "field_laps",
@@ -314,9 +313,7 @@ class _SepTerm:
 
 class SymmetricFormField:
     """Finite sum of separable terms over m slots; values are multivectors in
-    the sector with every slot occupied. Use ``symmetrize`` to enforce
-    invariance under slot exchange (with the sign of the block reordering).
-    """
+    the sector with every slot occupied."""
 
     def __init__(self, m: int, terms: Iterable[tuple[float, Sequence[SlotForm]]]):
         self.m = m
@@ -327,30 +324,10 @@ class SymmetricFormField:
         if len(degs) > 1:
             raise ValueError("mixed total degree in a form field")
         self.degree = degs.pop() if degs else 0
-        # separable Euclidean slots evaluate by key concatenation; sphere
-        # slots need the generic wedge path
-        self._fast = all(
-            isinstance(s, SlotForm) for t in self.terms for s in t.slots
-        )
 
     def value(self, points: np.ndarray) -> Multivector:
         if points.ndim == 1:
             points = points[None, :]
-        out: dict = {}
-        if self._fast:
-            for t in self.terms:
-                c = t.coef
-                key: list = []
-                for i, sf in enumerate(t.slots):
-                    c *= sf.coeff(points[i])
-                    if c == 0.0:
-                        break
-                    key.extend((i, a) for a in sf.axes)
-                else:
-                    if c != 0.0:
-                        k = tuple(key)
-                        out[k] = out.get(k, 0.0) + c
-            return Multivector(out)
         total = Multivector()
         for t in self.terms:
             mv = Multivector({(): t.coef})
@@ -376,27 +353,6 @@ class SymmetricFormField:
                 for t in self.terms
             ],
         )
-
-
-def symmetrize(omega: SymmetricFormField) -> SymmetricFormField:
-    """Average over slot permutations under the slot identification (wedge
-    reordering signs included): the projection onto symmetric form fields."""
-    m = omega.m
-    out_terms: list[tuple[float, tuple[SlotForm, ...]]] = []
-    perms = list(itertools.permutations(range(m)))
-    for t in omega.terms:
-        for perm in perms:
-            # slot i of the new term holds what slot perm[i] held; the sign is
-            # the parity of reordering the concatenated wedge pattern
-            pattern = Multivector(
-                {tuple((i, a) for i, sf in enumerate(t.slots) for a in sf.axes): 1.0}
-            )
-            relabeled = relabel_slots(pattern, {i: perm[i] for i in range(m)})
-            ((_, sign),) = relabeled.coef.items()
-            inv = {perm[i]: i for i in range(m)}
-            new_slots = tuple(t.slots[inv[i]] for i in range(m))
-            out_terms.append((t.coef * sign / math.factorial(m), new_slots))
-    return SymmetricFormField(m, out_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -888,9 +844,7 @@ class BatchEval:
                         for s, sf in enumerate(st.slots)
                         for a in sf.patterns[choice[s]]
                     )
-                    ((skey, sign),) = relabel_slots(
-                        Multivector({key: 1.0}), dict(enumerate(nu))
-                    ).coef.items()
+                    skey, sign = _sort_sign([(nu[s], a) for s, a in key])
                     pos = tuple(sorted({q for q, _ in skey}))
                     comp = tuple((pos.index(q), a) for q, a in skey)
                     col = _basis_index(omega.degree, len(pos), self.dim)[comp]

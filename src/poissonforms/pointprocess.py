@@ -446,27 +446,31 @@ def iterated_kernel(
     step_weights: Sequence[np.ndarray],
     base_range: tuple[np.ndarray, np.ndarray],
     cheb_n: int = 64,
-) -> ChebProfile:
+) -> list[ChebProfile]:
     """Collapse an m-fold sigma-integral of outer(s + sum_i phi(x_i)) into a
-    profile of the free statistic s.
+    profile of the free statistic s, keeping every profile on the way.
 
     ``inner_values``: (Q, N) values of the N statistics' integrands at the
     quadrature nodes; ``step_weights``: per-integration-step extra scalar
     weights at the nodes (length m); ``base_range``: (lo, hi) arrays, the
-    range of s the final profile must cover.
+    range of s every profile covers.
 
-    Returns the profile h with
-    h(s) = int ... int outer(s + sum phi(x_i)) prod w_i(x_i) sigma(dx_m)...
+    Returns the chain h_0 = outer, ..., h_m with h_j(s) = int h_{j-1}(s +
+    phi(x)) w_j(x) sigma(dx), so h_m(s) = int ... int outer(s + sum phi(x_i))
+    prod w_i(x_i) sigma(dx_m)...; h_j is sampled on base_range widened by the
+    m - j steps still ahead of it, each in the hull of {0} and [phi_lo,
+    phi_hi], so that it covers base_range.
     """
     m = len(step_weights)
     lo, hi = (np.asarray(b, dtype=float) for b in base_range)
-    bounds = (lo, hi, inner_values.min(axis=0), inner_values.max(axis=0))
+    bounds = (lo, hi, np.minimum(inner_values.min(axis=0), 0.0),
+              np.maximum(inner_values.max(axis=0), 0.0))
     # innermost: evaluate outer itself on the widest domain
-    profile = _sample_profile(outer, _axes(*bounds, m, cheb_n))
+    chain = [_sample_profile(outer, _axes(*bounds, m, cheb_n))]
     for step, sw in enumerate(step_weights):
         axes = _axes(*bounds, m - step - 1, cheb_n)
-        profile = _kernel_step(profile, axes, inner_values, quad_weights * sw)
-    return profile
+        chain.append(_kernel_step(chain[-1], axes, inner_values, quad_weights * sw))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +512,12 @@ def expect_series(
     expectation is an iterated 1-point integral (profile method): the chain
     h_0 = outer, h_k(s) = int h_{k-1}(s + phi(x)) sigma(dx) has h_k(0) = the
     k-fold integral, so all terms cost k_max quadrature passes rather than a
-    2k-dimensional rule. Each h_k is read at 0, so its domain is the hull of
-    {0} and (k_max - k)[phi_lo, phi_hi]; for positive phi the latter alone
-    misses 0. Each h_k is a ``ChebProfile`` sampled on ``cheb_n`` nodes per
-    axis and chopped at its rounding plateau, evaluated from the kept
-    coefficients: by Clenshaw's recurrence for one statistic, and for two
-    through per-axis recurrence blocks of at most (kept, ``_STEP_CHUNK`` *
-    cheb_n) entries.
+    2k-dimensional rule: it is the ``iterated_kernel`` chain of k_max unit
+    step weights on the base range {0}. Each h_k is a ``ChebProfile``
+    sampled on ``cheb_n`` nodes per axis and chopped at its rounding
+    plateau, evaluated from the kept coefficients: by Clenshaw's recurrence
+    for one statistic, and for two through per-axis recurrence blocks of at
+    most (kept, ``_STEP_CHUNK`` * cheb_n) entries.
 
     A chop changes h_k by at most its dropped mass, and a step passes an
     earlier change on at most sum_q |w_q| times the Lebesgue constant of
@@ -539,18 +542,15 @@ def expect_series(
     )
     zero = np.zeros((1, N))
     phi_lo, phi_hi = inner_vals.min(axis=0), inner_vals.max(axis=0)
-    bounds = (zero[0], zero[0], np.minimum(phi_lo, 0.0), np.maximum(phi_hi, 0.0))
-    profile = _sample_profile(outer, _axes(*bounds, k_max, cheb_n))
-    chain = [profile]
+    chain = iterated_kernel(outer, inner_vals, w, [np.ones(len(w))] * k_max,
+                            (zero[0], zero[0]), cheb_n)
     terms = [float(np.asarray(outer(zero))[0])]  # k = 0: empty configuration
     # a step maps a sup-norm change of h_{k-1} to at most `grow` times it in
     # h_k: the sigma-integral by sum |w|, the interpolation by the Lebesgue
     # constant of Chebyshev points, <= 2/pi log(cheb_n) + 1 per axis
     grow = float(np.abs(w).sum()) * (2.0 / math.pi * math.log(cheb_n) + 1.0) ** N
-    err, chop_bound = profile.dropped, 0.0
-    for k in range(1, k_max + 1):
-        profile = _kernel_step(profile, _axes(*bounds, k_max - k, cheb_n), inner_vals, w)
-        chain.append(profile)
+    err, chop_bound = chain[0].dropped, 0.0
+    for k, profile in enumerate(chain[1:], start=1):
         # profile(0) is the k-fold sigma-integral of F over Lambda^k; the
         # expansion wants it with the 1/k! in front
         terms.append(float(profile(zero)[0]) / math.factorial(k))
@@ -618,8 +618,6 @@ def mecke_check(
     functionals: Sequence[MeckeFunctional],
     rng: RngStream,
     n_samples: int = 100_000,
-    cheb_n: int = 64,
-    quad_n: int = 40,
 ) -> list[CheckResult]:
     """Verify the multivariate Mecke identity for each functional:
 
@@ -660,7 +658,7 @@ def mecke_check(
 
     cols = list(batch.map_configs(left_and_stat))[::-1]
     del batch  # the right side reads only the statistics
-    nodes, w = sigma_nodes(space, intensity, window, quad_n)
+    nodes, w = sigma_nodes(space, intensity, window, 40)
 
     def right_and_row(fn: MeckeFunctional) -> CheckResult:
         # the row's arrays are dropped when it returns
@@ -671,7 +669,7 @@ def mecke_check(
             s_stat = cols.pop()
             inner_vals = np.asarray(fn.inner.value_batch(nodes), dtype=float)[:, None]
             span = (np.array([min(s_stat.min(), 0.0)]), np.array([max(s_stat.max(), 0.0)]))
-            prof = iterated_kernel(fn.outer, inner_vals, w, phi_node_vals, span, cheb_n)
+            prof = iterated_kernel(fn.outer, inner_vals, w, phi_node_vals, span, 64)[-1]
             rhs_vals = prof(s_stat[:, None])
         else:
             rhs_vals = np.full(n_samples, math.prod(float(w @ pv) for pv in phi_node_vals))
@@ -690,7 +688,6 @@ def laplace_check(
     fields: Sequence[tuple[str, object]],
     rng: RngStream,
     n_samples: int = 100_000,
-    quad_n: int = 64,
 ) -> list[CheckResult]:
     """Laplace functional E exp<f, gamma> = exp int (e^f - 1) d sigma, one
     row ``laplace-<name>`` per (name, f). All fields read one batch, so
@@ -703,7 +700,7 @@ def laplace_check(
         return tuple(np.exp(b.segment_sum(field_values(f, b.points, table))) for _, f in fields)
 
     lhs = batch.map_configs(left)
-    nodes, w = sigma_nodes(space, intensity, window, quad_n)
+    nodes, w = sigma_nodes(space, intensity, window, 64)
     return [CheckResult.from_estimates(
         f"laplace-{name}", McEstimate.from_samples(vals),
         McEstimate.exact(math.exp(float(w @ (np.exp(f.value_batch(nodes)) - 1.0)))))

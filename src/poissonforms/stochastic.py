@@ -39,7 +39,9 @@ The semigroup estimators evolve one noise block of replicas (an antithetic
 pair as its +eps and -eps halves) and read F or W at its ends through one
 ``BatchEval`` over the replicas, so the scalar semigroup is the degree-0
 case of the form semigroup and sums per configuration with
-``SampleBatch.segment_sum``.
+``SampleBatch.segment_sum``.  ``semigroup_Tn`` keeps each replica's
+pulled-back value in its ``FormEstimate``; the eigen-decay and generator
+checks contract those samples with their target (``FormEstimate.contract``).
 """
 
 from __future__ import annotations
@@ -453,15 +455,27 @@ def semigroup_T0(
 # form semigroup
 
 
+@dataclass
 class FormEstimate:
     """Componentwise Monte Carlo estimate of a form value at the starting
-    configuration: ``mean`` and ``stderr`` are ``BatchValue``s on its
-    one-group layout, one entry per (subset, covector key)."""
+    configuration. ``samples`` holds each replica's pulled-back value, per
+    block of the one-group layout an (R, rows, width) array, the antithetic
+    pair averaged; ``mean`` and ``stderr`` are ``BatchValue``s on that
+    layout, one entry per (subset, covector key); ``n_samples`` is R."""
 
-    def __init__(self, mean: BatchValue, stderr: BatchValue, n_samples: int):
-        self.mean = mean
-        self.stderr = stderr
-        self.n_samples = n_samples
+    mean: BatchValue
+    stderr: BatchValue
+    samples: dict
+    n_samples: int
+
+    def contract(self, target: BatchValue) -> np.ndarray:
+        """Per replica the inner product of its value with a value at the
+        starting configuration."""
+        z = np.zeros(self.n_samples)
+        for k, T in target.blocks.items():
+            if k in self.samples:
+                z += np.einsum("rcw,cw->r", self.samples[k], T)
+        return z
 
 
 def _start(gamma: Configuration, dim: int) -> BatchEval:
@@ -502,44 +516,6 @@ def _moved_values(
     return val, BatchValue(val.layout, W.degree, space.dim, pulled), c_sup
 
 
-def _pulled(
-    space: Space,
-    intensity: IntensitySpec,
-    W: CylinderForm,
-    gamma: Configuration,
-    t: float,
-    J: BlockPotential,
-    cfg: SdeConfig,
-    n_samples: int,
-    rng: RngStream,
-    antithetic: bool,
-) -> tuple[dict, int]:
-    """Per replica the pulled-back value M^T W(xi_gamma(t)), averaged over
-    the antithetic pair (blocks of R groups of rows), and R."""
-    run = cfg.with_horizon(t)
-    eps = _noise(gamma, run, n_samples, rng, antithetic)
-    val, pulled, _ = _moved_values(space, intensity, W, gamma, J, run, eps)
-    if pulled is None:
-        fac = math.exp(t * J.scalar)
-        blocks = {k: fac * A for k, A in val.blocks.items()}
-    else:
-        blocks = pulled.blocks
-    pairs = 2 if antithetic else 1
-    return {
-        k: A.reshape(pairs, -1, A.shape[1]).mean(axis=0) for k, A in blocks.items()
-    }, len(eps) // pairs
-
-
-def _contract(blocks: dict, target: BatchValue, R: int) -> np.ndarray:
-    """Per replica the inner product of its rows with a value at the
-    starting configuration."""
-    z = np.zeros(R)
-    for k, T in target.blocks.items():
-        if k in blocks:
-            z += np.einsum("rcw,cw->r", blocks[k].reshape(R, *T.shape), T)
-    return z
-
-
 def semigroup_Tn(
     space: Space,
     intensity: IntensitySpec,
@@ -552,22 +528,38 @@ def semigroup_Tn(
     rng: RngStream,
     antithetic: bool = False,
 ) -> FormEstimate:
-    """Monte Carlo estimate of the J-twisted form semigroup at gamma:
-    componentwise mean of the pulled-back M^T W(xi_gamma(t))."""
+    """Monte Carlo estimate of the J-twisted form semigroup at gamma: per
+    replica of one noise block the pulled-back M^T W(xi_gamma(t)), the
+    antithetic pair averaged, and their componentwise mean.  At t = 0 or on
+    the empty configuration every replica holds W(gamma) itself."""
     start = _start(gamma, space.dim)
     layout = start.configs
     if gamma.n == 0 or t == 0.0:
+        val = start.form(W)
+        samples = {
+            k: np.broadcast_to(A, (n_samples, *A.shape)) for k, A in val.blocks.items()
+        }
         exact = BatchValue(layout, W.degree, space.dim, {})
-        return FormEstimate(start.form(W), exact, n_samples)
-    blocks, R = _pulled(
-        space, intensity, W, gamma, t, J, cfg, n_samples, rng, antithetic
-    )
-    samples = {k: A.reshape(R, -1, A.shape[1]) for k, A in blocks.items()}
+        return FormEstimate(val, exact, samples, n_samples)
+    run = cfg.with_horizon(t)
+    eps = _noise(gamma, run, n_samples, rng, antithetic)
+    val, pulled, _ = _moved_values(space, intensity, W, gamma, J, run, eps)
+    if pulled is None:
+        fac = math.exp(t * J.scalar)
+        blocks = {k: fac * A for k, A in val.blocks.items()}
+    else:
+        blocks = pulled.blocks
+    pairs = 2 if antithetic else 1
+    R = len(eps) // pairs
+    samples = {
+        k: A.reshape(pairs, R, -1, A.shape[1]).mean(axis=0) for k, A in blocks.items()
+    }
     mean = {k: A.mean(axis=0) for k, A in samples.items()}
     se = {k: A.std(axis=0, ddof=1) / math.sqrt(R) for k, A in samples.items()}
     return FormEstimate(
         BatchValue(layout, W.degree, space.dim, mean),
         BatchValue(layout, W.degree, space.dim, se),
+        samples,
         R,
     )
 
@@ -587,10 +579,8 @@ def eigen_decay_check(
 ) -> CheckResult:
     """For an eigenform, <T(t) W, W>(gamma) = e^{-rate t} |W(gamma)|^2."""
     base = _start(gamma, space.dim).form(W)
-    blocks, R = _pulled(
-        space, intensity, W, gamma, t, J, cfg, n_samples, rng, False
-    )
-    z = _contract(blocks, base, R)
+    est = semigroup_Tn(space, intensity, W, gamma, t, J, cfg, n_samples, rng)
+    z = est.contract(base)
     target = math.exp(-rate * t) * float(base.inner(base)[0])
     label = name or f"decay-{W.name}-t{t:g}"
     return CheckResult.from_estimates(
@@ -743,11 +733,11 @@ def generator_check(
         )
 
         def estimate(ti: int, cfg: SdeConfig) -> McEstimate:
-            blocks, R = _pulled(
+            est = semigroup_Tn(
                 space, intensity, W, gamma, cfg.t, J, cfg, n_samples,
-                rng.child(gi, ti), True,
+                rng.child(gi, ti), antithetic=True,
             )
-            return McEstimate.from_samples(_contract(blocks, unit, R))
+            return McEstimate.from_samples(est.contract(unit))
 
         checks.append(_generator_row(
             f"generator-{kind}-{W.name}-g{gi}", float(start.form(W).inner(unit)[0]),
@@ -831,20 +821,19 @@ def poisson_invariance_check(
     cfg: SdeConfig,
     n_samples: int,
     rng: RngStream,
-    edges: Sequence[float] = (0.0, 0.5, 1.0, 1.5, 2.0),
     name: Optional[str] = None,
 ) -> CheckResult:
     """Evolving a gaussian-intensity point process by its matching drifted
-    diffusion preserves the law: radial band counts keep their Poisson means
-    (and the total count keeps variance = mean), all within 3 stderr.
-    The band masses 2 pi s^2 (e^{-r0^2/2s^2} - e^{-r1^2/2s^2}) are those of
+    diffusion preserves the law: the counts in the radial bands with edges
+    0, 0.5, 1, 1.5, 2 and infinity keep their Poisson means (and the total
+    count keeps variance = mean), all within 3 stderr. The band masses 2 pi s^2 (e^{-r0^2/2s^2} - e^{-r1^2/2s^2}) are those of
     the plane."""
     if intensity.family != "gaussian":
         raise ValueError("invariance check is for the gaussian family")
     if not (isinstance(space, Euclidean) and space.dim == 2):
         raise ValueError("invariance check is for the Euclidean plane")
     window = Window("all")
-    edges = list(edges) + [math.inf]
+    edges = [0.0, 0.5, 1.0, 1.5, 2.0, math.inf]
     s2 = intensity.scale**2
     expected = [
         2.0 * math.pi * s2 * (
@@ -909,11 +898,10 @@ def sphere_uniform_check(
     cfg: SdeConfig,
     n_samples: int,
     rng: RngStream,
-    n_bands: int = 8,
     name: Optional[str] = None,
 ) -> CheckResult:
     """Driftless sphere diffusion preserves the uniform law: chi-squared on
-    equal-area latitude bands, pass when p > 0.01. The chi-squared tail p is
+    8 equal-area latitude bands, pass when p > 0.01. The chi-squared tail p is
     computed in closed form (``_chi2_sf``)."""
     space = Sphere()
     intensity = IntensitySpec("uniform", 1.0)
@@ -924,6 +912,7 @@ def sphere_uniform_check(
     eps = rng.child(0).gen.normal(size=(n_samples, run.n_steps, 3))
     X = _evolve(space, intensity, X, eps, run.step)
     # z uniform on [-1, 1] under the uniform law: equal-probability bands
+    n_bands = 8
     bins = np.linspace(-1.0, 1.0, n_bands + 1)
     obs = np.histogram(X[:, 2], bins=bins)[0].astype(float)
     expected = obs.mean()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from poissonforms.exterior import Multivector, relabel_slots
+from poissonforms.exterior import Multivector
 from poissonforms.fields import monomial
 from poissonforms.forms import (
     CylinderForm,
@@ -16,7 +16,6 @@ from poissonforms.forms import (
     SlotForm,
     SymmetricFormField,
     eval_form,
-    symmetrize,
 )
 from poissonforms.pointprocess import Configuration
 
@@ -112,16 +111,3 @@ class TestEvalForm:
         o2 = SymmetricFormField(1, [(1.0, (SlotForm(ONE, (0, 1)),))])
         with pytest.raises(ValueError):
             CylinderForm([FormTerm(o1), FormTerm(o2)])
-
-
-class TestSymmetrize:
-    def test_swapping_points_and_slots_is_invariant(self):
-        base = SymmetricFormField(
-            2, [(1.0, (SlotForm(X1, (0,)), SlotForm(X2, (1,))))]
-        )
-        sym = symmetrize(base)
-        a, b = CONFIG.points[0], CONFIG.points[1]
-        v_ab = sym.value(np.array([a, b]))
-        v_ba = relabel_slots(sym.value(np.array([b, a])), {0: 1, 1: 0})
-        assert (v_ab - v_ba).norm() < 1e-14
-

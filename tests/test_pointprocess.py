@@ -343,8 +343,24 @@ class TestExpectSeries:
             prof = iterated_kernel(
                 outer, inner_vals, w, [np.ones(len(w))] * k,
                 (zero[0], zero[0]), cheb_n=cheb_n,
-            )
+            )[-1]
             assert abs(term - prof(zero)[0] / math.factorial(k)) <= 1e-12
+
+    def test_iterated_kernel_chain_covers_the_base_range(self):
+        # a strictly positive statistic moves every step's domain away from
+        # the base range; the chain still reads at both of its ends
+        nodes, w = sigma_nodes(SP, GAUSS, BOX, 12)
+        inner_vals = PHI.value_batch(nodes)[:, None]
+        assert inner_vals.min() > 0.0
+        lo, hi = np.array([0.3]), np.array([1.7])
+        chain = iterated_kernel(
+            Exp([-0.5]), inner_vals, w, [np.ones(len(w))] * 3, (lo, hi), cheb_n=16
+        )
+        assert len(chain) == 4
+        ends = np.array([lo, hi])
+        for prof in chain:
+            assert np.all(np.isfinite(prof(ends)))
+        assert np.allclose(chain[0](ends), np.exp(-0.5 * ends[:, 0]), rtol=1e-12)
 
     def test_chunked_two_stat_step_matches_unchunked(self, monkeypatch):
         # quad_n = 40 is 1600 nodes, several chunks of the 2-statistic step

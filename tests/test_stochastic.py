@@ -401,6 +401,51 @@ class TestFormSemigroup:
         assert dom[True].lhs == 0.0
         assert abs(dom[False].lhs) < 4.0 * dom[False].stderr + 5e-3
 
+    @pytest.mark.parametrize("allow_scalar", [True, False], ids=["exact", "frames"])
+    def test_decay_check_reads_the_semigroup(self, allow_scalar):
+        # the eigen-decay row is the mean of the estimator's own per-replica
+        # contractions on the same stream
+        J = curvature_potential(SP, GAUSS, 1, allow_scalar=allow_scalar)
+        res = eigen_decay_check(
+            SP, GAUSS, self.W, self.gamma, 0.25, 2.0, J, self.cfg, 300, RngStream(18)
+        )
+        est = semigroup_Tn(SP, GAUSS, self.W, self.gamma, 0.25, J, self.cfg, 300, RngStream(18))
+        base = BatchEval(SampleBatch(self.gamma.points, np.array([0, 1])), 2).form(self.W)
+        assert res.lhs == est.contract(base).mean()
+        assert res.detail["n"] == est.n_samples == 300
+
+    def test_antithetic_pairs_are_one_sample(self):
+        cfg = SdeConfig(t=0.1, dt=0.02)
+        J = zero_potential(1)
+        for anti, R in ((False, 300), (True, 150)):
+            est = semigroup_Tn(SP, GAUSS, self.W, self.gamma, 0.1, J, cfg, 300, RngStream(19), anti)
+            assert est.n_samples == R
+            assert {k: A.shape for k, A in est.samples.items()} == {1: (R, 1, 2)}
+            assert len(est.contract(est.mean)) == R
+
+    @pytest.mark.parametrize("allow_scalar", [True, False], ids=["exact", "frames"])
+    def test_contract_mean_is_the_inner_product_of_the_mean(self, allow_scalar):
+        # the mixed form files keys on one-point rows and on the pair
+        W = bat.flat_form_battery()[2]
+        assert W.name == "deg2-mixed"
+        gamma = Configuration(bat.flat_configs()[1])
+        cfg = SdeConfig(t=0.1, dt=0.02)
+        J = curvature_potential(SP, GAUSS, 2, allow_scalar=allow_scalar)
+        est = semigroup_Tn(SP, GAUSS, W, gamma, 0.1, J, cfg, 200, RngStream(20))
+        target = BatchEval(SampleBatch(gamma.points, np.array([0, gamma.n])), 2).form(W)
+        assert {k: A.shape for k, A in est.samples.items()} == {1: (200, 2, 1), 2: (200, 1, 4)}
+        z, ref = est.contract(target).mean(), est.mean.inner(target)[0]
+        assert abs(z - ref) <= 1e-14 * max(abs(ref), 1.0)
+
+    def test_exact_branch_holds_the_value(self):
+        est = semigroup_Tn(
+            SP, GAUSS, self.W, self.gamma, 0.0, zero_potential(1), self.cfg, 50, RngStream(21)
+        )
+        value = value_blocks(self.W, self.gamma)
+        assert est.n_samples == 50 and est.stderr.blocks == {}
+        assert np.array_equal(est.mean.blocks[1], value[1])
+        assert np.array_equal(est.contract(est.mean), np.full(50, np.sum(value[1] ** 2)))
+
 
 class TestSphereFormSemigroup:
     @pytest.mark.parametrize("kind", ["bochner", "deRham"])

@@ -13,7 +13,8 @@ metrics and their medians. It then times every harness experiment at its
 default config in ``PAIRS`` pairs, in the same alternating order, each run
 in a fresh process with BLAS on one thread: the median wall time of
 ``run_experiment(resolve_config(name))`` and the median peak resident
-memory of the process (``ru_maxrss``, import included) per side. The record
+memory of the process (``ru_maxrss``, import included) per side, and every
+run's two values, so that a move can be read against its spread. The record
 also holds the host's CPU count, the numpy and scipy versions and the git
 shas; with uncommitted changes (``dirty``) the change side is the working
 tree on top of ``head``.
@@ -129,10 +130,12 @@ def main(argv=None) -> int:
                 [sys.executable, "-c", _EXPERIMENT, name], tree))
             row = {side: {"wall_s": statistics.median(r["wall_s"] for r in rs),
                           "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs),
-                          "passed": all(r["passed"] for r in rs)}
+                          "passed": all(r["passed"] for r in rs),
+                          "runs": [{m: r[m] for m in ("wall_s", "peak_rss_mb")} for r in rs]}
                    for side, rs in runs.items()}
             record["experiments"][name] = row
-            print(name, row, flush=True)
+            print(name, {s: {m: v[m] for m in ("wall_s", "peak_rss_mb")} for s, v in row.items()},
+                  flush=True)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
