@@ -213,20 +213,12 @@ class SlotForm:
     derivatives via the field algebra)."""
 
     def __init__(self, field, axes: Sequence[int], sign: float = 1.0):
-        srt = tuple(sorted(axes))
-        if len(set(srt)) != len(axes):
-            raise ValueError("repeated frame axis in a wedge pattern")
         # sort the axes, tracking the wedge sign
-        perm_sign = 1.0
-        ax = list(axes)
-        for i in range(1, len(ax)):
-            j = i
-            while j > 0 and ax[j] < ax[j - 1]:
-                ax[j], ax[j - 1] = ax[j - 1], ax[j]
-                perm_sign = -perm_sign
-                j -= 1
+        ax, perm_sign = _sort_sign(axes)
+        if perm_sign == 0:
+            raise ValueError("repeated frame axis in a wedge pattern")
         self.field = field
-        self.axes = tuple(ax)
+        self.axes = ax
         self.sign = float(sign) * perm_sign
 
     @property

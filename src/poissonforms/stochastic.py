@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exterior import _splits, wedge_power
-from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction
+from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction, RowLayout
 from .geometry import (
     Euclidean,
     IntensitySpec,
@@ -455,18 +455,28 @@ def semigroup_T0(
 # form semigroup
 
 
-@dataclass
 class FormEstimate:
     """Componentwise Monte Carlo estimate of a form value at the starting
-    configuration. ``samples`` holds each replica's pulled-back value, per
-    block of the one-group layout an (R, rows, width) array, the antithetic
-    pair averaged; ``mean`` and ``stderr`` are ``BatchValue``s on that
-    layout, one entry per (subset, covector key); ``n_samples`` is R."""
+    configuration, whose one-group layout is ``layout``. ``samples`` holds
+    each replica's pulled-back value, per block of the layout an (R, rows,
+    width) array, the antithetic pair averaged; ``n_samples`` is R. ``mean``
+    and ``stderr`` are ``BatchValue``s on the layout, one entry per (subset,
+    covector key), computed when first read: the checks read ``contract``."""
 
-    mean: BatchValue
-    stderr: BatchValue
-    samples: dict
-    n_samples: int
+    def __init__(self, layout: RowLayout, degree: int, dim: int, samples: dict, n_samples: int):
+        self.layout, self.degree, self.dim = layout, degree, dim
+        self.samples, self.n_samples = samples, n_samples
+
+    @functools.cached_property
+    def mean(self) -> BatchValue:
+        blocks = {k: A.mean(axis=0) for k, A in self.samples.items()}
+        return BatchValue(self.layout, self.degree, self.dim, blocks)
+
+    @functools.cached_property
+    def stderr(self) -> BatchValue:
+        R = self.n_samples
+        blocks = {k: A.std(axis=0, ddof=1) / math.sqrt(R) for k, A in self.samples.items()}
+        return BatchValue(self.layout, self.degree, self.dim, blocks)
 
     def contract(self, target: BatchValue) -> np.ndarray:
         """Per replica the inner product of its value with a value at the
@@ -533,14 +543,15 @@ def semigroup_Tn(
     antithetic pair averaged, and their componentwise mean.  At t = 0 or on
     the empty configuration every replica holds W(gamma) itself."""
     start = _start(gamma, space.dim)
-    layout = start.configs
     if gamma.n == 0 or t == 0.0:
         val = start.form(W)
         samples = {
             k: np.broadcast_to(A, (n_samples, *A.shape)) for k, A in val.blocks.items()
         }
-        exact = BatchValue(layout, W.degree, space.dim, {})
-        return FormEstimate(val, exact, samples, n_samples)
+        est = FormEstimate(start.configs, W.degree, space.dim, samples, n_samples)
+        # the mean of the copies is the value itself, with no error
+        est.mean, est.stderr = val, BatchValue(start.configs, W.degree, space.dim, {})
+        return est
     run = cfg.with_horizon(t)
     eps = _noise(gamma, run, n_samples, rng, antithetic)
     val, pulled, _ = _moved_values(space, intensity, W, gamma, J, run, eps)
@@ -554,14 +565,7 @@ def semigroup_Tn(
     samples = {
         k: A.reshape(pairs, R, -1, A.shape[1]).mean(axis=0) for k, A in blocks.items()
     }
-    mean = {k: A.mean(axis=0) for k, A in samples.items()}
-    se = {k: A.std(axis=0, ddof=1) / math.sqrt(R) for k, A in samples.items()}
-    return FormEstimate(
-        BatchValue(layout, W.degree, space.dim, mean),
-        BatchValue(layout, W.degree, space.dim, se),
-        samples,
-        R,
-    )
+    return FormEstimate(start.configs, W.degree, space.dim, samples, R)
 
 
 def eigen_decay_check(
@@ -579,8 +583,7 @@ def eigen_decay_check(
 ) -> CheckResult:
     """For an eigenform, <T(t) W, W>(gamma) = e^{-rate t} |W(gamma)|^2."""
     base = _start(gamma, space.dim).form(W)
-    est = semigroup_Tn(space, intensity, W, gamma, t, J, cfg, n_samples, rng)
-    z = est.contract(base)
+    z = semigroup_Tn(space, intensity, W, gamma, t, J, cfg, n_samples, rng).contract(base)
     target = math.exp(-rate * t) * float(base.inner(base)[0])
     label = name or f"decay-{W.name}-t{t:g}"
     return CheckResult.from_estimates(
