@@ -14,13 +14,20 @@ vector field, and every field evaluated on one table (``forms.BatchEval``
 keeps one over its batch). Sharing changes no value: each atom multiplies
 the same arrays in the same order either way.
 
-Compactly supported mollifier bumps are provided for the checks that want
-genuinely compact support; they expose value/gradient/Hessian analytically.
+A compactly supported mollifier bump serves the checks that want genuinely
+compact support; it gives values only.
 
 On the sphere, fields of the form g(<p, u>) for a polynomial profile g have
 closed-form tangential gradients and Laplace-Beltrami images, which is all
 the scalar-level checks need; form fields on the sphere are handled by
 finite differences in the operators module.
+
+Every class reads points through one batched interface, each method taking
+the points as rows of X and an optional ``table`` (a ``PointTable`` on X):
+``value_batch`` on all of them, ``grad_batch`` and ``lap_batch`` on the
+scalar fields the form layer differentiates (``Field``, ``SphereAxisField``)
+and ``div_batch`` on ``VectorField``. A class that does not build its values
+from a ``PointTable`` accepts ``table`` and ignores it.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ __all__ = [
     "VectorField",
     "SphereKilling",
     "SphereGradientField",
-    "field_values",
 ]
 
 
@@ -243,6 +249,9 @@ class Field:
         table = _table(X, self.dim, table)
         return np.stack([g._values(table) for g in self._grads()], axis=-1)
 
+    def lap_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        return self.laplacian().value_batch(X, table=table)
+
     def laplacian(self) -> "Field":
         out = Field([], self.dim)
         for a in range(self.dim):
@@ -296,8 +305,8 @@ def gauss_bump(dim: int, rate: float, center: Sequence[float], amplitude: float 
 class RadialBump:
     """Smooth compactly supported mollifier A exp(1 - 1/(1 - s)), s = |x-c|^2/R^2.
 
-    Exposes value/gradient/Hessian; it is not in the polynomial-Gaussian
-    algebra, so it only joins batteries that need at most two derivatives.
+    It is not in the polynomial-Gaussian algebra and gives values only, so
+    it joins the batteries that read no derivative of their fields.
     """
 
     def __init__(self, center: Sequence[float], radius: float, amplitude: float = 1.0):
@@ -306,17 +315,7 @@ class RadialBump:
         self.amplitude = float(amplitude)
         self.dim = len(self.center)
 
-    def _s(self, x) -> float:
-        dx = np.asarray(x, dtype=float) - self.center
-        return float(dx @ dx) / self.radius**2
-
-    def value_one(self, x) -> float:
-        s = self._s(x)
-        if s >= 1.0 - 1e-12:
-            return 0.0
-        return self.amplitude * math.exp(1.0 - 1.0 / (1.0 - s))
-
-    def value_batch(self, X: np.ndarray) -> np.ndarray:
+    def value_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         dX = X - self.center
         s = np.sum(dX**2, axis=-1) / self.radius**2
@@ -324,29 +323,6 @@ class RadialBump:
         ok = s < 1.0 - 1e-12
         out[ok] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s[ok]))
         return out
-
-    def grad_one(self, x) -> np.ndarray:
-        s = self._s(x)
-        if s >= 1.0 - 1e-12:
-            return np.zeros(self.dim)
-        h = self.amplitude * math.exp(1.0 - 1.0 / (1.0 - s))
-        hp = -h / (1.0 - s) ** 2
-        dx = np.asarray(x, dtype=float) - self.center
-        return hp * (2.0 / self.radius**2) * dx
-
-    def hess_one(self, x) -> np.ndarray:
-        s = self._s(x)
-        if s >= 1.0 - 1e-12:
-            return np.zeros((self.dim, self.dim))
-        h = self.amplitude * math.exp(1.0 - 1.0 / (1.0 - s))
-        hp = -h / (1.0 - s) ** 2
-        hpp = h / (1.0 - s) ** 4 - 2.0 * h / (1.0 - s) ** 3
-        dx = np.asarray(x, dtype=float) - self.center
-        c2 = 2.0 / self.radius**2
-        return hpp * c2**2 * np.outer(dx, dx) + hp * c2 * np.eye(self.dim)
-
-    def laplacian_one(self, x) -> float:
-        return float(np.trace(self.hess_one(x)))
 
 
 class SphereAxisField:
@@ -363,22 +339,19 @@ class SphereAxisField:
     def value_one(self, p) -> float:
         return float(self.g(float(np.asarray(p) @ self.axis)))
 
-    def value_batch(self, P: np.ndarray) -> np.ndarray:
-        t = np.atleast_2d(P) @ self.axis
-        return self.g(t)
+    def value_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        return self.g(np.atleast_2d(P) @ self.axis)
 
-    def grad_one(self, p) -> np.ndarray:
-        return self.grad_batch(p)
-
-    def grad_batch(self, P: np.ndarray) -> np.ndarray:
+    def grad_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         """Tangential gradients at points stacked on leading axes."""
         P = np.asarray(P, dtype=float)
         t = np.vecdot(P, self.axis)[..., None]
         return self.dg(t) * (self.axis - t * P)
 
-    def laplacian_one(self, p) -> float:
-        t = float(np.asarray(p) @ self.axis)
-        return float((1.0 - t * t) * self.d2g(t) - 2.0 * t * self.dg(t))
+    def lap_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        """Laplace-Beltrami images (1 - t^2) g''(t) - 2 t g'(t), t = <p, u>."""
+        t = np.vecdot(np.asarray(P, dtype=float), self.axis)
+        return (1.0 - t * t) * self.d2g(t) - 2.0 * t * self.dg(t)
 
 
 class VectorField:
@@ -419,33 +392,18 @@ class SphereKilling:
     def value_one(self, p) -> np.ndarray:
         return np.cross(self.axis, np.asarray(p, dtype=float))
 
-    def value_batch(self, P: np.ndarray) -> np.ndarray:
+    def value_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         return np.cross(self.axis, np.asarray(P, dtype=float))
-
-    def div_one(self, p) -> float:
-        return 0.0
 
 
 class SphereGradientField:
-    """Gradient field of a SphereAxisField; divergence is its Laplacian."""
+    """Gradient field of a SphereAxisField."""
 
     def __init__(self, scalar: SphereAxisField):
         self.scalar = scalar
 
     def value_one(self, p) -> np.ndarray:
-        return self.scalar.grad_one(p)
+        return self.scalar.grad_batch(p)
 
-    def value_batch(self, P: np.ndarray) -> np.ndarray:
+    def value_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         return self.scalar.grad_batch(P)
-
-    def div_one(self, p) -> float:
-        return self.scalar.laplacian_one(p)
-
-
-def field_values(f, X: np.ndarray, table: PointTable | None = None) -> np.ndarray:
-    """Values of a scalar or vector field at the rows of X. Polynomial-
-    Gaussian fields read ``table``, a ``PointTable`` on X, when one is
-    given; ``forms.field_grads`` and its siblings do the same."""
-    if isinstance(f, (Field, VectorField)):
-        return f.value_batch(X, table=table)
-    return np.asarray(f.value_batch(X), dtype=float)

@@ -21,7 +21,9 @@ at once, on flat space and the sphere; every form-level check runs on it.
 It is also the one batched reader of cylinder factors: its ``stats`` and
 ``f_rows`` read F for the Monte Carlo checks and, at the ends of a noise
 block, for the scalar and form semigroups alike. Its statistics are
-``SampleBatch.segment_sum``s, the one per-configuration sum.
+``SampleBatch.segment_sum``s, the one per-configuration sum. It reads
+fields through their own batched methods (``value_batch``, ``grad_batch``,
+``lap_batch``), on the one ``PointTable`` it keeps over its points.
 ``eval_form`` with ``EvalCache`` is the single-configuration path, kept as
 the reference the batched one is tested against.
 """
@@ -37,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .exterior import Multivector, _sort_sign, relabel_slots, t_basis, wedge
-from .fields import Field, PointTable, VectorField, field_values
+from .fields import PointTable
 from .pointprocess import Configuration, SampleBatch
 
 __all__ = [
@@ -57,10 +59,6 @@ __all__ = [
     "FormValue",
     "EvalCache",
     "eval_form",
-    "field_values",
-    "field_grads",
-    "field_laps",
-    "field_divs",
     "RowLayout",
     "BatchValue",
     "BatchEval",
@@ -259,7 +257,7 @@ class SphereSlotOne:
 
     def _frame_coords(self, P: np.ndarray) -> np.ndarray:
         """(points, dim) frame coordinates of the field at the rows of P."""
-        v = self.space.project_tangent(P, field_values(self.vec, P))
+        v = self.space.project_tangent(P, self.vec.value_batch(P))
         return np.vecdot(self.space.frame(P), v[:, None, :])
 
     def mv_at(self, p, slot: int) -> Multivector:
@@ -456,15 +454,14 @@ class EvalCache:
         if k not in table:
             self._keep[k] = f
             pts = self.points
-            table[k] = evaluate(f, pts) if pts.shape[0] else np.zeros(empty_shape)
+            table[k] = evaluate(pts) if pts.shape[0] else np.zeros(empty_shape)
         return table[k]
 
     def values(self, f) -> np.ndarray:
-        return self._memo(self._vals, f, field_values, (0,))
+        return self._memo(self._vals, f, f.value_batch, (0,))
 
     def grads(self, f) -> np.ndarray:
-        # value-only fields give shape (0,) on no points, not (0, dim)
-        return self._memo(self._grads, f, field_grads, (0, self.points.shape[1]))
+        return self._memo(self._grads, f, f.grad_batch, (0, self.points.shape[1]))
 
     def stat_full(self, F: CylinderFunction) -> np.ndarray:
         k = id(F)
@@ -549,27 +546,6 @@ def eval_form(W: CylinderForm, config: Configuration) -> FormValue:
 
 # ---------------------------------------------------------------------------
 # batched evaluation over a whole SampleBatch
-
-
-def field_grads(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
-    if isinstance(f, Field):
-        return f.grad_batch(X, table=table)
-    if hasattr(f, "grad_batch"):
-        return np.asarray(f.grad_batch(X), dtype=float)
-    return np.array([f.grad_one(x) for x in X], dtype=float)
-
-
-def field_laps(f, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
-    if hasattr(f, "laplacian_one"):
-        return np.array([f.laplacian_one(x) for x in X], dtype=float)
-    return field_values(f.laplacian(), X, table)
-
-
-def field_divs(v, X: np.ndarray, table: Optional[PointTable] = None) -> np.ndarray:
-    """Divergences of a vector field at the rows of X."""
-    if isinstance(v, VectorField):
-        return v.div_batch(X, table=table)
-    return np.array([v.div_one(x) for x in X], dtype=float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -779,13 +755,13 @@ class BatchEval:
         return hit[1]
 
     def values(self, f) -> np.ndarray:
-        return self._memo("val", f, lambda: field_values(f, self.points, self.table))
+        return self._memo("val", f, lambda: f.value_batch(self.points, table=self.table))
 
     def grads(self, f) -> np.ndarray:
-        return self._memo("grad", f, lambda: field_grads(f, self.points, self.table))
+        return self._memo("grad", f, lambda: f.grad_batch(self.points, table=self.table))
 
     def laps(self, f) -> np.ndarray:
-        return self._memo("lap", f, lambda: field_laps(f, self.points, self.table))
+        return self._memo("lap", f, lambda: f.lap_batch(self.points, table=self.table))
 
     def stats(self, F: CylinderFunction) -> np.ndarray:
         """(n_samples, nargs) statistics <phi_j, gamma> of every configuration."""

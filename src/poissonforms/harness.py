@@ -143,6 +143,9 @@ def _check_entry(key: str, value, text: str | None):
                 f"{_line_of(text, key)}"
             )
         value = [float(t) for t in value]
+        if key == "generator_ts" and len(set(sorted(value)[:2])) < 2:
+            raise ConfigError(f"key 'generator_ts' needs its two smallest horizons "
+                              f"distinct{_line_of(text, key)}")
     return value
 
 

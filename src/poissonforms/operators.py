@@ -67,8 +67,6 @@ from .forms import (
     SlotForm,
     SymmetricFormField,
     _Scatter,
-    field_divs,
-    field_values,
 )
 from .geometry import (
     IntensitySpec,
@@ -847,8 +845,8 @@ def _ibp_rows(
             # the cylinder factor sees the configuration without the point
             g_pt = (np.full(len(P), coef) if G is None
                     else coef * ev.f_rows(G, sid, np.arange(len(sid))[:, None]))
-            vals += g_pt[:, None] * field_values(v, P, ev.table)
-            divs += g_pt * field_divs(v, P, ev.table)
+            vals += g_pt[:, None] * v.value_batch(P, table=ev.table)
+            divs += g_pt * v.div_batch(P, table=ev.table)
         bdot = _row_dots(beta(space, intensity, P), vals)
         per_cfg = batch.segment_sum(bdot + divs)
         # sum_x <grad_x F, V_x> per configuration, for each F beside V

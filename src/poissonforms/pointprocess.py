@@ -31,7 +31,7 @@ from .geometry import (
     Window,
     sigma_mass,
 )
-from .fields import PointTable, field_values
+from .fields import PointTable
 from .quadrature import gauss_hermite_gaussian, sphere_rule, tensor_rule
 from .report import CheckResult, McEstimate
 
@@ -537,9 +537,7 @@ def expect_series(
         raise ValueError("series evaluator supports 1 or 2 inner statistics")
     mass = sigma_mass(space, intensity, window)
     nodes, w = sigma_nodes(space, intensity, window, quad_n)
-    inner_vals = np.stack(
-        [np.asarray(f.value_batch(nodes), dtype=float) for f in inners], axis=-1
-    )
+    inner_vals = np.stack([f.value_batch(nodes) for f in inners], axis=-1)
     zero = np.zeros((1, N))
     phi_lo, phi_hi = inner_vals.min(axis=0), inner_vals.max(axis=0)
     chain = iterated_kernel(outer, inner_vals, w, [np.ones(len(w))] * k_max,
@@ -641,7 +639,7 @@ def mecke_check(
     def left_and_stat(b: SampleBatch) -> tuple[np.ndarray, ...]:
         # every field's values and per-configuration sums, once per view
         table = PointTable(b.points)
-        vals = {k: field_values(f, b.points, table) for k, f in fields.items()}
+        vals = {k: f.value_batch(b.points, table=table) for k, f in fields.items()}
         sums = {k: b.segment_sum(v) for k, v in vals.items()}
         out = []
         for fn in functionals:
@@ -664,10 +662,10 @@ def mecke_check(
         # the row's arrays are dropped when it returns
         lhs_vals = cols.pop()
         # right side profile: h(s) = int..int prod phi_i * g(s + sum psi(x_i))
-        phi_node_vals = [np.asarray(f.value_batch(nodes), dtype=float) for f in fn.slot_fields]
+        phi_node_vals = [f.value_batch(nodes) for f in fn.slot_fields]
         if fn.inner is not None:
             s_stat = cols.pop()
-            inner_vals = np.asarray(fn.inner.value_batch(nodes), dtype=float)[:, None]
+            inner_vals = fn.inner.value_batch(nodes)[:, None]
             span = (np.array([min(s_stat.min(), 0.0)]), np.array([max(s_stat.max(), 0.0)]))
             prof = iterated_kernel(fn.outer, inner_vals, w, phi_node_vals, span, 64)[-1]
             rhs_vals = prof(s_stat[:, None])
@@ -697,7 +695,8 @@ def laplace_check(
 
     def left(b: SampleBatch) -> tuple[np.ndarray, ...]:
         table = PointTable(b.points)
-        return tuple(np.exp(b.segment_sum(field_values(f, b.points, table))) for _, f in fields)
+        return tuple(np.exp(b.segment_sum(f.value_batch(b.points, table=table)))
+                     for _, f in fields)
 
     lhs = batch.map_configs(left)
     nodes, w = sigma_nodes(space, intensity, window, 64)

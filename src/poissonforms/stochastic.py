@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exterior import _splits, wedge_power
-from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction, RowLayout
+from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction
 from .geometry import (
     Euclidean,
     IntensitySpec,
@@ -457,26 +457,29 @@ def semigroup_T0(
 
 class FormEstimate:
     """Componentwise Monte Carlo estimate of a form value at the starting
-    configuration, whose one-group layout is ``layout``. ``samples`` holds
-    each replica's pulled-back value, per block of the layout an (R, rows,
-    width) array, the antithetic pair averaged; ``n_samples`` is R. ``mean``
-    and ``stderr`` are ``BatchValue``s on the layout, one entry per (subset,
-    covector key), computed when first read: the checks read ``contract``."""
+    configuration, held as ``start``, the batch of one it was built on.
+    ``samples`` holds each replica's pulled-back value, per block of the
+    start's layout an (R, rows, width) array, the antithetic pair averaged;
+    ``n_samples`` is R. ``mean`` and ``stderr`` are ``BatchValue``s on that
+    layout, one entry per (subset, covector key), computed when first read:
+    the checks read ``contract``."""
 
-    def __init__(self, layout: RowLayout, degree: int, dim: int, samples: dict, n_samples: int):
-        self.layout, self.degree, self.dim = layout, degree, dim
+    def __init__(self, start: BatchEval, degree: int, samples: dict, n_samples: int):
+        self.start, self.degree = start, degree
         self.samples, self.n_samples = samples, n_samples
+
+    def _value(self, blocks: dict) -> BatchValue:
+        return BatchValue(self.start.configs, self.degree, self.start.dim, blocks)
 
     @functools.cached_property
     def mean(self) -> BatchValue:
-        blocks = {k: A.mean(axis=0) for k, A in self.samples.items()}
-        return BatchValue(self.layout, self.degree, self.dim, blocks)
+        return self._value({k: A.mean(axis=0) for k, A in self.samples.items()})
 
     @functools.cached_property
     def stderr(self) -> BatchValue:
         R = self.n_samples
-        blocks = {k: A.std(axis=0, ddof=1) / math.sqrt(R) for k, A in self.samples.items()}
-        return BatchValue(self.layout, self.degree, self.dim, blocks)
+        return self._value({k: A.std(axis=0, ddof=1) / math.sqrt(R)
+                            for k, A in self.samples.items()})
 
     def contract(self, target: BatchValue) -> np.ndarray:
         """Per replica the inner product of its value with a value at the
@@ -548,9 +551,9 @@ def semigroup_Tn(
         samples = {
             k: np.broadcast_to(A, (n_samples, *A.shape)) for k, A in val.blocks.items()
         }
-        est = FormEstimate(start.configs, W.degree, space.dim, samples, n_samples)
+        est = FormEstimate(start, W.degree, samples, n_samples)
         # the mean of the copies is the value itself, with no error
-        est.mean, est.stderr = val, BatchValue(start.configs, W.degree, space.dim, {})
+        est.mean, est.stderr = val, est._value({})
         return est
     run = cfg.with_horizon(t)
     eps = _noise(gamma, run, n_samples, rng, antithetic)
@@ -565,7 +568,7 @@ def semigroup_Tn(
     samples = {
         k: A.reshape(pairs, R, -1, A.shape[1]).mean(axis=0) for k, A in blocks.items()
     }
-    return FormEstimate(start.configs, W.degree, space.dim, samples, R)
+    return FormEstimate(start, W.degree, samples, R)
 
 
 def eigen_decay_check(
@@ -582,8 +585,9 @@ def eigen_decay_check(
     name: Optional[str] = None,
 ) -> CheckResult:
     """For an eigenform, <T(t) W, W>(gamma) = e^{-rate t} |W(gamma)|^2."""
-    base = _start(gamma, space.dim).form(W)
-    z = semigroup_Tn(space, intensity, W, gamma, t, J, cfg, n_samples, rng).contract(base)
+    est = semigroup_Tn(space, intensity, W, gamma, t, J, cfg, n_samples, rng)
+    base = est.start.form(W)
+    z = est.contract(base)
     target = math.exp(-rate * t) * float(base.inner(base)[0])
     label = name or f"decay-{W.name}-t{t:g}"
     return CheckResult.from_estimates(
@@ -667,6 +671,8 @@ _GENERATOR_DT_RATIO = 0.1
 def _richardson(ts: Sequence[float], slopes: Sequence[float], ses: Sequence[float]):
     """Extrapolate slope(t) = s0 + a t to t = 0 from the two smallest t."""
     order = np.argsort(ts)
+    if len(ts) < 2 or ts[order[0]] == ts[order[1]]:
+        raise ValueError("the two smallest horizons must be distinct")
     t1, t2 = ts[order[1]], ts[order[0]]  # t2 < t1
     s1, s2 = slopes[order[1]], slopes[order[0]]
     w = t1 / (t1 - t2)

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
-from poissonforms.forms import BatchEval, eval_form, field_divs, field_values
+from poissonforms.forms import BatchEval, eval_form
 from poissonforms import pointprocess
 from poissonforms.operators import _ibp_rows, lift, lift_batch
 from poissonforms.pointprocess import (
@@ -85,7 +85,7 @@ def test_l1_fields_ibp(benchmark, mode):
             for f in scalars:
                 ev.values(f), ev.grads(f)
             for v in vectors:
-                field_values(v, P, ev.table), field_divs(v, P, ev.table)
+                v.value_batch(P, table=ev.table), v.div_batch(P, table=ev.table)
 
     def per_call():
         for scalars, vectors in rows:

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
-from poissonforms.fields import PointTable, VectorField, monomial, polygauss
-from poissonforms.forms import BatchEval, field_divs, field_values
+from poissonforms.fields import (
+    PointTable,
+    SphereAxisField,
+    SphereGradientField,
+    VectorField,
+    monomial,
+    polygauss,
+)
+from poissonforms.forms import BatchEval, SphereSlotOne
 from poissonforms.pointprocess import SampleBatch
 
 
@@ -78,6 +85,29 @@ def test_table_is_bit_identical_to_per_atom(d):
         assert np.array_equal(grads[:, a], per_atom(f.partial(a), X))
 
 
+def sphere_points(n: int = 300, seed: int = 0) -> np.ndarray:
+    P = np.random.default_rng(seed).normal(size=(n, 3))
+    return P / np.linalg.norm(P, axis=1, keepdims=True)
+
+
+def sphere_fields():
+    """The sphere battery's scalar fields (slot scalars, cylinder statistics
+    and the potential of the gradient field) and its slot vector fields."""
+    scalars, vectors = {}, {}
+    for W in bat.sphere_form_battery():
+        for t in W.terms:
+            if t.F is not None:
+                scalars.update((id(f), f) for f in t.F.inners)
+            for slot in (s for st in t.omega.terms for s in st.slots):
+                if isinstance(slot, SphereSlotOne):
+                    vectors[id(slot.vec)] = slot.vec
+                    if isinstance(slot.vec, SphereGradientField):
+                        scalars[id(slot.vec.scalar)] = slot.vec.scalar
+                else:
+                    scalars[id(slot.scalar)] = slot.scalar
+    return list(scalars.values()), list(vectors.values())
+
+
 def test_shared_table_matches_standalone():
     # the ibp battery's fields through one BatchEval, in an order that has
     # partials and other fields fill the table first
@@ -88,12 +118,37 @@ def test_shared_table_matches_standalone():
     scalars = [phi for F1, F2, _ in triples for phi in F1.inners + F2.inners]
     scalars += [v.components[0] for v in vectors]
     for v in vectors:
-        assert np.array_equal(field_divs(v, X, ev.table), v.div_batch(X))
-        assert np.array_equal(field_values(v, X, ev.table), v.value_batch(X))
+        assert np.array_equal(v.div_batch(X, table=ev.table), v.div_batch(X))
+        assert np.array_equal(v.value_batch(X, table=ev.table), v.value_batch(X))
     for f in scalars:
         assert np.array_equal(ev.grads(f), f.grad_batch(X))
         assert np.array_equal(ev.laps(f), f.laplacian().value_batch(X))
         assert np.array_equal(ev.values(f), f.value_batch(X))
+    # the sphere battery's fields on a sphere batch
+    P = sphere_points()
+    ev = BatchEval(SampleBatch(P, np.array([0, 100, 300])), 2)
+    scalars, vectors = sphere_fields()
+    assert len(scalars) == 2 and len(vectors) == 2
+    for v in vectors:
+        assert np.array_equal(ev.values(v), v.value_batch(P))
+    for f in scalars:
+        assert np.array_equal(ev.grads(f), f.grad_batch(P))
+        assert np.array_equal(ev.laps(f), f.lap_batch(P))
+        assert np.array_equal(ev.values(f), f.value_batch(P))
+
+
+def test_sphere_axis_laplacian():
+    # zonal harmonics of degree 1 and 2 are eigenfunctions with eigenvalues
+    # -l (l + 1)
+    P = sphere_points(seed=1)
+    u = np.array([0.3, -0.5, 0.8])
+    t = P @ (u / np.linalg.norm(u))
+    for coeffs, want in (([0.0, 1.0], -2.0 * t), ([-1.0, 0.0, 3.0], -6.0 * (3.0 * t * t - 1.0))):
+        f = SphereAxisField(u, coeffs)
+        got = f.lap_batch(P)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+        # a stacked call gives each row what a call on that row alone gives
+        assert np.array_equal(got, [f.lap_batch(p) for p in P])
 
 
 def test_vector_field_matches_pointwise():

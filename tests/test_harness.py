@@ -77,6 +77,14 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="positive"):
             resolve_config("semigroup-ou", {"t_grid": []})
 
+    def test_generator_ts_needs_two_distinct_horizons(self):
+        for ts in ([0.01], [0.01, 0.01], [0.02, 0.01, 0.01]):
+            text = '{\n  "generator_ts": %s\n}\n' % json.dumps(ts)
+            with pytest.raises(ConfigError, match=r"generator_ts.*distinct.*line 2"):
+                resolve_config("generator", json.loads(text), text)
+        cfg = resolve_config("generator", {"generator_ts": [0.02, 0.01]})
+        assert cfg["generator_ts"] == [0.02, 0.01]
+
     def test_experiment_mismatch(self):
         text = '{\n  "experiment": "mecke"\n}\n'
         with pytest.raises(ConfigError, match=r"mecke.*laplace.*line 2"):
@@ -174,6 +182,14 @@ class TestMain:
         assert code == 2
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_two_on_one_generator_horizon(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"generator_ts": [0.01]}\n')
+        out = tmp_path / "never.json"
+        assert main(["generator", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "generator_ts" in capsys.readouterr().err
 
     def test_exit_one_prints_failing_rows(self, tmp_path, monkeypatch, capsys):
         def failing(cfg, rng):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
+from poissonforms import operators
 from poissonforms.fields import SphereAxisField, SphereGradientField, SphereKilling
 from poissonforms.forms import (
     BatchEval,
     CylinderFunction,
     Exp,
     Linear,
+    SlotForm,
     SphereSlotOne,
     SphereSlotTwo,
     eval_form,
@@ -18,6 +20,7 @@ from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
 from poissonforms.fields import monomial
 from poissonforms.operators import (
     OperatorReport,
+    _fanout,
     adjointness_check,
     apply_r_pi_sigma,
     beta_fields,
@@ -296,3 +299,33 @@ class TestChecks:
         assert r.passed
         rows = r.rows()
         assert set(rows[0]) >= {"check", "lhs", "rhs", "stderr", "tol", "pass"}
+
+
+class TestPlantedDefects:
+    """A defect planted in one operator turns the rows that check it red."""
+
+    def test_dstar_without_partial_fails_adjointness(self, monkeypatch):
+        def no_partial(omega, i, betas):
+            # slot_dstar with only its beta term: -sum_a beta_a w iota_a e_I
+            def expand(sf, cross):
+                return [
+                    SlotForm(betas[a] * sf.field, sf.axes[:p] + sf.axes[p + 1:],
+                             -sf.sign * cross * (-1.0) ** p)
+                    for p, a in enumerate(sf.axes)
+                ]
+            return _fanout(omega, i, expand)
+
+        forms = bat.flat_form_battery()
+        run = lambda: adjointness_check(SP, GAUSS, ALL, forms[0], forms[2], RngStream(12), 600)
+        assert run().passed
+        monkeypatch.setattr(operators, "slot_dstar", no_partial)
+        res = run()
+        assert not res.passed and abs(res.lhs) > 5 * res.tol
+
+    def test_negated_bochner_fails_sphere_weitzenbock(self, monkeypatch):
+        bochner = operators.bochner_rows
+        monkeypatch.setattr(operators, "bochner_rows", lambda *a, **k: -bochner(*a, **k))
+        for W in bat.sphere_form_battery():
+            res = weitzenbock_check(bat.sphere_space(), bat.sphere_intensity(), ALL, W,
+                                    RngStream(12), n_configs=2, tol=1e-4)
+            assert not res.passed and res.lhs > 1.0, W.name

@@ -494,6 +494,16 @@ class TestGenerator:
         )
         assert rep.passed
 
+    @pytest.mark.parametrize("ts", [(0.01,), (0.01, 0.01), (0.01, 0.01, 0.02)])
+    def test_richardson_needs_two_distinct_horizons(self, ts):
+        gammas = [Configuration(bat.flat_configs()[0])]
+        with pytest.raises(ValueError, match="distinct"):
+            generator_check_function(SP, GAUSS, bat.generator_functions()[0], gammas,
+                                     ts=ts, n_samples=10, rng=RngStream(1))
+        with pytest.raises(ValueError, match="distinct"):
+            generator_check(SP, GAUSS, bat.ou_eigenform(), gammas, "bochner",
+                            ts=ts, n_samples=10, rng=RngStream(1))
+
 
 class TestLawPreservation:
     def test_poisson_invariance_small(self):

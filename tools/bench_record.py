@@ -14,10 +14,11 @@ default config in ``PAIRS`` pairs, in the same alternating order, each run
 in a fresh process with BLAS on one thread: the median wall time of
 ``run_experiment(resolve_config(name))`` and the median peak resident
 memory of the process (``ru_maxrss``, import included) per side, and every
-run's two values, so that a move can be read against its spread. The record
-also holds the host's CPU count, the numpy and scipy versions and the git
-shas; with uncommitted changes (``dirty``) the change side is the working
-tree on top of ``head``.
+run's two values, so that a move can be read against its spread. Each
+workload's ``verdict`` reads its runs against ``BENCHMARK.json``, per
+end-to-end metric (see ``verdict``). The record also holds the host's CPU
+count, the numpy and scipy versions and the git shas; with uncommitted
+changes (``dirty``) the change side is the working tree on top of ``head``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,35 @@ def _last_json(cmd: list[str], cwd: Path) -> dict:
 def _medians(runs: list[dict]) -> dict:
     names = runs[0]["metrics"]
     return {m: statistics.median(r["metrics"][m]["value"] for r in runs) for m in names}
+
+
+def verdict(base: list[dict], change: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound),
+    how the change's runs compare with the base's; run i of each side is
+    pair i. ``move`` is change median / base median - 1, ``better_pairs``
+    the pairs in which the change was better. The status is ``unresolved``
+    when the base's interquartile range over its median exceeds the bound
+    (the base's own spread hides a move of that size), else ``beyond
+    bound`` when |move| exceeds it (the sign of ``move`` says which way)
+    and ``within bound`` when it does not."""
+    out = {}
+    for m in metrics:
+        b = [r[m["name"]] for r in base]
+        c = [r[m["name"]] for r in change]
+        q1, med, q3 = statistics.quantiles(b, n=4, method="inclusive")
+        move = statistics.median(c) / med - 1.0
+        sign = -1.0 if m["better"] == "lower" else 1.0
+        if (q3 - q1) / med > m["bound"]:
+            status = "unresolved"
+        else:
+            status = "beyond bound" if abs(move) > m["bound"] else "within bound"
+        out[m["name"]] = {
+            "base_quartiles": [q1, med, q3], "base_median": med,
+            "change_median": statistics.median(c), "move": move,
+            "better_pairs": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
+            "status": status,
+        }
+    return out
 
 
 def _alternate(trees: dict[str, Path], run) -> dict[str, list[dict]]:
@@ -117,12 +147,14 @@ def main(argv=None) -> int:
             cmd = [sys.executable, "perfbench/run.py", "--workload", wl,
                    "--seconds", str(seconds), "--trace", "0"]
             runs = _alternate(trees, lambda tree: _last_json(cmd, tree))
-            record["workloads"][wl] = {
+            row = record["workloads"][wl] = {
                 side: {"median": _medians(rs), "correct": all(r["correct"] for r in rs),
                        "runs": [{m: v["value"] for m, v in r["metrics"].items()} for r in rs]}
                 for side, rs in runs.items()
             }
-            print(wl, {s: v["median"] for s, v in record["workloads"][wl].items()}, flush=True)
+            row["verdict"] = verdict(row["base"]["runs"], row["change"]["runs"],
+                                     spec["end_to_end"])
+            print(wl, {m: v["status"] for m, v in row["verdict"].items()}, flush=True)
         names = {side: _experiments(tree) for side, tree in trees.items()}
         for name in names["change"]:
             sides = {side: tree for side, tree in trees.items() if name in names[side]}
