@@ -59,6 +59,7 @@ from .pointprocess import (
     mecke_check,
     sample,
     sample_batch,
+    sample_views,
 )
 from .report import CheckResult, McEstimate
 from .stochastic import (

@@ -723,19 +723,19 @@ class BatchEval:
     tangent dimension of the space the batch lives on (2 on the sphere,
     whose points have 3 coordinates).
 
-    Every field is evaluated once per chunk of whole configurations (a view
-    of ``SampleBatch.map_configs`` in the Monte Carlo checks), through one
-    ``PointTable`` over its points: each Gaussian factor exp(-a |x - c|^2 / 2) of
-    a (rate, centre) pair is computed once and shared by the values,
-    gradients and Laplacians of every field the batch evaluates, and by
-    the lifted vectors' values and divergences. The table lives as long as
-    this object. An m-subset is a row of index arrays built from the batch
-    offsets, a cylinder factor F(gamma \\ xbar) is the outer function of the
-    configuration's statistics (``segment_sum``s) minus the subset points'
-    rows, read by ``f_rows``, and a form value is a ``BatchValue``. Form
-    values take flat and sphere slots; the batched lifts built on this
-    class run on both backends, d* and the point partials on the flat
-    ones."""
+    Every field is evaluated once per chunk of whole configurations (in the
+    Monte Carlo checks a view that ``sample_views`` draws when it is used),
+    through one ``PointTable`` over its points: each Gaussian factor
+    exp(-a |x - c|^2 / 2) of a (rate, centre) pair is computed once and
+    shared by the values, gradients and Laplacians of every field the batch
+    evaluates, and by the lifted vectors' values and divergences. The table
+    lives as long as this object. An m-subset is a row of index arrays
+    built from the batch offsets, a cylinder factor F(gamma \\ xbar) is the
+    outer function of the configuration's statistics (``segment_sum``s)
+    minus the subset points' rows, read by ``f_rows``, and a form value is
+    a ``BatchValue``. Form values take flat and sphere slots; the batched
+    lifts built on this class run on both backends, d* and the point
+    partials on the flat ones."""
 
     def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch

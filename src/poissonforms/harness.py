@@ -48,6 +48,7 @@ from .pointprocess import (
     laplace_check,
     mecke_check,
     sample_batch,
+    sample_views,
 )
 from .report import CheckResult, McEstimate
 from .stochastic import (
@@ -285,10 +286,9 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
     out = []
     for case in bat.series_battery():
         sr = expect_series(sp, inten, win, case.outer, case.inners, case.envelope)
-        batch = sample_batch(sp, inten, win, rng.child("series", case.name), cfg["n_samples"])
-        stats = batch.map_configs(lambda b: np.column_stack(
-            [b.segment_sum(f.value_batch(b.points)) for f in case.inners]
-        ))
+        stats = sample_views(sp, inten, win, rng.child("series", case.name), cfg["n_samples"],
+                             lambda b: np.column_stack(
+                                 [b.segment_sum(f.value_batch(b.points)) for f in case.inners]))
         est = McEstimate.from_samples(np.asarray(case.outer(stats), dtype=float))
         diff = abs(est.mean - sr.value)
         tol = 3.0 * est.stderr + sr.tail_bound

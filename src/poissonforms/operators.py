@@ -77,7 +77,7 @@ from .geometry import (
     frame_maps,
     grad_beta,
 )
-from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
+from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch, sample_views
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -885,8 +885,8 @@ def ibp_check(
     errors. All rows read one batch, so they are dependent; each is still a
     mean over ``n_samples`` independent configurations.
     """
-    batch = sample_batch(space, intensity, window, rng, n_samples)
-    est = batch.map_configs(lambda b: _ibp_rows(space, intensity, rows, b))
+    est = sample_views(space, intensity, window, rng, n_samples,
+                       lambda b: _ibp_rows(space, intensity, rows, b))
     return [CheckResult.from_estimates(f"ibp-{F1.name}-{F2.name}-{V.name}",
                                        McEstimate.from_samples(vals), McEstimate.exact(0.0),
                                        detail={"n": n_samples})
@@ -926,8 +926,8 @@ def dirichlet_check(
             lhs = batch.segment_sum(lhs_pt)
             return lhs - _h_rows(space, intensity, W1, ev) * ev.f_rows(W2)
 
-        batch = sample_batch(space, intensity, window, rng, n_samples)
-        diff = McEstimate.from_samples(batch.map_configs(rows))
+        diff = McEstimate.from_samples(
+            sample_views(space, intensity, window, rng, n_samples, rows))
         label = name or f"dirichlet-functions-{W1.name}-{W2.name}"
         return CheckResult.from_estimates(
             label, diff, McEstimate.exact(0.0), detail={"n": n_samples}

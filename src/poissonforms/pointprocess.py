@@ -43,6 +43,7 @@ __all__ = [
     "McEstimate",
     "sample",
     "sample_batch",
+    "sample_views",
     "sigma_nodes",
     "ChebProfile",
     "iterated_kernel",
@@ -98,17 +99,19 @@ class Configuration:
         return Configuration(self.points[mask])
 
 
-# Points per view of ``SampleBatch.map_configs`` (about 2,600 configurations
-# at sigma-mass 2 pi): the dozens of 128 kB per-point temporaries that one
-# statistic builds then stay in cache instead of streaming through memory.
-_CHUNK_POINTS = 1 << 14
+# Points per view of ``sample_views`` (about 1,300 configurations at
+# sigma-mass 2 pi): the dozens of 64 kB per-point temporaries that one
+# statistic builds then stay in cache instead of streaming through memory,
+# and stay under glibc's initial 128 kB mmap threshold, so a fresh process
+# takes them from its heap instead of mapping and faulting each afresh.
+_CHUNK_POINTS = 1 << 13
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A batch of configurations stored flat for vectorized reductions, which
-    the Monte Carlo checks run once per chunk of whole configurations
-    (``map_configs``)."""
+    """A batch of configurations stored flat for vectorized reductions. The
+    Monte Carlo checks run them on views of whole configurations that
+    ``sample_views`` draws when they are used."""
 
     points: np.ndarray  # (total, ambient)
     offsets: np.ndarray  # (n_samples + 1,)
@@ -132,32 +135,11 @@ class SampleBatch:
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-configuration sums of a per-point array: the one sum over
-        sample ids that the batched statistics and checks use."""
+        sample ids that the batched statistics and checks use. Always
+        float, also over no points, where ``np.bincount`` returns ints."""
         return np.bincount(
             self.sample_ids, weights=values, minlength=self.n_samples
-        )
-
-    def map_configs(self, fn: Callable):
-        """``fn`` on consecutive views of whole configurations, of at most
-        ``_CHUNK_POINTS`` points unless one configuration is larger, with its
-        per-configuration outputs (an array or a tuple of arrays) written in
-        order into arrays over the whole batch, allocated with the first
-        view's dtypes and trailing shapes. A configuration's points keep
-        their order in one view, so point-wise work and segment sums equal
-        those on the whole batch."""
-        off, cuts = self.offsets, [0]
-        while len(cuts) == 1 or cuts[-1] < self.n_samples:
-            hi = np.searchsorted(off, off[cuts[-1]] + _CHUNK_POINTS, side="right") - 1
-            cuts.append(min(max(int(hi), cuts[-1] + 1), self.n_samples))
-        out = None
-        for a, b in zip(cuts, cuts[1:]):
-            part = fn(SampleBatch(self.points[off[a] : off[b]], off[a : b + 1] - off[a]))
-            parts = part if isinstance(part, tuple) else (part,)
-            if out is None:
-                out = tuple(np.empty((self.n_samples, *p.shape[1:]), p.dtype) for p in parts)
-            for o, p in zip(out, parts):
-                o[a:b] = p
-        return out if isinstance(part, tuple) else out[0]
+        ).astype(float, copy=False)
 
     def __iter__(self):
         for i in range(self.n_samples):
@@ -238,12 +220,63 @@ def sample_batch(
     n_samples: int,
 ) -> SampleBatch:
     """A batch of independent configurations, stored flat."""
-    mass = sigma_mass(space, intensity, window)
-    counts = rng.gen.poisson(mass, size=n_samples)
-    offsets = np.zeros(n_samples + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    offsets = _offsets(space, intensity, window, rng, n_samples)
     pts = _draw_locations(space, intensity, window, rng.gen, int(offsets[-1]))
     return SampleBatch(pts, offsets)
+
+
+def _offsets(space, intensity, window, rng: RngStream, n_samples: int) -> np.ndarray:
+    """The Poisson counts of a batch, as offsets into its flat points."""
+    counts = rng.gen.poisson(sigma_mass(space, intensity, window), size=n_samples)
+    offsets = np.zeros(n_samples + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _per_point_draws(space, intensity, window) -> bool:
+    """Whether ``_draw_locations`` reads a fixed amount of the stream per
+    point, so that draws in consecutive pieces equal one draw."""
+    return isinstance(space, Sphere) or window.kind == "all" or intensity.family == "uniform"
+
+
+def sample_views(
+    space: Space,
+    intensity: IntensitySpec,
+    window: Window,
+    rng: RngStream,
+    n_samples: int,
+    fn: Callable,
+):
+    """``fn`` on consecutive views (``SampleBatch``es) of whole
+    configurations of a batch, at most ``_CHUNK_POINTS`` points each unless
+    one configuration is larger, its per-configuration outputs (an array or
+    a tuple of arrays) written in order into whole-batch arrays of the
+    first view's dtypes and trailing shapes. A view keeps its
+    configurations' points in order, so point-wise work and segment sums
+    equal those on the whole batch.
+
+    The counts are drawn first and each view's points when it is used; the
+    points and the stream's use equal ``sample_batch``'s. Rejection
+    sampling draws the batch once and is sliced. ``fn`` must not draw from
+    ``rng``: that would move every later view's points."""
+    off = _offsets(space, intensity, window, rng, n_samples)
+    whole = None if _per_point_draws(space, intensity, window) else _draw_locations(
+        space, intensity, window, rng.gen, int(off[-1]))
+    cuts = [0]
+    while len(cuts) == 1 or cuts[-1] < n_samples:
+        hi = np.searchsorted(off, off[cuts[-1]] + _CHUNK_POINTS, side="right") - 1
+        cuts.append(min(max(int(hi), cuts[-1] + 1), n_samples))
+    out = None
+    for a, b in zip(cuts, cuts[1:]):
+        pts = (_draw_locations(space, intensity, window, rng.gen, int(off[b] - off[a]))
+               if whole is None else whole[off[a] : off[b]])
+        part = fn(SampleBatch(pts, off[a : b + 1] - off[a]))
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = tuple(np.empty((n_samples, *p.shape[1:]), p.dtype) for p in parts)
+        for o, p in zip(out, parts):
+            o[a:b] = p
+    return out if isinstance(part, tuple) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +666,6 @@ def mecke_check(
         raise ValueError("mecke_check supports m in {1, 2}")
     fields = {id(f): f for fn in functionals for f in (*fn.slot_fields, fn.inner)
               if f is not None}
-    # sample_batch draws every point inside the window: no mask is needed
-    batch = sample_batch(space, intensity, window, rng, n_samples)
 
     def left_and_stat(b: SampleBatch) -> tuple[np.ndarray, ...]:
         # every field's values and per-configuration sums, once per view
@@ -654,8 +685,8 @@ def mecke_check(
                 out += [left * np.asarray(fn.outer(s_stat[:, None]), dtype=float), s_stat]
         return tuple(out)
 
-    cols = list(batch.map_configs(left_and_stat))[::-1]
-    del batch  # the right side reads only the statistics
+    # every point is drawn inside the window: no mask is needed
+    cols = list(sample_views(space, intensity, window, rng, n_samples, left_and_stat))[::-1]
     nodes, w = sigma_nodes(space, intensity, window, 40)
 
     def right_and_row(fn: MeckeFunctional) -> CheckResult:
@@ -691,14 +722,13 @@ def laplace_check(
     row ``laplace-<name>`` per (name, f). All fields read one batch, so
     their rows are dependent; each row is still a mean over ``n_samples``
     independent configurations."""
-    batch = sample_batch(space, intensity, window, rng, n_samples)
 
     def left(b: SampleBatch) -> tuple[np.ndarray, ...]:
         table = PointTable(b.points)
         return tuple(np.exp(b.segment_sum(f.value_batch(b.points, table=table)))
                      for _, f in fields)
 
-    lhs = batch.map_configs(left)
+    lhs = sample_views(space, intensity, window, rng, n_samples, left)
     nodes, w = sigma_nodes(space, intensity, window, 64)
     return [CheckResult.from_estimates(
         f"laplace-{name}", McEstimate.from_samples(vals),

@@ -15,17 +15,24 @@ batched against per-configuration; L6 (the form semigroup's value path:
 SDE block, frames, batched values and their pullback) on 500 replicas of
 a two-point configuration, for the degree-1 eigenform under the scalar and
 the generic potential and for a degree-2 form whose two-point fibre takes
-the Kronecker assembly; L2 (segment sums: the per-configuration sums of
-every ibp row through ``SampleBatch.map_configs``) at 70,000
-configurations and seed 42, for all five rows on the experiment's one batch
-through one ``BatchEval`` per view (``battery``, the harness's path) or for
-each row on a batch of its own (``per-row``), on views of the default
-``_CHUNK_POINTS`` against the whole batch as one view; L5 (quadrature and
-series: Chebyshev profiles and iterated kernels) through ``expect_series`` for each series-vs-mc case at the
-harness defaults (quad_n 40, cheb_n 64, k_max 8), and through the m = 2
-Mecke right side of the ``pair-exp`` row, a two-step ``iterated_kernel``
-read at the statistic of each of 70,000 configurations drawn from the
-mecke experiment's stream at seed 42.
+the Kronecker assembly; L1 (sampling: the ibp experiment's 70,000
+configurations at seed 42 through ``sample_views`` with the battery's
+statistics) with each view's points drawn when it is used (``per-view``,
+the checks' path) against the whole batch drawn first and sliced
+(``whole``, the rejection sampler's path); L2 (segment sums: the
+per-configuration sums of every ibp row through ``sample_views``, which
+draws each view when it is used) at 70,000 configurations and seed 42, for
+all five rows on the experiment's one batch through one ``BatchEval`` per
+view (``battery``, the harness's path) or for each row on a batch of its
+own (``per-row``), on views of the default ``_CHUNK_POINTS`` against the
+whole batch as one view; L5 (quadrature and series: Chebyshev profiles and
+iterated kernels) through ``expect_series`` for each series-vs-mc case at
+the harness defaults (quad_n 40, cheb_n 64, k_max 8), and through the
+m = 2 Mecke right side of the ``pair-exp`` row, a two-step
+``iterated_kernel`` read at the statistic of each of 70,000 configurations
+drawn from the mecke experiment's stream at seed 42; L7 (harness and
+records) as ``run_experiment`` and ``canonical_json`` of the laplace
+experiment at 2,000 samples.
 """
 
 import numpy as np
@@ -34,6 +41,7 @@ import pytest
 from poissonforms import batteries as bat
 from poissonforms.forms import BatchEval, eval_form
 from poissonforms import pointprocess
+from poissonforms.harness import resolve_config, run_experiment
 from poissonforms.operators import _ibp_rows, lift, lift_batch
 from poissonforms.pointprocess import (
     Configuration,
@@ -41,6 +49,7 @@ from poissonforms.pointprocess import (
     expect_series,
     iterated_kernel,
     sample_batch,
+    sample_views,
     sigma_nodes,
 )
 from poissonforms.stochastic import SdeConfig, curvature_potential, semigroup_Tn
@@ -97,26 +106,36 @@ def test_l1_fields_ibp(benchmark, mode):
     benchmark(per_call if mode == "per-call" else lambda: shared(mode == "table"))
 
 
+@pytest.mark.parametrize("draw", ["per-view", "whole"])
+def test_l1_sample_views(benchmark, monkeypatch, draw):
+    # the same points and statistics either way: only when the points are
+    # drawn, and how many of them are held at once, differs
+    battery = bat.ibp_battery()
+    if draw == "whole":
+        monkeypatch.setattr(pointprocess, "_per_point_draws", lambda *args: False)
+    benchmark(lambda: sample_views(SP, INTEN, bat.full_window(), RngStream(42).child("ibp", 0),
+                                   70_000, lambda v: _ibp_rows(SP, INTEN, battery, v)))
+
+
 @pytest.mark.parametrize("view", ["chunked", "whole"])
 @pytest.mark.parametrize("mode", ["battery", "per-row"])
 def test_l2_ibp_statistics(benchmark, monkeypatch, mode, view):
-    # the per-configuration sums of every ibp row, on views of whole
-    # configurations of the default size or on the whole batch at once:
-    # all rows on the harness's one batch through one BatchEval per view,
-    # or each row on a batch from its own stream through its own
+    # the per-configuration sums of every ibp row, with their draws, on
+    # views of whole configurations of the default size or on the whole
+    # batch at once: all rows on the harness's one batch through one
+    # BatchEval per view, or each row on a batch from its own stream
+    # through its own
     win = bat.full_window()
     battery = bat.ibp_battery()
 
-    def draw(i):
-        return sample_batch(SP, INTEN, win, RngStream(42).child("ibp", i), 70_000)
+    def views(i, rows):
+        return sample_views(SP, INTEN, win, RngStream(42).child("ibp", i), 70_000,
+                            lambda v: _ibp_rows(SP, INTEN, rows, v))
 
     if mode == "battery":
-        batch = draw(0)
-        run = lambda: batch.map_configs(lambda v: _ibp_rows(SP, INTEN, battery, v))
+        run = lambda: views(0, battery)
     else:
-        rows = [(row, draw(i)) for i, row in enumerate(battery)]
-        run = lambda: [b.map_configs(lambda v: _ibp_rows(SP, INTEN, [row], v))
-                       for row, b in rows]
+        run = lambda: [views(i, [row]) for i, row in enumerate(battery)]
     if view == "whole":
         monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", 1 << 40)
     benchmark(run)
@@ -189,3 +208,8 @@ def test_l5_mecke_chain(benchmark):
     psi = fn.inner.value_batch(nodes)[:, None]
     bounds = (np.minimum(s.min(axis=0), 0.0), np.maximum(s.max(axis=0), 0.0))
     benchmark(lambda: iterated_kernel(fn.outer, psi, w, phi, bounds, 64)[-1](s))
+
+
+def test_l7_run_experiment(benchmark):
+    cfg = resolve_config("laplace", overrides={"n_samples": 2_000})
+    benchmark(lambda: run_experiment(cfg).canonical_json())

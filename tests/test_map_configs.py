@@ -1,6 +1,7 @@
-"""``SampleBatch.map_configs``: the views of whole configurations it cuts,
-and the Monte Carlo checks that evaluate their statistics through it, whose
-rows must not depend on the view size."""
+"""``sample_views``: the views of whole configurations it cuts, the points
+it draws into them against ``sample_batch`` on the same stream, and the
+Monte Carlo checks that evaluate their statistics through it, whose rows
+must not depend on the view size."""
 
 import json
 import tracemalloc
@@ -11,8 +12,15 @@ import pytest
 from poissonforms import batteries as bat
 from poissonforms import pointprocess
 from poissonforms.forms import Exp, Linear
+from poissonforms.geometry import IntensitySpec, Window
 from poissonforms.operators import dirichlet_check, ibp_check
-from poissonforms.pointprocess import RngStream, SampleBatch, laplace_check, mecke_check
+from poissonforms.pointprocess import (
+    RngStream,
+    laplace_check,
+    mecke_check,
+    sample_batch,
+    sample_views,
+)
 
 SP, INTEN, WIN = bat.default_space(), bat.default_intensity(), bat.full_window()
 
@@ -21,13 +29,14 @@ SP, INTEN, WIN = bat.default_space(), bat.default_intensity(), bat.full_window()
 COUNTS = [0, 3, 1, 12, 0, 2, 2, 0]
 
 
-def _batch(counts):
-    # each point's coordinates are its configuration's number
-    sid = np.repeat(np.arange(len(counts), dtype=float), counts)
-    return SampleBatch(np.column_stack([sid, sid]), np.cumsum([0, *counts]))
+def _fixed_counts(monkeypatch, counts):
+    # the batch's counts, in place of its Poisson draws
+    off = np.cumsum([0, *counts]).astype(np.int64)
+    monkeypatch.setattr(pointprocess, "_offsets", lambda *args: off.copy())
 
 
 def _views(monkeypatch, counts, chunk):
+    _fixed_counts(monkeypatch, counts)
     monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", chunk)
     views = []
 
@@ -35,15 +44,16 @@ def _views(monkeypatch, counts, chunk):
         views.append(view)
         return view.counts(), view.segment_sum(view.points[:, 0])
 
-    return views, _batch(counts).map_configs(fn)
+    out = sample_views(SP, INTEN, WIN, RngStream(3), len(counts), fn)
+    return views, out, sample_batch(SP, INTEN, WIN, RngStream(3), len(counts))
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 7, 100])
 def test_each_configuration_in_one_view_in_order(monkeypatch, chunk):
-    views, (counts, labels) = _views(monkeypatch, COUNTS, chunk)
+    views, (counts, sums), whole = _views(monkeypatch, COUNTS, chunk)
     assert counts.tolist() == COUNTS
-    assert labels.tolist() == [i * c for i, c in enumerate(COUNTS)]
-    assert np.array_equal(np.concatenate([v.points for v in views]), _batch(COUNTS).points)
+    assert np.array_equal(sums, whole.segment_sum(whole.points[:, 0]))
+    assert np.array_equal(np.concatenate([v.points for v in views]), whole.points)
     for v in views:
         assert v.n_samples >= 1 and v.offsets[0] == 0
         assert len(v.points) <= chunk or v.n_samples == 1
@@ -55,15 +65,15 @@ def test_each_configuration_in_one_view_in_order(monkeypatch, chunk):
 
 
 def test_empty_batch_is_one_empty_view(monkeypatch):
-    views, (counts, labels) = _views(monkeypatch, [], 7)
-    assert len(views) == 1 and counts.size == 0 and labels.size == 0
+    views, (counts, sums), _ = _views(monkeypatch, [], 7)
+    assert len(views) == 1 and counts.size == 0 and sums.size == 0
 
 
 @pytest.mark.parametrize("tuple_out", [False, True])
 def test_outputs_equal_the_joined_views(monkeypatch, tuple_out):
     # chunk 4 cuts a view holding only the 12-point configuration
+    _fixed_counts(monkeypatch, COUNTS)
     monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", 4)
-    batch = _batch(COUNTS)
     views = []
 
     def fn(view):
@@ -71,7 +81,7 @@ def test_outputs_equal_the_joined_views(monkeypatch, tuple_out):
         sums = view.segment_sum(view.points[:, 0])
         return (view.counts(), np.column_stack([sums, -sums])) if tuple_out else sums
 
-    out = batch.map_configs(fn)
+    out = sample_views(SP, INTEN, WIN, RngStream(3), len(COUNTS), fn)
     assert any(v.n_samples == 1 for v in views)
     parts = [fn(v) for v in list(views)]
     want = (tuple(np.concatenate(p) for p in zip(*parts)) if tuple_out
@@ -80,6 +90,49 @@ def test_outputs_equal_the_joined_views(monkeypatch, tuple_out):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+# the samplers that read a fixed amount of the stream per point
+PER_POINT = {
+    "gaussian-plane": (SP, INTEN, WIN),
+    "uniform-sphere": (bat.sphere_space(), bat.sphere_intensity(), WIN),
+    "uniform-box": (SP, IntensitySpec("uniform"), Window("box", ((-2.0, 2.0), (-1.0, 2.0)))),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, pointprocess._CHUNK_POINTS, 10**9])
+@pytest.mark.parametrize("case", list(PER_POINT))
+def test_views_join_to_the_batch_drawn_whole(monkeypatch, case, chunk):
+    # drawn view by view, the points and the stream's state after them are
+    # those of one draw of the whole batch, byte for byte
+    space, intensity, window = PER_POINT[case]
+    monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", chunk)
+    views, rng, ref = [], RngStream(11), RngStream(11)
+    counts = sample_views(space, intensity, window, rng, 3_000,
+                          lambda v: views.append(v) or v.counts())
+    whole = sample_batch(space, intensity, window, ref, 3_000)
+    assert len(views) > 1 or chunk == 10**9
+    assert np.array_equal(counts, whole.counts())
+    assert np.concatenate([v.points for v in views]).tobytes() == whole.points.tobytes()
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def test_rejection_sampler_draws_the_batch_once(monkeypatch):
+    # the gaussian box's proposals depend on the total: one draw, sliced
+    window = bat.series_window()
+    monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", 7)
+    calls, plain = [], pointprocess._draw_locations
+
+    def counted(*args):
+        calls.append(args[-1])
+        return plain(*args)
+
+    monkeypatch.setattr(pointprocess, "_draw_locations", counted)
+    views = []
+    sample_views(SP, INTEN, window, RngStream(11), 500, lambda v: views.append(v) or v.counts())
+    whole = sample_batch(SP, INTEN, window, RngStream(11), 500)
+    assert calls == [len(whole.points)] * 2 and len(views) > 1
+    assert np.concatenate([v.points for v in views]).tobytes() == whole.points.tobytes()
 
 
 @pytest.mark.parametrize("outer", [Exp([-0.3, -0.2]), Linear([1.0, 0.5, -2.0], 0.5),
@@ -125,15 +178,35 @@ def test_rows_do_not_depend_on_the_view_size(monkeypatch, default_rows, chunk):
     assert _rows() == default_rows
 
 
-def test_ibp_peak_memory():
-    # per-point temporaries over the whole batch at once peaked at 99 MB
+def _peak(run) -> float:
     tracemalloc.start()
     try:
-        ibp_check(SP, INTEN, WIN, bat.ibp_battery(), RngStream(42).child("ibp", 0), 70_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30e6
+
+
+def test_ibp_peak_memory():
+    # per-point temporaries over the whole batch at once peaked at 99 MB
+    rng = RngStream(42).child("ibp", 0)
+    assert _peak(lambda: ibp_check(SP, INTEN, WIN, bat.ibp_battery(), rng, 70_000)) < 30e6
+
+
+@pytest.mark.parametrize("check", ["laplace", "mecke"])
+def test_full_plane_peak_memory(check):
+    # with the whole batch's points drawn before its views (7 MB at 70,000
+    # configurations) laplace peaked at 12.5 MB and mecke at 12.8 MB; drawn
+    # view by view, at 4.3 and 7.0 MB
+    rng = RngStream(42)
+    run = {
+        "laplace": lambda: laplace_check(
+            SP, INTEN, WIN, [(nm, f) for nm, f, w in bat.laplace_battery() if w is None],
+            rng.child("laplace", "gauss-centered"), 70_000),
+        "mecke": lambda: mecke_check(SP, INTEN, WIN, bat.mecke_battery(),
+                                     rng.child("mecke", "phi-pi"), 70_000),
+    }[check]
+    assert _peak(run) < 10e6
 
 
 @pytest.mark.parametrize("check", ["laplace", "mecke", "ibp"])

@@ -29,7 +29,6 @@ from poissonforms.operators import (
     d_rows,
     dd_zero_check,
     dirichlet_check,
-    dstar_gamma,
     dstar_rows,
     factorization_check,
     h_pi_sigma,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval, chebval2d
 
-from poissonforms.forms import CylinderFunction, Exp, Linear
+from poissonforms.forms import Exp, Linear
 from poissonforms.fields import gauss_bump
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window, sigma_mass
 from poissonforms.pointprocess import (

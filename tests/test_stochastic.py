@@ -9,7 +9,7 @@ from scipy.special import chdtrc
 from poissonforms import batteries as bat
 from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
 from poissonforms.forms import (
-    BatchEval, CylinderForm, CylinderFunction, Exp, FormTerm, Linear, SymmetricFormField,
+    BatchEval, CylinderForm, CylinderFunction, Exp, FormTerm, SymmetricFormField,
 )
 from poissonforms.fields import monomial
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
@@ -17,7 +17,6 @@ from poissonforms.operators import factorization_check, r_pi_sigma
 from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
 from poissonforms.stochastic import (
     BlockPotential,
-    FrameMatrix,
     SdeConfig,
     _chi2_sf,
     curvature_potential,
