@@ -19,8 +19,8 @@ checks are built on.
 ``BatchEval`` evaluates forms at every configuration of a ``SampleBatch``
 at once, on flat space and the sphere; every form-level check runs on it.
 It is also the one batched reader of cylinder factors: its ``stats`` and
-``f_rows`` read F for the Monte Carlo checks and, at the ends of a noise
-block, for the scalar and form semigroups alike. Its statistics are
+``f_rows`` read F for the Monte Carlo checks and, at the ends of a chunk of
+diffusion replicas, for the scalar and form semigroups alike. Its statistics are
 ``SampleBatch.segment_sum``s, the one per-configuration sum. It reads
 fields through their own batched methods (``value_batch``, ``grad_batch``,
 ``lap_batch``), on the one ``PointTable`` it keeps over its points.
@@ -721,21 +721,20 @@ class BatchEval:
     """Cylinder forms evaluated over a whole ``SampleBatch`` at once; the
     batched counterpart of ``EvalCache`` and ``eval_form``. ``dim`` is the
     tangent dimension of the space the batch lives on (2 on the sphere,
-    whose points have 3 coordinates).
+    whose points have 3 coordinates). A Monte Carlo check builds one per
+    view that ``sample_views`` draws, or per chunk of diffusion replicas.
 
-    Every field is evaluated once per chunk of whole configurations (in the
-    Monte Carlo checks a view that ``sample_views`` draws when it is used),
-    through one ``PointTable`` over its points: each Gaussian factor
-    exp(-a |x - c|^2 / 2) of a (rate, centre) pair is computed once and
-    shared by the values, gradients and Laplacians of every field the batch
-    evaluates, and by the lifted vectors' values and divergences. The table
-    lives as long as this object. An m-subset is a row of index arrays
-    built from the batch offsets, a cylinder factor F(gamma \\ xbar) is the
-    outer function of the configuration's statistics (``segment_sum``s)
-    minus the subset points' rows, read by ``f_rows``, and a form value is
-    a ``BatchValue``. Form values take flat and sphere slots; the batched
-    lifts built on this class run on both backends, d* and the point
-    partials on the flat ones."""
+    Every field is evaluated once per batch through one ``PointTable`` over
+    its points: each Gaussian factor exp(-a |x - c|^2 / 2) of a (rate,
+    centre) pair is computed once and shared by the values, gradients and
+    Laplacians of every field the batch evaluates, and by the lifted
+    vectors' values and divergences. The table lives as long as this
+    object. An m-subset is a row of index arrays built from the batch
+    offsets, a cylinder factor F(gamma \\ xbar) is the outer function of
+    the configuration's statistics (``segment_sum``s) minus the subset
+    points' rows, read by ``f_rows``, and a form value is a ``BatchValue``.
+    Form values take flat and sphere slots; the batched lifts built on this
+    class run on both backends, d* and the point partials on the flat ones."""
 
     def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch

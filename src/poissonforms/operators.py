@@ -77,7 +77,8 @@ from .geometry import (
     frame_maps,
     grad_beta,
 )
-from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch, sample_views
+from .pointprocess import (Configuration, RngStream, SampleBatch, _draw_locations,
+                           sample_batch, sample_views)
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -907,13 +908,17 @@ def dirichlet_check(
     """Dirichlet-form identity E[energy(W1, W2)] = E[<H W1, W2>] at the
     requested level: 'functions' (carre du champ of the lifted operator),
     'bochner' (gradient pairing vs the Bochner lift), or 'deRham' (d/d*
-    pairing vs the de Rham lift); all vectorized over the sample batch,
-    the form levels on flat backends.
+    pairing vs the de Rham lift); each vectorized over a view of the batch
+    (``sample_views``), the form levels on flat backends.
     """
-    if level == "functions":
+    if level not in ("functions", "bochner", "deRham"):
+        raise ValueError("level must be 'functions', 'bochner' or 'deRham'")
+    if level == "deRham":
+        dW1, dW2 = d_gamma(space, intensity, W1), d_gamma(space, intensity, W2)
 
-        def rows(batch: SampleBatch) -> np.ndarray:
-            ev = BatchEval(batch, space.dim)
+    def rows(batch: SampleBatch) -> np.ndarray:
+        ev = BatchEval(batch, space.dim)
+        if level == "functions":
             sid = batch.sample_ids
             grads1 = [ev.grads(phi) for phi in W1.inners]
             grads2 = [ev.grads(chi) for chi in W2.inners]
@@ -925,28 +930,15 @@ def dirichlet_check(
                     lhs_pt += pd1[j] * pd2[k] * _row_dots(grads1[j], grads2[k])
             lhs = batch.segment_sum(lhs_pt)
             return lhs - _h_rows(space, intensity, W1, ev) * ev.f_rows(W2)
+        if level == "bochner":
+            energy = point_gradient_energy(W1, W2, ev)
+        else:
+            ds1, ds2 = (dstar_batch(space, intensity, W, ev) for W in (W1, W2))
+            energy = ev.form(dW1).inner(ev.form(dW2)) + ds1.inner(ds2)
+        return energy - lift_batch(level, space, intensity, W1, ev).inner(ev.form(W2))
 
-        diff = McEstimate.from_samples(
-            sample_views(space, intensity, window, rng, n_samples, rows))
-        label = name or f"dirichlet-functions-{W1.name}-{W2.name}"
-        return CheckResult.from_estimates(
-            label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
-        )
-
-    if level not in ("bochner", "deRham"):
-        raise ValueError("level must be 'functions', 'bochner' or 'deRham'")
-    batch = sample_batch(space, intensity, window, rng, n_samples)
-    ev = BatchEval(batch, space.dim)
-    if level == "bochner":
-        energy = point_gradient_energy(W1, W2, ev)
-    else:
-        dW1 = d_gamma(space, intensity, W1)
-        dW2 = d_gamma(space, intensity, W2)
-        energy = ev.form(dW1).inner(ev.form(dW2)) + dstar_batch(
-            space, intensity, W1, ev
-        ).inner(dstar_batch(space, intensity, W2, ev))
-    op = lift_batch(level, space, intensity, W1, ev)
-    diff = McEstimate.from_samples(energy - op.inner(ev.form(W2)))
+    diff = McEstimate.from_samples(
+        sample_views(space, intensity, window, rng, n_samples, rows))
     label = name or f"dirichlet-{level}-{W1.name}-{W2.name}"
     return CheckResult.from_estimates(
         label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
@@ -965,11 +957,14 @@ def adjointness_check(
 ) -> CheckResult:
     """E[<dW, V>] = E[<W, d*V>] as a paired Monte Carlo mean."""
     dW = d_gamma(space, intensity, W)
-    batch = sample_batch(space, intensity, window, rng, n_samples)
-    ev = BatchEval(batch, space.dim)
-    lhs = ev.form(dW).inner(ev.form(V))
-    rhs = ev.form(W).inner(dstar_batch(space, intensity, V, ev))
-    diff = McEstimate.from_samples(lhs - rhs)
+
+    def rows(batch: SampleBatch) -> np.ndarray:
+        ev = BatchEval(batch, space.dim)
+        lhs = ev.form(dW).inner(ev.form(V))
+        return lhs - ev.form(W).inner(dstar_batch(space, intensity, V, ev))
+
+    diff = McEstimate.from_samples(
+        sample_views(space, intensity, window, rng, n_samples, rows))
     label = name or f"adjoint-{W.name}-{V.name}"
     return CheckResult.from_estimates(
         label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
@@ -988,8 +983,9 @@ def dd_zero_check(
 ) -> CheckResult:
     """d(dW) = 0, evaluated on sampled configurations: deterministic residual."""
     ddW = d_gamma(space, intensity, d_gamma(space, intensity, W))
-    batch = sample_batch(space, intensity, window, rng, n_configs)
-    worst = float(BatchEval(batch, space.dim).form(ddW).norm().max(initial=0.0))
+    norms = sample_views(space, intensity, window, rng, n_configs,
+                         lambda b: BatchEval(b, space.dim).form(ddW).norm())
+    worst = float(norms.max(initial=0.0))
     label = name or f"dd-zero-{W.name}"
     return CheckResult.deterministic(
         label, worst, 0.0, tol, detail={"configs": n_configs}
@@ -1009,14 +1005,16 @@ def weitzenbock_check(
     """De Rham lift minus Bochner lift equals the curvature potential,
     as a deterministic residual over sampled configurations: the largest
     per-configuration norm of the difference."""
-    batch = sample_batch(space, intensity, window, rng, n_configs)
-    ev = BatchEval(batch, space.dim)
-    resid = (
-        lift_batch("deRham", space, intensity, W, ev)
-        - lift_batch("bochner", space, intensity, W, ev)
-        - r_pi_sigma_batch(space, intensity, ev.form(W), ev.points)
-    )
-    worst = float(resid.norm().max(initial=0.0))
+
+    def resid(batch: SampleBatch) -> np.ndarray:
+        ev = BatchEval(batch, space.dim)
+        return (
+            lift_batch("deRham", space, intensity, W, ev)
+            - lift_batch("bochner", space, intensity, W, ev)
+            - r_pi_sigma_batch(space, intensity, ev.form(W), ev.points)
+        ).norm()
+
+    worst = float(sample_views(space, intensity, window, rng, n_configs, resid).max(initial=0.0))
     label = name or f"weitzenbock-{W.name}"
     return CheckResult.deterministic(
         label, worst, 0.0, tol, detail={"configs": n_configs}
@@ -1067,8 +1065,6 @@ def factorization_check(
     ``_point_ops`` on the sphere) through the same filing, so the row checks
     the subset identification and the H-through-the-cylinder-factor term,
     not the point operators."""
-    from .pointprocess import _draw_locations
-
     sizes = sorted(m for m in W.subset_sizes() if m > 0)
     batch = sample_batch(space, intensity, window, rng, n_trials)
     added = _draw_locations(

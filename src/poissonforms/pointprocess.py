@@ -99,11 +99,13 @@ class Configuration:
         return Configuration(self.points[mask])
 
 
-# Points per view of ``sample_views`` (about 1,300 configurations at
-# sigma-mass 2 pi): the dozens of 64 kB per-point temporaries that one
-# statistic builds then stay in cache instead of streaming through memory,
-# and stay under glibc's initial 128 kB mmap threshold, so a fresh process
-# takes them from its heap instead of mapping and faulting each afresh.
+# Rows per view of ``_map_views``: the points of a view of ``sample_views``
+# (about 1,300 configurations at sigma-mass 2 pi), or the particles of a
+# chunk of diffusion replicas with the noise they are stepped through. The
+# dozens of 64 kB per-row temporaries that one statistic builds then stay
+# in cache instead of streaming through memory, and stay under glibc's
+# initial 128 kB mmap threshold, so a fresh process takes them from its
+# heap instead of mapping and faulting each afresh.
 _CHUNK_POINTS = 1 << 13
 
 
@@ -239,6 +241,27 @@ def _per_point_draws(space, intensity, window) -> bool:
     return isinstance(space, Sphere) or window.kind == "all" or intensity.family == "uniform"
 
 
+def _map_views(off: np.ndarray, fn: Callable):
+    """The view loop of every Monte Carlo check: ``fn(a, b)`` on consecutive
+    runs a..b-1 of whole configurations (or replicas) with row offsets
+    ``off``, at most ``_CHUNK_POINTS`` rows each unless one configuration is
+    larger; its per-configuration outputs (an array or a tuple of arrays)
+    written in order into whole arrays of the first run's dtypes and shapes."""
+    n, cuts = len(off) - 1, [0]
+    while len(cuts) == 1 or cuts[-1] < n:
+        hi = np.searchsorted(off, off[cuts[-1]] + _CHUNK_POINTS, side="right") - 1
+        cuts.append(min(max(int(hi), cuts[-1] + 1), n))
+    out = None
+    for a, b in zip(cuts, cuts[1:]):
+        part = fn(a, b)
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in parts)
+        for o, p in zip(out, parts):
+            o[a:b] = p
+    return out if isinstance(part, tuple) else out[0]
+
+
 def sample_views(
     space: Space,
     intensity: IntensitySpec,
@@ -248,12 +271,9 @@ def sample_views(
     fn: Callable,
 ):
     """``fn`` on consecutive views (``SampleBatch``es) of whole
-    configurations of a batch, at most ``_CHUNK_POINTS`` points each unless
-    one configuration is larger, its per-configuration outputs (an array or
-    a tuple of arrays) written in order into whole-batch arrays of the
-    first view's dtypes and trailing shapes. A view keeps its
-    configurations' points in order, so point-wise work and segment sums
-    equal those on the whole batch.
+    configurations of a batch, cut and joined by ``_map_views``. A view
+    keeps its configurations' points in order, so point-wise work and
+    segment sums equal those on the whole batch.
 
     The counts are drawn first and each view's points when it is used; the
     points and the stream's use equal ``sample_batch``'s. Rejection
@@ -262,21 +282,13 @@ def sample_views(
     off = _offsets(space, intensity, window, rng, n_samples)
     whole = None if _per_point_draws(space, intensity, window) else _draw_locations(
         space, intensity, window, rng.gen, int(off[-1]))
-    cuts = [0]
-    while len(cuts) == 1 or cuts[-1] < n_samples:
-        hi = np.searchsorted(off, off[cuts[-1]] + _CHUNK_POINTS, side="right") - 1
-        cuts.append(min(max(int(hi), cuts[-1] + 1), n_samples))
-    out = None
-    for a, b in zip(cuts, cuts[1:]):
+
+    def view(a: int, b: int):
         pts = (_draw_locations(space, intensity, window, rng.gen, int(off[b] - off[a]))
                if whole is None else whole[off[a] : off[b]])
-        part = fn(SampleBatch(pts, off[a : b + 1] - off[a]))
-        parts = part if isinstance(part, tuple) else (part,)
-        if out is None:
-            out = tuple(np.empty((n_samples, *p.shape[1:]), p.dtype) for p in parts)
-        for o, p in zip(out, parts):
-            o[a:b] = p
-    return out if isinstance(part, tuple) else out[0]
+        return fn(SampleBatch(pts, off[a : b + 1] - off[a]))
+
+    return _map_views(off, view)
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,15 @@ So the ODE is solved once per (path, point, slot degree) on stacked rows.
 c_sup, the constant of the norm bound, is the largest sum of the points'
 top slot eigenvalues over the steps and blocks.
 
-The semigroup estimators evolve one noise block of replicas (an antithetic
-pair as its +eps and -eps halves) and read F or W at its ends through one
-``BatchEval`` over the replicas, so the scalar semigroup is the degree-0
-case of the form semigroup and sums per configuration with
-``SampleBatch.segment_sum``.  ``semigroup_Tn`` keeps each replica's
-pulled-back value in its ``FormEstimate``; the eigen-decay and generator
-checks contract those samples with their target (``FormEstimate.contract``).
+The Monte Carlo checks move their replicas in the chunks that the view loop
+of ``pointprocess.sample_views`` cuts (``_replica_views``). Each chunk's
+noise is drawn just before it is stepped (an antithetic chunk with its
+negative), and F or W is read at the chunk's ends through one ``BatchEval``
+over its replicas, so the scalar semigroup is the degree-0 case of the form
+semigroup and sums per configuration with ``SampleBatch.segment_sum``.
+``semigroup_Tn`` keeps each replica's pulled-back value in its
+``FormEstimate``; the eigen-decay and generator checks contract those
+samples with their target (``FormEstimate.contract``).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .geometry import (
     frame_maps,
 )
 from .operators import h_pi_sigma, lift_batch, weitz_matrix, OperatorReport
-from .pointprocess import Configuration, RngStream, SampleBatch, sample_batch
+from .pointprocess import Configuration, RngStream, SampleBatch, _map_views, sample_views
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -395,38 +397,34 @@ def parallel_translate(
 # scalar semigroup
 
 
-def _evolve_block(
-    space: Space,
-    intensity: IntensitySpec,
-    X0: np.ndarray,
-    eps: np.ndarray,
-    dt: float,
-    keep_paths: bool = False,
-) -> np.ndarray:
-    """Evolve (R, P) particles from X0, (P, da) shared by the replicas or
-    (R, P, da), through eps (R, P, K, da): endpoints (R, P, da), or with
-    ``keep_paths`` paths (R, P, K + 1, da)."""
-    R, P, K, da = eps.shape
-    X = np.broadcast_to(X0, (R, P, da)).reshape(R * P, da)
-    out = _evolve(space, intensity, X, eps.reshape(R * P, K, da), dt, keep_paths)
-    return out.reshape(R, P, *out.shape[1:])
+def _replica_views(space: Space, intensity: IntensitySpec, X0: np.ndarray, run: SdeConfig,
+                   n: int, rng: RngStream, fn: Callable, antithetic: bool = False,
+                   keep_paths: bool = False):
+    """``fn`` on the endpoints (R, P, da), or with ``keep_paths`` the paths
+    (R, P, K + 1, da), of the chunks that ``_map_views`` cuts from the n
+    replicas moving the points X0 ((P, da), or (n, P, da) per replica) over
+    run, outputs joined. A chunk's noise (R, P, K, da) is drawn from rng just
+    before it is stepped, replicas outermost, so the draws equal one draw of
+    the whole block. An ``antithetic`` chunk of R is stepped together with
+    its negative, replica i paired with R + i: fn sees both, returns R rows."""
+    P, da = X0.shape[-2:]
+
+    def chunk(a: int, b: int):
+        eps = rng.gen.normal(size=(b - a, P, run.n_steps, da))
+        if antithetic:
+            eps = np.concatenate([eps, -eps])
+        R = len(eps)
+        X = np.broadcast_to(X0 if X0.ndim == 2 else X0[a:b], (R, P, da)).reshape(R * P, da)
+        out = _evolve(space, intensity, X, eps.reshape(R * P, -1, da), run.step, keep_paths)
+        return fn(out.reshape(R, P, *out.shape[1:]))
+
+    return _map_views(np.arange(n + 1) * (P * (2 if antithetic else 1)), chunk)
 
 
 def _replicas(ends: np.ndarray, dim: int) -> BatchEval:
     """A (R, P, da) block of endpoints as a batch of R configurations."""
     R, P, da = ends.shape
     return BatchEval(SampleBatch(ends.reshape(R * P, da), np.arange(R + 1) * P), dim)
-
-
-def _noise(
-    gamma: Configuration, run: SdeConfig, n_samples: int, rng: RngStream,
-    antithetic: bool = False,
-) -> np.ndarray:
-    """The noise block of n_samples replicas of gamma's points over run;
-    ``antithetic`` draws n_samples // 2 and appends their negatives."""
-    R = n_samples // 2 if antithetic else n_samples
-    eps = rng.gen.normal(size=(R, gamma.n, run.n_steps, gamma.points.shape[1]))
-    return np.concatenate([eps, -eps]) if antithetic else eps
 
 
 def semigroup_T0(
@@ -440,15 +438,15 @@ def semigroup_T0(
     rng: RngStream,
     antithetic: bool = False,
 ) -> McEstimate:
-    """Monte Carlo estimate of E[F(xi_gamma(t))], F read at the ends of one
-    noise block (the antithetic pair averaged)."""
+    """Monte Carlo estimate of E[F(xi_gamma(t))], F read at the replicas'
+    ends (the antithetic pair averaged)."""
     if t == 0.0 or gamma.n == 0:
         return McEstimate.exact(float(F.value(gamma.points)))
-    run = cfg.with_horizon(t)
-    eps = _noise(gamma, run, n_samples, rng, antithetic)
-    ends = _evolve_block(space, intensity, gamma.points, eps, run.step)
-    vals = _replicas(ends, space.dim).f_rows(F)
-    return McEstimate.from_samples(vals.reshape(2 if antithetic else 1, -1).mean(axis=0))
+    pairs = 2 if antithetic else 1
+    return McEstimate.from_samples(_replica_views(
+        space, intensity, gamma.points, cfg.with_horizon(t), n_samples // pairs, rng,
+        lambda ends: _replicas(ends, space.dim).f_rows(F).reshape(pairs, -1).mean(axis=0),
+        antithetic))
 
 
 # ---------------------------------------------------------------------------
@@ -491,42 +489,34 @@ class FormEstimate:
         return z
 
 
-def _start(gamma: Configuration, dim: int) -> BatchEval:
-    """The starting configuration as a batch of one."""
-    return _replicas(gamma.points[None], dim)
-
-
-def _moved_values(
-    space: Space,
-    intensity: IntensitySpec,
-    W: CylinderForm,
-    gamma: Configuration,
-    J: BlockPotential,
-    run: SdeConfig,
-    eps: np.ndarray,
-):
-    """W at the configurations the replicas of the noise block eps move
-    gamma to, one batch group per replica, from one ``BatchEval.form``
-    call; its pullback M^T W through the frame of each (replica, subset)
-    row, or None on flat space with scalar J, where M is e^{tJ}; and per
-    replica the largest J-eigenvalue its frames met."""
-    R = len(eps)
+def _moved_values(space: Space, intensity: IntensitySpec, W: CylinderForm,
+                  gamma: Configuration, J: BlockPotential, run: SdeConfig, n: int,
+                  rng: RngStream, fn: Callable, antithetic: bool = False):
+    """``fn(val, pulled, c_sup)`` on each chunk of the n replicas moving
+    gamma over run (``_replica_views``), outputs joined: W where the chunk's
+    replicas end, one batch group each; its pullback M^T W through the frame
+    of each (replica, subset) row, or None on flat space with scalar J, where
+    M is e^{tJ}; and per replica the largest J-eigenvalue its frames met."""
     fast = not isinstance(space, Sphere) and J.scalar is not None
-    block = _evolve_block(space, intensity, gamma.points, eps, run.step, not fast)
-    ends = block if fast else block[:, :, -1, :]
-    val = _replicas(ends, space.dim).form(W)
-    if fast:
-        return val, None, np.full(R, J.scalar)
-    pulled, c_sup = {}, np.full(R, -math.inf)
-    for k, A in val.blocks.items():
-        first, idx, _ = val.layout.rows(k)
-        # every replica moves the same P points, so the subsets of group 0
-        # (global indices from 0) are the subsets of each replica
-        P, c = _frames(space, J, W.degree, block, idx[: first[1]], run.t)
-        Mt = P.reshape(-1, *P.shape[2:]).transpose(0, 2, 1)
-        pulled[k] = np.matmul(Mt, A[:, :, None])[:, :, 0]
-        c_sup = np.maximum(c_sup, c.max(axis=1))
-    return val, BatchValue(val.layout, W.degree, space.dim, pulled), c_sup
+
+    def chunk(block: np.ndarray):
+        ends = block if fast else block[:, :, -1, :]
+        val = _replicas(ends, space.dim).form(W)
+        if fast:
+            return fn(val, None, np.full(len(block), J.scalar))
+        pulled, c_sup = {}, np.full(len(block), -math.inf)
+        for k, A in val.blocks.items():
+            first, idx, _ = val.layout.rows(k)
+            # every replica moves the same P points, so the subsets of group 0
+            # (global indices from 0) are the subsets of each replica
+            P, c = _frames(space, J, W.degree, block, idx[: first[1]], run.t)
+            Mt = P.reshape(-1, *P.shape[2:]).transpose(0, 2, 1)
+            pulled[k] = np.matmul(Mt, A[:, :, None])[:, :, 0]
+            c_sup = np.maximum(c_sup, c.max(axis=1))
+        return fn(val, BatchValue(val.layout, W.degree, space.dim, pulled), c_sup)
+
+    return _replica_views(space, intensity, gamma.points, run, n, rng, chunk,
+                          antithetic, keep_paths=not fast)
 
 
 def semigroup_Tn(
@@ -542,10 +532,10 @@ def semigroup_Tn(
     antithetic: bool = False,
 ) -> FormEstimate:
     """Monte Carlo estimate of the J-twisted form semigroup at gamma: per
-    replica of one noise block the pulled-back M^T W(xi_gamma(t)), the
-    antithetic pair averaged, and their componentwise mean.  At t = 0 or on
-    the empty configuration every replica holds W(gamma) itself."""
-    start = _start(gamma, space.dim)
+    replica the pulled-back M^T W(xi_gamma(t)), the antithetic pair
+    averaged, and their componentwise mean.  At t = 0 or on the empty
+    configuration every replica holds W(gamma) itself."""
+    start = _replicas(gamma.points[None], space.dim)
     if gamma.n == 0 or t == 0.0:
         val = start.form(W)
         samples = {
@@ -555,20 +545,20 @@ def semigroup_Tn(
         # the mean of the copies is the value itself, with no error
         est.mean, est.stderr = val, est._value({})
         return est
-    run = cfg.with_horizon(t)
-    eps = _noise(gamma, run, n_samples, rng, antithetic)
-    val, pulled, _ = _moved_values(space, intensity, W, gamma, J, run, eps)
-    if pulled is None:
-        fac = math.exp(t * J.scalar)
-        blocks = {k: fac * A for k, A in val.blocks.items()}
-    else:
-        blocks = pulled.blocks
-    pairs = 2 if antithetic else 1
-    R = len(eps) // pairs
-    samples = {
-        k: A.reshape(pairs, R, -1, A.shape[1]).mean(axis=0) for k, A in blocks.items()
-    }
-    return FormEstimate(start, W.degree, samples, R)
+    pairs, keys = (2 if antithetic else 1), []
+    R = n_samples // pairs
+
+    def chunk(val, pulled, c_sup):
+        # on the exact flat path M = e^{tJ}
+        blocks = ({k: math.exp(t * J.scalar) * A for k, A in val.blocks.items()}
+                  if pulled is None else pulled.blocks)
+        keys[:] = blocks  # the same keys in every chunk: each replica moves gamma
+        return tuple(A.reshape(pairs, len(c_sup) // pairs, -1, A.shape[1]).mean(axis=0)
+                     for A in blocks.values())
+
+    samples = _moved_values(space, intensity, W, gamma, J, cfg.with_horizon(t), R, rng,
+                            chunk, antithetic)
+    return FormEstimate(start, W.degree, dict(zip(keys, samples)), R)
 
 
 def eigen_decay_check(
@@ -612,13 +602,15 @@ def domination_check(
 ) -> CheckResult:
     """Pathwise domination: e^{tC} |W(xi(t))| - |M^T W(xi(t))| >= 0 up to
     3 standard errors (C from the J-eigenvalues met on the paths)."""
-    run = cfg.with_horizon(t)
-    eps = _noise(gamma, run, n_samples, rng)
-    val, pulled, c_sup = _moved_values(space, intensity, W, gamma, J, run, eps)
-    raw = val.norm()
-    growth = np.exp(t * c_sup)
-    # with M = e^{tJ} the pulled norm is e^{tJ} |W| and the difference 0
-    diffs = (growth * raw if pulled is None else pulled.norm()) - growth * raw
+
+    def chunk(val, pulled, c_sup):
+        raw = val.norm()
+        growth = np.exp(t * c_sup)
+        # with M = e^{tJ} the pulled norm is e^{tJ} |W| and the difference 0
+        return (growth * raw if pulled is None else pulled.norm()) - growth * raw, c_sup
+
+    diffs, c_sup = _moved_values(space, intensity, W, gamma, J, cfg.with_horizon(t),
+                                 n_samples, rng, chunk)
     est = McEstimate.from_samples(-diffs)  # mean of e^{tC}|W| - |pulled|
     label = name or f"domination-{W.name}-t{t:g}"
     passed = est.mean >= -3.0 * max(est.stderr, 1e-300)
@@ -646,14 +638,19 @@ def frame_bound_check(
 ) -> CheckResult:
     """norm(M(t)) <= e^{t c_sup} (1 + 5 dt) on every sampled path, for the
     full block and each singleton block."""
-    eps = _noise(gamma, cfg, n_paths, rng)
-    paths = _evolve_block(space, intensity, gamma.points, eps, cfg.step, keep_paths=True)
-    worst = -math.inf
-    for subsets in (np.arange(gamma.n)[None], np.arange(gamma.n)[:, None]):
-        P, c_sup = _frames(space, J, n, paths, subsets, cfg.t)
-        norm = np.linalg.norm(P, 2, axis=(-2, -1)) if P.size else np.zeros(c_sup.shape)
-        slack = norm / np.exp(cfg.t * c_sup) - 1.0
-        worst = max(worst, float(slack.max(initial=-math.inf)))
+
+    def slack(paths: np.ndarray) -> np.ndarray:
+        # per path, the largest slack over the full block and the singletons
+        out = np.full(len(paths), -math.inf)
+        for subsets in (np.arange(gamma.n)[None], np.arange(gamma.n)[:, None]):
+            P, c_sup = _frames(space, J, n, paths, subsets, cfg.t)
+            norm = np.linalg.norm(P, 2, axis=(-2, -1)) if P.size else np.zeros(c_sup.shape)
+            slack = norm / np.exp(cfg.t * c_sup) - 1.0
+            out = np.maximum(out, slack.max(axis=1, initial=-math.inf))
+        return out
+
+    worst = float(_replica_views(space, intensity, gamma.points, cfg, n_paths, rng, slack,
+                                 keep_paths=True).max(initial=-math.inf))
     label = name or f"frame-bound-{J.name}"
     return CheckResult.deterministic(
         label, worst, 0.0, 5.0 * cfg.step, detail={"paths": n_paths}
@@ -733,7 +730,7 @@ def generator_check(
     )
     checks = []
     for gi, gamma in enumerate(gammas):
-        start = _start(gamma, space.dim)
+        start = _replicas(gamma.points[None], space.dim)
         target = lift_batch(kind, space, intensity, W, start)
         scale = max(float(target.norm()[0]), 1.0)
         unit = BatchValue(
@@ -799,19 +796,15 @@ def semigroup_property_check(
     name: Optional[str] = None,
 ) -> CheckResult:
     """T_0(t+s) F = T_0(t) T_0(s) F, nested Monte Carlo: n_outer midpoints
-    at time t, each moved on by n_inner paths of length s, one noise block
-    per stage."""
-    direct = semigroup_T0(
-        space, intensity, F, gamma, t + s, cfg, n_outer * 4, rng.child(0)
-    )
-    run, rest = cfg.with_horizon(t), cfg.with_horizon(s)
-    eps = _noise(gamma, run, n_outer, rng.child(1))
-    mids = _evolve_block(space, intensity, gamma.points, eps, run.step)
-    eps = _noise(gamma, rest, n_outer * n_inner, rng.child(2))
-    ends = _evolve_block(
-        space, intensity, np.repeat(mids, n_inner, axis=0), eps, rest.step
-    )
-    ys = _replicas(ends, space.dim).f_rows(F).reshape(n_outer, n_inner).mean(axis=1)
+    at time t, each moved on by n_inner paths of length s, one stream per
+    stage."""
+    direct = semigroup_T0(space, intensity, F, gamma, t + s, cfg, n_outer * 4, rng.child(0))
+    mids = _replica_views(space, intensity, gamma.points, cfg.with_horizon(t), n_outer,
+                          rng.child(1), lambda ends: ends)
+    ys = _replica_views(
+        space, intensity, np.repeat(mids, n_inner, axis=0), cfg.with_horizon(s),
+        n_outer * n_inner, rng.child(2), lambda ends: _replicas(ends, space.dim).f_rows(F),
+    ).reshape(n_outer, n_inner).mean(axis=1)
     nested = McEstimate.from_samples(ys)
     label = name or f"semigroup-{F.name}"
     return CheckResult.from_estimates(
@@ -835,8 +828,10 @@ def poisson_invariance_check(
     """Evolving a gaussian-intensity point process by its matching drifted
     diffusion preserves the law: the counts in the radial bands with edges
     0, 0.5, 1, 1.5, 2 and infinity keep their Poisson means (and the total
-    count keeps variance = mean), all within 3 stderr. The band masses 2 pi s^2 (e^{-r0^2/2s^2} - e^{-r1^2/2s^2}) are those of
-    the plane."""
+    count keeps variance = mean), all within 3 stderr. The band masses
+    2 pi s^2 (e^{-r0^2/2s^2} - e^{-r1^2/2s^2}) are those of the plane. Each
+    view of configurations (``sample_views``) is stepped through noise from
+    ``rng.child(1)``."""
     if intensity.family != "gaussian":
         raise ValueError("invariance check is for the gaussian family")
     if not (isinstance(space, Euclidean) and space.dim == 2):
@@ -851,16 +846,16 @@ def poisson_invariance_check(
         )
         for i in range(len(edges) - 1)
     ]
-    batch = sample_batch(space, intensity, window, rng, n_samples)
-    run = cfg.with_horizon(t)
-    eps = rng.child(1).gen.normal(size=(len(batch.points), run.n_steps, space.dim))
-    pts = _evolve(space, intensity, batch.points, eps, run.step)
-    nb = len(expected)
-    band = np.searchsorted(edges, np.linalg.norm(pts, axis=1), side="right") - 1
-    counts = np.bincount(
-        batch.sample_ids * nb + band, minlength=n_samples * nb
-    ).reshape(n_samples, nb)
-    totals = batch.counts()
+    run, noise, nb = cfg.with_horizon(t), rng.child(1), len(expected)
+
+    def band_counts(view: SampleBatch):
+        eps = noise.gen.normal(size=(len(view.points), run.n_steps, space.dim))
+        pts = _evolve(space, intensity, view.points, eps, run.step)
+        band = np.searchsorted(edges, np.linalg.norm(pts, axis=1), side="right") - 1
+        counts = np.bincount(view.sample_ids * nb + band, minlength=view.n_samples * nb)
+        return counts.reshape(view.n_samples, nb), view.counts()
+
+    counts, totals = sample_views(space, intensity, window, rng, n_samples, band_counts)
     zmax = 0.0
     for b, mu in enumerate(expected):
         est = McEstimate.from_samples(counts[:, b])
@@ -914,16 +909,13 @@ def sphere_uniform_check(
     computed in closed form (``_chi2_sf``)."""
     space = Sphere()
     intensity = IntensitySpec("uniform", 1.0)
-    gen = rng.gen
-    v = gen.normal(size=(n_samples, 3))
-    X = v / np.linalg.norm(v, axis=1, keepdims=True)
-    run = cfg.with_horizon(t)
-    eps = rng.child(0).gen.normal(size=(n_samples, run.n_steps, 3))
-    X = _evolve(space, intensity, X, eps, run.step)
+    v = rng.gen.normal(size=(n_samples, 1, 3))
+    z = _replica_views(space, intensity, v / np.linalg.norm(v, axis=2, keepdims=True),
+                       cfg.with_horizon(t), n_samples, rng.child(0), lambda ends: ends[:, 0, 2])
     # z uniform on [-1, 1] under the uniform law: equal-probability bands
     n_bands = 8
     bins = np.linspace(-1.0, 1.0, n_bands + 1)
-    obs = np.histogram(X[:, 2], bins=bins)[0].astype(float)
+    obs = np.histogram(z, bins=bins)[0].astype(float)
     expected = obs.mean()
     chi2 = float(np.sum((obs - expected) ** 2 / expected))
     p = _chi2_sf(n_bands - 1, chi2)

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -131,6 +132,16 @@ class TestRunRecord:
     def test_versions_recorded(self):
         rec = run_experiment(small_cfg())
         assert set(rec.versions) == {"poissonforms", "numpy", "scipy", "python"}
+
+    def test_versions_record_null_scipy_when_absent(self, monkeypatch):
+        # scipy is a test dependency only: a run without it records null
+        import scipy
+
+        assert harness._versions()["scipy"] == scipy.__version__
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy now raises
+        versions = harness._versions()
+        assert versions["scipy"] is None and set(versions) == {
+            "poissonforms", "numpy", "scipy", "python"}
 
 
 class TestEmit:

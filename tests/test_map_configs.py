@@ -1,7 +1,7 @@
 """``sample_views``: the views of whole configurations it cuts, the points
 it draws into them against ``sample_batch`` on the same stream, and the
 Monte Carlo checks that evaluate their statistics through it, whose rows
-must not depend on the view size."""
+must not depend on the view size, nor hold more than one view at a time."""
 
 import json
 import tracemalloc
@@ -13,14 +13,16 @@ from poissonforms import batteries as bat
 from poissonforms import pointprocess
 from poissonforms.forms import Exp, Linear
 from poissonforms.geometry import IntensitySpec, Window
-from poissonforms.operators import dirichlet_check, ibp_check
+from poissonforms.operators import adjointness_check, dirichlet_check, ibp_check
 from poissonforms.pointprocess import (
+    Configuration,
     RngStream,
     laplace_check,
     mecke_check,
     sample_batch,
     sample_views,
 )
+from poissonforms.stochastic import SdeConfig, semigroup_property_check
 
 SP, INTEN, WIN = bat.default_space(), bat.default_intensity(), bat.full_window()
 
@@ -162,12 +164,20 @@ def _rows():
         dirichlet_check(SP, INTEN, WIN, W1, W2, rng.child("dir0", i), "functions", n)
         for i, (W1, W2) in enumerate(bat.function_pairs())
     ]
+    # the form levels: one BatchEval per view, every per-configuration
+    # quantity computed within its own configuration
+    W1, W2 = bat.form_pairs()[0]
+    checks += [dirichlet_check(SP, INTEN, WIN, W1, W2, rng.child("dir1", level, 0), level, n)
+               for level in ("bochner", "deRham")]
+    forms = bat.flat_form_battery()
+    checks.append(adjointness_check(SP, INTEN, WIN, forms[1], forms[3],
+                                    rng.child("adj", forms[1].name, forms[3].name), n))
     return json.dumps([c.as_row() for c in checks])
 
 
 @pytest.fixture(scope="module")
 def default_rows():
-    # 3,000 configurations hold about 18,900 points: two views at the
+    # 3,000 configurations hold about 18,900 points: three views at the
     # default size, one at 10**9
     return _rows()
 
@@ -191,6 +201,24 @@ def test_ibp_peak_memory():
     # per-point temporaries over the whole batch at once peaked at 99 MB
     rng = RngStream(42).child("ibp", 0)
     assert _peak(lambda: ibp_check(SP, INTEN, WIN, bat.ibp_battery(), rng, 70_000)) < 30e6
+
+
+def test_form_dirichlet_peak_memory():
+    # drawn as one batch of 3,030 configurations (the dirichlet experiment's
+    # size), the Bochner row peaked at 52.8 MB; one view at a time, at 24.2 MB
+    rng = RngStream(42).child("dir1", "bochner", 0)
+    W1, W2 = bat.form_pairs()[0]
+    assert _peak(lambda: dirichlet_check(SP, INTEN, WIN, W1, W2, rng, "bochner", 3_030)) < 35e6
+
+
+def test_chapman_peak_memory():
+    # at the semigroup-ou experiment's size the second stage's one noise
+    # block of 90,000 replicas over 30 steps peaked at 54.0 MB; drawn one
+    # chunk of replicas at a time, at 7.9 MB
+    gamma = Configuration(bat.flat_configs()[0])
+    G, rng = bat.generator_functions()[0], RngStream(42).child("chapman")
+    assert _peak(lambda: semigroup_property_check(
+        SP, INTEN, G, gamma, 0.1, 0.15, SdeConfig(t=0.1, dt=0.005), 300, 300, rng)) < 15e6
 
 
 @pytest.mark.parametrize("check", ["laplace", "mecke"])

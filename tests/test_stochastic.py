@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 from scipy.special import chdtrc
 
 from poissonforms import batteries as bat
+from poissonforms import pointprocess
 from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
 from poissonforms.forms import (
     BatchEval, CylinderForm, CylinderFunction, Exp, FormTerm, SymmetricFormField,
@@ -592,3 +594,66 @@ def test_streams_do_not_grow_with_replicas(monkeypatch, check):
         REPLICA_CHECKS[check](n, RngStream(70))
         counts.append(len(built) - before)
     assert counts[0] == counts[1], counts
+
+
+_G1 = Configuration(np.array([[0.3, -0.2]]))
+
+# the checks that move replicas in chunks cut by the view rule, each small
+# enough that the default run is one chunk
+CHUNKED_CHECKS = {
+    "semigroup_T0": lambda rng: semigroup_T0(SP, GAUSS, _G, _G2, 0.1, _RUN, 60, rng),
+    # 31 antithetic pairs of one point: chunks of 7 rows hold 3 pairs, and
+    # the last chunk 1
+    "semigroup_T0-antithetic": lambda rng: semigroup_T0(
+        SP, GAUSS, _G, _G1, 0.1, _RUN, 62, rng, antithetic=True),
+    "eigen_decay_check-exact": lambda rng: eigen_decay_check(
+        SP, GAUSS, _OU, _G2, 0.1, 2.0, curvature_potential(SP, GAUSS, 1), _RUN, 40, rng),
+    "eigen_decay_check-frames": lambda rng: eigen_decay_check(
+        SP, GAUSS, _OU, _G2, 0.1, 2.0, _JG, _RUN, 40, rng),
+    "generator_check": lambda rng: generator_check(
+        SP, GAUSS, _OU, [_G1, _G2], "deRham", n_samples=30, rng=rng),
+    "domination_check": lambda rng: domination_check(SP, GAUSS, _OU, _G2, 0.1, _JG, _RUN, 40, rng),
+    "frame_bound_check": lambda rng: frame_bound_check(SP, GAUSS, _G2, _JG, 1, _RUN, 30, rng),
+    "semigroup_property_check": lambda rng: semigroup_property_check(
+        SP, GAUSS, _G, _G2, 0.04, 0.06, _RUN, 8, 9, rng),
+    "poisson_invariance_check": lambda rng: poisson_invariance_check(
+        SP, GAUSS, 0.1, _RUN, 100, rng),
+    "sphere_uniform_check": lambda rng: sphere_uniform_check(0.1, _RUN, 100, rng),
+}
+
+
+def _text(out) -> str:
+    rows = out.checks if hasattr(out, "checks") else [out]
+    return json.dumps([r.as_row() if hasattr(r, "as_row") else vars(r) for r in rows])
+
+
+@pytest.fixture(scope="module")
+def default_texts():
+    return {check: _text(run(RngStream(71))) for check, run in CHUNKED_CHECKS.items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+@pytest.mark.parametrize("check", sorted(CHUNKED_CHECKS))
+def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, default_texts, check, chunk):
+    monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", chunk)
+    assert _text(CHUNKED_CHECKS[check](RngStream(71))) == default_texts[check]
+
+
+# each check's one stream of noise, and the (replicas, points, steps, dim)
+# block one draw of it would take
+NOISE_BLOCKS = {
+    "semigroup_T0-antithetic": (CHUNKED_CHECKS["semigroup_T0-antithetic"], (31, 1, 5, 2)),
+    "domination_check": (CHUNKED_CHECKS["domination_check"], (40, 2, 5, 2)),
+    "frame_bound_check": (CHUNKED_CHECKS["frame_bound_check"], (30, 2, 5, 2)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+@pytest.mark.parametrize("check", sorted(NOISE_BLOCKS))
+def test_chunked_noise_uses_the_stream_as_one_draw(monkeypatch, check, chunk):
+    monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", chunk)
+    run, shape = NOISE_BLOCKS[check]
+    rng, ref = RngStream(72), RngStream(72)
+    run(rng)
+    ref.gen.normal(size=shape)
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
