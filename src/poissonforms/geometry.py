@@ -154,7 +154,8 @@ class IntensitySpec:
     """Reference intensity sigma(dx) = rho(x) m(dx).
 
     family:
-      - "gaussian": rho(x) = exp(-|x|^2 / (2 scale^2)) on R^d
+      - "gaussian": rho(x) = exp(-|x|^2 / (2 scale^2)) on R^d (a constant
+        on the unit sphere)
       - "uniform":  rho = 1 (surface measure on the sphere, Lebesgue on a box)
       - "custom":   user-supplied density handle (box windows only); an
         optional ``grad_log_density`` maps rows (N, d) to (N, d)
@@ -213,9 +214,10 @@ def beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
     leading axes), as ambient tangent vectors: beta = grad log rho. A custom
     ``grad_log_density`` takes rows (N, d) and returns (N, d)."""
     p = np.asarray(p, dtype=float)
-    if intensity.family == "gaussian":
+    if intensity.family == "gaussian" and not isinstance(space, Sphere):
         return -p / intensity.scale**2
-    if intensity.family == "uniform":
+    if intensity.family in ("gaussian", "uniform"):
+        # a radial weight is constant on the unit sphere
         return np.zeros_like(p)
     if intensity.family != "custom":
         raise ValueError(f"unknown intensity family {intensity.family!r}")
@@ -238,9 +240,9 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
     <nabla_{E_b} beta, E_a>. Shape p.shape[:-1] + (dim, dim)."""
     p = np.asarray(p, dtype=float)
     d = space.dim
-    if intensity.family == "gaussian":
+    if intensity.family == "gaussian" and not isinstance(space, Sphere):
         return np.broadcast_to(-np.eye(d) / intensity.scale**2, p.shape[:-1] + (d, d))
-    if intensity.family == "uniform":
+    if intensity.family in ("gaussian", "uniform"):
         return np.zeros(p.shape[:-1] + (d, d))
     # central differences along the geodesics exp(p, +-h E_b), transported
     fr = np.broadcast_to(space.frame(p), p.shape[:-1] + (d, space.ambient_dim))

@@ -372,8 +372,7 @@ def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:
     for Wlow, Whigh in ((forms[0], forms[2]), (forms[1], forms[3])):
         out.append(
             adjointness_check(sp, inten, win, Wlow, Whigh,
-                              rng.child("adj", Wlow.name, Whigh.name), n_forms,
-                              name=f"adjoint-{Wlow.name}-{Whigh.name}")
+                              rng.child("adj", Wlow.name, Whigh.name), n_forms)
         )
     return out
 

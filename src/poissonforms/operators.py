@@ -131,9 +131,6 @@ class OperatorReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def rows(self) -> list[dict]:
-        return [c.as_row() for c in self.checks]
-
 
 # ---------------------------------------------------------------------------
 # point level
@@ -903,7 +900,6 @@ def dirichlet_check(
     rng: RngStream,
     level: str = "functions",
     n_samples: int = 100_000,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """Dirichlet-form identity E[energy(W1, W2)] = E[<H W1, W2>] at the
     requested level: 'functions' (carre du champ of the lifted operator),
@@ -939,10 +935,8 @@ def dirichlet_check(
 
     diff = McEstimate.from_samples(
         sample_views(space, intensity, window, rng, n_samples, rows))
-    label = name or f"dirichlet-{level}-{W1.name}-{W2.name}"
-    return CheckResult.from_estimates(
-        label, diff, McEstimate.exact(0.0), detail={"n": n_samples}
-    )
+    return CheckResult.from_estimates(f"dirichlet-{level}-{W1.name}-{W2.name}", diff,
+                                      McEstimate.exact(0.0), detail={"n": n_samples})
 
 
 def adjointness_check(
@@ -979,16 +973,14 @@ def dd_zero_check(
     rng: RngStream,
     n_configs: int = 20,
     tol: float = 1e-10,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """d(dW) = 0, evaluated on sampled configurations: deterministic residual."""
     ddW = d_gamma(space, intensity, d_gamma(space, intensity, W))
     norms = sample_views(space, intensity, window, rng, n_configs,
                          lambda b: BatchEval(b, space.dim).form(ddW).norm())
     worst = float(norms.max(initial=0.0))
-    label = name or f"dd-zero-{W.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, tol, detail={"configs": n_configs}
+        f"dd-zero-{W.name}", worst, 0.0, tol, detail={"configs": n_configs}
     )
 
 

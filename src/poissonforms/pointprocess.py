@@ -16,7 +16,6 @@ independent ways, and the checks here cross those routes:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -421,15 +420,9 @@ class ChebProfile:
         if len(self.axes) == 1:
             return self._clenshaw(S[:, 0])
         # two statistics: contract per-axis (kept, rows) recurrence blocks
-        # with the coefficients, in chunks of rows to bound their size
-        out = np.empty(S.shape[0])
-        step = 1 << 16
-        for a in range(0, S.shape[0], step):
-            chunk = S[a:a + step]
-            T0 = self._axis_matrix(0, chunk[:, 0])
-            T1 = self._axis_matrix(1, chunk[:, 1])
-            out[a:a + step] = np.einsum("ip,jp,ij->p", T0, T1, self.coeffs)
-        return out
+        # with the coefficients
+        T0, T1 = self._axis_matrix(0, S[:, 0]), self._axis_matrix(1, S[:, 1])
+        return np.einsum("ip,jp,ij->p", T0, T1, self.coeffs)
 
 
 def _axes(lo, hi, phi_lo, phi_hi, j: int, cheb_n: int) -> list[np.ndarray]:
@@ -526,13 +519,12 @@ def iterated_kernel(
 class SeriesResult:
     """``chop_bound`` bounds the change of ``value`` made by the chops;
     ``max_degree`` is the largest kept degree per axis over the chain;
-    ``resolved`` says every profile reached its rounding plateau."""
+    ``certified`` says every profile reached its rounding plateau."""
 
     value: float
     tail_bound: float
     terms: tuple[float, ...]
     certified: bool
-    resolved: bool
     chop_bound: float
     max_degree: tuple[int, ...]
 
@@ -543,7 +535,7 @@ def expect_series(
     window: Window,
     outer: Callable[[np.ndarray], np.ndarray],
     inners: Sequence,
-    envelope: Optional[Callable[[int], float]] = None,
+    envelope: Callable[[int], float],
     k_max: int = 8,
     cheb_n: int = 64,
     quad_n: int = 40,
@@ -567,15 +559,15 @@ def expect_series(
     A chop changes h_k by at most its dropped mass, and a step passes an
     earlier change on at most sum_q |w_q| times the Lebesgue constant of
     the nodes per axis; ``chop_bound`` sums these changes through the chain
-    into a bound on the change of the value. ``resolved`` is false when some profile
-    kept (almost) every degree on an axis: then ``cheb_n`` is too small for
-    that profile, its interpolation error is not bounded, and the result is
-    not ``certified``.
+    into a bound on the change of the value. ``certified`` says every
+    profile resolved: it is false when some profile kept (almost) every
+    degree on an axis, so that ``cheb_n`` is too small for that profile and
+    its interpolation error is not bounded.
 
     ``envelope(k)`` must bound sup |F| over k-point configurations in the
-    window; when omitted, a probe bound is used and the result is flagged
-    uncertified. Raises ``ValueError`` if the tail sum has not converged
-    after 400 terms (a sigma-mass far beyond ``k_max``).
+    window; the tail bound sums it over the terms beyond ``k_max``. Raises
+    ``ValueError`` if the tail sum has not converged after 400 terms (a
+    sigma-mass far beyond ``k_max``).
     """
     N = len(inners)
     if N not in (1, 2):
@@ -584,7 +576,6 @@ def expect_series(
     nodes, w = sigma_nodes(space, intensity, window, quad_n)
     inner_vals = np.stack([f.value_batch(nodes) for f in inners], axis=-1)
     zero = np.zeros((1, N))
-    phi_lo, phi_hi = inner_vals.min(axis=0), inner_vals.max(axis=0)
     chain = iterated_kernel(outer, inner_vals, w, [np.ones(len(w))] * k_max,
                             (zero[0], zero[0]), cheb_n)
     terms = [float(np.asarray(outer(zero))[0])]  # k = 0: empty configuration
@@ -600,22 +591,8 @@ def expect_series(
         err = profile.dropped + grow * err  # sup change of h_k from every chop
         chop_bound += err / math.factorial(k)
     value = math.exp(-mass) * sum(terms[k] for k in range(k_max + 1))
-    resolved = all(p.resolved for p in chain)
+    certified = all(p.resolved for p in chain)
     max_degree = tuple(int(d) - 1 for d in np.max([p.coeffs.shape for p in chain], axis=0))
-
-    certified = envelope is not None and resolved
-    if envelope is None:
-
-        def envelope(k: int) -> float:  # probe bound, not certified
-            corners = np.array(
-                list(
-                    itertools.product(
-                        *[(k * phi_lo[i], k * phi_hi[i], 0.0) for i in range(N)]
-                    )
-                )
-            )
-            return float(np.max(np.abs(outer(corners))))
-
     tail = 0.0
     log_mass = math.log(mass) if mass > 0 else -math.inf
     for k in range(k_max + 1, k_max + 400):
@@ -628,7 +605,7 @@ def expect_series(
     else:
         raise ValueError(f"series tail did not converge within {k_max + 399} terms "
                          f"(sigma-mass {mass:.6g}); the tail bound would be truncated")
-    return SeriesResult(value, tail, tuple(terms), certified, resolved,
+    return SeriesResult(value, tail, tuple(terms), certified,
                         math.exp(-mass) * chop_bound, max_degree)
 
 

@@ -176,11 +176,9 @@ def _evolve(
 
 @dataclass
 class ParticlePath:
-    """Independent particle paths over a shared clock.
-
-    ``paths`` has shape (n_particles, len(ts), ambient_dim); when simulated
-    with ``keep_paths=False`` only the first and last frames are stored.
-    """
+    """Independent particle paths over a shared clock: ``paths`` has shape
+    (n_particles, len(ts), ambient_dim), every state from the start to
+    ``final()``."""
 
     space: Space
     ts: np.ndarray
@@ -204,23 +202,19 @@ def simulate_particles(
     gamma: Configuration,
     cfg: SdeConfig,
     rng: RngStream,
-    keep_paths: bool = True,
 ) -> ParticlePath:
     """Evolve every point of gamma independently, through one (points,
-    steps, dim) noise block drawn from rng."""
+    steps, dim) noise block drawn from rng, keeping the whole path."""
     P = gamma.n
     K = cfg.n_steps
     dt = cfg.step
     da = gamma.points.shape[1] if P else space.ambient_dim
     ts = np.linspace(0.0, cfg.t, K + 1)
     if P == 0:
-        frames = K + 1 if keep_paths else 2
-        return ParticlePath(space, ts if keep_paths else ts[[0, -1]], np.empty((0, frames, da)))
+        return ParticlePath(space, ts, np.empty((0, K + 1, da)))
     eps = rng.gen.normal(size=(P, K, da))
-    X = _evolve(space, intensity, gamma.points, eps, dt, keep_paths)
-    if keep_paths:
-        return ParticlePath(space, ts, X)
-    return ParticlePath(space, ts[[0, -1]], np.stack([gamma.points, X], axis=1))
+    return ParticlePath(space, ts, _evolve(space, intensity, gamma.points, eps, dt,
+                                           keep_paths=True))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +592,6 @@ def domination_check(
     cfg: SdeConfig,
     n_samples: int,
     rng: RngStream,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """Pathwise domination: e^{tC} |W(xi(t))| - |M^T W(xi(t))| >= 0 up to
     3 standard errors (C from the J-eigenvalues met on the paths)."""
@@ -612,10 +605,9 @@ def domination_check(
     diffs, c_sup = _moved_values(space, intensity, W, gamma, J, cfg.with_horizon(t),
                                  n_samples, rng, chunk)
     est = McEstimate.from_samples(-diffs)  # mean of e^{tC}|W| - |pulled|
-    label = name or f"domination-{W.name}-t{t:g}"
     passed = est.mean >= -3.0 * max(est.stderr, 1e-300)
     return CheckResult(
-        check=label,
+        check=f"domination-{W.name}-t{t:g}",
         lhs=est.mean,
         rhs=0.0,
         stderr=est.stderr,
@@ -634,7 +626,6 @@ def frame_bound_check(
     cfg: SdeConfig,
     n_paths: int,
     rng: RngStream,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """norm(M(t)) <= e^{t c_sup} (1 + 5 dt) on every sampled path, for the
     full block and each singleton block."""
@@ -651,9 +642,8 @@ def frame_bound_check(
 
     worst = float(_replica_views(space, intensity, gamma.points, cfg, n_paths, rng, slack,
                                  keep_paths=True).max(initial=-math.inf))
-    label = name or f"frame-bound-{J.name}"
     return CheckResult.deterministic(
-        label, worst, 0.0, 5.0 * cfg.step, detail={"paths": n_paths}
+        f"frame-bound-{J.name}", worst, 0.0, 5.0 * cfg.step, detail={"paths": n_paths}
     )
 
 
@@ -706,8 +696,8 @@ def generator_check(
     kind: str,
     ts: Sequence[float] = (0.02, 0.01, 0.005),
     n_samples: int = 20_000,
-    rng: Optional[RngStream] = None,
-    name: Optional[str] = None,
+    *,
+    rng: RngStream,
 ) -> OperatorReport:
     """Short-time slopes (W - T(t)W)/t, contracted against the analytic
     H W and Richardson-extrapolated to t = 0; one row per configuration.
@@ -715,14 +705,13 @@ def generator_check(
     kind 'bochner' runs with J = 0, kind 'deRham' with J = -R; the target is
     the corresponding ``lift_batch``, so the space must be flat.  Pass when
     |extrapolated - target| is below max(3 stderr, 5e-3) relative to the
-    target scale.
+    target scale. Configuration gi at horizon ts[ti] draws its paths from
+    ``rng.child(gi, ti)``.
     """
     if kind not in ("bochner", "deRham"):
         raise ValueError("kind must be 'bochner' or 'deRham'")
     if isinstance(space, Sphere):
         raise ValueError("generator_check needs a flat backend")
-    if rng is None:
-        rng = RngStream(0)
     J = (
         zero_potential(W.degree)
         if kind == "bochner"
@@ -749,7 +738,7 @@ def generator_check(
             f"generator-{kind}-{W.name}-g{gi}", float(start.form(W).inner(unit)[0]),
             float(target.inner(unit)[0]), scale, ts, n_samples, estimate,
         ))
-    return OperatorReport(name or f"generator-{kind}-{W.name}", checks)
+    return OperatorReport(f"generator-{kind}-{W.name}", checks)
 
 
 def generator_check_function(
@@ -759,12 +748,11 @@ def generator_check_function(
     gammas: Sequence[Configuration],
     ts: Sequence[float] = (0.02, 0.01, 0.005),
     n_samples: int = 20_000,
-    rng: Optional[RngStream] = None,
-    name: Optional[str] = None,
+    *,
+    rng: RngStream,
 ) -> OperatorReport:
-    """Degree-0 reduction: (F - T_0(t)F)/t extrapolates to H F."""
-    if rng is None:
-        rng = RngStream(0)
+    """Degree-0 reduction: (F - T_0(t)F)/t extrapolates to H F, with the
+    streams of ``generator_check``."""
     checks = []
     for gi, gamma in enumerate(gammas):
         target = h_pi_sigma(space, intensity, F, gamma)
@@ -779,7 +767,7 @@ def generator_check_function(
             f"generator-scalar-{F.name}-g{gi}", float(F.value(gamma.points)),
             target, max(abs(target), 1.0), ts, n_samples, estimate,
         ))
-    return OperatorReport(name or f"generator-scalar-{F.name}", checks)
+    return OperatorReport(f"generator-scalar-{F.name}", checks)
 
 
 def semigroup_property_check(
@@ -793,7 +781,6 @@ def semigroup_property_check(
     n_outer: int,
     n_inner: int,
     rng: RngStream,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """T_0(t+s) F = T_0(t) T_0(s) F, nested Monte Carlo: n_outer midpoints
     at time t, each moved on by n_inner paths of length s, one stream per
@@ -806,9 +793,8 @@ def semigroup_property_check(
         n_outer * n_inner, rng.child(2), lambda ends: _replicas(ends, space.dim).f_rows(F),
     ).reshape(n_outer, n_inner).mean(axis=1)
     nested = McEstimate.from_samples(ys)
-    label = name or f"semigroup-{F.name}"
     return CheckResult.from_estimates(
-        label, nested, direct, detail={"outer": n_outer, "inner": n_inner}
+        f"semigroup-{F.name}", nested, direct, detail={"outer": n_outer, "inner": n_inner}
     )
 
 
@@ -823,7 +809,6 @@ def poisson_invariance_check(
     cfg: SdeConfig,
     n_samples: int,
     rng: RngStream,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """Evolving a gaussian-intensity point process by its matching drifted
     diffusion preserves the law: the counts in the radial bands with edges
@@ -865,9 +850,8 @@ def poisson_invariance_check(
     mean = float(np.mean(totals))
     se_var = math.sqrt(2.0 / (n_samples - 1)) * var  # normal-ish approximation
     zmax = max(zmax, abs(var - mean) / max(se_var, 1e-300))
-    label = name or "poisson-invariance"
     return CheckResult(
-        check=label,
+        check="poisson-invariance",
         lhs=zmax,
         rhs=0.0,
         stderr=1.0,
@@ -902,7 +886,6 @@ def sphere_uniform_check(
     cfg: SdeConfig,
     n_samples: int,
     rng: RngStream,
-    name: Optional[str] = None,
 ) -> CheckResult:
     """Driftless sphere diffusion preserves the uniform law: chi-squared on
     8 equal-area latitude bands, pass when p > 0.01. The chi-squared tail p is
@@ -919,9 +902,8 @@ def sphere_uniform_check(
     expected = obs.mean()
     chi2 = float(np.sum((obs - expected) ** 2 / expected))
     p = _chi2_sf(n_bands - 1, chi2)
-    label = name or "sphere-uniform"
     return CheckResult(
-        check=label,
+        check="sphere-uniform",
         lhs=float(p),
         rhs=1.0,
         stderr=0.0,

@@ -29,14 +29,19 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
+def _perfbench_module(monkeypatch, name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_boundaries_resolve(monkeypatch):
     # the benchmark tracer wraps these package names; deleting or renaming
     # one must fail here, not only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module(monkeypatch, "tracing")
     missing = []
     for b in tracing.BOUNDARIES:
         try:
@@ -44,6 +49,24 @@ def test_traced_boundaries_resolve(monkeypatch):
         except (ImportError, AttributeError):
             missing.append(b.name)
     assert not missing
+
+
+@pytest.mark.parametrize("workload", ["mc-batch", "series", "forms", "diffusion"])
+def test_benchmark_workload_pass(monkeypatch, workload):
+    # one pass of a benchmark workload: every argument and keyword it passes
+    # to the package is still accepted, it returns its rows in order, its
+    # deterministic identities hold, and a repeat reproduces it byte for byte
+    workloads = _perfbench_module(monkeypatch, "workloads")
+
+    def one_pass():
+        return [unit.run() for unit in workloads.build(workload, 42)]
+
+    first = one_pass()
+    rows = [row for unit_rows, _ in first for row in unit_rows]
+    assert tuple(row["check"] for row in rows) == workloads.CHECK_NAMES[workload]
+    failed = [row["check"] for row in rows if not (workloads.monte_carlo(row) or row["pass"])]
+    assert not failed
+    assert [text for _, text in one_pass()] == [text for _, text in first]
 
 
 def test_no_scipy_import_outside_the_version_record():

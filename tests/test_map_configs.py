@@ -150,8 +150,7 @@ def test_outer_row_does_not_depend_on_its_batch(outer):
                           whole)
 
 
-def _rows():
-    n = 3_000
+def _rows(n: int):
     rng = RngStream(42)
     battery = bat.laplace_battery()
     checks = laplace_check(SP, INTEN, WIN, [(nm, f) for nm, f, w in battery if w is None],
@@ -175,17 +174,22 @@ def _rows():
     return json.dumps([c.as_row() for c in checks])
 
 
+# configurations per run at each view size: 3,000 hold about 18,900
+# points, three views at the default size and one at 10**9; 600 cut into
+# hundreds of 1- and 7-point views, which cost far more per configuration
+_N_AT_VIEW_SIZE = {1: 600, 7: 600, 10**9: 3_000}
+
+
 @pytest.fixture(scope="module")
 def default_rows():
-    # 3,000 configurations hold about 18,900 points: three views at the
-    # default size, one at 10**9
-    return _rows()
+    return {n: _rows(n) for n in set(_N_AT_VIEW_SIZE.values())}
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 10**9])
+@pytest.mark.parametrize("chunk", list(_N_AT_VIEW_SIZE))
 def test_rows_do_not_depend_on_the_view_size(monkeypatch, default_rows, chunk):
+    n = _N_AT_VIEW_SIZE[chunk]
     monkeypatch.setattr(pointprocess, "_CHUNK_POINTS", chunk)
-    assert _rows() == default_rows
+    assert _rows(n) == default_rows[n]
 
 
 def _peak(run) -> float:

@@ -237,6 +237,16 @@ class TestChecks:
             assert res.passed, W.name
             assert res.lhs < 1e-8
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_weitzenbock_sphere_gaussian_family(self, scale):
+        # a radial weight is constant on the unit sphere, so beta and its
+        # covariant derivative vanish there as for the uniform family
+        inten = IntensitySpec("gaussian", scale)
+        for W in bat.sphere_form_battery():
+            res = weitzenbock_check(bat.sphere_space(), inten, ALL, W, RngStream(8),
+                                    n_configs=3, tol=1e-4)
+            assert res.passed, (W.name, res.lhs)
+
     def test_factorization_flat(self):
         W = bat.flat_form_battery()[2]
         for kind in ("bochner", "deRham"):
@@ -296,8 +306,7 @@ class TestChecks:
             dd_zero_check(SP, GAUSS, ALL, bat.ou_eigenform(), RngStream(1), n_configs=4)
         )
         assert r.passed
-        rows = r.rows()
-        assert set(rows[0]) >= {"check", "lhs", "rhs", "stderr", "tol", "pass"}
+        assert set(r.checks[0].as_row()) >= {"check", "lhs", "rhs", "stderr", "tol", "pass"}
 
 
 class TestPlantedDefects:

@@ -312,12 +312,6 @@ class TestExpectSeries:
         t8 = expect_series(SP, GAUSS, BOX, Exp([-0.5]), (PHI,), k_max=8, **kw)
         assert t8.tail_bound < t4.tail_bound
 
-    def test_uncertified_without_envelope(self):
-        res = expect_series(
-            SP, GAUSS, BOX, Exp([-0.5]), (PHI,), k_max=4, cheb_n=16, quad_n=16
-        )
-        assert not res.certified
-
     @pytest.mark.parametrize(
         "outer, inners",
         [
@@ -397,7 +391,7 @@ class TestExpectSeries:
             res = [run(case, n) for n in (24, 32, 64)]
             vals = [r.value for r in res]
             assert np.ptp(vals) <= 1e-13 * abs(vals[-1]), case.name
-            assert all(r.resolved and r.certified for r in res)
+            assert all(r.certified for r in res)
             # the chain without the chop moves the value by at most chop_bound
             with monkeypatch.context() as m:
                 m.setattr(pointprocess, "_CHOP_TOL", 0.0)
@@ -423,7 +417,7 @@ class TestExpectSeries:
             SP, GAUSS, bat.series_window(), case.outer, case.inners,
             case.envelope, cheb_n=64, quad_n=16,
         )
-        assert res.resolved and res.certified
+        assert res.certified
         assert rows and max(rows) <= 32
         assert len(res.max_degree) == 2 and max(res.max_degree) < 32
 
@@ -437,7 +431,7 @@ class TestExpectSeries:
         coarse = expect_series(SP, GAUSS, bat.series_window(), Exp([-20.0]), bump, cheb_n=8, **kw)
         fine = expect_series(SP, GAUSS, bat.series_window(), Exp([-20.0]), bump, cheb_n=64, **kw)
         assert abs(coarse.value - fine.value) > 100.0 * coarse.tail_bound
-        assert not coarse.resolved and not coarse.certified
+        assert not coarse.certified
         assert coarse.max_degree == (7,)
 
     def test_tail_that_cannot_converge_raises(self):
@@ -455,7 +449,8 @@ class TestExpectSeries:
 
     def test_three_stats_rejected(self):
         with pytest.raises(ValueError):
-            expect_series(SP, GAUSS, BOX, Exp([-1, -1, -1]), (PHI, PHI, PHI2))
+            expect_series(SP, GAUSS, BOX, Exp([-1, -1, -1]), (PHI, PHI, PHI2),
+                          envelope=lambda k: 1.0)
 
 
 class TestMecke:

@@ -92,8 +92,7 @@ class TestSimulation:
         x0 = np.array([1.0, 0.5])
         gamma = Configuration(np.tile(x0, (6000, 1)))
         cfg = SdeConfig(t=0.5, dt=0.01)
-        path = simulate_particles(SP, GAUSS, gamma, cfg, RngStream(21), keep_paths=False)
-        X = path.final()
+        X = simulate_particles(SP, GAUSS, gamma, cfg, RngStream(21)).final()
         m_chain, v_chain = ou_discrete_moments(1.0, 0.5, 0.01)
         for c, x0c in enumerate(x0):
             mean_c = x0c * m_chain  # chain mean scales linearly in x0
