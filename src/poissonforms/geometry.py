@@ -1,8 +1,8 @@
 """Base spaces, reference measures, and the geometry primitives.
 
 Two backends are provided: the Euclidean plane/line with a Gaussian (or
-uniform-on-a-box, or user-supplied) intensity, and the unit sphere S^2 in
-R^3 with the uniform intensity. Points and tangent vectors are plain numpy
+uniform-on-a-box) intensity, and the unit sphere S^2 in R^3, where both
+families are constant. Points and tangent vectors are plain numpy
 arrays in ambient coordinates; operators that need coordinates work in the
 orthonormal tangent frame returned by ``frame``. The sphere's ``frame``,
 ``exp``, ``transport`` and ``project_tangent`` take points stacked on leading
@@ -16,7 +16,7 @@ drift that appears in every integration-by-parts identity and SDE downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +38,6 @@ __all__ = [
     "frame_maps",
     "sigma_mass",
 ]
-
-_FD_H = 1e-5
 
 
 class Space:
@@ -157,26 +155,23 @@ class IntensitySpec:
       - "gaussian": rho(x) = exp(-|x|^2 / (2 scale^2)) on R^d (a constant
         on the unit sphere)
       - "uniform":  rho = 1 (surface measure on the sphere, Lebesgue on a box)
-      - "custom":   user-supplied density handle (box windows only); an
-        optional ``grad_log_density`` maps rows (N, d) to (N, d)
+
+    Any other family raises ``ValueError`` at construction, so the
+    functions below branch on these two alone.
     """
 
     family: str = "gaussian"
     scale: float = 1.0
-    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.family not in ("gaussian", "uniform"):
+            raise ValueError(f"unknown intensity family {self.family!r}")
 
     def rho(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.family == "gaussian":
             return np.exp(-0.5 * np.sum(X**2, axis=-1) / self.scale**2)
-        if self.family == "uniform":
-            return np.ones(X.shape[0])
-        if self.family == "custom":
-            if self.density is None:
-                raise ValueError("custom intensity requires a density handle")
-            return np.asarray(self.density(X), dtype=float)
-        raise ValueError(f"unknown intensity family {self.family!r}")
+        return np.ones(X.shape[0])
 
 
 @dataclass(frozen=True)
@@ -211,27 +206,12 @@ class Window:
 
 def beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
     """Logarithmic gradient of the intensity at the points p (stacked on
-    leading axes), as ambient tangent vectors: beta = grad log rho. A custom
-    ``grad_log_density`` takes rows (N, d) and returns (N, d)."""
+    leading axes), as ambient tangent vectors: beta = grad log rho."""
     p = np.asarray(p, dtype=float)
     if intensity.family == "gaussian" and not isinstance(space, Sphere):
         return -p / intensity.scale**2
-    if intensity.family in ("gaussian", "uniform"):
-        # a radial weight is constant on the unit sphere
-        return np.zeros_like(p)
-    if intensity.family != "custom":
-        raise ValueError(f"unknown intensity family {intensity.family!r}")
-    X = p.reshape(-1, space.ambient_dim)
-    if intensity.grad_log_density is not None:
-        out = np.asarray(intensity.grad_log_density(X), dtype=float)
-    else:
-        # central differences on log rho
-        out = np.empty_like(X)
-        for a, e in enumerate(_FD_H * np.eye(space.ambient_dim)):
-            lo, hi = np.log(intensity.rho(X - e)), np.log(intensity.rho(X + e))
-            out[:, a] = (hi - lo) / (2 * _FD_H)
-        out = space.project_tangent(X, out)
-    return out.reshape(p.shape)
+    # a radial weight is constant on the unit sphere
+    return np.zeros_like(p)
 
 
 def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
@@ -242,22 +222,7 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
     d = space.dim
     if intensity.family == "gaussian" and not isinstance(space, Sphere):
         return np.broadcast_to(-np.eye(d) / intensity.scale**2, p.shape[:-1] + (d, d))
-    if intensity.family in ("gaussian", "uniform"):
-        return np.zeros(p.shape[:-1] + (d, d))
-    # central differences along the geodesics exp(p, +-h E_b), transported
-    fr = np.broadcast_to(space.frame(p), p.shape[:-1] + (d, space.ambient_dim))
-    h = _FD_H
-    P = p[..., None, None, :]
-    Q = space.exp(P, np.array([h, -h])[:, None, None] * fr[..., None, :, :])
-    B = beta(space, intensity, Q)
-    moved = space.transport(Q, P, B)
-    diff = (moved[..., 0, :, :] - moved[..., 1, :, :]) / (2 * h)
-    G = fr @ np.swapaxes(diff, -1, -2)
-    # beta is a gradient, so its covariant derivative (the Hessian of log
-    # rho) is symmetric. The difference quotient is symmetric only up to
-    # rounding amplified by 1/h, and the frame solve's eigh would silently
-    # drop that part
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+    return np.zeros(p.shape[:-1] + (d, d))
 
 
 def frame_maps(space: Space, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -147,11 +147,7 @@ def beta_fields(space: Space, intensity: IntensitySpec) -> list[Field]:
             monomial(d, tuple(1 if b == a else 0 for b in range(d)), -1.0 / s2)
             for a in range(d)
         ]
-    if intensity.family == "uniform":
-        return [monomial(d, (0,) * d, 0.0) for _ in range(d)]
-    raise ValueError(
-        "custom intensities have no exact field representation of beta"
-    )
+    return [monomial(d, (0,) * d, 0.0) for _ in range(d)]
 
 
 def h_pi_sigma(
@@ -786,31 +782,28 @@ def dstar_batch(
     return out.value()
 
 
-def _point_partials(W: CylinderForm, ev: BatchEval, layout: RowLayout) -> BatchValue:
-    """``point_partial_form`` for every (point, axis) group of the layout:
-    group g differentiates in coordinate g % d of batch point g // d."""
-    d = ev.dim
+def _point_partials(W: CylinderForm, ev: BatchEval, layout: RowLayout, a: int) -> BatchValue:
+    """``point_partial_form`` in coordinate a for every group of the layout:
+    group g differentiates batch point g."""
     out = ev.scatter(layout, W.degree)
     for t, scale in _plain_terms(W, "point_partial_form"):
         _, idx, group = layout.rows(t.m)
-        pt, ax = group // d, group % d
         cfg = layout.cfg[group]
-        hit = idx == pt[:, None]
+        hit = idx == group[:, None]
         # the point is in the subset: differentiate its slot
         w = scale * ev.f_rows(t.F, cfg, idx)
         for s in range(t.m):
-            for a in range(d):
-                sel = hit[:, s] & (ax == a)
-                out.add(t.omega.slot_partial(s, a), idx[sel], group[sel], w[sel])
+            sel = hit[:, s]
+            out.add(t.omega.slot_partial(s, a), idx[sel], group[sel], w[sel])
         if t.F is None:
             continue
         # the point is outside: differentiate the cylinder factor through it
         sel = ~hit.any(axis=1)
-        idx, group, pt, ax = idx[sel], group[sel], pt[sel], ax[sel]
+        idx, group = idx[sel], group[sel]
         S = ev.stat_rows(t.F, cfg[sel], idx)
         coeff = np.zeros(len(idx))
         for j, phi in enumerate(t.F.inners):
-            coeff += t.F.outer.partial(j).eval_batch(S) * ev.grads(phi)[pt, ax]
+            coeff += t.F.outer.partial(j).eval_batch(S) * ev.grads(phi)[group, a]
         out.add(t.omega, idx, group, scale * coeff)
     return out.value()
 
@@ -819,10 +812,16 @@ def point_gradient_energy(
     W1: CylinderForm, W2: CylinderForm, ev: BatchEval
 ) -> np.ndarray:
     """Per configuration: the Bochner-level energy, the sum over points and
-    coordinates of <partial W1, partial W2> (flat backends)."""
-    layout = RowLayout(ev.batch, np.repeat(ev.sid, ev.dim))
-    e = _point_partials(W1, ev, layout).inner(_point_partials(W2, ev, layout))
-    return np.bincount(layout.cfg, weights=e, minlength=ev.batch.n_samples)
+    coordinates of <partial W1, partial W2> (flat backends). One axis is
+    held at a time; the sum runs in (point, axis) order."""
+    layout = RowLayout(ev.batch, ev.sid)
+    per_axis = [
+        _point_partials(W1, ev, layout, a).inner(_point_partials(W2, ev, layout, a))
+        for a in range(ev.dim)
+    ]
+    weights = np.column_stack(per_axis).ravel()
+    return np.bincount(np.repeat(ev.sid, ev.dim), weights=weights,
+                       minlength=ev.batch.n_samples)
 
 
 def _ibp_rows(

@@ -272,10 +272,7 @@ def curvature_potential(
     ``allow_scalar`` is off (useful to exercise the generic ODE)."""
     scalar = None
     if allow_scalar and not isinstance(space, Sphere):
-        if intensity.family == "gaussian":
-            scalar = n / intensity.scale**2
-        elif intensity.family == "uniform":
-            scalar = 0.0
+        scalar = n / intensity.scale**2 if intensity.family == "gaussian" else 0.0
     if allow_scalar and isinstance(space, Sphere) and n == 1:
         if intensity.family == "uniform":
             scalar = 1.0
@@ -703,9 +700,10 @@ def generator_check(
     H W and Richardson-extrapolated to t = 0; one row per configuration.
 
     kind 'bochner' runs with J = 0, kind 'deRham' with J = -R; the target is
-    the corresponding ``lift_batch``, so the space must be flat.  Pass when
-    |extrapolated - target| is below max(3 stderr, 5e-3) relative to the
-    target scale. Configuration gi at horizon ts[ti] draws its paths from
+    the corresponding ``lift_batch``.  The space must be flat: ``lift_batch``
+    takes the sphere, but no sphere row has its step bias and band calibrated
+    across seeds.  Pass when |extrapolated - target| is below max(3 stderr,
+    5e-3) relative to the target scale. Configuration gi at horizon ts[ti] draws its paths from
     ``rng.child(gi, ti)``.
     """
     if kind not in ("bochner", "deRham"):

@@ -69,6 +69,21 @@ def test_benchmark_workload_pass(monkeypatch, workload):
     assert [text for _, text in one_pass()] == [text for _, text in first]
 
 
+def test_rows_digest_of_one_workload(monkeypatch):
+    # tools/rows_digest.py prints these digests for two checkouts to diff:
+    # a pass gives a 16-digit hex prefix that a repeat reproduces and that
+    # another seed changes
+    path = Path(__file__).resolve().parents[1] / "tools" / "rows_digest.py"
+    spec = importlib.util.spec_from_file_location("_rows_digest", path)
+    rows_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rows_digest)
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    first = rows_digest.workload_digest(workloads, "series", 42)
+    assert len(first) == 16 and set(first) <= set("0123456789abcdef")
+    assert rows_digest.workload_digest(workloads, "series", 42) == first
+    assert rows_digest.workload_digest(workloads, "series", 7) != first
+
+
 def test_no_scipy_import_outside_the_version_record():
     # scipy.special alone adds about 25 MB of resident memory to a process;
     # the package imports scipy only to record its version

@@ -1,10 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
-from poissonforms import operators
+from poissonforms import operators, pointprocess, stochastic
+from poissonforms.exterior import leibniz_power
 from poissonforms.fields import SphereAxisField, SphereGradientField, SphereKilling
 from poissonforms.forms import (
     BatchEval,
@@ -16,7 +18,8 @@ from poissonforms.forms import (
     SphereSlotTwo,
     eval_form,
 )
-from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
+from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window, grad_beta
+from poissonforms.harness import resolve_config, run_experiment
 from poissonforms.fields import monomial
 from poissonforms.operators import (
     OperatorReport,
@@ -75,11 +78,8 @@ class TestWeitzMatrix:
         assert np.allclose(weitz_matrix(sp, inten, p, 2), [[0.0]], atol=1e-12)
 
 
-    @pytest.mark.parametrize("inten", [
-        GAUSS,
-        IntensitySpec("uniform"),
-        IntensitySpec("custom", grad_log_density=lambda X: -X - X[:, ::-1] * X),
-    ], ids=["gaussian", "uniform", "custom"])
+    @pytest.mark.parametrize("inten", [GAUSS, IntensitySpec("uniform")],
+                             ids=["gaussian", "uniform"])
     def test_stacked_matches_per_point(self, inten):
         X = np.random.default_rng(5).normal(size=(6, 2)) * 0.5
         for k in range(3):
@@ -309,6 +309,12 @@ class TestChecks:
         assert set(r.checks[0].as_row()) >= {"check", "lhs", "rhs", "stderr", "tol", "pass"}
 
 
+def _red_rows(experiment: str) -> list[str]:
+    """The failing rows of an experiment at seed 42 and 3,000 samples."""
+    cfg = resolve_config(experiment, overrides={"seed": 42, "n_samples": 3000})
+    return [row["check"] for row in run_experiment(cfg).checks if not row["pass"]]
+
+
 class TestPlantedDefects:
     """A defect planted in one operator turns the rows that check it red."""
 
@@ -337,3 +343,32 @@ class TestPlantedDefects:
             res = weitzenbock_check(bat.sphere_space(), bat.sphere_intensity(), ALL, W,
                                     RngStream(12), n_configs=2, tol=1e-4)
             assert not res.passed and res.lhs > 1.0, W.name
+
+    def test_reversed_drift_fails_decay_and_invariance(self, monkeypatch):
+        # _step_rows is the one reader of beta in stochastic
+        assert _red_rows("semigroup-ou") == []
+        drift = stochastic.beta
+        monkeypatch.setattr(stochastic, "beta", lambda *a: -drift(*a))
+        assert _red_rows("semigroup-ou") == [
+            "ou-decay-bochner-t0.25", "ou-decay-deRham-t0.25",
+            "ou-decay-bochner-t0.5", "ou-decay-deRham-t0.5", "poisson-invariance",
+        ]
+
+    def test_weitz_matrix_without_leibniz_term_fails_flat_weitzenbock(self, monkeypatch):
+        # the scalar flat J and the symbolic de Rham lift do not read
+        # weitz_matrix, so the generator rows stay green
+        assert _red_rows("weitzenbock") == []
+        weitz = operators.weitz_matrix
+        monkeypatch.setattr(operators, "weitz_matrix", lambda space, inten, p, k: (
+            weitz(space, inten, p, k) + leibniz_power(grad_beta(space, inten, p), k)
+        ))
+        assert _red_rows("weitzenbock") == [f"weitzenbock-{W.name}"
+                                            for W in bat.flat_form_battery()]
+
+    def test_series_with_wrong_factorial_fails_series_rows(self, monkeypatch):
+        # expect_series weighs the k-point term by 1/(k-1)! instead of 1/k!
+        assert _red_rows("series-vs-mc") == []
+        shifted = dict(vars(math), factorial=lambda k: math.factorial(max(k - 1, 0)))
+        monkeypatch.setattr(pointprocess, "math", types.SimpleNamespace(**shifted))
+        assert _red_rows("series-vs-mc") == [f"series-{case.name}"
+                                             for case in bat.series_battery()]

@@ -6,7 +6,7 @@ from numpy.polynomial.chebyshev import chebval, chebval2d
 
 from poissonforms.forms import Exp, Linear
 from poissonforms.fields import gauss_bump
-from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window, sigma_mass
+from poissonforms.geometry import Euclidean, IntensitySpec, Window, sigma_mass
 from poissonforms.pointprocess import (
     ChebProfile,
     Configuration,
@@ -14,7 +14,6 @@ from poissonforms.pointprocess import (
     RngStream,
     _cheb_nodes,
     _dct1,
-    _draw_locations,
     expect_series,
     iterated_kernel,
     laplace_check,
@@ -86,12 +85,8 @@ class TestSampling:
         [
             (GAUSS, Window("box", ((-0.65, 0.65), (-0.65, 0.65)))),
             (GAUSS, Window("box", ((-0.9, 0.9), (-0.9, 0.9)))),
-            (
-                IntensitySpec("custom", density=lambda X: 1.0 + X[:, 0] ** 2),
-                Window("box", ((-1.0, 0.5), (0.0, 2.0))),
-            ),
         ],
-        ids=["series-window", "dd-zero-box", "custom-density-box"],
+        ids=["series-window", "dd-zero-box"],
     )
     def test_sampled_points_need_no_window_mask(self, intensity, window):
         # laplace_check, mecke_check and the series rows sum field values
@@ -110,24 +105,6 @@ class TestSampling:
         cfg = sample(SP, GAUSS, BOX, RngStream(3))
         assert isinstance(cfg, Configuration)
         assert cfg.points.shape[1] == 2
-
-    def test_custom_density_above_probed_bound_raises(self):
-        # a narrow spike centred between the 41-point probe nodes of BOX:
-        # the probe sees rho = 1, proposals near the centre see ~1000
-        c = np.full(2, 0.01625)
-        spike = IntensitySpec(
-            "custom",
-            density=lambda X: 1.0 + 1e3 * np.exp(-np.sum((X - c) ** 2, axis=1) / 1.8e-5),
-        )
-        with pytest.raises(ValueError, match="rejection bound"):
-            _draw_locations(SP, spike, BOX, RngStream(4).gen, 20_000)
-
-    def test_custom_density_on_sphere_raises(self):
-        # the sphere draws uniform directions; sigma_mass would integrate
-        # this rho while the points ignored it
-        tilted = IntensitySpec("custom", density=lambda X: 1.0 + X[:, 2])
-        with pytest.raises(ValueError, match="sphere"):
-            sample_batch(Sphere(), tilted, Window("all"), RngStream(5), 100)
 
     def test_segment_sum(self):
         batch = sample_batch(SP, GAUSS, BOX, RngStream(1), 50)

@@ -8,17 +8,20 @@ from scipy.linalg import expm
 from scipy.special import chdtrc
 
 from poissonforms import batteries as bat
-from poissonforms import pointprocess
-from poissonforms.exterior import Multivector, apply_slot_linear, t_basis
+from poissonforms import pointprocess, stochastic
+from poissonforms.exterior import (
+    Multivector, apply_slot_linear, block_potential, leibniz_power, t_basis,
+)
 from poissonforms.forms import (
     BatchEval, CylinderForm, CylinderFunction, Exp, FormTerm, SymmetricFormField,
 )
 from poissonforms.fields import monomial
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window
-from poissonforms.operators import factorization_check, r_pi_sigma
+from poissonforms.operators import factorization_check
 from poissonforms.pointprocess import Configuration, RngStream, SampleBatch
 from poissonforms.stochastic import (
     BlockPotential,
+    ParticlePath,
     SdeConfig,
     _chi2_sf,
     curvature_potential,
@@ -227,20 +230,18 @@ class TestFrameTransport:
         assert res.passed
 
 
-def _grad_log_density(X):
-    # log rho = -|x|^2 / 2 - 0.3 x_0^2 x_1: its Hessian, and so the
-    # curvature potential, changes from point to point
-    g = -np.asarray(X, dtype=float)
-    g[:, 0] -= 0.6 * X[:, 0] * X[:, 1]
-    g[:, 1] -= 0.3 * X[:, 0] ** 2
-    return g
-
-
-SKEWED = IntensitySpec(
-    "custom",
-    density=lambda X: np.exp(-0.5 * np.sum(X**2, axis=1) - 0.3 * X[:, 0] ** 2 * X[:, 1]),
-    grad_log_density=_grad_log_density,
-)
+def _skewed_potential(n):
+    """J on n-covectors whose degree-q slot at x is the derivation extension
+    to Lambda^q of the Hessian of log rho = -|x|^2 / 2 - 0.3 x_0^2 x_1, the
+    flat de Rham potential of that density: it changes from point to point."""
+    def block_fn(X, q):
+        X = np.asarray(X, dtype=float)
+        H = np.empty(X.shape[:-1] + (2, 2))
+        H[..., 0, 0] = -1.0 - 0.6 * X[..., 1]
+        H[..., 0, 1] = H[..., 1, 0] = -0.6 * X[..., 0]
+        H[..., 1, 1] = -1.0
+        return leibniz_power(H, q)
+    return BlockPotential(n, block_fn=block_fn)
 
 
 def _reference_transport(space, basis, q, p):
@@ -264,20 +265,22 @@ def _reference_transport(space, basis, q, p):
     return T
 
 
-def _reference_frame(space, intensity, J, n, path, subset):
-    """The whole-fibre frame solve: J on the fibre at every step
-    (-r_pi_sigma over the subset points, or scalar I), c_sup from its
-    eigenvalues, the midpoint exponential on flat space and the split step
-    around the transport on the sphere."""
+def _reference_frame(space, J, n, path, subset):
+    """The whole-fibre frame solve: J on the fibre at every step (its slot
+    blocks at the subset points, assembled key by key, or scalar I), c_sup
+    from its eigenvalues, the midpoint exponential on flat space and the
+    split step around the transport on the sphere."""
     pts = path.paths[list(subset)]
     K1 = pts.shape[1]
-    basis = t_basis(n, len(subset), space.dim)
+    d = space.dim
+    basis = t_basis(n, len(subset), d)
     k = len(basis)
     if k == 0:
         return np.zeros((0, 0)), J.scalar or 0.0
     B = [
         J.scalar * np.eye(k) if J.scalar is not None
-        else -r_pi_sigma(space, intensity, pts[:, j], n)
+        else block_potential(lambda q, x: J.slot(x[None], q, d)[0],
+                             list(pts[:, j]), n, len(subset), d)
         for j in range(K1)
     ]
     c_sup = max(float(np.linalg.eigvalsh(b)[-1]) for b in B)
@@ -301,7 +304,7 @@ class TestKroneckerFrames:
     @pytest.mark.parametrize("setting", ["flat", "sphere"])
     def test_matches_fibre_solve(self, setting, n, scalar):
         if setting == "flat":
-            sp, inten = Euclidean(2), SKEWED
+            sp, inten = Euclidean(2), GAUSS
             start = np.array([[0.5, -0.3], [-0.4, 0.6], [0.2, 0.9]])
         else:
             sp, inten = Sphere(), IntensitySpec("uniform")
@@ -313,12 +316,13 @@ class TestKroneckerFrames:
         # c q / n of it
         J = (
             BlockPotential(n, scalar=-0.7) if scalar
+            else _skewed_potential(n) if setting == "flat"
             else curvature_potential(sp, inten, n, allow_scalar=False)
         )
         for m in (1, 2, 3):
             for subset in itertools.combinations(range(3), m):
                 fm = parallel_translate(sp, path, J, n, list(subset))
-                P, c_sup = _reference_frame(sp, inten, J, n, path, subset)
+                P, c_sup = _reference_frame(sp, J, n, path, subset)
                 assert fm.P.shape == P.shape
                 assert np.max(np.abs(fm.P - P), initial=0.0) < 1e-13, subset
                 assert abs(fm.c_sup - c_sup) < 1e-13, subset
@@ -467,6 +471,42 @@ class TestSphereFormSemigroup:
         assert res.passed
 
 
+def _octant_loop(n):
+    """The loop e1 -> e2 -> e3 -> e1 on S^2, n steps along each great-circle
+    arc, as (3 n + 1, 3) points."""
+    e = np.eye(3)
+    th = np.linspace(0.0, math.pi / 2, n + 1)[:-1, None]
+    arcs = [np.cos(th) * e[i] + np.sin(th) * e[(i + 1) % 3] for i in range(3)]
+    return np.concatenate(arcs + [e[:1]])
+
+
+class TestHolonomy:
+    """Transport around the geodesic octant triangle rotates the fibre by
+    its area pi/2 (Gauss-Bonnet). Every step runs along an arc, where the
+    step transport is exact, so the result is exact at every step count."""
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_octant_loop_rotates_by_its_area(self, n):
+        loop = _octant_loop(n)
+        path = ParticlePath(Sphere(), np.linspace(0.0, 0.3, len(loop)), loop[None])
+        P = parallel_translate(Sphere(), path, zero_potential(1), 1).P
+        assert np.max(np.abs(P - [[0.0, -1.0], [1.0, 0.0]])) < 1e-12
+
+    def test_semigroup_pulls_back_through_the_transpose(self, monkeypatch):
+        # every replica runs the loop, so M^T W(e1) is exact; the Killing
+        # form about e3 reads W = (0, -1) in the frame at e1, and W pushed
+        # forward by M instead of pulled back would read (1, 0)
+        loop = _octant_loop(4)
+        monkeypatch.setattr(stochastic, "_evolve", lambda space, intensity, X, *a, **k:
+                            np.broadcast_to(loop, (len(X),) + loop.shape).copy())
+        W = bat.sphere_form_battery()[0]
+        gamma = Configuration(np.array([[1.0, 0.0, 0.0]]))
+        est = semigroup_Tn(Sphere(), IntensitySpec("uniform"), W, gamma, 0.3,
+                           zero_potential(1), SdeConfig(0.3, 0.025), 4, RngStream(3))
+        assert np.array_equal(value_blocks(W, gamma)[1], [[0.0, -1.0]])
+        assert np.max(np.abs(est.mean.blocks[1] - [[-1.0, 0.0]])) < 1e-12
+
+
 class TestGenerator:
     def test_form_generator_derham(self):
         rep = generator_check(
@@ -477,7 +517,7 @@ class TestGenerator:
         assert rep.passed
 
     def test_form_generator_rejects_sphere(self):
-        # the target is the batched lift, which is for flat backends
+        # no sphere generator row is calibrated yet, so the check refuses it
         gamma = Configuration(np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="flat"):
             generator_check(
