@@ -85,14 +85,15 @@ class OuterFn:
         return self.eval_batch(S)
 
 
-def _linear_rows(S: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """S @ w summed column by column, left to right, so a row's value does
-    not depend on the rows evaluated beside it; a BLAS matrix-vector product
-    may round a row by the row count or by its position."""
+def _row_dots(S: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of S (rows, d) with the weights w[..., j], one
+    vector for every row or one row of weights per row, the column products
+    summed left to right: a row's value does not depend on the rows
+    evaluated beside it, as a BLAS matrix-vector product's may."""
     S = np.atleast_2d(S)
-    out = S[:, 0] * w[0]
-    for j in range(1, len(w)):
-        out += S[:, j] * w[j]
+    out = S[:, 0] * w[..., 0]
+    for j in range(1, w.shape[-1]):
+        out += S[:, j] * w[..., j]
     return out
 
 
@@ -117,7 +118,7 @@ class Linear(OuterFn):
         self.nargs = len(self.w)
 
     def eval_batch(self, S):
-        return _linear_rows(S, self.w) + self.b
+        return _row_dots(S, self.w) + self.b
 
     def partial(self, j):
         return Const(float(self.w[j]), self.nargs)
@@ -132,7 +133,7 @@ class Exp(OuterFn):
         self.nargs = len(self.w)
 
     def eval_batch(self, S):
-        return self.c * np.exp(_linear_rows(S, self.w))
+        return self.c * np.exp(_row_dots(S, self.w))
 
     def partial(self, j):
         return Exp(self.w, self.c * float(self.w[j]))

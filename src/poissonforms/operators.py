@@ -67,6 +67,7 @@ from .forms import (
     SlotForm,
     SymmetricFormField,
     _Scatter,
+    _row_dots,
 )
 from .geometry import (
     IntensitySpec,
@@ -641,15 +642,6 @@ def apply_r_pi_sigma(
 
 # ---------------------------------------------------------------------------
 # batched operators over a whole SampleBatch
-
-
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of two (P, d) arrays, the column products summed
-    left to right."""
-    out = A[:, 0] * B[:, 0]
-    for a in range(1, A.shape[1]):
-        out += A[:, a] * B[:, a]
-    return out
 
 
 def _plain_terms(W: CylinderForm, what: str):

@@ -268,14 +268,14 @@ def curvature_potential(
     choice: with M' = J M the pulled-back estimator represents e^{-t H^R} =
     e^{-t(H^B + R)}.  Its degree-q slot matrix at x is -``weitz_matrix``(x,
     q).  It is -(n / scale^2) I for the gaussian intensity on R^d and -I on
-    1-covectors of the uniform sphere: exact-exponential fast paths unless
-    ``allow_scalar`` is off (useful to exercise the generic ODE)."""
+    1-covectors of the sphere, where both families are constant: exact fast
+    paths unless ``allow_scalar`` is off (useful to exercise the generic
+    ODE)."""
     scalar = None
     if allow_scalar and not isinstance(space, Sphere):
         scalar = n / intensity.scale**2 if intensity.family == "gaussian" else 0.0
-    if allow_scalar and isinstance(space, Sphere) and n == 1:
-        if intensity.family == "uniform":
-            scalar = 1.0
+    elif allow_scalar and n == 1:
+        scalar = 1.0
     if scalar is not None:
         return BlockPotential(n, scalar=-scalar, name="-1*R")
     return BlockPotential(

@@ -15,6 +15,7 @@ from poissonforms.forms import (
     Linear,
     SlotForm,
     SymmetricFormField,
+    _row_dots,
     eval_form,
 )
 from poissonforms.pointprocess import Configuration
@@ -43,6 +44,16 @@ class TestCylinderFunction:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CylinderFunction(Exp([-1.0, 2.0]), (X1,))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_dots_takes_a_vector_or_a_row_per_row(self, d):
+        # sums left to right: one weight vector, or one row of weights per
+        # row, give the same bits, and each row rounds as it does alone
+        rng = np.random.default_rng(d)
+        S, w = rng.normal(size=(50, d)), rng.normal(size=d)
+        rows = _row_dots(S, w)
+        assert np.array_equal(rows, _row_dots(S, np.tile(w, (50, 1))))
+        assert all(_row_dots(S[i], w)[0] == rows[i] for i in range(50))
 
 
 class TestEvalCache:

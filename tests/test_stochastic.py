@@ -470,6 +470,29 @@ class TestSphereFormSemigroup:
         )
         assert res.passed
 
+    @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+    def test_curvature_potential_scalar_on_1_covectors(self, family):
+        # both families are constant on S^2, so grad beta = 0 and the de
+        # Rham J on 1-covectors is -Ric = -I; on 2-covectors it stays generic
+        sp, inten = Sphere(), IntensitySpec(family)
+        J = curvature_potential(sp, inten, 1)
+        assert J.scalar == -1.0
+        assert curvature_potential(sp, inten, 2).scalar is None
+        gamma = Configuration(
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0]])
+        )
+        cfg = SdeConfig(0.2, 0.02)
+        paths = np.stack([
+            simulate_particles(sp, inten, gamma, cfg, RngStream(seed)).paths
+            for seed in range(4)
+        ])
+        subsets = np.arange(3)[:, None]  # the nonempty 1-covector fibres
+        generic = curvature_potential(sp, inten, 1, allow_scalar=False)
+        fast = stochastic._frames(sp, J, 1, paths, subsets, cfg.t)
+        slow = stochastic._frames(sp, generic, 1, paths, subsets, cfg.t)
+        assert fast[0].shape == (4, 3, 2, 2)
+        assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+
 
 def _octant_loop(n):
     """The loop e1 -> e2 -> e3 -> e1 on S^2, n steps along each great-circle
