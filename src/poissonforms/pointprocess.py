@@ -334,12 +334,17 @@ class ChebProfile:
 
     The series is chopped at its rounding plateau: on each axis the trailing
     degrees whose coefficients all lie below ``_CHOP_TOL`` * max|c| are
-    dropped, so ``coeffs`` holds only the kept degrees and every recurrence
-    runs over them alone. ``dropped`` is the absolute mass of the dropped
-    coefficients; since |T_k| <= 1 it bounds the change of the profile
-    anywhere on its domain. ``resolved`` says that each axis dropped at least
-    two degrees: one small trailing coefficient can be a parity zero of an
-    even or odd function, not a plateau."""
+    dropped, and a two-statistic series is then held as a chopped SVD of the
+    kept coefficient matrix, C ~ F0^T F1, keeping the ranks whose singular
+    values lie above ``_CHOP_TOL`` * sigma_1. ``factors`` holds one
+    (rank, kept degrees) factor per axis (one statistic: the single row of
+    kept coefficients), so every recurrence runs over the kept degrees alone
+    and every contraction over the kept rank. ``dropped`` is the absolute
+    mass of the dropped coefficients plus sum sigma_r |u_r|_1 |v_r|_1 over
+    the dropped ranks; since |T_k| <= 1 it bounds the change of the profile
+    anywhere on its domain. ``resolved`` says that each axis dropped at
+    least two degrees: one small trailing coefficient can be a parity zero
+    of an even or odd function, not a plateau."""
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray):
         self.axes = [np.asarray(a, dtype=float) for a in axes]
@@ -351,11 +356,23 @@ class ChebProfile:
         # threshold (at least degree 0)
         kept = [1 + int(i.max(initial=0)) for i in np.nonzero(big)]
         keep = tuple(slice(0, k) for k in kept)
-        self.coeffs = c[keep]
         rest = np.abs(c)
         rest[keep] = 0.0
         self.dropped = float(rest.sum())
         self.resolved = all(n - k >= 2 for n, k in zip(c.shape, kept))
+        if len(kept) == 1:
+            self.factors = [c[None, keep[0]]]
+            return
+        U, sv, Vt = np.linalg.svd(c[keep], full_matrices=False)
+        r = max(1, int(np.count_nonzero(sv > _CHOP_TOL * sv[0])))
+        self.dropped += float(sv[r:] @ (np.abs(U[:, r:]).sum(axis=0)
+                                        * np.abs(Vt[r:]).sum(axis=1)))
+        self.factors = [U[:, :r].T * sv[:r, None], Vt[:r]]
+
+    @property
+    def kept(self) -> tuple[int, ...]:
+        """The number of kept degrees per axis."""
+        return tuple(F.shape[1] for F in self.factors)
 
     def _two_t(self, axis: int, s: np.ndarray) -> np.ndarray:
         """2t, with t the points s mapped onto [-1, 1] by the axis."""
@@ -375,7 +392,7 @@ class ChebProfile:
     def _axis_matrix(self, axis: int, s: np.ndarray) -> np.ndarray:
         """T_k at the mapped points for each kept degree k: (kept, rows)."""
         t2 = self._two_t(axis, s)
-        T = np.empty((self.coeffs.shape[axis], s.size))
+        T = np.empty((self.factors[axis].shape[1], s.size))
         T[0] = 1.0
         if len(T) > 1:
             np.multiply(t2, 0.5, out=T[1])
@@ -387,7 +404,7 @@ class ChebProfile:
     def _clenshaw(self, s: np.ndarray) -> np.ndarray:
         """The 1-statistic series at s: b_k = c_k + 2t b_{k+1} - b_{k+2},
         value c_0 + t b_1 - b_2, in place over three row-length buffers."""
-        c = self.coeffs
+        c = self.factors[0][0]
         t2 = self._two_t(0, s)
         b1, b2, out = np.zeros_like(t2), np.zeros_like(t2), np.empty_like(t2)
         for ck in c[:0:-1]:
@@ -407,10 +424,12 @@ class ChebProfile:
             raise ValueError("statistic dimension mismatch")
         if len(self.axes) == 1:
             return self._clenshaw(S[:, 0])
-        # two statistics: contract per-axis (kept, rows) recurrence blocks
-        # with the coefficients
-        T0, T1 = self._axis_matrix(0, S[:, 0]), self._axis_matrix(1, S[:, 1])
-        return np.einsum("ip,jp,ij->p", T0, T1, self.coeffs)
+        # two statistics: each factor times its axis' (kept, rows) recurrence
+        # block, then the product summed over the rank
+        F0, F1 = self.factors
+        A = F0 @ self._axis_matrix(0, S[:, 0])
+        A *= F1 @ self._axis_matrix(1, S[:, 1])
+        return A.sum(axis=0)
 
 
 def _axes(lo, hi, phi_lo, phi_hi, j: int, cheb_n: int) -> list[np.ndarray]:
@@ -426,10 +445,11 @@ def _sample_profile(outer, axes: list[np.ndarray]) -> ChebProfile:
     return ChebProfile(axes, np.reshape(outer(grid), [len(axes[0])] * len(axes)))
 
 
-# Quadrature nodes per contraction in the 2-statistic kernel step: two
-# (kept, chunk * cheb_n) recurrence blocks, at most 2 x 8.4 MB at
-# cheb_n = 64 (2 x 2 MB at 16 kept degrees). A 16 x 16 tensor rule is a
-# single chunk.
+# Quadrature nodes per contraction in the 2-statistic kernel step: a
+# (kept, chunk * cheb_n) recurrence block per axis, at most 8.4 MB at
+# cheb_n = 64 (2 MB at 16 kept degrees), each freed once its factor has
+# taken it to a (rank, chunk * cheb_n) block (131 kB at rank 1). A 16 x 16
+# tensor rule is a single chunk.
 _STEP_CHUNK = 256
 
 
@@ -445,22 +465,19 @@ def _kernel_step(
         prev = profile(shifted.reshape(-1, 1)).reshape(cheb_n, Q)
         vals = prev @ w
     else:
-        # the series is a tensor product, so the shifted evaluation factorizes
-        # into per-axis Chebyshev blocks T_k(s_i + phi(x_q)), indexed
-        # (k, q, i) over the kept degrees k, contracted a chunk of nodes at a
-        # time to bound the memory
-        n0, n1 = profile.coeffs.shape
+        # the series is a sum over its rank of products of per-axis series,
+        # so the shifted evaluation factorizes: each factor times the per-axis
+        # Chebyshev block T_k(s_i + phi(x_q)) gives a (rank, q, i) block, and
+        # the step is one GEMM over (rank, q), a chunk of nodes at a time to
+        # bound the memory
+        F0, F1 = profile.factors
         for lo in range(0, Q, _STEP_CHUNK):
             q = slice(lo, lo + _STEP_CHUNK)
-            T0 = profile._axis_matrix(
-                0, (axes[0][None, :] + inner_values[q, :1]).ravel()
-            ).reshape(n0, -1, cheb_n)
-            T1 = profile._axis_matrix(
-                1, (axes[1][None, :] + inner_values[q, 1:2]).ravel()
-            ).reshape(n1, -1, cheb_n)
-            # weights folded into T1 first, so both contractions are GEMMs
-            T1 *= w[q][:, None]
-            part = np.einsum("kqi,kl,lqj->ij", T0, profile.coeffs, T1, optimize=True)
+            A = F0 @ profile._axis_matrix(0, (axes[0][None, :] + inner_values[q, :1]).ravel())
+            B = F1 @ profile._axis_matrix(1, (axes[1][None, :] + inner_values[q, 1:2]).ravel())
+            B = B.reshape(len(F1), -1, cheb_n)
+            B *= w[q][:, None]  # the weights, so the sum over (rank, q) is a GEMM
+            part = A.reshape(-1, cheb_n).T @ B.reshape(-1, cheb_n)
             vals = part if lo == 0 else vals + part
     return ChebProfile(axes, vals.reshape([cheb_n] * N))
 
@@ -497,6 +514,13 @@ def iterated_kernel(
         axes = _axes(*bounds, m - step - 1, cheb_n)
         chain.append(_kernel_step(chain[-1], axes, inner_values, quad_weights * sw))
     return chain
+
+
+def _chain_status(chain: Sequence[ChebProfile]) -> tuple[bool, tuple[int, ...]]:
+    """Whether every profile of a chain resolved, and its largest kept
+    degree per axis."""
+    return (all(p.resolved for p in chain),
+            tuple(int(d) - 1 for d in np.max([p.kept for p in chain], axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +565,15 @@ def expect_series(
     step weights on the base range {0}. Each h_k is a ``ChebProfile``
     sampled on ``cheb_n`` nodes per axis and chopped at its rounding
     plateau, evaluated from the kept coefficients: by Clenshaw's recurrence
-    for one statistic, and for two through per-axis recurrence blocks of at
-    most (kept, ``_STEP_CHUNK`` * cheb_n) entries.
+    for one statistic; for two, the kept coefficient matrix is held as a
+    factor pair chopped at its rank, and each factor takes per-axis
+    recurrence blocks of at most (kept, ``_STEP_CHUNK`` * cheb_n) entries to
+    (rank, ``_STEP_CHUNK`` * cheb_n), so a step over Q quadrature nodes
+    costs about cheb_n^2 * Q * rank multiply-adds, not cheb_n^2 * Q * kept.
 
-    A chop changes h_k by at most its dropped mass, and a step passes an
-    earlier change on at most sum_q |w_q| times the Lebesgue constant of
-    the nodes per axis; ``chop_bound`` sums these changes through the chain
+    A chop (of degrees or of ranks) changes h_k by at most its dropped mass,
+    and a step passes an earlier change on at most sum_q |w_q| times the
+    Lebesgue constant of the nodes per axis; ``chop_bound`` sums these changes through the chain
     into a bound on the change of the value. ``certified`` says every
     profile resolved: it is false when some profile kept (almost) every
     degree on an axis, so that ``cheb_n`` is too small for that profile and
@@ -579,8 +606,7 @@ def expect_series(
         err = profile.dropped + grow * err  # sup change of h_k from every chop
         chop_bound += err / math.factorial(k)
     value = math.exp(-mass) * sum(terms[k] for k in range(k_max + 1))
-    certified = all(p.resolved for p in chain)
-    max_degree = tuple(int(d) - 1 for d in np.max([p.coeffs.shape for p in chain], axis=0))
+    certified, max_degree = _chain_status(chain)
     tail = 0.0
     log_mass = math.log(mass) if mass > 0 else -math.inf
     for k in range(k_max + 1, k_max + 400):
@@ -675,14 +701,17 @@ def mecke_check(
             s_stat = cols.pop()
             inner_vals = fn.inner.value_batch(nodes)[:, None]
             span = (np.array([min(s_stat.min(), 0.0)]), np.array([max(s_stat.max(), 0.0)]))
-            prof = iterated_kernel(fn.outer, inner_vals, w, phi_node_vals, span, 64)[-1]
-            rhs_vals = prof(s_stat[:, None])
+            chain = iterated_kernel(fn.outer, inner_vals, w, phi_node_vals, span, 64)
+            rhs_vals = chain[-1](s_stat[:, None])
+            certified, max_degree = _chain_status(chain)
+            detail = {"coupled": True, "certified": certified, "max_degree": list(max_degree)}
         else:
             rhs_vals = np.full(n_samples, math.prod(float(w @ pv) for pv in phi_node_vals))
+            detail = {"coupled": True}
         se = float(np.std(lhs_vals - rhs_vals, ddof=1) / math.sqrt(n_samples))
         return CheckResult.from_estimates(
             f"mecke-m{fn.m}-{fn.name}", McEstimate.from_samples(lhs_vals),
-            McEstimate.from_samples(rhs_vals), stderr_diff=se, detail={"coupled": True})
+            McEstimate.from_samples(rhs_vals), stderr_diff=se, detail=detail)
 
     return [right_and_row(fn) for fn in functionals]
 

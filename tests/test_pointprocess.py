@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval, chebval2d
+from numpy.polynomial.chebyshev import chebval, chebval2d, chebvander
 
 from poissonforms.forms import Exp, Linear
 from poissonforms.fields import gauss_bump
@@ -12,6 +12,7 @@ from poissonforms.pointprocess import (
     Configuration,
     MeckeFunctional,
     RngStream,
+    _axes,
     _cheb_nodes,
     _dct1,
     expect_series,
@@ -38,6 +39,32 @@ ORACLE_EXP_ONE = 0.5764555689042391  # E exp(-0.5 <PHI, gamma>)
 ORACLE_LINEAR = 1.5801870307026753  # E [<PHI, gamma> + 0.2]
 ORACLE_EXP_TWO = 0.6142207996658571  # E exp(-0.3 <PHI,.> - 0.2 <PHI2,.>)
 NEG = gauss_bump(2, 0.8, (0.2, -0.1), -0.6)  # a statistic that is never positive
+
+
+def dense_chain_at_zero(outer, inner_vals, w, m, cheb_n):
+    """h_0(0), ..., h_m(0) of the two-statistic chain with the dense, unchopped
+    coefficient matrix of every profile and the three-operand einsum step."""
+    bounds = (np.zeros(2), np.zeros(2), np.minimum(inner_vals.min(0), 0.0),
+              np.maximum(inner_vals.max(0), 0.0))
+    D = _dct1(cheb_n)
+
+    def T(x, s):  # (degree, point) Chebyshev block on the axis x
+        return chebvander((2.0 * s - x[0] - x[-1]) / (x[-1] - x[0]), cheb_n - 1).T
+
+    def at_zero(ax, C):
+        return (T(ax[0], np.zeros(1)).T @ C @ T(ax[1], np.zeros(1)))[0, 0]
+
+    ax = _axes(*bounds, m, cheb_n)
+    grid = np.stack(np.meshgrid(*ax, indexing="ij"), -1).reshape(-1, 2)
+    C = D @ outer(grid).reshape(cheb_n, cheb_n) @ D.T
+    out = [at_zero(ax, C)]
+    for j in range(m - 1, -1, -1):
+        new = _axes(*bounds, j, cheb_n)
+        T0, T1 = (T(ax[a], (new[a][None, :] + inner_vals[:, a:a + 1]).ravel())
+                  .reshape(cheb_n, -1, cheb_n) for a in (0, 1))
+        C, ax = D @ np.einsum("kqi,kl,lqj->ij", T0, C, T1 * w[:, None], optimize=True) @ D.T, new
+        out.append(at_zero(ax, C))
+    return out
 
 
 class TestRngStream:
@@ -222,14 +249,20 @@ class TestQuadrature:
         n = 16
         ax, ay = _cheb_nodes(-1.0, 1.0, n), _cheb_nodes(0.0, 2.0, n)
         prof = ChebProfile([ax], np.sin(20.0 * ax) + np.cos(20.0 * ax))
-        assert prof.coeffs.shape == (n,) and prof.dropped == 0.0 and not prof.resolved
-        prof2 = ChebProfile([ax, ay], np.cos(20.0 * np.add.outer(ax, 1.3 * ay)))
-        assert prof2.coeffs.shape == (n, n) and prof2.dropped == 0.0
-        assert not prof2.resolved
+        assert prof.kept == (n,) and prof.dropped == 0.0 and not prof.resolved
+        v2 = np.cos(20.0 * np.add.outer(ax, 1.3 * ay))
+        prof2 = ChebProfile([ax, ay], v2)
+        assert prof2.kept == (n, n) and not prof2.resolved
+        # the function has rank 2 (cos a cos b - sin a sin b): the rank chop
+        # keeps both and drops only rounding, singular values of a few eps
+        # times sigma_1, each weighted by |u|_1 |v|_1 <= n
+        assert 2 <= len(prof2.factors[0]) < n
+        full = _dct1(n) @ v2 @ _dct1(n).T
+        assert prof2.dropped <= 2 * n * np.finfo(float).eps * np.abs(full).sum()
         # an even function has zero odd coefficients: the last degree is
         # dropped, but one small coefficient is no plateau
         even = ChebProfile([ax], np.cos(20.0 * ax))
-        assert even.coeffs.shape == (n - 1,) and not even.resolved
+        assert even.kept == (n - 1,) and not even.resolved
 
     def test_chop_changes_the_series_by_at_most_the_dropped_mass(self):
         n = 64
@@ -239,22 +272,29 @@ class TestQuadrature:
         t, r = (2.0 * s + 1.0) / 3.0, u - 1.0  # the points mapped onto [-1, 1]
         v1 = np.sin(ax)
         v2 = np.exp(-np.add.outer(ax, 0.5 * ay))
+        v3 = 1.0 / (3.0 + np.add.outer(ax, ay))  # numerical rank 12 of 64
         full1 = _dct1(n) @ v1
-        full2 = _dct1(n) @ v2 @ _dct1(n).T
+        full2, full3 = (_dct1(n) @ v @ _dct1(n).T for v in (v2, v3))
+        S2 = np.column_stack([s, u])
         cases = [
             (ChebProfile([ax], v1), s[:, None], chebval(t, full1), full1),
-            (ChebProfile([ax, ay], v2), np.column_stack([s, u]),
-             chebval2d(t, r, full2), full2),
+            (ChebProfile([ax, ay], v2), S2, chebval2d(t, r, full2), full2),
+            (ChebProfile([ax, ay], v3), S2, chebval2d(t, r, full3), full3),
         ]
         for prof, S, want, full in cases:
-            assert prof.resolved and max(prof.coeffs.shape) < n and prof.dropped > 0.0
+            assert prof.resolved and max(prof.kept) < n and prof.dropped > 0.0
             # beyond the dropped mass only the rounding of the two
             # recurrences, a few eps times sum |c|
             rounding = 8.0 * np.finfo(float).eps * np.abs(full).sum()
             assert np.max(np.abs(prof(S) - want)) <= prof.dropped + rounding
+        # the rank chop drops mass of its own, beyond the dropped degrees
+        prof3 = cases[2][0]
+        k0, k1 = prof3.kept
+        assert 1 < len(prof3.factors[0]) < min(k0, k1)
+        assert prof3.dropped > np.abs(full3).sum() - np.abs(full3[:k0, :k1]).sum()
         # an axis on which the profile is constant keeps degree 0 alone
         flat = ChebProfile([ax, ay], np.multiply.outer(ax**3, np.ones(n)))
-        assert flat.coeffs.shape == (4, 1) and flat.resolved
+        assert flat.kept == (4, 1) and flat.resolved
         assert np.max(np.abs(flat(np.column_stack([s, u])) - s**3)) <= 1e-13
 
 
@@ -398,6 +438,40 @@ class TestExpectSeries:
         assert rows and max(rows) <= 32
         assert len(res.max_degree) == 2 and max(res.max_degree) < 32
 
+    @pytest.mark.parametrize("case", ["exp-two-stats", "reciprocal"])
+    def test_factor_pair_chain_matches_dense_einsum(self, case):
+        # the rank-1 traffic outer, and a high-rank one (h_0 keeps rank 15
+        # of its (49, 44) degrees), against dense unchopped matrices
+        from poissonforms import batteries as bat
+
+        two = next(c for c in bat.series_battery() if c.name == "exp-two-stats")
+        outer = two.outer if case == "exp-two-stats" else (
+            lambda S: 1.0 / (1.0 + S[:, 0] + S[:, 1]))
+        nodes, w = sigma_nodes(SP, GAUSS, bat.series_window(), 16)
+        inner_vals = np.stack([f.value_batch(nodes) for f in two.inners], axis=-1)
+        zero = np.zeros(2)
+        chain = iterated_kernel(outer, inner_vals, w, [np.ones(len(w))] * 8, (zero, zero), 64)
+        got = [prof(zero[None])[0] for prof in chain]
+        want = dense_chain_at_zero(outer, inner_vals, w, 8, 64)
+        assert len(got) == len(want) == 9
+        assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
+
+    def test_battery_two_stat_chain_has_rank_one(self):
+        # every two-statistic outer the batteries ship is Exp, which is
+        # separable: each profile of its chain is one factor pair
+        from poissonforms import batteries as bat
+
+        case = next(c for c in bat.series_battery() if c.name == "exp-two-stats")
+        nodes, w = sigma_nodes(SP, GAUSS, bat.series_window(), 40)
+        inner_vals = np.stack([f.value_batch(nodes) for f in case.inners], axis=-1)
+        zero = np.zeros(2)
+        chain = iterated_kernel(case.outer, inner_vals, w, [np.ones(len(w))] * 8,
+                                (zero, zero), 64)
+        assert [len(F) for prof in chain for F in prof.factors] == [1] * 18
+        res = expect_series(SP, GAUSS, bat.series_window(), case.outer, case.inners,
+                            case.envelope)
+        assert res.certified and res.max_degree == (14, 12)
+
     def test_unresolved_profiles_are_not_certified(self):
         # e^{-20 s} over the reach of 8 points needs far more than 8 nodes:
         # the value is off by ~0.04 while the tail bound is ~2e-5
@@ -450,6 +524,21 @@ class TestMecke:
         (res,) = mecke_check(SP, GAUSS, ALL, [fun], RngStream(43), n_samples=20_000)
         assert res.passed
         assert res.stderr > 0.0
+
+    def test_rows_with_a_cylinder_factor_say_whether_their_chain_resolved(self):
+        from poissonforms import batteries as bat
+
+        rows = mecke_check(SP, GAUSS, ALL, bat.mecke_battery(), RngStream(42), n_samples=2000)
+        detail = {r.check: r.detail for r in rows}
+        assert detail["mecke-m1-phi-pi"] == detail["mecke-m2-pair-plain"] == {"coupled": True}
+        for name in ("mecke-m1-phi-exp", "mecke-m2-pair-exp"):
+            (degree,) = detail[name].pop("max_degree")  # one statistic
+            assert detail[name] == {"coupled": True, "certified": True} and degree < 32
+        # e^{-20 s} over the statistic's range needs more than 64 nodes
+        phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
+        steep = MeckeFunctional((phi,), outer=Exp([-20.0]), inner=phi, name="steep")
+        (res,) = mecke_check(SP, GAUSS, ALL, [steep], RngStream(43), n_samples=2000)
+        assert res.detail["certified"] is False and res.detail["max_degree"] == [63]
 
     def test_m3_rejected(self):
         phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)

@@ -9,7 +9,8 @@ by newlines. With ``--experiments`` it also prints, for each harness
 experiment at its default config, the same prefix of the record's
 ``canonical_json``. The script reads the package and the workloads of the
 checkout it sits in, so a copy of it in an exported older revision digests
-that revision.
+that revision. BLAS runs on one thread, so that a row's long reductions
+round the same way on every host.
 """
 
 from __future__ import annotations
@@ -17,8 +18,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
+
+# before numpy is first imported: it reads them once, when it loads BLAS
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (42, 7)
