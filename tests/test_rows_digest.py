@@ -7,14 +7,20 @@ from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "rows_digest.py"
 
-# load the script as a module (its main does not run) in a fresh process
-# whose environment asks for two BLAS threads
+# run the script's main in a fresh process, stopping it where it first
+# imports numpy (``_workloads``) to print what that import would see
 _PROBE = """
 import importlib.util, os, sys
 spec = importlib.util.spec_from_file_location("rows_digest", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
-print("numpy" in sys.modules, *(os.environ[v] for v in module.BLAS_THREAD_VARS))
+
+def probe():
+    print("numpy" in sys.modules, *(os.environ[v] for v in module.BLAS_THREAD_VARS))
+    raise SystemExit(0)
+
+module._workloads = probe
+module.main([])
 """
 
 

@@ -22,10 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-# before numpy is first imported: it reads them once, when it loads BLAS
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (42, 7)
 
@@ -54,6 +51,8 @@ def main(argv=None) -> int:
     parser.add_argument("--experiments", action="store_true",
                         help="also digest every default-config experiment record")
     args = parser.parse_args(argv)
+    # before numpy loads (``_workloads`` imports it): it reads them once
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     workloads = _workloads()
     for name in workloads.SIZES:
         print(name, *(workload_digest(workloads, name, seed) for seed in SEEDS), flush=True)
