@@ -326,6 +326,10 @@ def _dct1(n: int) -> np.ndarray:
 # noise of the DCT-I (about 1e-16 relative), not resolved content.
 _CHOP_TOL = 1e-15
 
+# Points per (kept, points) Chebyshev block of ``ChebProfile._series``: at
+# most 8.4 MB at cheb_n = 64, freed once the factor rows take it to rank rows.
+_SERIES_ROWS = 1 << 14
+
 
 class ChebProfile:
     """Chebyshev series of a function of 1 or 2 statistics: the interpolant
@@ -401,34 +405,24 @@ class ChebProfile:
             T[k] -= T[k - 2]
         return T
 
-    def _clenshaw(self, s: np.ndarray) -> np.ndarray:
-        """The 1-statistic series at s: b_k = c_k + 2t b_{k+1} - b_{k+2},
-        value c_0 + t b_1 - b_2, in place over three row-length buffers."""
-        c = self.factors[0][0]
-        t2 = self._two_t(0, s)
-        b1, b2, out = np.zeros_like(t2), np.zeros_like(t2), np.empty_like(t2)
-        for ck in c[:0:-1]:
-            np.multiply(t2, b1, out=out)
-            np.subtract(out, b2, out=b2)
-            b2 += ck
-            b1, b2 = b2, b1
-        np.multiply(t2, b1, out=out)
-        out *= 0.5
-        out -= b2
-        out += c[0]
+    def _series(self, axis: int, s: np.ndarray) -> np.ndarray:
+        """The axis' factor rows times its Chebyshev block at the points s:
+        (rank, rows), the block built ``_SERIES_ROWS`` points at a time."""
+        F = self.factors[axis]
+        out = np.empty((len(F), s.size))
+        for lo in range(0, s.size, _SERIES_ROWS):
+            part = slice(lo, lo + _SERIES_ROWS)
+            out[:, part] = F @ self._axis_matrix(axis, s[part])
         return out
 
     def __call__(self, S: np.ndarray) -> np.ndarray:
         S = np.atleast_2d(np.asarray(S, dtype=float))
         if S.shape[1] != len(self.axes):
             raise ValueError("statistic dimension mismatch")
-        if len(self.axes) == 1:
-            return self._clenshaw(S[:, 0])
-        # two statistics: each factor times its axis' (kept, rows) recurrence
-        # block, then the product summed over the rank
-        F0, F1 = self.factors
-        A = F0 @ self._axis_matrix(0, S[:, 0])
-        A *= F1 @ self._axis_matrix(1, S[:, 1])
+        # the series is a sum over its rank of products of per-axis series
+        A = self._series(0, S[:, 0])
+        for axis in range(1, len(self.axes)):
+            A *= self._series(axis, S[:, axis])
         return A.sum(axis=0)
 
 
@@ -445,40 +439,19 @@ def _sample_profile(outer, axes: list[np.ndarray]) -> ChebProfile:
     return ChebProfile(axes, np.reshape(outer(grid), [len(axes[0])] * len(axes)))
 
 
-# Quadrature nodes per contraction in the 2-statistic kernel step: a
-# (kept, chunk * cheb_n) recurrence block per axis, at most 8.4 MB at
-# cheb_n = 64 (2 MB at 16 kept degrees), each freed once its factor has
-# taken it to a (rank, chunk * cheb_n) block (131 kB at rank 1). A 16 x 16
-# tensor rule is a single chunk.
-_STEP_CHUNK = 256
-
-
 def _kernel_step(
     profile: ChebProfile, axes: list, inner_values: np.ndarray, w: np.ndarray
 ) -> ChebProfile:
-    """One sigma-integration, s -> sum_q w_q profile(s + phi(x_q)), on ``axes``."""
+    """One sigma-integration, s -> sum_q w_q profile(s + phi(x_q)), on ``axes``:
+    each axis' ``_series`` at s_i + phi(x_q) is a (rank * q, i) block, and the
+    step sums the first block over (rank, q) against the weights, times the
+    second block for two statistics: one GEMV or one GEMM."""
     Q, N = inner_values.shape
     cheb_n = len(axes[0])
-    if N == 1:
-        # evaluate previous profile at s + phi(x_q), integrate over q
-        shifted = axes[0][:, None] + inner_values[None, :, 0]
-        prev = profile(shifted.reshape(-1, 1)).reshape(cheb_n, Q)
-        vals = prev @ w
-    else:
-        # the series is a sum over its rank of products of per-axis series,
-        # so the shifted evaluation factorizes: each factor times the per-axis
-        # Chebyshev block T_k(s_i + phi(x_q)) gives a (rank, q, i) block, and
-        # the step is one GEMM over (rank, q), a chunk of nodes at a time to
-        # bound the memory
-        F0, F1 = profile.factors
-        for lo in range(0, Q, _STEP_CHUNK):
-            q = slice(lo, lo + _STEP_CHUNK)
-            A = F0 @ profile._axis_matrix(0, (axes[0][None, :] + inner_values[q, :1]).ravel())
-            B = F1 @ profile._axis_matrix(1, (axes[1][None, :] + inner_values[q, 1:2]).ravel())
-            B = B.reshape(len(F1), -1, cheb_n)
-            B *= w[q][:, None]  # the weights, so the sum over (rank, q) is a GEMM
-            part = A.reshape(-1, cheb_n).T @ B.reshape(-1, cheb_n)
-            vals = part if lo == 0 else vals + part
+    A, *B = (profile._series(i, (axes[i][None, :] + inner_values[:, i:i + 1]).ravel())
+             .reshape(-1, cheb_n) for i in range(N))
+    wq = np.tile(w, len(A) // Q)[:, None]
+    vals = A.T @ (B[0] * wq if B else wq)
     return ChebProfile(axes, vals.reshape([cheb_n] * N))
 
 
@@ -563,13 +536,12 @@ def expect_series(
     k-fold integral, so all terms cost k_max quadrature passes rather than a
     2k-dimensional rule: it is the ``iterated_kernel`` chain of k_max unit
     step weights on the base range {0}. Each h_k is a ``ChebProfile``
-    sampled on ``cheb_n`` nodes per axis and chopped at its rounding
-    plateau, evaluated from the kept coefficients: by Clenshaw's recurrence
-    for one statistic; for two, the kept coefficient matrix is held as a
-    factor pair chopped at its rank, and each factor takes per-axis
-    recurrence blocks of at most (kept, ``_STEP_CHUNK`` * cheb_n) entries to
-    (rank, ``_STEP_CHUNK`` * cheb_n), so a step over Q quadrature nodes
-    costs about cheb_n^2 * Q * rank multiply-adds, not cheb_n^2 * Q * kept.
+    sampled on ``cheb_n`` nodes per axis, chopped at its rounding plateau
+    and held as one row of kept coefficients (one statistic) or a factor
+    pair chopped at its rank (two). Each axis' factor rows take its
+    Chebyshev block, built ``_SERIES_ROWS`` points at a time, to rank rows,
+    and a step over Q quadrature nodes sums their products over (rank, q)
+    in one matrix product.
 
     A chop (of degrees or of ranks) changes h_k by at most its dropped mass,
     and a step passes an earlier change on at most sum_q |w_q| times the
@@ -661,7 +633,8 @@ def mecke_check(
     Both sides are evaluated on the same sampled configurations (the right
     side is Rao-Blackwellized: the sigma^m integral is collapsed into a
     profile of the cylinder statistic, then averaged over the samples), so
-    each verdict is based on the paired difference and its standard error.
+    each verdict is based on the paired difference and its standard error;
+    a cylinder factor's profile chain must also be ``certified`` to pass.
     All functionals read one batch, so their rows are dependent; each row
     is still a mean over ``n_samples`` independent configurations.
     """
@@ -709,9 +682,11 @@ def mecke_check(
             rhs_vals = np.full(n_samples, math.prod(float(w @ pv) for pv in phi_node_vals))
             detail = {"coupled": True}
         se = float(np.std(lhs_vals - rhs_vals, ddof=1) / math.sqrt(n_samples))
-        return CheckResult.from_estimates(
+        row = CheckResult.from_estimates(
             f"mecke-m{fn.m}-{fn.name}", McEstimate.from_samples(lhs_vals),
             McEstimate.from_samples(rhs_vals), stderr_diff=se, detail=detail)
+        row.passed = row.passed and detail.get("certified", True)
+        return row
 
     return [right_and_row(fn) for fn in functionals]
 

@@ -25,8 +25,10 @@ with the symmetric order-2 splitting
 
     M <- expm((dt/2) J_{k+1}) T_k expm((dt/2) J_k) M,
 
-where T_k is the transport step (identity in R^d); for path-independent J
-both halves merge into the midpoint rule expm((dt/2)(J_k + J_{k+1})).
+where T_k is the transport step (identity in R^d). On flat space every J
+takes the midpoint rule expm((dt/2)(J_k + J_{k+1})) instead, which equals
+the split product only when J_k and J_{k+1} commute, as for the gaussian's
+constant J; otherwise it is another order-2 step.
 
 J and T_k act on each point's slot separately, and expm(A (+) B) =
 expm(A) (x) expm(B): on the fibre's block of per-slot degrees (q_1, ...,

@@ -374,7 +374,8 @@ class TestExpectSeries:
         assert np.allclose(chain[0](ends), np.exp(-0.5 * ends[:, 0]), rtol=1e-12)
 
     def test_chunked_two_stat_step_matches_unchunked(self, monkeypatch):
-        # quad_n = 40 is 1600 nodes, several chunks of the 2-statistic step
+        # quad_n = 40 is 1600 nodes, so a step reads each axis' series at
+        # 1600 * 64 shifted points: several blocks of _SERIES_ROWS rows
         from poissonforms import batteries as bat
         from poissonforms import pointprocess
 
@@ -386,11 +387,20 @@ class TestExpectSeries:
                 case.envelope, k_max=3, quad_n=40,
             ).terms
 
-        chunked = terms()
-        monkeypatch.setattr(pointprocess, "_STEP_CHUNK", 40 * 40)
-        whole = terms()
+        # a one-statistic profile read at Mecke size, 70,000 statistics
+        nodes, w = sigma_nodes(SP, GAUSS, BOX, 40)
+        inner = PHI.value_batch(nodes)[:, None]
+        prof = iterated_kernel(Exp([-0.5]), inner, w, [inner[:, 0]],
+                               (np.zeros(1), np.full(1, 3.0)), 64)[-1]
+        s = np.random.default_rng(0).uniform(0.0, 3.0, size=(70_000, 1))
+
+        chunked, chunked_one = terms(), prof(s)
+        assert 1600 * 64 > pointprocess._SERIES_ROWS and 70_000 > pointprocess._SERIES_ROWS
+        monkeypatch.setattr(pointprocess, "_SERIES_ROWS", 1600 * 64)
+        whole, whole_one = terms(), prof(s)
         assert len(sigma_nodes(SP, GAUSS, bat.series_window(), 40)[1]) == 1600
         assert np.max(np.abs(np.subtract(chunked, whole))) <= 1e-12
+        assert np.max(np.abs(chunked_one - whole_one)) <= 1e-12 * np.max(np.abs(whole_one))
 
     def test_battery_values_do_not_depend_on_cheb_n(self, monkeypatch):
         # every profile is chopped at its plateau, so raising cheb_n past the
@@ -417,11 +427,10 @@ class TestExpectSeries:
             assert abs(whole.value - res[0].value) <= res[0].chop_bound, case.name
 
     def test_two_stat_step_contracts_only_kept_degrees(self, monkeypatch):
+        # one and two statistics step through the same per-axis blocks
         from poissonforms import batteries as bat
         from poissonforms import pointprocess
 
-        case = next(c for c in bat.series_battery() if c.name == "exp-two-stats")
-        rows = []
         axis_matrix = ChebProfile._axis_matrix
 
         def spy(self, axis, s):
@@ -430,13 +439,16 @@ class TestExpectSeries:
             return T
 
         monkeypatch.setattr(pointprocess.ChebProfile, "_axis_matrix", spy)
-        res = expect_series(
-            SP, GAUSS, bat.series_window(), case.outer, case.inners,
-            case.envelope, cheb_n=64, quad_n=16,
-        )
-        assert res.certified
-        assert rows and max(rows) <= 32
-        assert len(res.max_degree) == 2 and max(res.max_degree) < 32
+        for name in ("exp-two-stats", "exp-bump"):
+            case = next(c for c in bat.series_battery() if c.name == name)
+            rows = []
+            res = expect_series(
+                SP, GAUSS, bat.series_window(), case.outer, case.inners,
+                case.envelope, cheb_n=64, quad_n=16,
+            )
+            assert res.certified
+            assert rows and max(rows) <= 32
+            assert len(res.max_degree) == len(case.inners) and max(res.max_degree) < 32
 
     @pytest.mark.parametrize("case", ["exp-two-stats", "reciprocal"])
     def test_factor_pair_chain_matches_dense_einsum(self, case):
@@ -529,6 +541,7 @@ class TestMecke:
         from poissonforms import batteries as bat
 
         rows = mecke_check(SP, GAUSS, ALL, bat.mecke_battery(), RngStream(42), n_samples=2000)
+        assert all(r.passed for r in rows)
         detail = {r.check: r.detail for r in rows}
         assert detail["mecke-m1-phi-pi"] == detail["mecke-m2-pair-plain"] == {"coupled": True}
         for name in ("mecke-m1-phi-exp", "mecke-m2-pair-exp"):
@@ -539,6 +552,15 @@ class TestMecke:
         steep = MeckeFunctional((phi,), outer=Exp([-20.0]), inner=phi, name="steep")
         (res,) = mecke_check(SP, GAUSS, ALL, [steep], RngStream(43), n_samples=2000)
         assert res.detail["certified"] is False and res.detail["max_degree"] == [63]
+
+    def test_row_with_an_unresolved_chain_does_not_pass(self):
+        # e^{-20 s} over the bump's statistic: the paired difference is well
+        # within three standard errors, but the profile chain did not resolve
+        phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
+        steep = MeckeFunctional((phi,), outer=Exp([-20.0]), inner=phi, name="steep")
+        (res,) = mecke_check(SP, GAUSS, ALL, [steep], RngStream(43), n_samples=2000)
+        assert res.detail["certified"] is False
+        assert abs(res.lhs - res.rhs) <= res.tol and not res.passed
 
     def test_m3_rejected(self):
         phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
