@@ -554,8 +554,8 @@ class TestMecke:
         assert res.detail["certified"] is False and res.detail["max_degree"] == [63]
 
     def test_row_with_an_unresolved_chain_does_not_pass(self):
-        # e^{-20 s} over the bump's statistic: the paired difference is well
-        # within three standard errors, but the profile chain did not resolve
+        # e^{-20 s} over the bump's statistic: the paired difference is within
+        # three standard errors, but the profile chain did not resolve
         phi = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
         steep = MeckeFunctional((phi,), outer=Exp([-20.0]), inner=phi, name="steep")
         (res,) = mecke_check(SP, GAUSS, ALL, [steep], RngStream(43), n_samples=2000)
