@@ -30,7 +30,6 @@ from .forms import (
     LiftedVector,
     SlotForm,
     SphereSlotOne,
-    SphereSlotTwo,
     SymmetricFormField,
     eval_form,
 )

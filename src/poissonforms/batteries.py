@@ -34,7 +34,6 @@ from .forms import (
     Monomial,
     SlotForm,
     SphereSlotOne,
-    SphereSlotTwo,
     SymmetricFormField,
 )
 from .geometry import Euclidean, IntensitySpec, Sphere, Window
@@ -286,7 +285,7 @@ def sphere_form_battery() -> list[CylinderForm]:
     om_grad = SymmetricFormField(
         1, [(1.0, (SphereSlotOne(sp, SphereGradientField(SphereAxisField(e1, [0.0, 0.5, 0.3]))),))]
     )
-    om_area = SymmetricFormField(1, [(1.0, (SphereSlotTwo(sp, height),))])
+    om_area = SymmetricFormField(1, [(1.0, (SlotForm(height, (0, 1)),))])
     return [
         CylinderForm([FormTerm(om_kil)], name="killing"),
         CylinderForm([FormTerm(om_grad, F=Fax)], name="gradient-weighted"),

@@ -40,6 +40,7 @@ import numpy as np
 
 from .exterior import Multivector, _sort_sign, relabel_slots, t_basis, wedge
 from .fields import PointTable
+from .geometry import frame_coords
 from .pointprocess import Configuration, SampleBatch
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "CylinderFunction",
     "SlotForm",
     "SphereSlotOne",
-    "SphereSlotTwo",
     "SymmetricFormField",
     "FormTerm",
     "CylinderForm",
@@ -208,8 +208,11 @@ class CylinderFunction:
 
 class SlotForm:
     """One slot of a separable form term: a scalar coefficient field times a
-    fixed frame wedge pattern of degree k (Euclidean backend; exact
-    derivatives via the field algebra)."""
+    fixed frame wedge pattern of degree k. On flat space the frame is the
+    coordinate basis and ``partial`` differentiates the coefficient exactly
+    through the field algebra; on the sphere the class carries the area slot,
+    a scalar times e_0 ^ e_1 of the orthonormal frame, and ``partial`` does
+    not apply (the frame turns from point to point)."""
 
     def __init__(self, field, axes: Sequence[int], sign: float = 1.0):
         # sort the axes, tracking the wedge sign
@@ -224,9 +227,6 @@ class SlotForm:
     def degree(self) -> int:
         return len(self.axes)
 
-    def coeff(self, x) -> float:
-        return self.sign * self.field.value_one(x)
-
     def partial(self, axis: int) -> "SlotForm":
         return SlotForm(self.field.partial(axis), self.axes, self.sign)
 
@@ -240,7 +240,7 @@ class SlotForm:
         return (self.sign * ev.values(self.field))[None, :]
 
     def mv_at(self, p, slot: int) -> Multivector:
-        c = self.coeff(p)
+        c = self.sign * self.field.value_one(p)
         if c == 0.0:
             return Multivector()
         return Multivector({tuple((slot, a) for a in self.axes): c})
@@ -256,13 +256,9 @@ class SphereSlotOne:
         self.space = space
         self.vec = vec_field
 
-    def _frame_coords(self, P: np.ndarray) -> np.ndarray:
-        """(points, dim) frame coordinates of the field at the rows of P."""
-        v = self.space.project_tangent(P, self.vec.value_batch(P))
-        return np.vecdot(self.space.frame(P), v[:, None, :])
-
     def mv_at(self, p, slot: int) -> Multivector:
-        coords = self._frame_coords(np.asarray(p, dtype=float)[None, :])[0]
+        P = np.asarray(p, dtype=float)[None, :]
+        coords = frame_coords(self.space, P, self.vec.value_batch(P))[0]
         return Multivector(
             {((slot, a),): float(c) for a, c in enumerate(coords) if c != 0.0}
         )
@@ -272,28 +268,7 @@ class SphereSlotOne:
         return tuple((a,) for a in range(self.space.dim))
 
     def coeffs(self, ev: "BatchEval") -> np.ndarray:
-        return self._frame_coords(ev.points).T
-
-
-class SphereSlotTwo:
-    """Degree-2 slot on the sphere: scalar times the frame area element."""
-
-    degree = 2
-
-    def __init__(self, space, scalar_field):
-        self.space = space
-        self.scalar = scalar_field
-
-    def mv_at(self, p, slot: int) -> Multivector:
-        c = self.scalar.value_one(p)
-        if c == 0.0:
-            return Multivector()
-        return Multivector({((slot, 0), (slot, 1)): float(c)})
-
-    patterns = ((0, 1),)
-
-    def coeffs(self, ev: "BatchEval") -> np.ndarray:
-        return ev.values(self.scalar)[None, :]
+        return frame_coords(self.space, ev.points, self.vec.value_batch(ev.points)).T
 
 
 @dataclass(frozen=True)
@@ -329,21 +304,6 @@ class SymmetricFormField:
             else:
                 total = total + mv
         return total
-
-    def slot_partial(self, i: int, axis: int) -> "SymmetricFormField":
-        return SymmetricFormField(
-            self.m,
-            [
-                (
-                    t.coef,
-                    tuple(
-                        s.partial(axis) if j == i else s
-                        for j, s in enumerate(t.slots)
-                    ),
-                )
-                for t in self.terms
-            ],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +621,11 @@ class BatchValue:
             k: self.blocks.get(k, 0.0) - other.blocks.get(k, 0.0)
             for k in self.blocks.keys() | other.blocks.keys()
         }
+        return BatchValue(self.layout, self.degree, self.dim, blocks)
+
+    def __rmul__(self, c: float) -> "BatchValue":
+        """The value times the number c, block by block."""
+        blocks = {k: c * A for k, A in self.blocks.items()}
         return BatchValue(self.layout, self.degree, self.dim, blocks)
 
 

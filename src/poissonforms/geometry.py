@@ -31,6 +31,7 @@ __all__ = [
     "Window",
     "beta",
     "grad_beta",
+    "frame_coords",
     "frame_maps",
     "sigma_mass",
 ]
@@ -220,6 +221,14 @@ def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarr
     if intensity.family == "gaussian" and not isinstance(space, Sphere):
         return np.broadcast_to(-np.eye(d) / intensity.scale**2, p.shape[:-1] + (d, d))
     return np.zeros(p.shape[:-1] + (d, d))
+
+
+def frame_coords(space: Space, X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coordinates in the orthonormal frame at the rows of X (N, ambient_dim)
+    of the vectors v (N, ambient_dim), each first projected to the tangent
+    space at its row: an (N, dim) array, entry (n, a) = <F_a(X_n), v_n>."""
+    v = space.project_tangent(X, v)
+    return np.vecdot(space.frame(X), v[:, None, :])
 
 
 def frame_maps(space: Space, q: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batteries as bat
-from .forms import BatchEval, BatchValue
+from .forms import BatchEval
 from .operators import (
     adjointness_check,
     dd_zero_check,
@@ -103,6 +103,9 @@ _CHOICES = {
     "format": ("json", "csv"),
 }
 
+# the least value of each integer key (``dt`` must be positive)
+_LEAST = {"n_samples": 1, "n_configs": 1, "seed": 0}
+
 
 def _line_of(text: str | None, key: str) -> str:
     if text is None:
@@ -134,6 +137,11 @@ def _check_entry(key: str, value, text: str | None):
             f"key {key!r} must be one of {list(_CHOICES[key])}, got {value!r}"
             f"{_line_of(text, key)}"
         )
+    if key in _LEAST and value < _LEAST[key]:
+        raise ConfigError(f"key {key!r} must be at least {_LEAST[key]}, got {value!r}"
+                          f"{_line_of(text, key)}")
+    if key == "dt" and not value > 0:
+        raise ConfigError(f"key 'dt' must be positive, got {value!r}{_line_of(text, key)}")
     if key in ("t_grid", "generator_ts"):
         if not value or not all(
             isinstance(t, (int, float)) and not isinstance(t, bool) and t > 0
@@ -354,11 +362,7 @@ def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:
     v = ev.form(W)
     for kind, mult in (("bochner", 1.0), ("deRham", 2.0)):
         L = lift_batch(kind, sp, inten, W, ev)
-        res = {
-            k: L.blocks.get(k, 0.0) - mult * v.blocks.get(k, 0.0)
-            for k in L.blocks.keys() | v.blocks.keys()
-        }
-        worst = BatchValue(L.layout, W.degree, sp.dim, res).norm().max()
+        worst = (L - mult * v).norm().max()
         out.append(
             CheckResult.deterministic(
                 f"eigenform-{kind}-x1dx1-times-{mult:g}", float(worst), 0.0,

@@ -75,6 +75,7 @@ from .geometry import (
     Sphere,
     Window,
     beta,
+    frame_coords,
     frame_maps,
     grad_beta,
 )
@@ -272,12 +273,6 @@ def _neighbour_rows(space: Space, om, k: int, X: np.ndarray, h: float) -> np.nda
     return np.einsum("...ji,...i->...j", wedge_power(M, k), vals)
 
 
-def _beta_frame_rows(space: Space, intensity: IntensitySpec, X: np.ndarray):
-    """beta in the frame at every row of X, (N, d)."""
-    b = space.project_tangent(X, beta(space, intensity, X))
-    return np.vecdot(space.frame(X), b[:, None, :])
-
-
 def d_rows(
     space: Space, intensity: IntensitySpec, om, k: int, X: np.ndarray, h: float = _FD_H
 ) -> np.ndarray:
@@ -295,7 +290,7 @@ def dstar_rows(
     -sum_a iota_a (nabla_a + beta_a)."""
     nb = _neighbour_rows(space, om, k, X, h)
     cov = (nb[:, 0] - nb[:, 1]) * (1.0 / (2.0 * h))
-    bv = _beta_frame_rows(space, intensity, X)
+    bv = frame_coords(space, X, beta(space, intensity, X))
     if np.any(bv):
         cov = cov + bv[:, :, None] * om(X)[:, None, :]
     return -np.einsum("aij,nai->nj", _wedge_ops(space.dim, k - 1), cov)
@@ -309,7 +304,7 @@ def bochner_rows(
     h = _FD_H
     nb = _neighbour_rows(space, om, k, X, h)
     second = (nb[:, 0] + nb[:, 1] - 2.0 * om(X)[:, None, :]) * (1.0 / h**2)
-    bv = _beta_frame_rows(space, intensity, X)[:, :, None]
+    bv = frame_coords(space, X, beta(space, intensity, X))[:, :, None]
     drift = bv * (nb[:, 0] - nb[:, 1]) * (1.0 / (2.0 * h))
     return -(second + drift).sum(axis=1)
 
@@ -507,7 +502,7 @@ def point_partial_form(
             if i in idx:
                 if fval == 0.0:
                     continue
-                part = t.omega.slot_partial(idx.index(i), a)
+                part = _fanout(t.omega, idx.index(i), lambda sf, _: [sf.partial(a)])
                 mv = part.value(pts[list(idx)]) * fval
             else:
                 F = t.F
@@ -786,7 +781,8 @@ def _point_partials(W: CylinderForm, ev: BatchEval, layout: RowLayout, a: int) -
         w = scale * ev.f_rows(t.F, cfg, idx)
         for s in range(t.m):
             sel = hit[:, s]
-            out.add(t.omega.slot_partial(s, a), idx[sel], group[sel], w[sel])
+            part = _fanout(t.omega, s, lambda sf, _: [sf.partial(a)])
+            out.add(part, idx[sel], group[sel], w[sel])
         if t.F is None:
             continue
         # the point is outside: differentiate the cylinder factor through it
@@ -966,6 +962,8 @@ def dd_zero_check(
     tol: float = 1e-10,
 ) -> CheckResult:
     """d(dW) = 0, evaluated on sampled configurations: deterministic residual."""
+    if n_configs < 1:
+        raise ValueError("dd_zero_check needs at least one configuration")
     ddW = d_gamma(space, intensity, d_gamma(space, intensity, W))
     norms = sample_views(space, intensity, window, rng, n_configs,
                          lambda b: BatchEval(b, space.dim).form(ddW).norm())
@@ -988,6 +986,8 @@ def weitzenbock_check(
     """De Rham lift minus Bochner lift equals the curvature potential,
     as a deterministic residual over sampled configurations: the largest
     per-configuration norm of the difference."""
+    if n_configs < 1:
+        raise ValueError("weitzenbock_check needs at least one configuration")
 
     def resid(batch: SampleBatch) -> np.ndarray:
         ev = BatchEval(batch, space.dim)
@@ -1048,6 +1048,8 @@ def factorization_check(
     ``_point_ops`` on the sphere) through the same filing, so the row checks
     the subset identification and the H-through-the-cylinder-factor term,
     not the point operators."""
+    if n_trials < 1:
+        raise ValueError("factorization_check needs at least one trial")
     sizes = sorted(m for m in W.subset_sizes() if m > 0)
     batch = sample_batch(space, intensity, window, rng, n_trials)
     added = _draw_locations(

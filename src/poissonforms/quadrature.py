@@ -29,6 +29,19 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (a + b) + half * x, half * w
 
 
+def _tensor_product(
+    rules: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of 1-d rules (nodes, weights), one per axis: nodes of
+    shape (N, d) with the last axis varying fastest, weights of shape (N,)."""
+    grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    w = rules[0][1]
+    for _, wi in rules[1:]:
+        w = np.multiply.outer(w, wi)
+    return nodes, w.ravel()
+
+
 def tensor_rule(
     bounds: Sequence[tuple[float, float]], n_per_axis: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -36,13 +49,7 @@ def tensor_rule(
 
     Returns nodes of shape (N, d) and weights of shape (N,).
     """
-    axes = [gauss_legendre(a, b, n_per_axis) for (a, b) in bounds]
-    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    w = axes[0][1]
-    for _, wi in axes[1:]:
-        w = np.multiply.outer(w, wi)
-    return nodes, w.ravel()
+    return _tensor_product([gauss_legendre(a, b, n_per_axis) for (a, b) in bounds])
 
 
 def gauss_hermite_gaussian(
@@ -54,30 +61,20 @@ def gauss_hermite_gaussian(
     that sum_i w_i f(x_i) ~ int f(x) exp(-|x|^2/(2 scale^2)) dx.
     """
     u, w = np.polynomial.hermite_e.hermegauss(n_per_axis)
-    x1 = scale * u
-    w1 = scale * w
-    grids = np.meshgrid(*([x1] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    ww = w1
-    for _ in range(dim - 1):
-        ww = np.multiply.outer(ww, w1)
-    return nodes, ww.ravel()
+    return _tensor_product([(scale * u, scale * w)] * dim)
 
 
 def sphere_rule(n_cos: int = 48, n_phi: int = 96) -> tuple[np.ndarray, np.ndarray]:
     """Product rule on the unit sphere: Gauss-Legendre in cos(theta) times a
     periodic trapezoid rule in the azimuth. Weights sum to 4*pi.
     """
-    t, wt = gauss_legendre(-1.0, 1.0, n_cos)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    st = np.sqrt(np.clip(1.0 - tt**2, 0.0, None))
-    pts = np.stack(
-        [st * np.cos(pp), st * np.sin(pp), tt], axis=-1
-    ).reshape(-1, 3)
-    w = np.multiply.outer(wt, wphi).ravel()
-    return pts, w
+    nodes, w = _tensor_product(
+        [gauss_legendre(-1.0, 1.0, n_cos), (phi, np.full(n_phi, 2.0 * np.pi / n_phi))]
+    )
+    t, p = nodes.T
+    st = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
+    return np.stack([st * np.cos(p), st * np.sin(p), t], axis=-1), w
 
 
 def converge_by_doubling(

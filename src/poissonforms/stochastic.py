@@ -543,8 +543,7 @@ def semigroup_Tn(
 
     def chunk(val, pulled, c_sup):
         # on the exact flat path M = e^{tJ}
-        blocks = ({k: math.exp(t * J.scalar) * A for k, A in val.blocks.items()}
-                  if pulled is None else pulled.blocks)
+        blocks = (math.exp(t * J.scalar) * val if pulled is None else pulled).blocks
         keys[:] = blocks  # the same keys in every chunk: each replica moves gamma
         return tuple(A.reshape(pairs, len(c_sup) // pairs, -1, A.shape[1]).mean(axis=0)
                      for A in blocks.values())

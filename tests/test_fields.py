@@ -104,7 +104,7 @@ def sphere_fields():
                     if isinstance(slot.vec, SphereGradientField):
                         scalars[id(slot.vec.scalar)] = slot.vec.scalar
                 else:
-                    scalars[id(slot.scalar)] = slot.scalar
+                    scalars[id(slot.field)] = slot.field
     return list(scalars.values()), list(vectors.values())
 
 

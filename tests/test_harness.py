@@ -18,6 +18,11 @@ from poissonforms.harness import (
 from poissonforms.report import CheckResult
 
 
+# values the schema's types admit but no experiment can run on
+OUT_OF_RANGE = [("n_samples", 0), ("n_samples", -5), ("n_configs", 0), ("seed", -1),
+                ("dt", 0.0), ("dt", -0.1)]
+
+
 def small_cfg(experiment="laplace", **over):
     over.setdefault("n_samples", 2000)
     return resolve_config(experiment, overrides=over)
@@ -94,6 +99,17 @@ class TestResolveConfig:
     def test_int_promoted_to_float(self):
         cfg = resolve_config("laplace", {"dt": 1})
         assert cfg["dt"] == 1.0 and isinstance(cfg["dt"], float)
+
+    @pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+    def test_out_of_range_value_reports_line(self, key, value):
+        text = '{\n  "%s": %s\n}\n' % (key, json.dumps(value))
+        with pytest.raises(ConfigError, match=rf"{key}.*line 2"):
+            resolve_config("laplace", json.loads(text), text)
+
+    def test_least_values_accepted(self):
+        cfg = resolve_config("laplace", {"n_samples": 1, "n_configs": 1, "seed": 0,
+                                         "dt": 1e-6})
+        assert (cfg["n_samples"], cfg["n_configs"], cfg["seed"]) == (1, 1, 0)
 
 
 class TestConfigFile:
@@ -201,6 +217,23 @@ class TestMain:
         assert main(["generator", "--config", str(cfgfile), "--out", str(out)]) == 2
         assert not out.exists()
         assert "generator_ts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, key, value", [
+        ("semigroup-ou", "dt", -0.1), ("laplace", "n_samples", 0),
+        ("laplace", "n_samples", -5), ("laplace", "seed", -1), ("weitzenbock", "n_configs", 0),
+    ])
+    def test_exit_two_on_out_of_range_value(self, tmp_path, capsys, experiment, key, value):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({key: value}) + "\n")
+        out = tmp_path / "never.json"
+        assert main([experiment, "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{key!r} must be" in capsys.readouterr().err
+
+    def test_exit_two_on_out_of_range_flag(self, capsys):
+        assert main(["laplace", "--samples", "0"]) == 2
+        assert main(["laplace", "--seed", "-1"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_exit_one_prints_failing_rows(self, tmp_path, monkeypatch, capsys):
         def failing(cfg, rng):

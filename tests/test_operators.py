@@ -15,7 +15,6 @@ from poissonforms.forms import (
     Linear,
     SlotForm,
     SphereSlotOne,
-    SphereSlotTwo,
     eval_form,
 )
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window, grad_beta
@@ -185,7 +184,7 @@ class TestSphereFiniteDifferences:
         height = SphereAxisField(e3, [0.0, 1.0])
         self.killing = slot_rows(SphereSlotOne(self.sp, SphereKilling(e3)))
         self.dz = slot_rows(SphereSlotOne(self.sp, SphereGradientField(height)))
-        self.zvol = slot_rows(SphereSlotTwo(self.sp, height))
+        self.zvol = slot_rows(SlotForm(height, (0, 1)))
 
     def residual(self, got, want):
         return np.linalg.norm(got - want, axis=1).max()
@@ -254,6 +253,18 @@ class TestChecks:
                 kind, SP, GAUSS, ALL, W, RngStream(5), n_trials=8
             )
             assert res.passed, kind
+
+    @pytest.mark.parametrize("check", [
+        lambda W, n: dd_zero_check(SP, GAUSS, ALL, W, RngStream(5), n_configs=n),
+        lambda W, n: weitzenbock_check(SP, GAUSS, ALL, W, RngStream(5), n_configs=n),
+        lambda W, n: factorization_check("deRham", SP, GAUSS, ALL, W, RngStream(5),
+                                         n_trials=n),
+    ], ids=["dd-zero", "weitzenbock", "factorization"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_row_from_an_empty_sample(self, check, n):
+        # a residual's maximum over no configuration checks nothing
+        with pytest.raises(ValueError, match="check needs at least one"):
+            check(bat.flat_form_battery()[2], n)
 
     def test_ibp_small(self):
         F1, F2, V = bat.ibp_battery()[0]
