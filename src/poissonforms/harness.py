@@ -103,8 +103,9 @@ _CHOICES = {
     "format": ("json", "csv"),
 }
 
-# the least value of each integer key (``dt`` must be positive)
-_LEAST = {"n_samples": 1, "n_configs": 1, "seed": 0}
+# the least value of each integer key: a mean needs two samples for its
+# standard error (``dt`` must be positive)
+_LEAST = {"n_samples": 2, "n_configs": 1, "seed": 0}
 
 
 def _line_of(text: str | None, key: str) -> str:
@@ -268,7 +269,7 @@ def _versions() -> dict:
 
 
 def _row(result: CheckResult) -> dict:
-    row = result.as_row()
+    row = {**result.as_row(), "kind": result.kind}
     if result.detail:
         row["detail"] = json.dumps(result.detail, sort_keys=True)
     return row
@@ -300,25 +301,17 @@ def _exp_series(cfg: dict, rng: RngStream) -> list[CheckResult]:
                              lambda b: np.column_stack(
                                  [b.segment_sum(f.value_batch(b.points)) for f in case.inners]))
         est = McEstimate.from_samples(np.asarray(case.outer(stats), dtype=float))
-        diff = abs(est.mean - sr.value)
-        tol = 3.0 * est.stderr + sr.tail_bound
-        out.append(
-            CheckResult(
-                check=f"series-{case.name}",
-                lhs=est.mean,
-                rhs=sr.value,
-                stderr=est.stderr,
-                tol=tol,
-                passed=bool(sr.certified and diff <= tol),
-                detail={
-                    "tail_bound": sr.tail_bound,
-                    "k_max": len(sr.terms) - 1,
-                    "certified": sr.certified,
-                    "max_degree": list(sr.max_degree),
-                    "chop_bound": sr.chop_bound,
-                },
-            )
-        )
+        out.append(CheckResult.judged(
+            "two-sided", f"series-{case.name}", est.mean, sr.value, est.stderr,
+            3.0 * est.stderr + sr.tail_bound,
+            detail={
+                "tail_bound": sr.tail_bound,
+                "k_max": len(sr.terms) - 1,
+                "certified": sr.certified,
+                "max_degree": list(sr.max_degree),
+                "chop_bound": sr.chop_bound,
+            },
+        ))
     return out
 
 
@@ -530,7 +523,7 @@ def run_experiment(cfg: dict) -> RunRecord:
 # persistence
 
 
-_CSV_FIELDS = ("check", "lhs", "rhs", "stderr", "tol", "pass")
+_CSV_FIELDS = ("check", "lhs", "rhs", "stderr", "tol", "kind", "pass")
 
 
 def emit(record: RunRecord, fmt: str, out_path: str) -> None:

@@ -399,7 +399,10 @@ def _replica_views(space: Space, intensity: IntensitySpec, X0: np.ndarray, run: 
     run, outputs joined. A chunk's noise (R, P, K, da) is drawn from rng just
     before it is stepped, replicas outermost, so the draws equal one draw of
     the whole block. An ``antithetic`` chunk of R is stepped together with
-    its negative, replica i paired with R + i: fn sees both, returns R rows."""
+    its negative, replica i paired with R + i: fn sees both, returns R rows.
+    Fewer than one replica (or pair) raises ValueError."""
+    if n < 1:
+        raise ValueError(f"{n} replicas make no estimate: at least one is needed")
     P, da = X0.shape[-2:]
 
     def chunk(a: int, b: int):
@@ -488,15 +491,16 @@ def _moved_values(space: Space, intensity: IntensitySpec, W: CylinderForm,
     """``fn(val, pulled, c_sup)`` on each chunk of the n replicas moving
     gamma over run (``_replica_views``), outputs joined: W where the chunk's
     replicas end, one batch group each; its pullback M^T W through the frame
-    of each (replica, subset) row, or None on flat space with scalar J, where
-    M is e^{tJ}; and per replica the largest J-eigenvalue its frames met."""
+    of each (replica, subset) row, e^{tJ} W on flat space with scalar J,
+    where the frame is exact and no path is kept; and per replica the
+    largest J-eigenvalue its frames met."""
     fast = not isinstance(space, Sphere) and J.scalar is not None
 
     def chunk(block: np.ndarray):
         ends = block if fast else block[:, :, -1, :]
         val = _replicas(ends, space.dim).form(W)
         if fast:
-            return fn(val, None, np.full(len(block), J.scalar))
+            return fn(val, math.exp(run.t * J.scalar) * val, np.full(len(block), J.scalar))
         pulled, c_sup = {}, np.full(len(block), -math.inf)
         for k, A in val.blocks.items():
             first, idx, _ = val.layout.rows(k)
@@ -542,11 +546,9 @@ def semigroup_Tn(
     R = n_samples // pairs
 
     def chunk(val, pulled, c_sup):
-        # on the exact flat path M = e^{tJ}
-        blocks = (math.exp(t * J.scalar) * val if pulled is None else pulled).blocks
-        keys[:] = blocks  # the same keys in every chunk: each replica moves gamma
+        keys[:] = pulled.blocks  # the same keys in every chunk: each replica moves gamma
         return tuple(A.reshape(pairs, len(c_sup) // pairs, -1, A.shape[1]).mean(axis=0)
-                     for A in blocks.values())
+                     for A in pulled.blocks.values())
 
     samples = _moved_values(space, intensity, W, gamma, J, cfg.with_horizon(t), R, rng,
                             chunk, antithetic)
@@ -591,27 +593,20 @@ def domination_check(
     n_samples: int,
     rng: RngStream,
 ) -> CheckResult:
-    """Pathwise domination: e^{tC} |W(xi(t))| - |M^T W(xi(t))| >= 0 up to
-    3 standard errors (C from the J-eigenvalues met on the paths)."""
+    """Pathwise domination, a one-sided row: the mean of e^{tC} |W(xi(t))| -
+    |M^T W(xi(t))| (C the largest J-eigenvalue met on the paths) is at least
+    -3 standard errors. A scalar J on flat space has the exact frame e^{tJ},
+    so each difference is 0 up to rounding."""
 
     def chunk(val, pulled, c_sup):
-        raw = val.norm()
-        growth = np.exp(t * c_sup)
-        # with M = e^{tJ} the pulled norm is e^{tJ} |W| and the difference 0
-        return (growth * raw if pulled is None else pulled.norm()) - growth * raw, c_sup
+        return pulled.norm() - np.exp(t * c_sup) * val.norm(), c_sup
 
     diffs, c_sup = _moved_values(space, intensity, W, gamma, J, cfg.with_horizon(t),
                                  n_samples, rng, chunk)
     est = McEstimate.from_samples(-diffs)  # mean of e^{tC}|W| - |pulled|
-    passed = est.mean >= -3.0 * max(est.stderr, 1e-300)
-    return CheckResult(
-        check=f"domination-{W.name}-t{t:g}",
-        lhs=est.mean,
-        rhs=0.0,
-        stderr=est.stderr,
-        tol=3.0 * est.stderr,
-        passed=bool(passed),
-        detail={"C": float(c_sup.max(initial=-math.inf)), "n": n_samples},
+    return CheckResult.judged(
+        "one-sided", f"domination-{W.name}-t{t:g}", est.mean, 0.0, est.stderr,
+        3.0 * est.stderr, detail={"C": float(c_sup.max(initial=-math.inf)), "n": n_samples},
     )
 
 
@@ -671,19 +666,16 @@ def _generator_row(
     n_samples: int, estimate: Callable[[int, SdeConfig], McEstimate],
 ) -> CheckResult:
     """Slopes (base - estimate(ti, cfg).mean) / t over ts, extrapolated to
-    t = 0; pass when |s0 - target| / scale <= max(3 stderr / scale, 5e-3)."""
+    t = 0, against target: a two-sided row of tol max(3 stderr, 5e-3 scale)."""
     slopes, ses = [], []
     for ti, t in enumerate(ts):
         est = estimate(ti, SdeConfig(t=t, dt=t * _GENERATOR_DT_RATIO))
         slopes.append((base - est.mean) / t)
         ses.append(est.stderr / t)
     s0, se = _richardson(np.asarray(ts), slopes, ses)
-    tol = max(3.0 * se / scale, 5e-3)
-    return CheckResult(
-        check=check, lhs=s0, rhs=target, stderr=se, tol=tol * scale,
-        passed=bool(abs(s0 - target) / scale <= tol),
-        detail={"ts": list(ts), "n": n_samples},
-    )
+    return CheckResult.judged("two-sided", check, s0, target, se,
+                              max(3.0 * se / scale, 5e-3) * scale,
+                              detail={"ts": list(ts), "n": n_samples})
 
 
 def generator_check(
@@ -849,15 +841,8 @@ def poisson_invariance_check(
     mean = float(np.mean(totals))
     se_var = math.sqrt(2.0 / (n_samples - 1)) * var  # normal-ish approximation
     zmax = max(zmax, abs(var - mean) / max(se_var, 1e-300))
-    return CheckResult(
-        check="poisson-invariance",
-        lhs=zmax,
-        rhs=0.0,
-        stderr=1.0,
-        tol=3.0,
-        passed=bool(zmax <= 3.0),
-        detail={"bands": len(expected), "n": n_samples},
-    )
+    return CheckResult.judged("two-sided", "poisson-invariance", zmax, 0.0, 1.0, 3.0,
+                              detail={"bands": len(expected), "n": n_samples})
 
 
 def _chi2_sf(k: int, x: float) -> float:
@@ -901,12 +886,5 @@ def sphere_uniform_check(
     expected = obs.mean()
     chi2 = float(np.sum((obs - expected) ** 2 / expected))
     p = _chi2_sf(n_bands - 1, chi2)
-    return CheckResult(
-        check="sphere-uniform",
-        lhs=float(p),
-        rhs=1.0,
-        stderr=0.0,
-        tol=0.01,
-        passed=bool(p > 0.01),
-        detail={"chi2": float(chi2), "bands": n_bands, "n": n_samples},
-    )
+    return CheckResult.judged("p-value", "sphere-uniform", float(p), 1.0, 0.0, 0.01,
+                              detail={"chi2": float(chi2), "bands": n_bands, "n": n_samples})

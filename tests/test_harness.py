@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
 
 from poissonforms import harness
@@ -15,12 +17,26 @@ from poissonforms.harness import (
     resolve_config,
     run_experiment,
 )
-from poissonforms.report import CheckResult
+from poissonforms.report import CheckResult, McEstimate
 
 
 # values the schema's types admit but no experiment can run on
-OUT_OF_RANGE = [("n_samples", 0), ("n_samples", -5), ("n_configs", 0), ("seed", -1),
-                ("dt", 0.0), ("dt", -0.1)]
+OUT_OF_RANGE = [("n_samples", 1), ("n_samples", 0), ("n_samples", -5), ("n_configs", 0),
+                ("seed", -1), ("dt", 0.0), ("dt", -0.1)]
+
+# the verdict of each row kind on its own lhs, rhs and tol, as the README
+# states it; every kind also needs a finite tol and a certified detail
+VERDICTS = {
+    "two-sided": lambda r: abs(r["lhs"] - r["rhs"]) <= r["tol"],
+    "deterministic": lambda r: abs(r["lhs"] - r["rhs"]) <= r["tol"],
+    "one-sided": lambda r: r["lhs"] - r["rhs"] >= -r["tol"],
+    "p-value": lambda r: r["lhs"] > r["tol"],
+}
+
+
+def recomputed_pass(row: dict) -> bool:
+    certified = json.loads(row.get("detail", "{}")).get("certified", True)
+    return math.isfinite(row["tol"]) and VERDICTS[row["kind"]](row) and certified
 
 
 def small_cfg(experiment="laplace", **over):
@@ -107,9 +123,9 @@ class TestResolveConfig:
             resolve_config("laplace", json.loads(text), text)
 
     def test_least_values_accepted(self):
-        cfg = resolve_config("laplace", {"n_samples": 1, "n_configs": 1, "seed": 0,
+        cfg = resolve_config("laplace", {"n_samples": 2, "n_configs": 1, "seed": 0,
                                          "dt": 1e-6})
-        assert (cfg["n_samples"], cfg["n_configs"], cfg["seed"]) == (1, 1, 0)
+        assert (cfg["n_samples"], cfg["n_configs"], cfg["seed"]) == (2, 1, 0)
 
 
 class TestConfigFile:
@@ -168,11 +184,12 @@ class TestEmit:
         data = out.read_bytes().decode("utf-8")
         assert data.endswith("\n")
         rows = list(csv.reader(data.splitlines()))
-        assert rows[0] == ["check", "lhs", "rhs", "stderr", "tol", "pass"]
+        assert rows[0] == ["check", "lhs", "rhs", "stderr", "tol", "kind", "pass"]
         assert len(rows) == 1 + len(rec.checks)
         for row in rows[1:]:
             float(row[1]), float(row[2]), float(row[3]), float(row[4])
-            assert row[5] in ("True", "False")
+            assert row[5] in VERDICTS
+            assert row[6] in ("True", "False")
 
     def test_json_round_trip(self, tmp_path):
         rec = run_experiment(small_cfg())
@@ -232,6 +249,8 @@ class TestMain:
 
     def test_exit_two_on_out_of_range_flag(self, capsys):
         assert main(["laplace", "--samples", "0"]) == 2
+        # one sample has no standard error, so no band to pass within
+        assert main(["generator", "--samples", "1"]) == 2
         assert main(["laplace", "--seed", "-1"]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -264,3 +283,37 @@ class TestMain:
             "factorization", "weitzenbock", "semigroup-ou", "generator",
             "acceptance-all",
         }
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("experiment", sorted(set(EXPERIMENTS) - {"acceptance-all"}))
+    def test_every_pass_follows_from_its_row(self, experiment):
+        # at two samples some rows fail and the generator's bands are
+        # infinite, so both verdicts are recomputed
+        rec = run_experiment(small_cfg(experiment, n_samples=2, n_configs=2))
+        for row in rec.checks:
+            assert row["pass"] == recomputed_pass(row), row
+
+    @pytest.mark.parametrize("kind, lhs, rhs, tol, detail, passed", [
+        ("two-sided", 1.0, 1.5, 0.5, {}, True),
+        ("two-sided", 1.5, 1.0, 0.4, {}, False),
+        ("two-sided", 1.0, 1.0, math.inf, {}, False),
+        ("two-sided", 1.0, 1.0, math.nan, {}, False),
+        ("two-sided", 1.0, 1.0, 0.1, {"certified": False}, False),
+        ("two-sided", 1.0, 1.0, 0.1, {"certified": True}, True),
+        ("deterministic", 1e-9, 0.0, 1e-8, {}, True),
+        ("one-sided", 5.0, 0.0, 0.0, {}, True),
+        ("one-sided", -0.2, 0.0, 0.1, {}, False),
+        ("one-sided", 0.0, 0.0, math.inf, {}, False),
+        ("p-value", 0.5, 1.0, 0.01, {}, True),
+        ("p-value", 0.01, 1.0, 0.01, {}, False),
+    ])
+    def test_rules(self, kind, lhs, rhs, tol, detail, passed):
+        row = CheckResult.judged(kind, "c", lhs, rhs, 0.0, tol, detail)
+        assert row.passed is passed and row.kind == kind
+        assert recomputed_pass({**harness._row(row), "tol": tol}) is passed
+
+    def test_one_sample_has_no_band(self):
+        est = McEstimate.from_samples(np.array([0.5]))
+        row = CheckResult.from_estimates("one", est, McEstimate.exact(0.5))
+        assert math.isinf(row.tol) and not row.passed

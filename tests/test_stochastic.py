@@ -638,6 +638,17 @@ REPLICA_CHECKS = {
 }
 
 
+@pytest.mark.parametrize("n, antithetic", [(0, False), (-1, False), (1, True), (0, True)])
+def test_semigroups_need_a_replica(n, antithetic):
+    # no replica or antithetic pair: no estimate, where an empty block used
+    # to end in numpy's reshape error or in NaN means
+    with pytest.raises(ValueError, match="make no estimate"):
+        semigroup_T0(SP, GAUSS, _G, _G2, 0.1, _RUN, n, RngStream(71), antithetic)
+    with pytest.raises(ValueError, match="make no estimate"):
+        semigroup_Tn(SP, GAUSS, _OU, _G2, 0.1, zero_potential(1), _RUN, n, RngStream(71),
+                     antithetic)
+
+
 @pytest.mark.parametrize("check", sorted(REPLICA_CHECKS))
 def test_streams_do_not_grow_with_replicas(monkeypatch, check):
     # a check draws each Monte Carlo block from one stream, so the streams
