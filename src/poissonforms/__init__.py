@@ -12,6 +12,7 @@ from .exterior import (
 from .fields import (
     RadialBump,
     SphereAxisField,
+    SphereFrameCoordinate,
     SphereGradientField,
     SphereKilling,
     VectorField,
@@ -29,7 +30,6 @@ from .forms import (
     Linear,
     LiftedVector,
     SlotForm,
-    SphereSlotOne,
     SymmetricFormField,
     eval_form,
 )

@@ -17,6 +17,7 @@ import numpy as np
 from .fields import (
     RadialBump,
     SphereAxisField,
+    SphereFrameCoordinate,
     SphereGradientField,
     SphereKilling,
     VectorField,
@@ -33,7 +34,6 @@ from .forms import (
     LiftedVector,
     Monomial,
     SlotForm,
-    SphereSlotOne,
     SymmetricFormField,
 )
 from .geometry import Euclidean, IntensitySpec, Sphere, Window
@@ -276,14 +276,15 @@ def flat_form_battery() -> list[CylinderForm]:
 def sphere_form_battery() -> list[CylinderForm]:
     """Unit-sphere 1-forms (rotation and gradient types) and an area 2-form,
     with an axis-profile cylinder factor on one of them."""
-    sp = Sphere()
     e3 = np.array([0.0, 0.0, 1.0])
     e1 = np.array([1.0, 0.0, 0.0])
     height = SphereAxisField(e3, [0.0, 1.0])
     Fax = CylinderFunction(Exp([-0.2]), [height], name="F-height")
-    om_kil = SymmetricFormField(1, [(1.0, (SphereSlotOne(sp, SphereKilling(e3)),))])
-    om_grad = SymmetricFormField(
-        1, [(1.0, (SphereSlotOne(sp, SphereGradientField(SphereAxisField(e1, [0.0, 0.5, 0.3]))),))]
+    # the 1-form dual to a tangent field: one slot per frame axis, holding the
+    # field's coordinate on that axis
+    om_kil, om_grad = (
+        SymmetricFormField(1, [(1.0, (SlotForm(SphereFrameCoordinate(v, a), (a,)),)) for a in (0, 1)])
+        for v in (SphereKilling(e3), SphereGradientField(SphereAxisField(e1, [0.0, 0.5, 0.3])))
     )
     om_area = SymmetricFormField(1, [(1.0, (SlotForm(height, (0, 1)),))])
     return [

@@ -20,7 +20,8 @@ compact support; it gives values only.
 On the sphere, fields of the form g(<p, u>) for a polynomial profile g have
 closed-form tangential gradients and Laplace-Beltrami images, which is all
 the scalar-level checks need; form fields on the sphere are handled by
-finite differences in the operators module.
+finite differences in the operators module. A 1-form slot on the sphere is
+a ``SphereFrameCoordinate``, a tangent field's coordinate on one frame axis.
 
 Every class reads points through one batched interface, each method taking
 the points as rows of X and an optional ``table`` (a ``PointTable`` on X):
@@ -38,6 +39,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .geometry import Sphere, frame_coords
+
 __all__ = [
     "PointTable",
     "Field",
@@ -49,6 +52,7 @@ __all__ = [
     "VectorField",
     "SphereKilling",
     "SphereGradientField",
+    "SphereFrameCoordinate",
 ]
 
 
@@ -407,3 +411,19 @@ class SphereGradientField:
 
     def value_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         return self.scalar.grad_batch(P)
+
+
+class SphereFrameCoordinate:
+    """Coordinate ``axis`` of the tangent field ``vec`` in the orthonormal
+    frame at each point of S^2 (``geometry.frame_coords``): the coefficient
+    of the 1-form slot on e_axis."""
+
+    def __init__(self, vec, axis: int):
+        self.vec = vec
+        self.axis = axis
+
+    def value_one(self, p) -> float:
+        return float(self.value_batch(np.asarray(p, dtype=float)[None, :])[0])
+
+    def value_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
+        return frame_coords(Sphere(), P, self.vec.value_batch(P))[:, self.axis]

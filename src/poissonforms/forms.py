@@ -17,7 +17,8 @@ defined for xbar disjoint from gamma; it is the unitary map the factorization
 checks are built on.
 
 ``BatchEval`` evaluates forms at every configuration of a ``SampleBatch``
-at once, on flat space and the sphere; every form-level check runs on it.
+at once; every form-level check runs on it. It does not depend on the
+backend: the sphere enters through field classes and the point operators.
 It is also the one batched reader of cylinder factors: its ``stats`` and
 ``f_rows`` read F for the Monte Carlo checks and, at the ends of a chunk of
 diffusion replicas, for the scalar and form semigroups alike. Its statistics are
@@ -40,7 +41,6 @@ import numpy as np
 
 from .exterior import Multivector, _sort_sign, relabel_slots, t_basis, wedge
 from .fields import PointTable
-from .geometry import frame_coords
 from .pointprocess import Configuration, SampleBatch
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "Monomial",
     "CylinderFunction",
     "SlotForm",
-    "SphereSlotOne",
     "SymmetricFormField",
     "FormTerm",
     "CylinderForm",
@@ -210,8 +209,9 @@ class SlotForm:
     """One slot of a separable form term: a scalar coefficient field times a
     fixed frame wedge pattern of degree k. On flat space the frame is the
     coordinate basis and ``partial`` differentiates the coefficient exactly
-    through the field algebra; on the sphere the class carries the area slot,
-    a scalar times e_0 ^ e_1 of the orthonormal frame, and ``partial`` does
+    through the field algebra. On the sphere the frame is the orthonormal one:
+    the area slot is a scalar times e_0 ^ e_1, a 1-form slot a frame-coordinate
+    field (``fields.SphereFrameCoordinate``) times e_a, and ``partial`` does
     not apply (the frame turns from point to point)."""
 
     def __init__(self, field, axes: Sequence[int], sign: float = 1.0):
@@ -230,45 +230,15 @@ class SlotForm:
     def partial(self, axis: int) -> "SlotForm":
         return SlotForm(self.field.partial(axis), self.axes, self.sign)
 
-    @property
-    def patterns(self) -> tuple[tuple[int, ...], ...]:
-        """The frame wedge patterns the slot takes values on."""
-        return (self.axes,)
-
     def coeffs(self, ev: "BatchEval") -> np.ndarray:
-        """(patterns, points) coefficients at every point of the batch."""
-        return (self.sign * ev.values(self.field))[None, :]
+        """The coefficient at every point of the batch."""
+        return self.sign * ev.values(self.field)
 
     def mv_at(self, p, slot: int) -> Multivector:
         c = self.sign * self.field.value_one(p)
         if c == 0.0:
             return Multivector()
         return Multivector({tuple((slot, a) for a in self.axes): c})
-
-
-class SphereSlotOne:
-    """Degree-1 slot on the sphere: a tangent vector field read in the
-    orthonormal frame at the evaluation point."""
-
-    degree = 1
-
-    def __init__(self, space, vec_field):
-        self.space = space
-        self.vec = vec_field
-
-    def mv_at(self, p, slot: int) -> Multivector:
-        P = np.asarray(p, dtype=float)[None, :]
-        coords = frame_coords(self.space, P, self.vec.value_batch(P))[0]
-        return Multivector(
-            {((slot, a),): float(c) for a, c in enumerate(coords) if c != 0.0}
-        )
-
-    @property
-    def patterns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple((a,) for a in range(self.space.dim))
-
-    def coeffs(self, ev: "BatchEval") -> np.ndarray:
-        return frame_coords(self.space, ev.points, self.vec.value_batch(ev.points)).T
 
 
 @dataclass(frozen=True)
@@ -653,12 +623,12 @@ class _Scatter:
         nu = nu or tuple(range(omega.m))
         coeffs: dict = {}
         targets: dict = {}
-        for st, choice, pos, col, sign in self.ev._plan(omega, nu):
+        for st, pos, col, sign in self.ev._plan(omega, nu):
             c = weight * (st.coef * sign)
             for s, sf in enumerate(st.slots):
                 if id(sf) not in coeffs:
                     coeffs[id(sf)] = sf.coeffs(self.ev)
-                c = c * coeffs[id(sf)][choice[s]][idx[:, nu[s]]]
+                c = c * coeffs[id(sf)][idx[:, nu[s]]]
             if pos not in targets:
                 targets[pos] = self.layout.find(group, idx[:, list(pos)])
             width = len(_basis_index(self.degree, len(pos), self.ev.dim))
@@ -699,8 +669,8 @@ class BatchEval:
     offsets, a cylinder factor F(gamma \\ xbar) is the outer function of
     the configuration's statistics (``segment_sum``s) minus the subset
     points' rows, read by ``f_rows``, and a form value is a ``BatchValue``.
-    Form values take flat and sphere slots; the batched lifts built on this
-    class run on both backends, d* and the point partials on the flat ones."""
+    Every slot is a ``SlotForm``, so nothing here depends on the backend;
+    the lifts built on it run on both, d* and the point partials on flat ones."""
 
     def __init__(self, batch: SampleBatch, dim: int):
         self.batch = batch
@@ -761,27 +731,19 @@ class BatchEval:
         return np.asarray(F.outer.eval_batch(S), dtype=float)
 
     def _plan(self, omega: SymmetricFormField, nu: tuple[int, ...]) -> list:
-        """Per separable term and choice of one axis pattern per slot: the
-        subset positions the key occupies, its column among the keys over
-        those positions, and the sign of sorting the key after slot s moves
-        to position nu[s]."""
+        """Per separable term: the subset positions its key occupies, its
+        column among the keys over those positions, and the sign of sorting
+        the key after slot s moves to position nu[s]."""
 
         def make():
             plan = []
             for st in omega.terms:
-                for choice in itertools.product(
-                    *(range(len(sf.patterns)) for sf in st.slots)
-                ):
-                    key = tuple(
-                        (s, a)
-                        for s, sf in enumerate(st.slots)
-                        for a in sf.patterns[choice[s]]
-                    )
-                    skey, sign = _sort_sign([(nu[s], a) for s, a in key])
-                    pos = tuple(sorted({q for q, _ in skey}))
-                    comp = tuple((pos.index(q), a) for q, a in skey)
-                    col = _basis_index(omega.degree, len(pos), self.dim)[comp]
-                    plan.append((st, choice, pos, col, sign))
+                key = [(nu[s], a) for s, sf in enumerate(st.slots) for a in sf.axes]
+                skey, sign = _sort_sign(key)
+                pos = tuple(sorted({q for q, _ in skey}))
+                comp = tuple((pos.index(q), a) for q, a in skey)
+                col = _basis_index(omega.degree, len(pos), self.dim)[comp]
+                plan.append((st, pos, col, sign))
             return plan
 
         return self._memo(("plan", nu), omega, make)

@@ -69,7 +69,8 @@ from .geometry import (
     frame_maps,
 )
 from .operators import h_pi_sigma, lift_batch, weitz_matrix, OperatorReport
-from .pointprocess import Configuration, RngStream, SampleBatch, _map_views, sample_views
+from .pointprocess import (Configuration, RngStream, SampleBatch, _draw_locations,
+                           _map_views, sample_views)
 from .report import CheckResult, McEstimate
 
 __all__ = [
@@ -205,18 +206,11 @@ def simulate_particles(
     cfg: SdeConfig,
     rng: RngStream,
 ) -> ParticlePath:
-    """Evolve every point of gamma independently, through one (points,
-    steps, dim) noise block drawn from rng, keeping the whole path."""
-    P = gamma.n
-    K = cfg.n_steps
-    dt = cfg.step
-    da = gamma.points.shape[1] if P else space.ambient_dim
-    ts = np.linspace(0.0, cfg.t, K + 1)
-    if P == 0:
-        return ParticlePath(space, ts, np.empty((0, K + 1, da)))
-    eps = rng.gen.normal(size=(P, K, da))
-    return ParticlePath(space, ts, _evolve(space, intensity, gamma.points, eps, dt,
-                                           keep_paths=True))
+    """Evolve every point of gamma independently, keeping the whole path:
+    one replica of ``_replica_views``, its noise drawn from rng."""
+    paths = _replica_views(space, intensity, gamma.points, cfg, 1, rng, lambda p: p,
+                           keep_paths=True)
+    return ParticlePath(space, np.linspace(0.0, cfg.t, cfg.n_steps + 1), paths[0])
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +318,7 @@ def _frames(
     """Frames (R, S, k, k), on the ``t_basis`` of each fibre, and c_sup
     (R, S) of the n-covector fibres over the point subsets (S, m) of every
     replica of the paths (R, P, K + 1, ambient) on the horizon t. An empty
-    fibre or a path without steps gets I and c_sup = ``J.scalar or 0.0``;
-    a scalar J on flat space the exact e^{tJ}."""
+    fibre or a path without steps gets I and c_sup = ``J.scalar or 0.0``."""
     R, P, K1, da = paths.shape
     S, m = subsets.shape
     d = space.dim
@@ -334,9 +327,6 @@ def _frames(
     k = sum(sizes)
     if k == 0 or K1 < 2:
         return np.broadcast_to(np.eye(k), (R, S, k, k)), np.full((R, S), J.scalar or 0.0)
-    if J.scalar is not None and not isinstance(space, Sphere):
-        fac = math.exp(t * J.scalar)
-        return np.broadcast_to(fac * np.eye(k), (R, S, k, k)), np.full((R, S), J.scalar)
     X = paths.reshape(R * P, K1, da)
     dt = t / (K1 - 1)
     frames, tops = {}, {}
@@ -411,7 +401,8 @@ def _replica_views(space: Space, intensity: IntensitySpec, X0: np.ndarray, run: 
             eps = np.concatenate([eps, -eps])
         R = len(eps)
         X = np.broadcast_to(X0 if X0.ndim == 2 else X0[a:b], (R, P, da)).reshape(R * P, da)
-        out = _evolve(space, intensity, X, eps.reshape(R * P, -1, da), run.step, keep_paths)
+        out = _evolve(space, intensity, X, eps.reshape(R * P, run.n_steps, da), run.step,
+                      keep_paths)
         return fn(out.reshape(R, P, *out.shape[1:]))
 
     return _map_views(np.arange(n + 1) * (P * (2 if antithetic else 1)), chunk)
@@ -876,9 +867,9 @@ def sphere_uniform_check(
     computed in closed form (``_chi2_sf``)."""
     space = Sphere()
     intensity = IntensitySpec("uniform", 1.0)
-    v = rng.gen.normal(size=(n_samples, 1, 3))
-    z = _replica_views(space, intensity, v / np.linalg.norm(v, axis=2, keepdims=True),
-                       cfg.with_horizon(t), n_samples, rng.child(0), lambda ends: ends[:, 0, 2])
+    starts = _draw_locations(space, intensity, Window("all"), rng.gen, n_samples)
+    z = _replica_views(space, intensity, starts[:, None], cfg.with_horizon(t), n_samples,
+                       rng.child(0), lambda ends: ends[:, 0, 2])
     # z uniform on [-1, 1] under the uniform law: equal-probability bands
     n_bands = 8
     bins = np.linspace(-1.0, 1.0, n_bands + 1)

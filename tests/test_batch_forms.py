@@ -12,7 +12,7 @@ from poissonforms import batteries as bat
 from poissonforms import forms
 from poissonforms.exterior import t_basis
 from poissonforms.forms import BatchEval, eval_form
-from poissonforms.geometry import Euclidean, IntensitySpec
+from poissonforms.geometry import Euclidean, IntensitySpec, frame_coords
 from poissonforms.operators import (
     apply_r_pi_sigma,
     d_gamma,
@@ -118,6 +118,27 @@ def test_filed_values(W, batch):
     for i, cfg in enumerate(batch):
         one = BatchEval(SampleBatch(cfg.points, np.array([0, cfg.n])), 2).form(W)
         assert batch_coef(one, 0, W.degree) == batch_coef(whole, i, W.degree), W.name
+
+
+def test_sphere_one_forms_are_frame_coordinates():
+    # the battery's killing and gradient-weighted 1-forms file, on the row
+    # of each point x, F(gamma minus x) times the frame coordinates of their
+    # vector field at x, bit for bit, in both frame charts
+    rng = np.random.default_rng(4)
+    v = rng.normal(size=(20, 3))
+    poles = [[0.0, 0.0, 1.0], [0.1, 0.2, -0.97467943448089633]]
+    P = np.vstack([v / np.linalg.norm(v, axis=1, keepdims=True), poles])
+    assert np.sum(np.abs(P[:, 2]) > 0.9) >= 2 and np.sum(np.abs(P[:, 2]) <= 0.9) >= 2
+    ev = BatchEval(SampleBatch(P, np.array([0, 1, 4, 9, 15, 22])), 2)
+    _, idx, cfg = ev.configs.rows(1)
+    for W in SPHERE[:2]:
+        (t,) = W.terms
+        vecs = {id(st.slots[0].field.vec): st.slots[0].field.vec for st in t.omega.terms}
+        assert len(vecs) == 1, W.name
+        (vec,) = vecs.values()
+        want = frame_coords(SS, P, vec.value_batch(P))[idx[:, 0]]
+        f = ev.f_rows(t.F, cfg, idx)
+        assert np.array_equal(ev.form(W).blocks[1], f[:, None] * want), W.name
 
 
 def test_inner_products_all_pairs():

@@ -9,12 +9,15 @@ from poissonforms import batteries as bat
 from poissonforms.fields import (
     PointTable,
     SphereAxisField,
+    SphereFrameCoordinate,
     SphereGradientField,
+    SphereKilling,
     VectorField,
     monomial,
     polygauss,
 )
-from poissonforms.forms import BatchEval, SphereSlotOne
+from poissonforms.forms import BatchEval
+from poissonforms.geometry import Sphere, frame_coords
 from poissonforms.pointprocess import SampleBatch
 
 
@@ -99,10 +102,11 @@ def sphere_fields():
             if t.F is not None:
                 scalars.update((id(f), f) for f in t.F.inners)
             for slot in (s for st in t.omega.terms for s in st.slots):
-                if isinstance(slot, SphereSlotOne):
-                    vectors[id(slot.vec)] = slot.vec
-                    if isinstance(slot.vec, SphereGradientField):
-                        scalars[id(slot.vec.scalar)] = slot.vec.scalar
+                if isinstance(slot.field, SphereFrameCoordinate):
+                    vec = slot.field.vec
+                    vectors[id(vec)] = vec
+                    if isinstance(vec, SphereGradientField):
+                        scalars[id(vec.scalar)] = vec.scalar
                 else:
                     scalars[id(slot.field)] = slot.field
     return list(scalars.values()), list(vectors.values())
@@ -135,6 +139,20 @@ def test_shared_table_matches_standalone():
         assert np.array_equal(ev.grads(f), f.grad_batch(P))
         assert np.array_equal(ev.laps(f), f.lap_batch(P))
         assert np.array_equal(ev.values(f), f.value_batch(P))
+
+
+def test_sphere_frame_coordinate_reads_frame_coords():
+    # both frame charts (|z| <= 0.9 and the pole fallback), bit for bit,
+    # batched and one point at a time
+    P = sphere_points()
+    assert np.sum(np.abs(P[:, 2]) > 0.9) >= 2 and np.sum(np.abs(P[:, 2]) <= 0.9) >= 2
+    e1, e3 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    for vec in (SphereKilling(e3), SphereGradientField(SphereAxisField(e1, [0.0, 0.5, 0.3]))):
+        want = frame_coords(Sphere(), P, vec.value_batch(P))
+        for a in (0, 1):
+            f = SphereFrameCoordinate(vec, a)
+            assert np.array_equal(f.value_batch(P), want[:, a])
+            assert np.array_equal([f.value_one(p) for p in P], want[:, a])
 
 
 def test_sphere_axis_laplacian():

@@ -7,14 +7,21 @@ import pytest
 from poissonforms import batteries as bat
 from poissonforms import operators, pointprocess, stochastic
 from poissonforms.exterior import leibniz_power
-from poissonforms.fields import SphereAxisField, SphereGradientField, SphereKilling
+from poissonforms.fields import (
+    SphereAxisField,
+    SphereFrameCoordinate,
+    SphereGradientField,
+    SphereKilling,
+)
 from poissonforms.forms import (
     BatchEval,
+    CylinderForm,
     CylinderFunction,
     Exp,
+    FormTerm,
     Linear,
     SlotForm,
-    SphereSlotOne,
+    SymmetricFormField,
     eval_form,
 )
 from poissonforms.geometry import Euclidean, IntensitySpec, Sphere, Window, grad_beta
@@ -165,10 +172,21 @@ def sphere_points(n: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def slot_rows(slot):
-    """A sphere slot as a row function: points -> (N, C(2, k)) coefficients
-    on the frame basis at each point."""
-    return lambda Q: slot.coeffs(BatchEval(SampleBatch(Q, np.arange(len(Q) + 1)), 2)).T
+def slot_rows(omega):
+    """A one-slot sphere form field as a row function: points -> (N, C(2, k))
+    coefficients on the frame basis at each point, each point a one-point
+    configuration of ``BatchEval.form``."""
+    W = CylinderForm([FormTerm(omega)])
+    return lambda Q: BatchEval(SampleBatch(Q, np.arange(len(Q) + 1)), 2).form(W).blocks[1]
+
+
+def one_slot(*slots):
+    return SymmetricFormField(1, [(1.0, (sf,)) for sf in slots])
+
+
+def frame_one_form(vec):
+    """The 1-form dual to a tangent field: its frame coordinates on e_0, e_1."""
+    return one_slot(*(SlotForm(SphereFrameCoordinate(vec, a), (a,)) for a in (0, 1)))
 
 
 class TestSphereFiniteDifferences:
@@ -182,9 +200,9 @@ class TestSphereFiniteDifferences:
         assert np.sum(np.abs(self.X[:, 2]) > 0.9) >= 2
         e3 = np.array([0.0, 0.0, 1.0])
         height = SphereAxisField(e3, [0.0, 1.0])
-        self.killing = slot_rows(SphereSlotOne(self.sp, SphereKilling(e3)))
-        self.dz = slot_rows(SphereSlotOne(self.sp, SphereGradientField(height)))
-        self.zvol = slot_rows(SlotForm(height, (0, 1)))
+        self.killing = slot_rows(frame_one_form(SphereKilling(e3)))
+        self.dz = slot_rows(frame_one_form(SphereGradientField(height)))
+        self.zvol = slot_rows(one_slot(SlotForm(height, (0, 1))))
 
     def residual(self, got, want):
         return np.linalg.norm(got - want, axis=1).max()
