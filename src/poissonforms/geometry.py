@@ -30,6 +30,7 @@ __all__ = [
     "IntensitySpec",
     "Window",
     "beta",
+    "gaussian_drift_rate",
     "grad_beta",
     "frame_coords",
     "frame_maps",
@@ -207,9 +208,16 @@ def beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:
     leading axes), as ambient tangent vectors: beta = grad log rho."""
     p = np.asarray(p, dtype=float)
     if intensity.family == "gaussian" and not isinstance(space, Sphere):
-        return -p / intensity.scale**2
+        return gaussian_drift_rate(intensity) * p
     # a radial weight is constant on the unit sphere
     return np.zeros_like(p)
+
+
+def gaussian_drift_rate(intensity: IntensitySpec) -> float:
+    """The linear coefficient b of the gaussian's drift on R^d, beta(x) = b x
+    with b = -1/scale^2: the one place ``beta`` and the exact draw of the
+    flat diffusion's endpoints read it."""
+    return -1.0 / intensity.scale**2
 
 
 def grad_beta(space: Space, intensity: IntensitySpec, p: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ The base diffusion solves
 Delta + <beta, grad> and the scalar semigroup E[F(xi_gamma(t))] estimates
 e^{-tH} F for H = -Delta - <beta, grad>.  The diffusion coefficient sqrt(2)
 is fixed: it is the unique normalization for which the generator matches H
-without a factor 1/2.
+without a factor 1/2.  Under the gaussian intensity on R^d the diffusion is
+an Ornstein--Uhlenbeck process, and where no path is kept its endpoints are
+drawn exactly, N(e^{bt} x, ((e^{2bt} - 1) / b) I) with b = -1/scale^2, in
+one draw instead of t/dt Euler steps.
 
 A configuration evolves as independent particles sharing one clock.  Form
 semigroups additionally carry a frame matrix along the paths: per m-subset
@@ -57,6 +60,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import geometry
 from .exterior import _splits, wedge_power
 from .forms import BatchEval, BatchValue, CylinderForm, CylinderFunction
 from .geometry import (
@@ -111,7 +115,9 @@ class SdeConfig:
     """Time horizon and step for the drifted diffusion.
 
     ``dt`` is a target granularity: the integrator uses t / round(t/dt)
-    steps so the horizon is hit exactly.
+    steps so the horizon is hit exactly.  It does not act where flat
+    gaussian endpoints are drawn from their exact law (no path kept; see
+    ``_replica_views``).
     """
 
     t: float
@@ -390,19 +396,32 @@ def _replica_views(space: Space, intensity: IntensitySpec, X0: np.ndarray, run: 
     before it is stepped, replicas outermost, so the draws equal one draw of
     the whole block. An ``antithetic`` chunk of R is stepped together with
     its negative, replica i paired with R + i: fn sees both, returns R rows.
-    Fewer than one replica (or pair) raises ValueError."""
+    Fewer than one replica (or pair) raises ValueError.
+
+    On flat space with the gaussian family and no path kept, the endpoints
+    are drawn from their exact Ornstein--Uhlenbeck law in one step: the
+    chunk's noise is an (R, P, da) block Z and X_t = e^{bt} x +
+    sqrt((e^{2bt} - 1) / b) Z, with b = ``gaussian_drift_rate``, so
+    ``run.dt`` does not act."""
     if n < 1:
         raise ValueError(f"{n} replicas make no estimate: at least one is needed")
     P, da = X0.shape[-2:]
+    exact = not keep_paths and not isinstance(space, Sphere) and intensity.family == "gaussian"
+    noise = (P, da) if exact else (P, run.n_steps, da)
+    if exact:
+        rate = geometry.gaussian_drift_rate(intensity)
+        decay, spread = math.exp(rate * run.t), math.sqrt(math.expm1(2.0 * rate * run.t) / rate)
 
     def chunk(a: int, b: int):
-        eps = rng.gen.normal(size=(b - a, P, run.n_steps, da))
+        eps = rng.gen.normal(size=(b - a, *noise))
         if antithetic:
             eps = np.concatenate([eps, -eps])
         R = len(eps)
-        X = np.broadcast_to(X0 if X0.ndim == 2 else X0[a:b], (R, P, da)).reshape(R * P, da)
-        out = _evolve(space, intensity, X, eps.reshape(R * P, run.n_steps, da), run.step,
-                      keep_paths)
+        X = np.broadcast_to(X0 if X0.ndim == 2 else X0[a:b], (R, P, da))
+        if exact:
+            return fn(decay * X + spread * eps)
+        out = _evolve(space, intensity, X.reshape(R * P, da),
+                      eps.reshape(R * P, run.n_steps, da), run.step, keep_paths)
         return fn(out.reshape(R, P, *out.shape[1:]))
 
     return _map_views(np.arange(n + 1) * (P * (2 if antithetic else 1)), chunk)
@@ -798,7 +817,10 @@ def poisson_invariance_check(
     count keeps variance = mean), all within 3 stderr. The band masses
     2 pi s^2 (e^{-r0^2/2s^2} - e^{-r1^2/2s^2}) are those of the plane. Each
     view of configurations (``sample_views``) is stepped through noise from
-    ``rng.child(1)``."""
+    ``rng.child(1)``. It takes Euler steps (``_evolve``), not the exact
+    endpoint law of ``_replica_views``: under that law the Poisson measure
+    is invariant by construction, so the row would no longer test the
+    stepper."""
     if intensity.family != "gaussian":
         raise ValueError("invariance check is for the gaussian family")
     if not (isinstance(space, Euclidean) and space.dim == 2):

@@ -180,8 +180,9 @@ def test_l4_lift_sphere(benchmark, kind, mode):
 
 @pytest.mark.parametrize("case", ["scalar", "generic", "deg2-scalar-slot"])
 def test_l6_form_semigroup(benchmark, case):
-    # the scalar potential takes the exact e^{tJ} path; the generic one
-    # solves a frame per (replica, point) over 10 steps, and for the
+    # the scalar potential takes the exact endpoint draw and e^{tJ} frame;
+    # the generic one solves a frame per (replica, point) over 10 Euler
+    # steps, and for the
     # degree-2 form the two-point fibre's frame is their Kronecker product
     gamma = Configuration(bat.flat_configs()[1])
     W = bat.flat_form_battery()[3] if case == "deg2-scalar-slot" else bat.ou_eigenform()

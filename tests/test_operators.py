@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from poissonforms import batteries as bat
-from poissonforms import operators, pointprocess, stochastic
+from poissonforms import geometry, operators, pointprocess
 from poissonforms.exterior import leibniz_power
 from poissonforms.fields import (
     SphereAxisField,
@@ -374,10 +374,11 @@ class TestPlantedDefects:
             assert not res.passed and res.lhs > 1.0, W.name
 
     def test_reversed_drift_fails_decay_and_invariance(self, monkeypatch):
-        # _step_rows is the one reader of beta in stochastic
+        # beta and the exact flat endpoint draw both read the gaussian's drift
+        # coefficient: the decay rows draw exactly, invariance takes Euler steps
         assert _red_rows("semigroup-ou") == []
-        drift = stochastic.beta
-        monkeypatch.setattr(stochastic, "beta", lambda *a: -drift(*a))
+        rate = geometry.gaussian_drift_rate
+        monkeypatch.setattr(geometry, "gaussian_drift_rate", lambda inten: -rate(inten))
         assert _red_rows("semigroup-ou") == [
             "ou-decay-bochner-t0.25", "ou-decay-deRham-t0.25",
             "ou-decay-bochner-t0.5", "ou-decay-deRham-t0.5", "poisson-invariance",

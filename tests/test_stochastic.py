@@ -135,14 +135,15 @@ class TestSimulation:
 
 class TestScalarSemigroup:
     def test_t0_gaussian_chain_oracle(self):
-        # F = e^{w <x_1>} on a single point: the Euler chain is Gaussian, so
-        # E e^{w X_1(t)} = exp(w m + w^2 v / 2) exactly for the chain
+        # F = e^{w <x_1>} on a single point: the endpoint is drawn from the
+        # exact OU law N(x0 e^{-t}, 1 - e^{-2t}), so E e^{w X_1(t)} =
+        # exp(w m + w^2 v / 2) exactly
         w, x0, t = -0.7, 0.9, 0.4
         F = CylinderFunction(Exp([w]), (monomial(2, (1, 0)),))
         gamma = Configuration(np.array([[x0, 0.2]]))
         cfg = SdeConfig(t=t, dt=0.01)
         est = semigroup_T0(SP, GAUSS, F, gamma, t, cfg, 40_000, RngStream(11))
-        m, v = ou_discrete_moments(x0, t, 0.01)
+        m, v = x0 * math.exp(-t), -math.expm1(-2.0 * t)
         target = math.exp(w * m + w * w * v / 2.0)
         assert abs(est.mean - target) < 4.0 * est.stderr + 1e-12
 
@@ -712,10 +713,11 @@ def test_rows_do_not_depend_on_the_chunk_size(monkeypatch, default_texts, check,
     assert _text(CHUNKED_CHECKS[check](RngStream(71))) == default_texts[check]
 
 
-# each check's one stream of noise, and the (replicas, points, steps, dim)
-# block one draw of it would take
+# each check's one stream of noise, and the block one draw of it would take:
+# (replicas, points, dim) where flat gaussian endpoints are drawn from their
+# exact law, (replicas, points, steps, dim) where paths are kept
 NOISE_BLOCKS = {
-    "semigroup_T0-antithetic": (CHUNKED_CHECKS["semigroup_T0-antithetic"], (31, 1, 5, 2)),
+    "semigroup_T0-antithetic": (CHUNKED_CHECKS["semigroup_T0-antithetic"], (31, 1, 2)),
     "domination_check": (CHUNKED_CHECKS["domination_check"], (40, 2, 5, 2)),
     "frame_bound_check": (CHUNKED_CHECKS["frame_bound_check"], (30, 2, 5, 2)),
 }
@@ -729,4 +731,38 @@ def test_chunked_noise_uses_the_stream_as_one_draw(monkeypatch, check, chunk):
     rng, ref = RngStream(72), RngStream(72)
     run(rng)
     ref.gen.normal(size=shape)
+    assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
+
+
+def test_exact_endpoints_follow_the_ou_law():
+    # flat gaussian endpoints, no path kept: X_t ~ N(e^{-t/s^2} x,
+    # s^2 (1 - e^{-2t/s^2}) I) per point, whatever dt is
+    s, t, n = 0.7, 0.3, 20_000
+    inten = IntensitySpec("gaussian", s)
+    x = np.array([[0.9, -0.4], [-0.3, 1.2]])
+    ends = stochastic._replica_views(SP, inten, x, SdeConfig(t, 0.1), n, RngStream(73),
+                                     lambda ends: ends)
+    assert ends.shape == (n, 2, 2)
+    mean, var = math.exp(-t / s**2) * x, -s**2 * math.expm1(-2.0 * t / s**2)
+    se_mean, se_var = math.sqrt(var / n), var * math.sqrt(2.0 / (n - 1))
+    assert np.all(np.abs(ends.mean(axis=0) - mean) < 4.0 * se_mean)
+    assert np.all(np.abs(ends.var(axis=0, ddof=1) - var) < 4.0 * se_var)
+
+
+def test_exact_rows_do_not_depend_on_dt():
+    W, J = _OU, curvature_potential(SP, GAUSS, 1)
+    rows = [_text(eigen_decay_check(SP, GAUSS, W, _G2, 0.1, 2.0, J, SdeConfig(0.1, dt),
+                                    40, RngStream(74)))
+            for dt in (0.01, 0.05)]
+    assert rows[0] == rows[1]
+
+
+def test_kept_flat_paths_take_euler_steps():
+    # with paths kept the flat gaussian diffusion still takes K Euler steps,
+    # its noise one (1, P, K, dim) block
+    cfg = SdeConfig(0.1, 0.02)
+    rng, ref = RngStream(75), RngStream(75)
+    path = simulate_particles(SP, GAUSS, _G2, cfg, rng)
+    assert path.paths.shape == (_G2.n, cfg.n_steps + 1, 2)
+    ref.gen.normal(size=(1, _G2.n, cfg.n_steps, 2))
     assert rng.gen.bit_generator.state == ref.gen.bit_generator.state
