@@ -11,8 +11,10 @@ columns x_i - c_i and one Gaussian factor exp(-a |x - c|^2 / 2) per
 (rate, centre), each computed once and shared by every atom that reads it:
 a field's value and its partials, the components and divergence of a
 vector field, and every field evaluated on one table (``forms.BatchEval``
-keeps one over its batch). Sharing changes no value: each atom multiplies
-the same arrays in the same order either way.
+keeps one over its batch). An atom's sum starts from its first term and
+meets its Gaussian once; a one-atom field returns that atom's new array.
+Sharing changes no value: each atom multiplies the same arrays in the same
+order either way, into new arrays, never into the table's own.
 
 A compactly supported mollifier bump serves the checks that want genuinely
 compact support; it gives values only.
@@ -89,12 +91,15 @@ class PointTable:
     computed on first use and then shared: the columns x_i - c_i, keyed by
     (axis, c_i), and the Gaussian factors exp(-a |x - c|^2 / 2), keyed by
     (a, c). Higher powers of a column are taken where they are used and not
-    kept, which bounds the table at one array per column and per Gaussian."""
+    kept, which bounds the table at one array per column and per Gaussian,
+    and on S^2 one frame projection per tangent field. Atoms read these
+    arrays and never write into them."""
 
     def __init__(self, X: np.ndarray):
         self.points = np.atleast_2d(np.asarray(X, dtype=float))
         self._columns: dict = {}
         self._gauss: dict = {}
+        self._frames: dict = {}
 
     def power(self, axis: int, c: float, k: int) -> np.ndarray:
         """(x_axis - c) ** k for k >= 1."""
@@ -112,8 +117,17 @@ class PointTable:
             r2 = self.power(0, center[0], 2)
             for i in range(1, len(center)):
                 r2 += self.power(i, center[i], 2)
-            hit = self._gauss[key] = np.exp(-0.5 * rate * r2)
+            r2 *= -0.5 * rate
+            hit = self._gauss[key] = np.exp(r2, out=r2)
         return hit
+
+    def frame_coords(self, vec) -> np.ndarray:
+        """(n, 2) coordinates of the tangent field ``vec`` in the orthonormal
+        frame at each point of S^2, once per field (kept, so its id is not reused)."""
+        if id(vec) not in self._frames:
+            self._frames[id(vec)] = (vec, frame_coords(Sphere(), self.points,
+                                                       vec.value_batch(self.points)))
+        return self._frames[id(vec)][1]
 
 
 def _table(X: np.ndarray, dim: int, table: PointTable | None) -> PointTable:
@@ -128,6 +142,14 @@ def _table(X: np.ndarray, dim: int, table: PointTable | None) -> PointTable:
             f"points with {table.points.shape[1]} coordinates for a field on R^{dim}"
         )
     return table
+
+
+def _columns(fields: Sequence["Field"], table: PointTable) -> np.ndarray:
+    """(points, len(fields)) array of the fields' values, one column each."""
+    out = np.empty((len(table.points), len(fields)))
+    for j, f in enumerate(fields):
+        out[:, j] = f._values(table)
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,18 +178,19 @@ class _Atom:
         return tot * e
 
     def values(self, table: PointTable) -> np.ndarray:
-        """Values at the table's points; the terms and their factors in the
-        order ``value_one`` takes them."""
-        tot = np.zeros(len(table.points))
-        for alpha, c in self.terms:
+        """Values at the table's points, in a new array; the terms and their
+        factors in the order ``value_one`` takes them, the Gaussian once."""
+        tot = 0.0
+        for k, (alpha, c) in enumerate(self.terms):
             v = c
             for i, ai in enumerate(alpha):
                 if ai:
-                    v = v * table.power(i, self.center[i], ai)
-            tot += v
-        if self.rate == 0.0:
-            return tot
-        return tot * table.gauss(self.rate, self.center)
+                    # c times a column is a new array, never the table's own
+                    v *= table.power(i, self.center[i], ai)
+            tot = v if k == 0 else tot + v
+        if self.rate != 0.0:
+            tot *= table.gauss(self.rate, self.center)
+        return tot if isinstance(tot, np.ndarray) else np.full(len(table.points), tot)
 
     def partial(self, axis: int) -> "_Atom":
         out: dict = {}
@@ -231,8 +254,10 @@ class Field:
         return self._values(_table(X, self.dim, table))
 
     def _values(self, table: PointTable) -> np.ndarray:
-        out = np.zeros(len(table.points))
-        for a in self.atoms:
+        if not self.atoms:
+            return np.zeros(len(table.points))
+        out = self.atoms[0].values(table)
+        for a in self.atoms[1:]:
             out += a.values(table)
         return out
 
@@ -250,8 +275,7 @@ class Field:
         return np.array([g.value_one(x) for g in self._grads()])
 
     def grad_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
-        table = _table(X, self.dim, table)
-        return np.stack([g._values(table) for g in self._grads()], axis=-1)
+        return _columns(self._grads(), _table(X, self.dim, table))
 
     def lap_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         return self.laplacian().value_batch(X, table=table)
@@ -369,8 +393,7 @@ class VectorField:
         return np.array([c.value_one(x) for c in self.components])
 
     def value_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
-        table = _table(X, self.dim, table)
-        return np.stack([c._values(table) for c in self.components], axis=-1)
+        return _columns(self.components, _table(X, self.dim, table))
 
     def div_one(self, x) -> float:
         return sum(
@@ -379,9 +402,9 @@ class VectorField:
 
     def div_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
         table = _table(X, self.dim, table)
-        out = np.zeros(len(table.points))
-        for a, c in enumerate(self.components):
-            out += c._grads()[a]._values(table)
+        out = self.components[0]._grads()[0]._values(table)
+        for a in range(1, len(self.components)):
+            out += self.components[a]._grads()[a]._values(table)
         return out
 
 
@@ -426,4 +449,6 @@ class SphereFrameCoordinate:
         return float(self.value_batch(np.asarray(p, dtype=float)[None, :])[0])
 
     def value_batch(self, P: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
-        return frame_coords(Sphere(), P, self.vec.value_batch(P))[:, self.axis]
+        """Read from the table's projection of ``vec``, which every axis of
+        the field shares."""
+        return _table(P, 3, table).frame_coords(self.vec)[:, self.axis]

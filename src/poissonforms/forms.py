@@ -669,6 +669,8 @@ class BatchEval:
     offsets, a cylinder factor F(gamma \\ xbar) is the outer function of
     the configuration's statistics (``segment_sum``s) minus the subset
     points' rows, read by ``f_rows``, and a form value is a ``BatchValue``.
+    Each statistic <phi, gamma> is summed once per phi, and F at every
+    configuration is evaluated once per F.
     Every slot is a ``SlotForm``, so nothing here depends on the backend;
     the lifts built on it run on both, d* and the point partials on flat ones."""
 
@@ -700,9 +702,9 @@ class BatchEval:
 
     def stats(self, F: CylinderFunction) -> np.ndarray:
         """(n_samples, nargs) statistics <phi_j, gamma> of every configuration."""
-        return self._memo("stats", F.inners, lambda: np.column_stack(
-            [self.batch.segment_sum(self.values(phi)) for phi in F.inners]
-        ).reshape(self.batch.n_samples, F.nargs))
+        return self._memo("stats", F.inners, lambda: np.column_stack([
+            self._memo("stat", phi, lambda: self.batch.segment_sum(self.values(phi)))
+            for phi in F.inners]).reshape(self.batch.n_samples, F.nargs))
 
     def inner_values(self, F: CylinderFunction) -> np.ndarray:
         """(points, nargs) values of the statistics' integrands."""
@@ -724,11 +726,13 @@ class BatchEval:
         excl: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """F(gamma_cfg[r] minus the points excl[r]), or without cfg F at
-        every configuration of the batch; 1 for F = None."""
+        every configuration of the batch (once per F); 1 for F = None."""
         if F is None:
             return np.ones(len(cfg))
-        S = self.stats(F) if cfg is None else self.stat_rows(F, cfg, excl)
-        return np.asarray(F.outer.eval_batch(S), dtype=float)
+        if cfg is None:
+            return self._memo("f", F, lambda: np.asarray(F.outer.eval_batch(self.stats(F)),
+                                                         dtype=float))
+        return np.asarray(F.outer.eval_batch(self.stat_rows(F, cfg, excl)), dtype=float)
 
     def _plan(self, omega: SymmetricFormField, nu: tuple[int, ...]) -> list:
         """Per separable term: the subset positions its key occupies, its

@@ -816,31 +816,36 @@ def _ibp_rows(
     space: Space, intensity: IntensitySpec, rows: Sequence[tuple], batch: SampleBatch,
 ) -> tuple[np.ndarray, ...]:
     """The integration-by-parts sum of each (F1, F2, V) row at every
-    configuration of the batch. The rows share one ``BatchEval``; each
-    lifted vector and each directional derivative is evaluated once, and
-    the rows are taken V by V, so one V's point values are held at a time."""
+    configuration of the batch. Each integrand is computed once per view:
+    beta at the points, and through the memos of the one ``BatchEval`` the
+    rows share, the statistics, each cylinder weight G(gamma \\ x) once per
+    G and each sum_x <grad phi, V_x> once per (V, phi). The rows are taken
+    V by V, so one V's point values are held at a time, axis-major: one row
+    per axis."""
     ev = BatchEval(batch, space.dim)
     P, sid = ev.points, ev.sid
+    b = beta(space, intensity, P)
     out = [None] * len(rows)
     for V in dict.fromkeys(V for _, _, V in rows):
         mine = [r for r, row in enumerate(rows) if row[2] is V]
-        # V_x(gamma) at every point
-        vals, divs = np.zeros(P.shape), np.zeros(len(P))
+        # V_x(gamma) at every point, one row per axis, and its divergence
+        vals, divs = np.zeros((P.shape[1], len(P))), np.zeros(len(P))
         for coef, G, v in V.terms:
             # the cylinder factor sees the configuration without the point
-            g_pt = (np.full(len(P), coef) if G is None
-                    else coef * ev.f_rows(G, sid, np.arange(len(sid))[:, None]))
-            vals += g_pt[:, None] * v.value_batch(P, table=ev.table)
+            g_pt = coef if G is None else coef * ev._memo("f-x", G, lambda: ev.f_rows(
+                G, sid, np.arange(len(sid))[:, None]))
+            for a, col in enumerate(v.value_batch(P, table=ev.table).T):
+                vals[a] += g_pt * col
             divs += g_pt * v.div_batch(P, table=ev.table)
-        bdot = _row_dots(beta(space, intensity, P), vals)
-        per_cfg = batch.segment_sum(bdot + divs)
+        per_cfg = batch.segment_sum(_row_dots(b, vals.T) + divs)
         # sum_x <grad_x F, V_x> per configuration, for each F beside V
         directional = {}
         for F in dict.fromkeys(F for r in mine for F in rows[r][:2]):
             directional[F] = np.zeros(batch.n_samples)
             for j, phi in enumerate(F.inners):
-                dots = _row_dots(ev.grads(phi), vals)
-                directional[F] += ev.f_rows(F.partial_outer(j)) * batch.segment_sum(dots)
+                dots = ev._memo(("dir", V), phi, lambda: batch.segment_sum(
+                    _row_dots(ev.grads(phi), vals.T)))
+                directional[F] += ev.f_rows(F.partial_outer(j)) * dots
         for r in mine:
             F1, F2, _ = rows[r]
             f1, f2 = ev.f_rows(F1), ev.f_rows(F2)

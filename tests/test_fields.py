@@ -7,6 +7,7 @@ import pytest
 
 from poissonforms import batteries as bat
 from poissonforms.fields import (
+    Field,
     PointTable,
     SphereAxisField,
     SphereFrameCoordinate,
@@ -86,6 +87,30 @@ def test_table_is_bit_identical_to_per_atom(d):
     grads = f.grad_batch(X)
     for a in range(d):
         assert np.array_equal(grads[:, a], per_atom(f.partial(a), X))
+
+
+@pytest.mark.parametrize("name", ["no-terms", "rate-0-constant", "one-column", "no-atoms",
+                                  "multi-atom"])
+def test_lean_atom_path_returns_fresh_arrays(name):
+    # the edge cases of starting an atom's sum from its first term; a
+    # one-column monomial's only factor is the table's cached column, which
+    # must never be handed out
+    f = {
+        "no-terms": monomial(2, (0, 0)).partial(0),
+        "rate-0-constant": monomial(2, (0, 0), -1.5),
+        "one-column": monomial(2, (1, 0)),
+        "no-atoms": Field([], 2),
+        "multi-atom": random_field(2, 4),
+    }[name]
+    X = points(2, seed=5)
+    table = PointTable(X)
+    got = f.value_batch(X, table=table)
+    assert type(got) is np.ndarray and got.dtype == float and got.shape == (len(X),)
+    assert np.array_equal(got, per_atom(f, X))
+    want = got.copy()
+    got[:] = 7.0
+    assert np.array_equal(f.value_batch(X, table=table), want)
+    assert np.array_equal(table.power(0, 0.0, 1), X[:, 0])
 
 
 def sphere_points(n: int = 300, seed: int = 0) -> np.ndarray:

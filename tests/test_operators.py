@@ -306,6 +306,30 @@ class TestChecks:
         n_points = len(sample_batch(SP, GAUSS, ALL, RngStream(6), 2_000).points)
         assert sum(summed) == 5 * n_points
 
+    def test_ibp_rows_compute_each_integrand_once_per_view(self, monkeypatch):
+        # one view of the whole battery: 3 sums of beta.V + div V (one per
+        # V), 6 sums of <grad phi, V> (one per V and phi its rows read) and 3
+        # statistics (bump, bump2 and poly, shared by every F and by G);
+        # G(gamma \ x) is evaluated once although two V terms carry it
+        sums, removed = [], []
+        plain_sum, plain_rows = SampleBatch.segment_sum, BatchEval.f_rows
+
+        def counted_sum(batch, values):
+            sums.append(len(values))
+            return plain_sum(batch, values)
+
+        def counted_rows(ev, F, cfg=None, excl=None):
+            if excl is not None:
+                removed.append(F.name)
+            return plain_rows(ev, F, cfg, excl)
+
+        monkeypatch.setattr(SampleBatch, "segment_sum", counted_sum)
+        monkeypatch.setattr(BatchEval, "f_rows", counted_rows)
+        batch = sample_batch(SP, GAUSS, ALL, RngStream(42).child("ibp", 0), 1_300)
+        operators._ibp_rows(SP, GAUSS, bat.ibp_battery(), batch)
+        assert sums == [len(batch.points)] * 12
+        assert removed == ["G"]
+
     def test_dirichlet_functions_small(self):
         F1, F2 = bat.function_pairs()[0]
         res = dirichlet_check(
