@@ -145,11 +145,12 @@ def _table(X: np.ndarray, dim: int, table: PointTable | None) -> PointTable:
 
 
 def _columns(fields: Sequence["Field"], table: PointTable) -> np.ndarray:
-    """(points, len(fields)) array of the fields' values, one column each."""
-    out = np.empty((len(table.points), len(fields)))
+    """(points, len(fields)) array of the fields' values, one column each,
+    held column-major so that each column is written and read contiguously."""
+    out = np.empty((len(fields), len(table.points)))
     for j, f in enumerate(fields):
-        out[:, j] = f._values(table)
-    return out
+        out[j] = f._values(table)
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -344,10 +345,10 @@ class RadialBump:
         self.dim = len(self.center)
 
     def value_batch(self, X: np.ndarray, *, table: PointTable | None = None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        dX = X - self.center
-        s = np.sum(dX**2, axis=-1) / self.radius**2
-        out = np.zeros(X.shape[0])
+        # the squared columns summed left to right, as np.sum adds a short row
+        table = _table(X, self.dim, table)
+        s = sum(table.power(i, c, 2) for i, c in enumerate(self.center)) / self.radius**2
+        out = np.zeros(len(table.points))
         ok = s < 1.0 - 1e-12
         out[ok] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - s[ok]))
         return out

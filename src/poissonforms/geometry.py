@@ -168,7 +168,8 @@ class IntensitySpec:
     def rho(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.family == "gaussian":
-            return np.exp(-0.5 * np.sum(X**2, axis=-1) / self.scale**2)
+            # the squared columns summed left to right, as np.sum adds a short row
+            return np.exp(-0.5 * sum(X[..., i]**2 for i in range(X.shape[-1])) / self.scale**2)
         return np.ones(X.shape[0])
 
 

@@ -9,6 +9,7 @@ from poissonforms import batteries as bat
 from poissonforms.fields import (
     Field,
     PointTable,
+    RadialBump,
     SphereAxisField,
     SphereFrameCoordinate,
     SphereGradientField,
@@ -111,6 +112,21 @@ def test_lean_atom_path_returns_fresh_arrays(name):
     got[:] = 7.0
     assert np.array_equal(f.value_batch(X, table=table), want)
     assert np.array_equal(table.power(0, 0.0, 1), X[:, 0])
+
+
+def test_radial_bump_reads_the_table_bit_for_bit():
+    # np.sum's row of squared offsets, with or without a table that gauss
+    # fields on the same centre share
+    bump, X = RadialBump((0.2, 0.1), 1.2, 0.9), points(2, seed=6)
+    s = np.sum((X - bump.center) ** 2, axis=-1) / 1.2**2
+    ok = s < 1.0 - 1e-12
+    want = np.zeros(len(X))
+    want[ok] = 0.9 * np.exp(1.0 - 1.0 / (1.0 - s[ok]))
+    assert 0 < ok.sum() < len(X)
+    table = PointTable(X)
+    polygauss(2, {(1, 1): 1.0}, center=(0.2, 0.1)).value_batch(X, table=table)
+    assert np.array_equal(bump.value_batch(X), want)
+    assert np.array_equal(bump.value_batch(X, table=table), want)
 
 
 def sphere_points(n: int = 300, seed: int = 0) -> np.ndarray:

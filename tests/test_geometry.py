@@ -155,6 +155,13 @@ class TestIntensity:
         x = np.array([[1.0, 1.0]])
         assert abs(inten.rho(x)[0] - math.exp(-1.0)) < 1e-15
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_gaussian_rho_sums_a_row_as_np_sum(self, d):
+        # the squared coordinates added left to right, bit for bit
+        inten = IntensitySpec("gaussian", 0.8)
+        X = np.random.default_rng(d).normal(size=(300, d))
+        assert np.array_equal(inten.rho(X), np.exp(-0.5 * np.sum(X**2, axis=-1) / 0.8**2))
+
     def test_beta_is_grad_log_rho(self):
         sp = Euclidean(2)
         inten = IntensitySpec("gaussian", 0.7)
