@@ -200,14 +200,17 @@ def ibp_battery() -> list[tuple[CylinderFunction, CylinderFunction, LiftedVector
 # Dirichlet-form batteries
 
 
-def function_pairs() -> list[tuple[CylinderFunction, CylinderFunction]]:
+def function_pairs() -> list[tuple[CylinderForm, CylinderForm]]:
+    """Cylinder functions as 0-forms, one m = 0 term each."""
     bump = gauss_bump(2, 1.0, (0.0, 0.0), 1.0)
     bump2 = gauss_bump(2, 0.6, (0.3, -0.2), 0.8)
     poly = polygauss(2, {(1, 0): 1.0, (0, 1): 0.4}, rate=0.3)
     F1 = CylinderFunction(Exp([-0.5]), [bump], name="F1")
     F2 = CylinderFunction(Linear([1.0], 0.5), [bump2], name="F2")
     F3 = CylinderFunction(Exp([-0.3, -0.2]), [bump, poly], name="F3")
-    return [(F1, F2), (F1, F3), (F2, F3)]
+    one = SymmetricFormField(0, [(1.0, ())])
+    W1, W2, W3 = (CylinderForm([FormTerm(one, F=F)], name=F.name) for F in (F1, F2, F3))
+    return [(W1, W2), (W1, W3), (W2, W3)]
 
 
 def _slot(field_terms: dict, axes: tuple, rate: float = 0.5) -> SlotForm:

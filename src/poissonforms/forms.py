@@ -499,23 +499,16 @@ def _basis_index(n: int, k: int, d: int) -> dict:
 class RowLayout:
     """The rows of a batched form value.
 
-    Each group looks at one configuration of the batch (several groups may
-    look at the same one); its k-rows are the k-subsets of that
-    configuration's points, as global point indices in colexicographic
-    order, so the row of a subset is found by the combinatorial number
-    system instead of a search."""
+    Each group is one configuration of the batch; its k-rows are the
+    k-subsets of that configuration's points, as global point indices in
+    colexicographic order, so the row of a subset is found by the
+    combinatorial number system instead of a search."""
 
-    def __init__(self, batch: SampleBatch, cfg: np.ndarray):
-        self.cfg = np.asarray(cfg, dtype=np.intp)
-        self.start = batch.offsets[self.cfg]
-        self.size = np.diff(batch.offsets)[self.cfg]
-        self._nmax = int(self.size.max(initial=0))
+    def __init__(self, batch: SampleBatch):
+        self.start = batch.offsets[:-1]
+        self.size = np.diff(batch.offsets)
         self._binoms: dict[int, np.ndarray] = {}
         self._rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.cfg)
 
     def _binom(self, b: int) -> np.ndarray:
         """C(a, b) for a up to the largest group size. Columns are built
@@ -523,7 +516,7 @@ class RowLayout:
         table overflows int64 from 67 points on."""
         if b not in self._binoms:
             self._binoms[b] = np.array(
-                [math.comb(a, b) for a in range(self._nmax + 1)], dtype=np.intp
+                [math.comb(a, b) for a in range(self.size.max(initial=0) + 1)], dtype=np.intp
             )
         return self._binoms[b]
 
@@ -533,12 +526,12 @@ class RowLayout:
             count = self._binom(k)[self.size]
             first = np.concatenate([[0], np.cumsum(count)])
             idx = np.empty((int(first[-1]), k), dtype=np.intp)
-            for n in np.unique(self.size[count > 0]):
+            for n in np.unique(self.size[count > 0]) if k else ():
                 gs = np.flatnonzero(self.size == n)
                 combos = _colex(int(n), k)
                 rows = first[gs][:, None] + np.arange(len(combos))
                 idx[rows] = self.start[gs][:, None, None] + combos
-            group = np.repeat(np.arange(self.n_groups), count)
+            group = np.repeat(np.arange(len(self.size)), count)
             self._rows[k] = (first, idx, group)
         return self._rows[k]
 
@@ -569,7 +562,7 @@ class BatchValue:
         self.blocks = blocks
 
     def inner(self, other: "BatchValue") -> np.ndarray:
-        out = np.zeros(self.layout.n_groups)
+        out = np.zeros(len(self.layout.size))
         if other.degree != self.degree:
             return out  # forms of different degrees are orthogonal
         for k, A in self.blocks.items():
@@ -603,20 +596,14 @@ class _Scatter:
     """Collects weighted form-field values on subset rows and files each
     basis key on the row of the points it occupies."""
 
-    def __init__(self, ev: "BatchEval", layout: RowLayout, degree: int):
+    def __init__(self, ev: "BatchEval", degree: int):
         self.ev = ev
-        self.layout = layout
         self.degree = degree
+        # per k: the filed flat indices (row * width + column), coefficients
         self.parts: dict[int, tuple[list, list]] = {}
 
-    def add(
-        self,
-        omega: SymmetricFormField,
-        idx: np.ndarray,
-        group: np.ndarray,
-        weight: np.ndarray,
-        nu: Optional[tuple[int, ...]] = None,
-    ) -> None:
+    def add(self, omega: SymmetricFormField, idx: np.ndarray, cfg: np.ndarray,
+            weight: np.ndarray, nu: Optional[tuple[int, ...]] = None) -> None:
         """Add weight * omega over the rows, slot s at subset position nu[s]."""
         if not len(idx) or not omega.terms:
             return
@@ -630,7 +617,7 @@ class _Scatter:
                     coeffs[id(sf)] = sf.coeffs(self.ev)
                 c = c * coeffs[id(sf)][idx[:, nu[s]]]
             if pos not in targets:
-                targets[pos] = self.layout.find(group, idx[:, list(pos)])
+                targets[pos] = self.ev.configs.find(cfg, idx[:, list(pos)])
             width = len(_basis_index(self.degree, len(pos), self.ev.dim))
             flat, w = self.parts.setdefault(len(pos), ([], []))
             flat.append(targets[pos] * width + col)
@@ -645,12 +632,12 @@ class _Scatter:
     def value(self) -> BatchValue:
         blocks = {}
         for k, (flat, w) in self.parts.items():
-            R = len(self.layout.rows(k)[1])
+            R = len(self.ev.configs.rows(k)[1])
             width = len(_basis_index(self.degree, k, self.ev.dim))
             blocks[k] = np.bincount(
                 np.concatenate(flat), weights=np.concatenate(w), minlength=R * width
             ).reshape(R, width)
-        return BatchValue(self.layout, self.degree, self.ev.dim, blocks)
+        return BatchValue(self.ev.configs, self.degree, self.ev.dim, blocks)
 
 
 class BatchEval:
@@ -680,7 +667,7 @@ class BatchEval:
         self.sid = batch.sample_ids
         self.dim = dim
         self.table = PointTable(self.points)
-        self.configs = RowLayout(batch, np.arange(batch.n_samples))
+        self.configs = RowLayout(batch)
         self._cache: dict = {}
 
     def _memo(self, kind, obj, make):
@@ -725,13 +712,14 @@ class BatchEval:
         cfg: Optional[np.ndarray] = None,
         excl: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """F(gamma_cfg[r] minus the points excl[r]), or without cfg F at
-        every configuration of the batch (once per F); 1 for F = None."""
+        """F(gamma_cfg[r] minus the points excl[r]); F at every configuration
+        (once per F) without cfg or with no point held out; 1 for F = None."""
         if F is None:
             return np.ones(len(cfg))
-        if cfg is None:
-            return self._memo("f", F, lambda: np.asarray(F.outer.eval_batch(self.stats(F)),
-                                                         dtype=float))
+        if cfg is None or not excl.shape[1]:
+            f = self._memo("f", F, lambda: np.asarray(F.outer.eval_batch(self.stats(F)),
+                                                      dtype=float))
+            return f if cfg is None else f[cfg]
         return np.asarray(F.outer.eval_batch(self.stat_rows(F, cfg, excl)), dtype=float)
 
     def _plan(self, omega: SymmetricFormField, nu: tuple[int, ...]) -> list:
@@ -752,12 +740,9 @@ class BatchEval:
 
         return self._memo(("plan", nu), omega, make)
 
-    def scatter(self, layout: RowLayout, degree: int) -> _Scatter:
-        return _Scatter(self, layout, degree)
-
     def form(self, W: CylinderForm) -> BatchValue:
         """All components of W at every configuration of the batch."""
-        out = self.scatter(self.configs, W.degree)
+        out = _Scatter(self, W.degree)
         for t in W.terms:
             m = t.m
             scale = math.sqrt(math.factorial(m)) * t.coef

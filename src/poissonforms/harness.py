@@ -336,42 +336,28 @@ def _exp_ibp(cfg: dict, rng: RngStream) -> list[CheckResult]:
 
 def _exp_dirichlet(cfg: dict, rng: RngStream) -> list[CheckResult]:
     sp, inten, win = bat.default_space(), bat.default_intensity(), bat.full_window()
-    out = []
-    for i, (F1, F2) in enumerate(bat.function_pairs()):
-        out.append(
-            dirichlet_check(sp, inten, win, F1, F2, rng.child("dir0", i),
-                            level="functions", n_samples=cfg["n_samples"])
-        )
+    out = [dirichlet_check(sp, inten, win, F1, F2, rng.child("dir0", i), level="bochner",
+                           n_samples=cfg["n_samples"],
+                           name=f"dirichlet-functions-{F1.name}-{F2.name}")
+           for i, (F1, F2) in enumerate(bat.function_pairs())]
     n_forms = max(1500, cfg["n_samples"] // 33)
-    for level in ("bochner", "deRham"):
-        for i, (W1, W2) in enumerate(bat.form_pairs()):
-            out.append(
-                dirichlet_check(sp, inten, win, W1, W2, rng.child("dir1", level, i),
-                                level=level, n_samples=n_forms)
-            )
+    out += [dirichlet_check(sp, inten, win, W1, W2, rng.child("dir1", level, i), level=level,
+                            n_samples=n_forms)
+            for level in ("bochner", "deRham") for i, (W1, W2) in enumerate(bat.form_pairs())]
     # eigenform rows: deterministic residuals of the lifted operators
     W = bat.ou_eigenform()
     ev = BatchEval(sample_batch(sp, inten, win, rng.child("dir-eigen"), 20), sp.dim)
     v = ev.form(W)
     for kind, mult in (("bochner", 1.0), ("deRham", 2.0)):
-        L = lift_batch(kind, sp, inten, W, ev)
-        worst = (L - mult * v).norm().max()
-        out.append(
-            CheckResult.deterministic(
-                f"eigenform-{kind}-x1dx1-times-{mult:g}", float(worst), 0.0,
-                _DET_TOL, detail={"configs": 20},
-            )
-        )
+        worst = float((lift_batch(kind, sp, inten, W, ev) - mult * v).norm().max())
+        out.append(CheckResult.deterministic(f"eigenform-{kind}-x1dx1-times-{mult:g}", worst,
+                                             0.0, _DET_TOL, detail={"configs": 20}))
     # structure of the complex: d d = 0 and adjointness
     forms = bat.flat_form_battery()
-    for W in forms:
-        out.append(dd_zero_check(sp, inten, win, W, rng.child("dd0", W.name), tol=1e-10))
-    for Wlow, Whigh in ((forms[0], forms[2]), (forms[1], forms[3])):
-        out.append(
-            adjointness_check(sp, inten, win, Wlow, Whigh,
-                              rng.child("adj", Wlow.name, Whigh.name), n_forms)
-        )
-    return out
+    out += [dd_zero_check(sp, inten, win, W, rng.child("dd0", W.name), tol=1e-10) for W in forms]
+    pairs = ((forms[0], forms[2]), (forms[1], forms[3]))
+    return out + [adjointness_check(sp, inten, win, lo, hi, rng.child("adj", lo.name, hi.name),
+                                    n_forms) for lo, hi in pairs]
 
 
 def _exp_factorization(cfg: dict, rng: RngStream) -> list[CheckResult]:

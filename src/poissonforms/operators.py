@@ -63,7 +63,6 @@ from .forms import (
     FormTerm,
     FormValue,
     LiftedVector,
-    RowLayout,
     SlotForm,
     SymmetricFormField,
     _Scatter,
@@ -712,7 +711,7 @@ def lift_batch(
     """``lift`` at every configuration of the batch."""
     if kind not in ("bochner", "deRham"):
         raise ValueError("kind must be 'bochner' or 'deRham'")
-    out = ev.scatter(ev.configs, W.degree)
+    out = _Scatter(ev, W.degree)
     for t, scale in _plain_terms(W, "lift"):
         _, idx, cfg = ev.configs.rows(t.m)
         if t.F is not None:
@@ -760,7 +759,7 @@ def dstar_batch(
     contracted slot is left empty lands on the subset without that point
     by the batched value's filing rule."""
     betas = beta_fields(space, intensity)
-    out = ev.scatter(ev.configs, W.degree - 1)
+    out = _Scatter(ev, W.degree - 1)
     for t, scale in _plain_terms(W, "dstar_batch"):
         _, idx, cfg = ev.configs.rows(t.m)
         w = scale * ev.f_rows(t.F, cfg, idx)
@@ -769,47 +768,74 @@ def dstar_batch(
     return out.value()
 
 
-def _point_partials(W: CylinderForm, ev: BatchEval, layout: RowLayout, a: int) -> BatchValue:
-    """``point_partial_form`` in coordinate a for every group of the layout:
-    group g differentiates batch point g."""
-    out = ev.scatter(layout, W.degree)
-    for t, scale in _plain_terms(W, "point_partial_form"):
-        _, idx, group = layout.rows(t.m)
-        cfg = layout.cfg[group]
-        hit = idx == group[:, None]
-        # the point is in the subset: differentiate its slot
-        w = scale * ev.f_rows(t.F, cfg, idx)
-        for s in range(t.m):
-            sel = hit[:, s]
-            part = _fanout(t.omega, s, lambda sf, _: [sf.partial(a)])
-            out.add(part, idx[sel], group[sel], w[sel])
-        if t.F is None:
-            continue
-        # the point is outside: differentiate the cylinder factor through it
-        sel = ~hit.any(axis=1)
-        idx, group = idx[sel], group[sel]
-        S = ev.stat_rows(t.F, cfg[sel], idx)
-        coeff = np.zeros(len(idx))
-        for j, phi in enumerate(t.F.inners):
-            coeff += t.F.outer.partial(j).eval_batch(S) * ev.grads(phi)[group, a]
-        out.add(t.omega, idx, group, scale * coeff)
-    return out.value()
+def _point_derivative(W: CylinderForm, ev: BatchEval) -> tuple[list, dict]:
+    """The split of ``point_gradient_energy``: the (phi_(t,j), V_(t,j)) pairs
+    and, per block k, Q's sorted keys ((row * width + column) * points + x) *
+    dim + a with coefficients summed over subsets sharing a key (scalar slots)."""
+    dim, n_pts = ev.dim, len(ev.points)
+    V, Q = [], {}
+    for t, scale in _plain_terms(W, "point_gradient_energy"):
+        inners = t.F.inners if t.F is not None else ()
+        V += [(phi, ev.form(CylinderForm([FormTerm(t.omega, t.F.partial_outer(j), t.coef)])))
+              for j, phi in enumerate(inners)]
+        _, idx, cfg = ev.configs.rows(t.m)
+        f = scale * ev.f_rows(t.F, cfg, idx)
+        pd = [scale * ev.f_rows(t.F.partial_outer(j), cfg, idx) for j in range(len(inners))]
+        for s, a in itertools.product(range(t.m), range(dim)):
+            x, at_x = idx[:, s], _Scatter(ev, W.degree)
+            at_x.add(_fanout(t.omega, s, lambda sf, _: [sf.partial(a)]), idx, cfg, f)
+            if inners:
+                cyl = -sum(ev.grads(phi)[x, a] * p for phi, p in zip(inners, pd))
+                at_x.add(t.omega, idx, cfg, cyl)
+            for k, (flats, cs) in at_x.parts.items():
+                keys, vals = Q.setdefault(k, ([], []))
+                keys += [(flat * n_pts + x) * dim + a for flat in flats]
+                vals += cs
+    for k, (keys, vals) in Q.items():
+        # the parts' keys mostly ascend, so a stable (merge) sort is fast
+        key, c = np.concatenate(keys), np.concatenate(vals)
+        order = key.argsort(kind="stable")
+        key, c = key[order], c[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        Q[k] = key[first], np.add.reduceat(c, first)
+    return V, Q
 
 
 def point_gradient_energy(
     W1: CylinderForm, W2: CylinderForm, ev: BatchEval
 ) -> np.ndarray:
-    """Per configuration: the Bochner-level energy, the sum over points and
-    coordinates of <partial W1, partial W2> (flat backends). One axis is
-    held at a time; the sum runs in (point, axis) order."""
-    layout = RowLayout(ev.batch, ev.sid)
-    per_axis = [
-        _point_partials(W1, ev, layout, a).inner(_point_partials(W2, ev, layout, a))
-        for a in range(ev.dim)
-    ]
-    weights = np.column_stack(per_axis).ravel()
-    return np.bincount(np.repeat(ev.sid, ev.dim), weights=weights,
-                       minlength=ev.batch.n_samples)
+    """Per configuration: the Bochner-level energy, the sum over points x and
+    axes a of <d_{x,a} W1, d_{x,a} W2> (flat backends), where
+    d_{x,a} W = sum_(t,j) d_a phi_(t,j)(x) V_(t,j) + Q_(x,a). V_(t,j), term t
+    with F replaced by d_jF, is what the cylinder factor gives through a
+    point in no subset, on the configuration rows; Q_(x,a) covers the
+    subsets holding x: their slot at x differentiated, the cylinder part
+    taken back out. Four parts: <V1, V2> times sum_x <grad phi, grad chi>;
+    the two cross terms, V read at each Q entry; <Q1, Q2> over the entries
+    matching in (x, a, row, column). On 0-forms Q is empty: the energy is
+    the carre du champ, the classical Dirichlet form of the Poisson measure."""
+    n, dim, n_pts = ev.batch.n_samples, ev.dim, len(ev.points)
+    if W1.degree != W2.degree:
+        return np.zeros(n)  # forms of different degrees are orthogonal
+    (V1, Q1), (V2, Q2) = _point_derivative(W1, ev), _point_derivative(W2, ev)
+    energy = np.zeros(n)
+    for (phi, v1), (chi, v2) in itertools.product(V1, V2):
+        energy += v1.inner(v2) * ev.batch.segment_sum(_row_dots(ev.grads(phi), ev.grads(chi)))
+    # the rest entry by entry, on the configuration of the entry's point
+    pts, w = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for V, Q in ((V1, Q2), (V2, Q1)):
+        for k, (key, q) in sorted(Q.items()):
+            (flat, x), a = np.divmod(key // dim, n_pts), key % dim
+            pts.append(x)
+            w.append(q * sum(ev.grads(phi)[x, a] * v.blocks[k].ravel()[flat]
+                             for phi, v in V if k in v.blocks))
+    for k in sorted(Q1.keys() & Q2.keys()):
+        key, i1, i2 = np.intersect1d(Q1[k][0], Q2[k][0], assume_unique=True,
+                                     return_indices=True)
+        pts.append(key // dim % n_pts)
+        w.append(Q1[k][1][i1] * Q2[k][1][i2])
+    return energy + np.bincount(ev.sid[np.concatenate(pts)], weights=np.concatenate(w),
+                                minlength=n)
 
 
 def _ibp_rows(
@@ -887,37 +913,25 @@ def dirichlet_check(
     space: Space,
     intensity: IntensitySpec,
     window: Window,
-    W1,
-    W2,
+    W1: CylinderForm,
+    W2: CylinderForm,
     rng: RngStream,
-    level: str = "functions",
+    level: str = "bochner",
     n_samples: int = 100_000,
+    name: Optional[str] = None,
 ) -> CheckResult:
-    """Dirichlet-form identity E[energy(W1, W2)] = E[<H W1, W2>] at the
-    requested level: 'functions' (carre du champ of the lifted operator),
-    'bochner' (gradient pairing vs the Bochner lift), or 'deRham' (d/d*
-    pairing vs the de Rham lift); each vectorized over a view of the batch
-    (``sample_views``), the form levels on flat backends.
-    """
-    if level not in ("functions", "bochner", "deRham"):
-        raise ValueError("level must be 'functions', 'bochner' or 'deRham'")
+    """Dirichlet-form identity E[energy(W1, W2)] = E[<L W1, W2>] on flat
+    backends, vectorized over the views of ``sample_views``: at level
+    'bochner' the point-gradient pairing against the Bochner lift (on
+    0-forms the carre du champ of the lifted operator against H), at
+    'deRham' the d and d* pairings against the de Rham lift."""
+    if level not in ("bochner", "deRham"):
+        raise ValueError("level must be 'bochner' or 'deRham'")
     if level == "deRham":
         dW1, dW2 = d_gamma(space, intensity, W1), d_gamma(space, intensity, W2)
 
     def rows(batch: SampleBatch) -> np.ndarray:
         ev = BatchEval(batch, space.dim)
-        if level == "functions":
-            sid = batch.sample_ids
-            grads1 = [ev.grads(phi) for phi in W1.inners]
-            grads2 = [ev.grads(chi) for chi in W2.inners]
-            pd1 = [ev.f_rows(W1.partial_outer(j))[sid] for j in range(W1.nargs)]
-            pd2 = [ev.f_rows(W2.partial_outer(k))[sid] for k in range(W2.nargs)]
-            lhs_pt = np.zeros(batch.points.shape[0])
-            for j in range(W1.nargs):
-                for k in range(W2.nargs):
-                    lhs_pt += pd1[j] * pd2[k] * _row_dots(grads1[j], grads2[k])
-            lhs = batch.segment_sum(lhs_pt)
-            return lhs - _h_rows(space, intensity, W1, ev) * ev.f_rows(W2)
         if level == "bochner":
             energy = point_gradient_energy(W1, W2, ev)
         else:
@@ -927,8 +941,9 @@ def dirichlet_check(
 
     diff = McEstimate.from_samples(
         sample_views(space, intensity, window, rng, n_samples, rows))
-    return CheckResult.from_estimates(f"dirichlet-{level}-{W1.name}-{W2.name}", diff,
-                                      McEstimate.exact(0.0), detail={"n": n_samples})
+    label = name or f"dirichlet-{level}-{W1.name}-{W2.name}"
+    return CheckResult.from_estimates(label, diff, McEstimate.exact(0.0),
+                                      detail={"n": n_samples})
 
 
 def adjointness_check(
@@ -1068,7 +1083,7 @@ def factorization_check(
     ]
     offsets = np.cumsum([0] + [len(u) for u in unions])
     ev = BatchEval(SampleBatch(np.vstack(unions), offsets), space.dim)
-    right = ev.scatter(ev.configs, W.degree)
+    right = _Scatter(ev, W.degree)
     for t, scale in _plain_terms(W, "factorization_check"):
         _, idx, cfg = ev.configs.rows(t.m)
         rest = BatchEval(_rest_batch(ev, cfg, idx), space.dim)

@@ -8,6 +8,7 @@ a spectrally accurate product rule on the unit sphere.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,9 +23,18 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(solve: Callable, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point ``leggauss`` or ``hermegauss`` rule, cached read-only."""
+    x, w = solve(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights rescaled from [-1, 1] to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_rule(np.polynomial.legendre.leggauss, n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
 
@@ -60,7 +70,7 @@ def gauss_hermite_gaussian(
     Built from the probabilists' Hermite rule (weight e^{-u^2/2}), rescaled so
     that sum_i w_i f(x_i) ~ int f(x) exp(-|x|^2/(2 scale^2)) dx.
     """
-    u, w = np.polynomial.hermite_e.hermegauss(n_per_axis)
+    u, w = _gauss_rule(np.polynomial.hermite_e.hermegauss, n_per_axis)
     return _tensor_product([(scale * u, scale * w)] * dim)
 
 

@@ -185,9 +185,13 @@ def test_curvature_term(W, batch):
         assert_same_coef(batch_coef(val, i, W.degree), fv.point_coef(), f"R{W.name}@{i}")
 
 
-@pytest.mark.parametrize("pair", PAIRS + [(FLAT[1], FLAT[1]), (FLAT[2], FLAT[3])],
-                         ids=lambda p: f"{p[0].name}-{p[1].name}")
+@pytest.mark.parametrize("pair", PAIRS + bat.function_pairs() + [
+    (FLAT[1], FLAT[1]), (FLAT[2], FLAT[3]), (FLAT[3], FLAT[3])],
+    ids=lambda p: f"{p[0].name}-{p[1].name}")
 def test_point_gradient_energy(pair):
+    # the function pairs as 0-forms have no subset terms; the scalar-slot
+    # form files the slot derivatives of several subsets holding a point on
+    # one row, where they must be added before they are paired
     W1, W2 = pair
     got = point_gradient_energy(W1, W2, BatchEval(BATCH, SP.dim))
     for i, cfg in enumerate(CONFIGS):

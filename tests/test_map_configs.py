@@ -160,7 +160,7 @@ def _rows(n: int):
     checks += mecke_check(SP, INTEN, WIN, bat.mecke_battery(), rng.child("mecke", "phi-pi"), n)
     checks += ibp_check(SP, INTEN, WIN, bat.ibp_battery(), rng.child("ibp", 0), n)
     checks += [
-        dirichlet_check(SP, INTEN, WIN, W1, W2, rng.child("dir0", i), "functions", n)
+        dirichlet_check(SP, INTEN, WIN, W1, W2, rng.child("dir0", i), "bochner", n)
         for i, (W1, W2) in enumerate(bat.function_pairs())
     ]
     # the form levels: one BatchEval per view, every per-configuration
@@ -209,10 +209,12 @@ def test_ibp_peak_memory():
 
 def test_form_dirichlet_peak_memory():
     # drawn as one batch of 3,030 configurations (the dirichlet experiment's
-    # size), the Bochner row peaked at 52.8 MB; one view at a time, at 24.2 MB
+    # size), the Bochner row peaked at 52.8 MB; one view at a time, at 24.2 MB;
+    # with its energy built on the configuration rows alone, in place of one
+    # row per point and subset of the point's configuration, at 8.6 MB
     rng = RngStream(42).child("dir1", "bochner", 0)
     W1, W2 = bat.form_pairs()[0]
-    assert _peak(lambda: dirichlet_check(SP, INTEN, WIN, W1, W2, rng, "bochner", 3_030)) < 35e6
+    assert _peak(lambda: dirichlet_check(SP, INTEN, WIN, W1, W2, rng, "bochner", 3_030)) < 13e6
 
 
 def test_chapman_peak_memory():

@@ -333,9 +333,12 @@ class TestChecks:
     def test_dirichlet_functions_small(self):
         F1, F2 = bat.function_pairs()[0]
         res = dirichlet_check(
-            SP, GAUSS, ALL, F1, F2, RngStream(7), level="functions", n_samples=20_000
+            SP, GAUSS, ALL, F1, F2, RngStream(7), level="bochner", n_samples=20_000
         )
         assert res.passed
+        # the function level is the Bochner level's degree-0 case
+        with pytest.raises(ValueError):
+            dirichlet_check(SP, GAUSS, ALL, F1, F2, RngStream(7), level="functions")
 
     def test_dirichlet_forms_small(self):
         W1, W2 = bat.form_pairs()[0]
